@@ -25,7 +25,7 @@ rooted in exactly one ``point`` atom).
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RestrictionError
 
@@ -341,3 +341,26 @@ def split_conjunction(formula: Formula) -> Tuple[Formula, ...]:
     if isinstance(formula, TrueFormula):
         return ()
     return (formula,)
+
+
+def equality_conjuncts(
+    formula: Optional[Formula], atom_type_name: str
+) -> List[Comparison]:
+    """The conjuncts of *formula* of the form ``atom_type.attr = constant``.
+
+    Only conjuncts explicitly qualified with *atom_type_name* (derived-type
+    suffixes ignored) count: these are the ones an existential molecule
+    restriction can answer per conjunct from the atoms matching them.
+    """
+    if formula is None:
+        return []
+    bare = atom_type_name.split("@", 1)[0]
+    return [
+        conjunct
+        for conjunct in split_conjunction(formula)
+        if isinstance(conjunct, Comparison)
+        and conjunct.op in ("=", "==")
+        and not isinstance(conjunct.rhs, AttributeRef)
+        and conjunct.lhs.atom_type is not None
+        and conjunct.lhs.atom_type.split("@", 1)[0] == bare
+    ]

@@ -43,6 +43,7 @@ from repro.core.predicates import (
     Comparison,
     Formula,
     _compare,
+    equality_conjuncts,
     split_conjunction,
 )
 from repro.core.recursion import RecursiveDescription, RecursiveMolecule, expand_recursive
@@ -411,6 +412,11 @@ class RecursiveScan(PhysicalOperator):
             yield molecule
 
 
+#: Equality conjuncts matching more atoms than this are not enumerated from:
+#: walking that many ancestor chains costs more than testing the roots saves.
+MAX_ENUMERATION_CANDIDATES = 1024
+
+
 class IntervalScan(PhysicalOperator):
     """Recursive molecule expansion answered by the structure index.
 
@@ -423,11 +429,13 @@ class IntervalScan(PhysicalOperator):
     the index cannot answer coherently (pinned snapshot ahead/behind the
     encoding, stale encoding mid-rebuild, unknown root).
 
-    On forest-shaped data with an equality-restricted formula, roots whose
-    closure provably misses one of the restriction's candidate sets are
-    skipped *before* materialisation (the existential restriction is then
-    guaranteed false); every emitted molecule is byte-identical to the
-    fixpoint path's.
+    On forest-shaped data with an equality-restricted formula the roots are
+    *enumerated*, not tested: the store walks the parent links upward from
+    the atoms matching each equality conjunct and returns exactly the roots
+    whose closure meets every conjunct, so work is proportional to the answer
+    rather than to the atom type.  Every other root's existential restriction
+    is provably false; every emitted molecule still passes the full formula
+    and is byte-identical to the fixpoint path's.
     """
 
     def __init__(
@@ -450,22 +458,15 @@ class IntervalScan(PhysicalOperator):
         base_description = self.describe(ctx)
         store = getattr(ctx, "structure", None)
         index = store.for_execution(self.description, ctx) if store is not None else None
-        candidate_sets = None
-        if index is not None and store.supports_pruning(index):
-            candidate_sets = self._candidate_sets(ctx)
-        for root_atom in ctx.database.atyp(self.description.atom_type_name):
+        # A pinned reader names its generation on every store call: the head
+        # may fold a write into the shared encoding between two of them.
+        generation = ctx.snapshot.generation if ctx.snapshot is not None else None
+        for root_atom in self._root_atoms(ctx, store, index, generation):
             if not partition_member(root_atom.identifier, self.partition):
-                continue
-            if candidate_sets is not None and not store.may_qualify(
-                index, root_atom.identifier, candidate_sets, self.description.max_depth
-            ):
-                # The closure provably misses a required candidate set: the
-                # existential restriction is false without materialisation.
-                ctx.counters.restrictions_evaluated += 1
                 continue
             molecule = None
             if index is not None:
-                molecule = self._materialize(ctx, store, index, root_atom)
+                molecule = self._materialize(ctx, store, index, root_atom, generation)
             if molecule is None:
                 molecule = expand_recursive(ctx.database, self.description, root_atom)
             molecule.description = base_description
@@ -477,9 +478,33 @@ class IntervalScan(PhysicalOperator):
                     continue
             yield molecule
 
-    def _materialize(self, ctx, store, index, root_atom) -> Optional[RecursiveMolecule]:
+    def _root_atoms(self, ctx, store, index, generation) -> Iterable[Atom]:
+        """The roots to expand: the enumerated qualifying roots in identifier
+        order when the index can name them, every atom of the type otherwise
+        (graph mode, stale or incoherent index, no usable equality conjunct,
+        no index pool to find the conjuncts' atoms with).
+        """
+        atom_type = ctx.database.atyp(self.description.atom_type_name)
+        if index is None or not store.supports_pruning(index):
+            return atom_type
+        candidate_sets = self._candidate_sets(ctx)
+        if candidate_sets is None:
+            return atom_type
+        roots = store.qualifying_roots(
+            index, candidate_sets, self.description.max_depth, generation
+        )
+        if roots is None:
+            return atom_type
+        atoms = [atom_type.get(identifier) for identifier in sorted(roots)]
+        return [atom for atom in atoms if atom is not None]
+
+    def _materialize(
+        self, ctx, store, index, root_atom, generation
+    ) -> Optional[RecursiveMolecule]:
         """Build the closure molecule from the index, or ``None`` to fall back."""
-        pair = store.closure(index, root_atom.identifier, self.description.max_depth)
+        pair = store.closure(
+            index, root_atom.identifier, self.description.max_depth, generation
+        )
         if pair is None:
             return None
         ctx.counters.index_lookups += 1
@@ -512,50 +537,44 @@ class IntervalScan(PhysicalOperator):
         return RecursiveMolecule(root_atom, atoms, links, levels)
 
     def _candidate_sets(self, ctx) -> Optional[List[FrozenSet[str]]]:
-        """Per-conjunct candidate-atom sets for containment pruning, or ``None``.
+        """Per-conjunct candidate-atom sets for root enumeration, or ``None``.
 
         Each usable equality conjunct ``root_type.attr = const`` contributes
-        the set of atoms satisfying it (via hash or grid index).  Pruning is
-        sound per conjunct only: the restriction is existential, so different
-        closure members may satisfy different conjuncts — the closure must
-        merely *intersect* every set.  Oversized sets are dropped (testing
-        them costs more than it saves); dropping only weakens pruning.
+        the set of atoms satisfying it (via hash or grid index); a context
+        without an index pool (pinned snapshots, followers) has no way to
+        name them short of a full pass and visits every root instead.
+        Enumeration is sound per conjunct only: the restriction is
+        existential, so different closure members may satisfy different
+        conjuncts — the closure must merely *intersect* every set.  Oversized
+        sets are dropped (walking them costs more than it saves); dropping
+        only admits more roots.
         """
-        if self.formula is None or ctx.indexes is None:
+        if ctx.indexes is None:
             return None
-        type_name = self.description.atom_type_name
-        bare = type_name.split("@", 1)[0]
-        wanted: List[Tuple[str, object]] = []
-        for conjunct in split_conjunction(self.formula):
-            if not isinstance(conjunct, Comparison) or conjunct.op not in ("=", "=="):
-                continue
-            if isinstance(conjunct.rhs, AttributeRef):
-                continue
-            lhs_type = conjunct.lhs.atom_type
-            if lhs_type is None or lhs_type.split("@", 1)[0] != bare:
-                continue
-            wanted.append((conjunct.lhs.attribute, conjunct.rhs))
+        wanted = [
+            (conjunct.lhs.attribute, conjunct.rhs)
+            for conjunct in equality_conjuncts(self.formula, self.description.atom_type_name)
+        ]
         if not wanted:
             return None
-        sets: List[FrozenSet[str]] = []
+        type_name = self.description.atom_type_name
         attributes = tuple(sorted({attribute for attribute, _ in wanted}))
         grid = (
             ctx.indexes.grid_for(type_name, attributes, ctx.counters)
             if len(attributes) >= 2
             else None
         )
+        sets: List[FrozenSet[str]] = []
         for attribute, value in wanted:
             if grid is not None:
-                ctx.counters.index_lookups += 1
                 identifiers = grid.lookup({attribute: value})
             else:
                 identifiers = ctx.indexes.lookup(type_name, attribute, value, ctx.counters)
                 if identifiers is None:
                     return None
-                ctx.counters.index_lookups += 1
-            if len(identifiers) > 1024:
-                continue  # testing a huge set beats no molecules — skip it
-            sets.append(frozenset(identifiers))
+            ctx.counters.index_lookups += 1
+            if len(identifiers) <= MAX_ENUMERATION_CANDIDATES:
+                sets.append(identifiers)
         return sets or None
 
 

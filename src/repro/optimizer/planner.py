@@ -19,6 +19,7 @@ estimated closure size, and the interval index state — surfaced by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -321,6 +322,17 @@ class Planner:
                     )
                 )
             if isinstance(node, IntervalScanPlan):
+                candidates = self.cost_model.enumeration_candidates(node)
+                if candidates:
+                    count = math.ceil(sum(candidates))
+                    notes.append(
+                        f"  root access: ancestor walk from ≈ {count} "
+                        f"candidate{'s' * (count != 1)} of {len(candidates)} equality "
+                        f"conjunct{'s' * (len(candidates) != 1)} "
+                        "(a graph-mode index or a pinned read visits all roots)"
+                    )
+                else:
+                    notes.append("  root access: all roots")
                 accelerators = self.accelerators
                 if accelerators is not None:
                     notes.extend(accelerators.describe(description))

@@ -17,7 +17,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.core.database import Database
 from repro.core.molecule import MoleculeTypeDescription
-from repro.core.predicates import Comparison, Formula
+from repro.core.predicates import Comparison, Formula, equality_conjuncts
 from repro.engine.logical import (
     AggregatePlan,
     ColumnarAggregatePlan,
@@ -30,6 +30,7 @@ from repro.engine.logical import (
     SetOpPlan,
     plan_description,
 )
+from repro.engine.physical import MAX_ENUMERATION_CANDIDATES
 
 #: Default selectivity assumed for a predicate whose selectivity cannot be estimated.
 DEFAULT_SELECTIVITY = 0.25
@@ -353,6 +354,26 @@ class CostModel:
             return ("hash", best), hash_cost, grid_cost
         return ("grid",) + tuple(sorted(attributes)), grid_cost, hash_cost
 
+    def enumeration_candidates(self, plan) -> "Tuple[float, ...]":
+        """Expected candidate atoms per equality conjunct an interval scan
+        enumerates its roots from; empty when it has to visit all roots.
+
+        Mirrors ``IntervalScan._candidate_sets``: every conjunct
+        ``root_type.attr = const`` contributes the atoms matching it, unless
+        they outnumber :data:`MAX_ENUMERATION_CANDIDATES`.  Tree-mode
+        encodings are assumed — in graph mode the executor visits every root
+        whatever the formula says.
+        """
+        if not isinstance(plan, IntervalScanPlan):
+            return ()
+        atoms = float(self.statistics.atom_counts.get(plan.description.atom_type_name, 0))
+        estimates = []
+        for conjunct in equality_conjuncts(plan.formula, plan.description.atom_type_name):
+            candidates = atoms * self.statistics.selectivity(conjunct)
+            if candidates <= MAX_ENUMERATION_CANDIDATES:
+                estimates.append(candidates)
+        return tuple(estimates)
+
     def _estimate_recursive(self, plan) -> Tuple[float, float]:
         """Cost a recursive node — fixpoint or interval-accelerated.
 
@@ -363,6 +384,12 @@ class CostModel:
         old occurrence-pass proxy remains (scaled down for the interval
         variant, which touches each closure member once instead of scanning
         every incident link).
+
+        An interval scan whose formula carries a selective equality conjunct
+        enumerates its roots instead of visiting all of them: it pays one
+        ancestor walk of the observed depth per candidate atom, and closures
+        only for the ancestor-or-self chain of the rarest conjunct's
+        candidates.
         """
         atoms = float(self.statistics.atom_counts.get(plan.description.atom_type_name, 0))
         links = float(self.statistics.link_counts.get(plan.description.link_type_name, 0))
@@ -370,18 +397,25 @@ class CostModel:
         cardinality = atoms
         if plan.formula is not None:
             cardinality *= self.statistics.selectivity(plan.formula)
+        candidates = self.enumeration_candidates(plan)
         profile = self.statistics.recursion_profile(recursion_profile_key(plan.description))
         if profile is not None:
             roots = atoms if atoms > 0 else profile["roots"]
             closure = profile["avg_closure"]
             depth = profile["avg_depth"]
-            if accelerated:
+            if candidates:
+                enumerated = min(roots, min(candidates) * (1.0 + depth))
+                cost = enumerated * closure * INTERVAL_TOUCH_COST + sum(candidates) * depth
+            elif accelerated:
                 cost = roots * closure * INTERVAL_TOUCH_COST
             else:
                 cost = roots * (closure * FIXPOINT_HOP_COST + depth)
             return cost, cardinality
         if accelerated:
-            return (atoms + links) * (INTERVAL_TOUCH_COST / FIXPOINT_HOP_COST), cardinality
+            proxy = (atoms + links) * (INTERVAL_TOUCH_COST / FIXPOINT_HOP_COST)
+            if candidates and atoms > 0:
+                proxy = proxy * min(1.0, min(candidates) / atoms) + sum(candidates)
+            return proxy, cardinality
         return atoms + links, cardinality
 
 

@@ -27,12 +27,20 @@ recursive description:
   (subtree grafts, gap exhaustion, shape transitions) set the ``stale`` flag
   and bump ``gap_events`` — the next head use rebuilds (``builds``).
 
+Selective restrictions are answered by *root enumeration*: the encoding
+knows every node's parent link, so the roots whose closure can satisfy an
+equality conjunct are the ancestor-or-self chains of the atoms matching it
+(:meth:`StructureIndex.qualifying_roots`) — the executor materializes those
+and nothing else.
+
 MVCC interaction: indexes are generation-stamped by the owning engine.  A
 pinned snapshot may use an index only when the stamp equals the snapshot's
-generation and the snapshot carries no private writes — otherwise the store
-counts a ``snapshot_gap`` and the executor falls back to the fixpoint loop
-over the pinned view, preserving byte parity.  All counters surface through
-``maintenance_report()``.
+generation and the snapshot carries no private writes — checked when the scan
+starts and again, under the store lock, on every call it makes, because the
+head keeps folding writes into the shared encoding while the pin reads.
+Otherwise the store counts a ``snapshot_gap`` and the executor falls back to
+the fixpoint loop over the pinned view, preserving byte parity.  All counters
+surface through ``maintenance_report()``.
 """
 
 from __future__ import annotations
@@ -474,40 +482,48 @@ class StructureIndex:
             frontier = next_frontier
         return members, links
 
-    # -------------------------------------------------------------- pruning
+    # ------------------------------------------------------ root enumeration
 
-    def may_qualify(
+    def qualifying_roots(
         self,
-        root: str,
         candidate_sets: Sequence[Iterable[str]],
         max_depth: Optional[int] = None,
-    ) -> bool:
-        """Conservative containment test: can the closure of *root* intersect
-        **every** candidate set?  ``False`` proves the existential restriction
-        fails without materializing the molecule.  Tree mode only.
+    ) -> Optional[Set[str]]:
+        """The exact set ``{r : closure(r) meets every candidate set}``, or
+        ``None`` when the index cannot enumerate it (graph mode, stale
+        encoding, an encoding hole) and the caller must test every root.
+
+        The closure of a forest node contains a candidate exactly when the
+        node is an ancestor-or-self of it within *max_depth* hops, so each
+        conjunct's roots are the union of its candidates' ``_parent_link``
+        chains and the answer is the intersection across conjuncts — work
+        proportional to the chains walked, never to the size of the type.
+        A candidate the encoding does not know contributes itself only.
         """
-        if self.stale or not self.tree:
-            return True
-        root_pre = self._pre.get(root)
-        if root_pre is None:
-            return True
-        root_post = self._post[root]
-        root_depth = self._depth[root]
+        if self.stale or not self.tree or not candidate_sets:
+            return None
+        roots: Optional[Set[str]] = None
         for candidates in candidate_sets:
-            hit = False
-            for identifier in candidates:
-                if identifier == root:
-                    hit = True
-                    break
-                pre = self._pre.get(identifier)
-                if pre is None or not root_pre < pre < root_post:
-                    continue
-                if max_depth is None or self._depth[identifier] - root_depth <= max_depth:
-                    hit = True
-                    break
-            if not hit:
-                return False
-        return True
+            reached: Set[str] = set()
+            for node in candidates:
+                hops = 0
+                # Unbounded chains that merge share their tail: stop at the
+                # first node an earlier candidate already walked through.
+                while max_depth is not None or node not in reached:
+                    reached.add(node)
+                    if hops == max_depth:
+                        break
+                    link = self._parent_link.get(node)
+                    if link is None:
+                        if self._depth.get(node, 0) > 0:
+                            return None  # encoding hole — resync via fallback
+                        break
+                    node = self._orient(link)[0]
+                    hops += 1
+            roots = reached if roots is None else roots & reached
+            if not roots:
+                break
+        return roots
 
     # ------------------------------------------------------------ persistence
 
@@ -702,19 +718,44 @@ class StructureIndexStore:
                 index.generation = self.generation
             return index
 
-    def closure(self, index: StructureIndex, root: str, max_depth: Optional[int] = None):
-        with self._lock:
-            return index.closure(root, max_depth)
-
-    def may_qualify(
+    def closure(
         self,
         index: StructureIndex,
         root: str,
+        max_depth: Optional[int] = None,
+        generation: Optional[int] = None,
+    ):
+        """``index.closure`` under the store lock.  A pinned reader passes its
+        *generation*: :meth:`for_execution` admitted the index once, but the
+        head keeps folding writes into it, so every later call re-verifies
+        coherence with the pin and answers ``None`` (fixpoint fallback over
+        the pinned view) once the encoding has moved on."""
+        with self._lock:
+            if not self._coherent(index, generation):
+                return None
+            return index.closure(root, max_depth)
+
+    def qualifying_roots(
+        self,
+        index: StructureIndex,
         candidate_sets: Sequence[Iterable[str]],
         max_depth: Optional[int] = None,
-    ) -> bool:
+        generation: Optional[int] = None,
+    ) -> Optional[Set[str]]:
+        """``index.qualifying_roots`` under the store lock; *generation* as in
+        :meth:`closure`."""
         with self._lock:
-            return index.may_qualify(root, candidate_sets, max_depth)
+            if not self._coherent(index, generation):
+                return None
+            return index.qualifying_roots(candidate_sets, max_depth)
+
+    def _coherent(self, index: StructureIndex, generation: Optional[int]) -> bool:
+        """Whether *index* still encodes the pinned *generation* (head
+        callers pass ``None``); a refusal counts as a snapshot gap."""
+        if generation is None or (not index.stale and index.generation == generation):
+            return True
+        self.snapshot_gaps += 1
+        return False
 
     def supports_pruning(self, index: StructureIndex) -> bool:
         with self._lock:

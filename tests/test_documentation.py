@@ -56,6 +56,30 @@ class TestReadme:
         namespace: dict = {}
         exec(compile(blocks[0], "<README quickstart>", "exec"), namespace)  # noqa: S102
 
+    def test_readme_structure_index_explain_matches_engine(self):
+        """The EXPLAIN report under "Query tuning: structure indexes" is what
+        the engine prints for that statement on the 15-part BOM, run once."""
+        from repro.datasets.bill_of_materials import build_bill_of_materials
+        from repro.storage.engine import PrimaEngine
+
+        text = read("README.md")
+        statement = re.search(
+            r'"EXPLAIN (SELECT ALL FROM RECURSIVE part[^"]*)"\s*"([^"]*)"', text
+        )
+        printed = re.search(r"```\n(original plan .*?sample intervals[^\n]*)\n```", text, flags=re.S)
+        assert statement and printed
+        query = statement.group(1) + statement.group(2)
+        engine = PrimaEngine.from_database(build_bill_of_materials(depth=3, fan_out=2))
+        engine.create_structure_index("part", "composition", "down")
+        engine.query(query)
+        explanation = engine.query("EXPLAIN " + query).explanation
+
+        def unnumbered(report: str) -> str:
+            # Anonymous result names count up process-wide.
+            return re.sub(r"mql_result\d+", "mql_result", report)
+
+        assert unnumbered(explanation) == unnumbered(printed.group(1))
+
     def test_readme_examples_table_matches_directory(self):
         text = read("README.md")
         referenced = set(re.findall(r"`examples/([a-z_]+\.py)`", text))

@@ -10,10 +10,13 @@ generations — while the planner surfaces the choice through EXPLAIN.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
+from repro.engine.executor import compile_plan
 from repro.exceptions import StorageError, UnknownNameError
 from repro.storage.engine import PrimaEngine
 from repro.storage.index import GridIndex
@@ -21,6 +24,10 @@ from repro.storage.structure_index import StructureIndex, StructureIndexStore
 
 RECURSIVE_ALL = "SELECT ALL FROM RECURSIVE part [composition] DOWN;"
 RECURSIVE_UP = "SELECT ALL FROM RECURSIVE part [composition] UP;"
+#: Selects p8: its six ancestors-or-self are the only qualifying roots.
+SELECTIVE = (
+    "SELECT ALL FROM RECURSIVE part [composition] DOWN WHERE part.part_no = 'P008';"
+)
 
 #: A small BOM forest: two roots, branching, one deep chain under p3.
 TREE_EDGES = [
@@ -46,8 +53,8 @@ def part_description() -> AtomTypeDescription:
     )
 
 
-def build_engine(edges=TREE_EDGES, parts=12, index=True) -> PrimaEngine:
-    engine = PrimaEngine()
+def build_engine(edges=TREE_EDGES, parts=12, index=True, durability=None) -> PrimaEngine:
+    engine = PrimaEngine(durability=durability)
     engine.create_atom_type("part", part_description())
     engine.create_link_type("composition", "part", "part")
     for i in range(parts):
@@ -219,14 +226,9 @@ class TestAcceleratedQueries:
     def test_selective_where_parity_and_pruning(self):
         accelerated = build_engine()
         accelerated.query(RECURSIVE_ALL)  # build the index
-        statement = (
-            "SELECT ALL FROM RECURSIVE part [composition] DOWN "
-            "WHERE part.part_no = 'P008';"
-        )
-        result = assert_parity(accelerated, build_engine(index=False), statement)
+        result = assert_parity(accelerated, build_engine(index=False), SELECTIVE)
         # Only the six ancestors-or-self of p8 qualify; the other six roots
-        # must have been pruned by the interval containment test, never
-        # materialized.
+        # are never enumerated, let alone materialized.
         assert len(result.molecules) == 6
         assert result.counters.molecules_derived == 6
 
@@ -282,6 +284,45 @@ class TestAcceleratedQueries:
         head = canonical(accelerated.query(RECURSIVE_ALL))
         assert head != before
 
+    def test_pinned_reader_ignores_write_between_closure_calls(self):
+        """The pin's coherence with the index is re-checked on every store
+        call: a head write folded into the shared encoding mid-scan must not
+        leak into the roots the pinned reader expands afterwards."""
+        engine = build_engine()
+        engine.query(RECURSIVE_ALL)
+        store = engine._structure_indexes
+        original = store.closure
+        calls = []
+
+        def closure_racing_a_head_write(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                # An in-place leaf graft: the encoding stays valid (not
+                # stale) but now describes a later generation than the pin.
+                writer = threading.Thread(
+                    target=engine.connect, args=("composition", "p8", "p11")
+                )
+                writer.start()
+                writer.join(timeout=30)
+                assert not writer.is_alive()
+            return original(*args, **kwargs)
+
+        handle = engine.snapshot_at()
+        try:
+            before = canonical(handle.query(RECURSIVE_ALL))
+            gaps = engine.maintenance_report()["structure_snapshot_gaps"]
+            store.closure = closure_racing_a_head_write
+            try:
+                during = canonical(handle.query(RECURSIVE_ALL))
+            finally:
+                del store.closure
+            assert len(calls) > 2
+            assert during == before
+            assert engine.maintenance_report()["structure_snapshot_gaps"] > gaps
+        finally:
+            handle.release()
+        assert canonical(engine.query(RECURSIVE_ALL)) != before
+
     def test_maintenance_report_counters(self):
         engine = build_engine()
         engine.query(RECURSIVE_ALL)
@@ -290,6 +331,72 @@ class TestAcceleratedQueries:
         assert report["structure_builds"] >= 1
         assert report["structure_gap_events"] >= 0
         assert report["structure_generation"] == report["generation"]
+
+
+class TestRootEnumerationCounters:
+    """A selective closure at the head does work proportional to its answer:
+    the six qualifying roots are derived and restricted, nothing else.  A
+    context without an index pool (pinned snapshot, follower) cannot name the
+    candidates and visits all twelve roots for the same answer."""
+
+    @staticmethod
+    def assert_answer_sized(result, visited=6):
+        assert sorted(m.root_atom.identifier for m in result.molecules) == [
+            "p0", "p1", "p3", "p6", "p7", "p8",
+        ]
+        assert result.counters.molecules_derived == visited
+        assert result.counters.restrictions_evaluated == visited
+
+    def test_head(self):
+        engine = build_engine()
+        engine.query(RECURSIVE_ALL)
+        self.assert_answer_sized(engine.query(SELECTIVE))
+
+    def test_pinned_snapshot(self):
+        engine = build_engine()
+        engine.query(RECURSIVE_ALL)
+        with engine.snapshot_at() as handle:
+            self.assert_answer_sized(handle.query(SELECTIVE), visited=12)
+        assert engine.maintenance_report()["structure_snapshot_gaps"] == 0
+
+    def test_follower(self, tmp_path):
+        from repro.storage.wal import DurabilityConfig
+
+        engine = build_engine(durability=DurabilityConfig(tmp_path))
+        try:
+            engine.query(RECURSIVE_ALL)
+            engine.checkpoint()  # followers seed from the image, encoding included
+            follower = engine.create_follower()
+            self.assert_answer_sized(follower.query(SELECTIVE), visited=12)
+        finally:
+            engine.close()
+
+    def test_root_partitions(self):
+        engine = build_engine()
+        engine.query(RECURSIVE_ALL)
+        executor = engine.interpreter().executor
+        roots, derived, restricted = [], 0, 0
+        for slot in range(2):
+            operator = compile_plan(engine.plan(SELECTIVE).best)
+            operator.partition = (slot, 2)
+            ctx = executor.context()
+            roots += [m.root_atom.identifier for m in operator.execute(ctx)]
+            derived += ctx.counters.molecules_derived
+            restricted += ctx.counters.restrictions_evaluated
+        assert sorted(roots) == ["p0", "p1", "p3", "p6", "p7", "p8"]
+        assert derived == restricted == 6
+
+    def test_unselective_conjunct_visits_all_roots(self):
+        """No equality conjunct on the recursion type: nothing to enumerate
+        from, every root is expanded and restricted as before."""
+        engine = build_engine()
+        engine.query(RECURSIVE_ALL)
+        statement = (
+            "SELECT ALL FROM RECURSIVE part [composition] DOWN WHERE part.cost > 75;"
+        )
+        result = assert_parity(engine, build_engine(index=False), statement)
+        assert result.counters.molecules_derived == 12
+        assert result.counters.restrictions_evaluated == 12
 
 
 # ------------------------------------------------------------------- planner
@@ -317,6 +424,24 @@ class TestPlannerIntegration:
         explanation = engine.query("EXPLAIN " + RECURSIVE_ALL).explanation
         assert "no observed runs yet" in explanation
         assert "estimated depth ≤" in explanation
+
+    def test_explain_reports_root_access(self):
+        engine = build_engine()
+        engine.query(RECURSIVE_ALL)
+        selective = engine.query("EXPLAIN " + SELECTIVE)
+        assert "root access: ancestor walk from ≈ 1 candidate of 1" in selective.explanation
+        unrestricted = engine.query("EXPLAIN " + RECURSIVE_ALL)
+        assert "root access: all roots" in unrestricted.explanation
+        # Enumerating six roots is costed below expanding all twelve.
+        assert selective.plan_choice.optimized_cost < unrestricted.plan_choice.optimized_cost
+        # Two kinds over twelve parts: still enumerable, but the walks from
+        # half the type reach every root — the estimate grows accordingly.
+        by_kind = engine.query(
+            "EXPLAIN SELECT ALL FROM RECURSIVE part [composition] DOWN "
+            "WHERE part.kind = 'assembly';"
+        )
+        assert "ancestor walk from ≈ 6 candidates" in by_kind.explanation
+        assert selective.plan_choice.optimized_cost < by_kind.plan_choice.optimized_cost
 
     def test_interval_plan_estimated_cheaper(self):
         engine = build_engine()
@@ -490,3 +615,76 @@ def test_random_shapes_snapshot_parity(shape):
     finally:
         acc_handle.release()
         base_handle.release()
+
+
+def brute_force_roots(index, candidate_sets, max_depth):
+    """``{r : closure(r, max_depth) meets every set}`` by exhaustive testing;
+    a root the encoding does not know has the closure ``{r}``."""
+
+    def members(root):
+        pair = index.closure(root, max_depth)
+        return {root} if pair is None else {member for member, _l, _k in pair[0]}
+
+    universe = set(index._nodes).union(*candidate_sets)
+    return {
+        root
+        for root in universe
+        if all(members(root) & set(candidates) for candidates in candidate_sets)
+    }
+
+
+@relaxed
+@given(
+    shape=bom_shapes(),
+    direction=st.sampled_from(["down", "up"]),
+    max_depth=st.sampled_from([None, 0, 1, 3]),
+    grafts=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=13), st.integers(min_value=0, max_value=13)),
+        max_size=3,
+    ),
+    in_transaction=st.booleans(),
+    picks=st.lists(
+        st.lists(st.integers(min_value=0, max_value=14), min_size=1, max_size=3),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_root_enumeration_is_exact(shape, direction, max_depth, grafts, in_transaction, picks):
+    n, edges = shape
+    accelerated = build_engine(edges=edges, parts=n, index=False)
+    accelerated.create_structure_index("part", "composition", direction)
+    baseline = build_engine(edges=edges, parts=n, index=False)
+    bound = "" if max_depth is None else f" {max_depth}"
+    recursion = f"RECURSIVE part [composition] {direction.upper()}{bound}"
+    accelerated.query(f"SELECT ALL FROM {recursion};")  # build before mutating
+    selective = (
+        f"SELECT ALL FROM {recursion} WHERE part.part_no = 'P{picks[0][0] % n:03d}'"
+        + (" AND part.kind = 'assembly';" if len(picks) == 2 else ";")
+    )
+    assert_parity(accelerated, baseline, selective)
+    if in_transaction:
+        accelerated.query("BEGIN WORK;")
+        baseline.query("BEGIN WORK;")
+    applied = set(map(tuple, edges))
+    for parent, child in grafts:
+        edge = (f"p{parent % n}", f"p{child % n}")
+        if edge in applied:
+            continue
+        applied.add(edge)
+        for engine in (accelerated, baseline):
+            engine.connect("composition", *edge)
+    assert_parity(accelerated, baseline, selective)
+    if in_transaction:
+        accelerated.query("COMMIT WORK;")
+        baseline.query("COMMIT WORK;")
+        assert_parity(accelerated, baseline, selective)
+
+    # The head index after the DML, against exhaustive containment testing.
+    # Picks past the last part (p14 at most) are atoms the encoding never saw.
+    index = accelerated._structure_indexes._indexes[("part", "composition", direction)]
+    candidate_sets = [frozenset(f"p{i}" for i in pick) for pick in picks]
+    enumerated = index.qualifying_roots(candidate_sets, max_depth)
+    if index.stale or not index.tree:
+        assert enumerated is None
+    else:
+        assert enumerated == brute_force_roots(index, candidate_sets, max_depth)
