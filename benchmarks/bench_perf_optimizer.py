@@ -6,7 +6,10 @@ geography, all running through the streaming logical→physical plan pipeline
 against the rewritten plan (restriction push-down + structure pruning), plus
 one ablation per rule and the full MQL front-to-back path.  Shape checks:
 every rewrite preserves the result molecules, and the fully rewritten plan
-touches the fewest atoms.
+touches the fewest atoms.  The two component-driven access paths get the same
+treatment: a scan seeded from a component equality conjunct and a Γ whose
+structure was pruned to the aggregate's branch both touch strictly fewer atoms
+than the naive plan and return identical results.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from bench_common import report
 
 from repro import attr
 from repro.core.molecule import MoleculeTypeDescription
+from repro.engine.executor import Executor, IndexPool
+from repro.engine.logical import AggregatePlan, AggregateSpec
 from repro.datasets.geography import build_geography, mt_state_description
 from repro.mql import MQLInterpreter
 from repro.optimizer import (
@@ -153,4 +158,59 @@ def test_perf3_mql_statement_through_pipeline(optimizer_db, benchmark):
         [("applied rules", ", ".join(choice.applied_rules)),
          ("atoms touched (literal plan)", naive.counters.atoms_touched),
          ("atoms touched (optimized MQL)", result.counters.atoms_touched)],
+    )
+
+
+def test_perf3_seeded_scan(optimizer_db, benchmark):
+    """A component equality conjunct seeds the roots: only the answer is derived.
+
+    Same plan, two executors: the default one has no index to name the
+    matching ``point`` atoms and visits every state; one with an index pool
+    walks up from the single matching point.
+    """
+    atom_types, directed_links = mt_state_description()
+    description = MoleculeTypeDescription(atom_types, directed_links)
+    plan = RestrictPlan(DefinePlan("mt_state", description), attr("name", "point") == "corner-7")
+    seeded_executor = Executor(optimizer_db, indexes=IndexPool(optimizer_db))
+
+    seeded = benchmark(seeded_executor.run, plan)
+
+    naive = execute_plan(optimizer_db, plan)
+    value = lambda m: (m.root_atom.identifier, m.atom_identifiers)  # noqa: E731
+    assert sorted(map(value, seeded.molecule_type)) == sorted(map(value, naive.molecule_type))
+    assert len(seeded.molecule_type) == 2  # a corner point lies on one shared border
+    assert seeded.counters.molecules_derived == len(seeded.molecule_type)
+    assert naive.counters.molecules_derived == len(optimizer_db.atyp("state"))
+    assert seeded.counters.atoms_touched < naive.counters.atoms_touched
+    report(
+        "E-PERF3 seeded scan (point.name = 'corner-7')",
+        [("molecules derived (all roots)", naive.counters.molecules_derived),
+         ("molecules derived (seeded)", seeded.counters.molecules_derived),
+         ("atoms touched (all roots)", naive.counters.atoms_touched),
+         ("atoms touched (seeded)", seeded.counters.atoms_touched)],
+    )
+
+
+def test_perf3_gamma_pruned_plan(optimizer_db, benchmark):
+    """Under Γ only the aggregate's branch of the structure is walked."""
+    atom_types, directed_links = mt_state_description()
+    description = MoleculeTypeDescription(atom_types, directed_links)
+    plan = AggregatePlan(
+        DefinePlan("mt_state", description),
+        (attr("code", "state"),),
+        (AggregateSpec("COUNT", component="area", output="count(area)"),),
+    )
+    rewritten = prune_structure(plan)
+    assert rewritten.applied_rules == ("prune_structure",)
+    executor = Executor(optimizer_db)
+
+    pruned = benchmark(executor.run_aggregate, rewritten.plan)
+
+    naive = executor.run_aggregate(plan)
+    assert pruned.rows == naive.rows and len(pruned.rows) == len(optimizer_db.atyp("state"))
+    assert pruned.counters.atoms_touched < naive.counters.atoms_touched
+    report(
+        "E-PERF3 Γ-pruned plan (COUNT(area) GROUP BY state.code)",
+        [("atoms touched (naive)", naive.counters.atoms_touched),
+         ("atoms touched (pruned)", pruned.counters.atoms_touched)],
     )

@@ -80,6 +80,152 @@ def resolve_description(
     return MoleculeTypeDescription(description.atom_type_names, resolved)
 
 
+class StructureWalk:
+    """One molecule structure laid over the atom networks, compiled once.
+
+    Everything derivation needs per structure — the traversal order, the
+    directed uses leaving and entering each atom type, their link types and
+    the occurrences holding the partner atoms — is resolved here, so the
+    per-molecule work is only the walk itself.  The walk runs on atom
+    identifiers: :meth:`components` goes down from a root atom and returns the
+    component atoms per atom type, :meth:`molecule` wraps the same walk into a
+    :class:`Molecule`, and :meth:`roots_above` goes up from component atoms to
+    the roots whose molecules contain them (links are symmetric; the
+    description only lays a direction over them).
+
+    *link_types* pre-resolves the directed uses, *links_of* overrides the
+    per-atom link access (e.g. a cached atom-network adjacency) and
+    *on_link_followed* observes each followed link; :attr:`links_followed`
+    counts them either way.
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        description: MoleculeTypeDescription,
+        link_types: Optional[Dict[Tuple[str, str, str], LinkType]] = None,
+        links_of=None,
+        on_link_followed=None,
+    ) -> None:
+        self.description = description
+        self.root = description.root
+        self.links_followed = 0
+        self._links_of = links_of if links_of is not None else _links_of_type
+        self._on_link_followed = on_link_followed
+        #: Per atom type in root-first order: its child uses as
+        #: ``(target type, link type, lookup in the target occurrence)``.
+        self._down: List[Tuple[str, List[Tuple[str, LinkType, object]]]] = []
+        #: Per atom type in leaf-first order: its parent uses as
+        #: ``(source type, link type, lookup in the source occurrence)``.
+        self._up: List[Tuple[str, List[Tuple[str, LinkType, object]]]] = []
+        #: Whether every use joins two distinct, un-renamed atom types — then
+        #: a link's far end is always the use's other type, and component
+        #: atoms are filed under the description's own type names.
+        self.plain = "@" not in self.root
+        resolved: Dict[Tuple[str, str, str], LinkType] = {}
+        for type_name in description.traversal_order():
+            children = []
+            for directed in description.children_of(type_name):
+                if link_types is not None:
+                    link_type = link_types[directed.as_tuple()]
+                else:
+                    link_type = resolve_directed_link(database, directed)
+                if link_type.is_reflexive or "@" in directed.target:
+                    self.plain = False
+                resolved[directed.as_tuple()] = link_type
+                children.append((directed.target, link_type, database.atyp(directed.target).get))
+            if children:
+                self._down.append((type_name, children))
+        for type_name in reversed(description.traversal_order()):
+            parents = [
+                (directed.source, resolved[directed.as_tuple()], database.atyp(directed.source).get)
+                for directed in description.parents_of(type_name)
+            ]
+            if parents:
+                self._up.append((type_name, parents))
+
+    def components(
+        self, root_atom: Atom, links: Optional[Set[Link]] = None
+    ) -> Dict[str, Dict[str, Atom]]:
+        """The component atoms of the molecule rooted at *root_atom*, as
+        ``{atom type: {identifier: atom}}``; followed links land in *links*.
+
+        Traverses the structure in topological order; for every directed use
+        ``<lt, P, C>`` and every component atom of type ``P`` already found,
+        all atoms of type ``C`` connected through ``lt`` are added.  An atom
+        reachable through several parents is included once — molecules are
+        graphs, not trees.
+        """
+        per_type: Dict[str, Dict[str, Atom]] = {self.root: {root_atom.identifier: root_atom}}
+        links_of = self._links_of
+        on_link_followed = self._on_link_followed
+        followed = 0
+        for type_name, children in self._down:
+            parents = per_type.get(type_name)
+            if not parents:
+                continue
+            for target, link_type, lookup in children:
+                bucket = per_type.get(target)
+                if bucket is None:
+                    bucket = per_type[target] = {}
+                for parent_id in parents:
+                    for link in links_of(link_type, parent_id):
+                        first, second = link.given_order
+                        child_id = second if first == parent_id else first
+                        child_atom = lookup(child_id)
+                        if child_atom is None:
+                            # The partner belongs to the other endpoint type of a
+                            # reflexive or differently-directed use; skip it.
+                            continue
+                        followed += 1
+                        if on_link_followed is not None:
+                            on_link_followed(link)
+                        if links is not None:
+                            links.add(link)
+                        bucket[child_id] = child_atom
+        self.links_followed += followed
+        return per_type
+
+    def molecule(self, root_atom: Atom) -> Molecule:
+        """Derive the single molecule rooted at *root_atom* (hierarchical join)."""
+        links: Set[Link] = set()
+        per_type = self.components(root_atom, links)
+        atoms = [atom for bucket in per_type.values() for atom in bucket.values()]
+        return Molecule(root_atom, atoms, links, self.description)
+
+    def roots_above(self, type_name: str, identifiers: Iterable[str]) -> Set[str]:
+        """Identifiers of the root atoms whose molecule contains one of the
+        *type_name* atoms *identifiers*.
+
+        The mirror image of :meth:`components`: atom types are visited
+        leaf-first, so by the time a type's turn comes every child use has
+        delivered its parents; the union over all parent uses keeps
+        DAG-shaped structures exact.  Only sound on a :attr:`plain` walk.
+        """
+        reached: Dict[str, Set[str]] = {type_name: set(identifiers)}
+        links_of = self._links_of
+        followed = 0
+        for target, parents in self._up:
+            children = reached.get(target)
+            if not children:
+                continue
+            for source, link_type, lookup in parents:
+                bucket = reached.setdefault(source, set())
+                for child_id in children:
+                    for link in links_of(link_type, child_id):
+                        first, second = link.given_order
+                        parent_id = second if first == child_id else first
+                        if parent_id not in bucket and lookup(parent_id) is not None:
+                            bucket.add(parent_id)
+                        followed += 1
+        self.links_followed += followed
+        return reached.get(self.root, set())
+
+
+def _links_of_type(link_type: LinkType, identifier: str) -> FrozenSet[Link]:
+    return link_type.links_of(identifier)
+
+
 def derive_molecule(
     database: Database,
     description: MoleculeTypeDescription,
@@ -90,52 +236,12 @@ def derive_molecule(
 ) -> Molecule:
     """Derive the single molecule rooted at *root_atom* (hierarchical join).
 
-    Traverses the molecule structure in topological order; for every directed
-    link use ``<lt, P, C>`` and every component atom of type ``P`` already in
-    the molecule, all atoms of type ``C`` connected through ``lt`` are added
-    together with the connecting links.  An atom reachable through several
-    parents is included once — molecules are graphs, not trees.
-
-    The streaming executor shares this one implementation, customizing it via
-    the optional hooks: *link_types* pre-resolves the directed uses,
-    *links_of* overrides the per-atom link access (e.g. a cached atom-network
-    adjacency), and *on_link_followed* observes each followed link (work
-    counting).
+    One-molecule convenience over :class:`StructureWalk` (which see for the
+    hooks); callers deriving many molecules of one structure compile the walk
+    once and call :meth:`StructureWalk.molecule` per root.
     """
-    component_atoms: Dict[str, Atom] = {root_atom.identifier: root_atom}
-    atoms_per_type: Dict[str, Set[str]] = {description.root: {root_atom.identifier}}
-    component_links: Set[Link] = set()
-    for type_name in description.traversal_order():
-        parent_ids = atoms_per_type.get(type_name, set())
-        if not parent_ids:
-            continue
-        for directed in description.children_of(type_name):
-            if link_types is not None:
-                link_type = link_types[directed.as_tuple()]
-            else:
-                link_type = resolve_directed_link(database, directed)
-            child_type = database.atyp(directed.target)
-            bucket = atoms_per_type.setdefault(directed.target, set())
-            for parent_id in parent_ids:
-                links = (
-                    links_of(link_type, parent_id)
-                    if links_of is not None
-                    else link_type.links_of(parent_id)
-                )
-                for link in links:
-                    child_id = link.other(parent_id)
-                    child_atom = child_type.get(child_id)
-                    if child_atom is None:
-                        # The partner belongs to the other endpoint type of a
-                        # reflexive or differently-directed use; skip it.
-                        continue
-                    if on_link_followed is not None:
-                        on_link_followed(link)
-                    component_links.add(link)
-                    if child_id not in component_atoms:
-                        component_atoms[child_id] = child_atom
-                    bucket.add(child_id)
-    return Molecule(root_atom, component_atoms.values(), component_links, description)
+    walk = StructureWalk(database, description, link_types, links_of, on_link_followed)
+    return walk.molecule(root_atom)
 
 
 def derive_occurrence(
@@ -148,10 +254,8 @@ def derive_occurrence(
     iteration order.
     """
     description = resolve_description(database, description)
-    root_type = database.atyp(description.root)
-    return tuple(
-        derive_molecule(database, description, root_atom) for root_atom in root_type
-    )
+    walk = StructureWalk(database, description)
+    return tuple(walk.molecule(root_atom) for root_atom in database.atyp(description.root))
 
 
 def contained(

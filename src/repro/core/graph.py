@@ -67,6 +67,12 @@ class TypeGraph:
                 )
             self._children[edge.source].append(edge)
             self._parents[edge.target].append(edge)
+        # The graph is immutable from here on; derivation asks for the roots
+        # and the traversal order once per molecule, so both are fixed now.
+        self._roots: Tuple[str, ...] = tuple(
+            node for node in self.nodes if not self._parents[node]
+        )
+        self._order: Optional[Tuple[str, ...]] = self._kahn_order()
 
     # ------------------------------------------------------------ structure
 
@@ -80,7 +86,7 @@ class TypeGraph:
 
     def roots(self) -> Tuple[str, ...]:
         """Nodes without incoming edges."""
-        return tuple(node for node in self.nodes if not self._parents[node])
+        return self._roots
 
     def leaves(self) -> Tuple[str, ...]:
         """Nodes without outgoing edges."""
@@ -88,17 +94,7 @@ class TypeGraph:
 
     def is_acyclic(self) -> bool:
         """Return ``True`` when the directed graph has no cycle (Kahn's algorithm)."""
-        indegree = {node: len(self._parents[node]) for node in self.nodes}
-        queue = [node for node, degree in indegree.items() if degree == 0]
-        visited = 0
-        while queue:
-            node = queue.pop()
-            visited += 1
-            for edge in self._children[node]:
-                indegree[edge.target] -= 1
-                if indegree[edge.target] == 0:
-                    queue.append(edge.target)
-        return visited == len(self.nodes)
+        return self._order is not None
 
     def is_coherent(self) -> bool:
         """Return ``True`` when the underlying undirected graph is connected."""
@@ -125,19 +121,20 @@ class TypeGraph:
 
         Raises :class:`MoleculeGraphError` when the graph is cyclic.
         """
+        if self._order is None:
+            raise MoleculeGraphError("type graph contains a cycle; no topological order exists")
+        return self._order
+
+    def _kahn_order(self) -> Optional[Tuple[str, ...]]:
+        """Kahn's algorithm, breadth first from the roots; ``None`` on a cycle."""
         indegree = {node: len(self._parents[node]) for node in self.nodes}
-        order: List[str] = []
-        queue = [node for node in self.nodes if indegree[node] == 0]
-        while queue:
-            node = queue.pop(0)
-            order.append(node)
+        order: List[str] = list(self._roots)
+        for node in order:  # grows while iterating: the list is the queue
             for edge in self._children[node]:
                 indegree[edge.target] -= 1
                 if indegree[edge.target] == 0:
-                    queue.append(edge.target)
-        if len(order) != len(self.nodes):
-            raise MoleculeGraphError("type graph contains a cycle; no topological order exists")
-        return tuple(order)
+                    order.append(edge.target)
+        return tuple(order) if len(order) == len(self.nodes) else None
 
     def reachable_from(self, node: str) -> FrozenSet[str]:
         """Return all nodes reachable from *node* along directed edges (incl. itself)."""

@@ -97,6 +97,27 @@ class MoleculeTypeDescription:
         """Topological (root-first) order of the atom types, used by derivation."""
         return self._graph.topological_order()
 
+    def paths_to(self, atom_type_name: str) -> Set[str]:
+        """The atom types on some root-to-*atom_type_name* path, both ends
+        included; *atom_type_name* may be the bare name of a renamed type.
+        Empty when the description has no such type.
+        """
+        bare = atom_type_name.split("@", 1)[0]
+        target = next(
+            (name for name in self._atom_type_names if name.split("@", 1)[0] == bare),
+            None,
+        )
+        if target is None:
+            return set()
+        path: Set[str] = {target}
+        frontier = [target]
+        while frontier:
+            for directed in self.parents_of(frontier.pop()):
+                if directed.source not in path:
+                    path.add(directed.source)
+                    frontier.append(directed.source)
+        return path
+
     def link_type_names(self) -> Tuple[str, ...]:
         """The names of all link types used by the description (deduplicated)."""
         return tuple(dict.fromkeys(dl.link_type_name for dl in self._directed_links))

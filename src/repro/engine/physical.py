@@ -12,9 +12,10 @@ Operators:
 
 * :class:`MoleculeScan` — the molecule-type definition α as an access path:
   iterates the root occurrence (through a :class:`~repro.storage.index.HashIndex`
-  equality lookup when the pushed-down root filter permits) and performs the
-  hierarchical join by traversing atom-network neighbours link type by link
-  type;
+  equality lookup when the pushed-down root filter permits, or upward from
+  the component atoms an equality conjunct of the Σ above it names) and
+  performs the hierarchical join by traversing atom-network neighbours link
+  type by link type;
 * :class:`RecursiveScan` — recursive molecule expansion (§5 outlook);
 * :class:`MoleculeSource` — adapter yielding an already-derived molecule type
   (used by the thin molecule-algebra wrappers);
@@ -35,7 +36,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.atom import Atom
 from repro.core.database import Database
-from repro.core.derivation import derive_molecule, resolve_description, resolve_directed_link
+from repro.core.derivation import StructureWalk, resolve_description
 from repro.core.link import Link, LinkType
 from repro.core.molecule import Molecule, MoleculeType, MoleculeTypeDescription
 from repro.core.predicates import (
@@ -237,14 +238,23 @@ class PhysicalOperator:
         raise NotImplementedError
 
 
+#: Equality conjuncts matching more atoms than this are not enumerated from:
+#: walking up from that many atoms costs more than testing the roots saves.
+MAX_ENUMERATION_CANDIDATES = 1024
+
+
 class MoleculeScan(PhysicalOperator):
     """α as an access path: derive one molecule per qualifying root atom.
 
     When a root filter is present, its equality conjuncts are answered through
     the context's index pool where possible, so only the matching root atoms
-    are visited; the remaining conjuncts are evaluated per candidate.  The
-    hierarchical join follows the molecule structure root-first, traversing
-    the atom network neighbour lists of each link type.
+    are visited; the remaining conjuncts are evaluated per candidate.  When
+    the Σ directly above hands down its formula, an equality conjunct on a
+    *component* atom type seeds the roots instead: the matching component
+    atoms come from the index pool and the links are walked upward to the
+    roots whose molecules contain them.  The hierarchical join follows the
+    molecule structure root-first, traversing the atom network neighbour lists
+    of each link type, on a walk compiled once per scan.
     """
 
     def __init__(
@@ -271,30 +281,108 @@ class MoleculeScan(PhysicalOperator):
             self._resolved_for = ctx.database
         return self._resolved
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Molecule]:
-        description = self.describe(ctx)
-        link_types = {
-            directed.as_tuple(): resolve_directed_link(ctx.database, directed)
-            for directed in description.directed_links
-        }
-        for root_atom in self._root_atoms(ctx, description):
-            molecule = self._derive(ctx, description, link_types, root_atom)
-            ctx.counters.molecules_derived += 1
-            ctx.counters.atoms_touched += len(molecule)
-            yield molecule
+    def execute(
+        self, ctx: ExecutionContext, restriction: Optional[Formula] = None
+    ) -> Iterator[Molecule]:
+        """Yield the molecules; *restriction* is the qualification the caller
+        tests every one of them against (it only ever narrows the roots)."""
+        walk = StructureWalk(ctx.database, self.describe(ctx), links_of=ctx.links_via)
+        counters = ctx.counters
+        try:
+            for root_atom in self._root_atoms(ctx, walk, restriction):
+                molecule = walk.molecule(root_atom)
+                counters.molecules_derived += 1
+                counters.atoms_touched += len(molecule)
+                yield molecule
+        finally:
+            counters.links_followed += walk.links_followed
+
+    def components(
+        self, ctx: ExecutionContext
+    ) -> "Optional[Iterator[Tuple[Atom, Dict[str, Dict[str, Atom]]]]]":
+        """Per qualifying root, the root atom and the ``{atom type:
+        {identifier: atom}}`` map of its molecule's components — the
+        hierarchical join of :meth:`execute` without assembling molecules.
+
+        ``None`` when the structure files component atoms under other names
+        than its own (renamed or reflexive uses); callers fold the molecule
+        stream then.
+        """
+        walk = StructureWalk(ctx.database, self.describe(ctx), links_of=ctx.links_via)
+        return self._component_rows(ctx, walk) if walk.plain else None
+
+    def _component_rows(self, ctx: ExecutionContext, walk: StructureWalk):
+        counters = ctx.counters
+        try:
+            for root_atom in self._root_atoms(ctx, walk):
+                per_type = walk.components(root_atom)
+                counters.molecules_derived += 1
+                counters.atoms_touched += sum(map(len, per_type.values()))
+                yield root_atom, per_type
+        finally:
+            counters.links_followed += walk.links_followed
 
     # ------------------------------------------------------------ root access
 
-    def _root_atoms(self, ctx: ExecutionContext, description: MoleculeTypeDescription):
-        root_type = ctx.database.atyp(description.root)
+    def _root_atoms(
+        self, ctx: ExecutionContext, walk: StructureWalk, restriction: Optional[Formula] = None
+    ):
+        """The root atoms to derive from, the root filter already applied.
+
+        Candidates come from the root filter's index or from the upward walk
+        off *restriction*'s rarest component conjunct — whichever starts from
+        fewer atoms — and from the whole root occurrence when neither applies.
+        """
+        root_type = ctx.database.atyp(walk.root)
+        candidates = (
+            self._indexed_candidates(ctx, walk.description, root_type)
+            if self.root_filter is not None
+            else None
+        )
+        seed = self._component_seed(ctx, walk, restriction)
+        if seed is not None and (candidates is None or len(seed[1]) < len(candidates)):
+            atoms = [root_type.get(identifier) for identifier in sorted(walk.roots_above(*seed))]
+            candidates = [atom for atom in atoms if atom is not None]
         if self.root_filter is None:
-            yield from root_type
+            yield from candidates if candidates is not None else root_type
             return
-        candidates = self._indexed_candidates(ctx, description, root_type)
         for atom in candidates if candidates is not None else root_type:
             ctx.counters.restrictions_evaluated += 1
             if self.root_filter.evaluate_atom(atom):
                 yield atom
+
+    def _component_seed(
+        self, ctx: ExecutionContext, walk: StructureWalk, restriction: Optional[Formula]
+    ) -> "Optional[Tuple[str, FrozenSet[str]]]":
+        """The component atom type and the atoms of it to seed the roots from.
+
+        Every top-level conjunct ``component.attr = constant`` of *restriction*
+        must hold for some component atom of a qualifying molecule, so the
+        roots above the atoms matching any one of them are a superset of the
+        qualifying roots; the rarest conjunct gives the smallest.  ``None``
+        without an index pool to name those atoms (pinned snapshots,
+        followers), without such a conjunct, when even the rarest matches more
+        than :data:`MAX_ENUMERATION_CANDIDATES` atoms, or on a structure whose
+        links cannot be told apart walking upward.
+        """
+        if restriction is None or ctx.indexes is None or not walk.plain:
+            return None
+        best: Optional[Tuple[str, FrozenSet[str]]] = None
+        for type_name in walk.description.atom_type_names:
+            if type_name == walk.root:
+                continue
+            for conjunct in equality_conjuncts(restriction, type_name):
+                identifiers = ctx.indexes.lookup(
+                    type_name, conjunct.lhs.attribute, conjunct.rhs, ctx.counters
+                )
+                if identifiers is None:
+                    continue
+                ctx.counters.index_lookups += 1
+                if best is None or len(identifiers) < len(best[1]):
+                    best = (type_name, identifiers)
+        if best is None or len(best[1]) > MAX_ENUMERATION_CANDIDATES:
+            return None
+        return best
 
     def _indexed_candidates(
         self, ctx: ExecutionContext, description: MoleculeTypeDescription, root_type
@@ -355,27 +443,6 @@ class MoleculeScan(PhysicalOperator):
             return [atom for atom in atoms if atom is not None]
         return None
 
-    # ------------------------------------------------------ hierarchical join
-
-    def _derive(
-        self,
-        ctx: ExecutionContext,
-        description: MoleculeTypeDescription,
-        link_types: Dict[Tuple[str, str, str], LinkType],
-        root_atom: Atom,
-    ) -> Molecule:
-        def count_link(_link: Link) -> None:
-            ctx.counters.links_followed += 1
-
-        return derive_molecule(
-            ctx.database,
-            description,
-            root_atom,
-            link_types=link_types,
-            links_of=ctx.links_via,
-            on_link_followed=count_link,
-        )
-
 
 class RecursiveScan(PhysicalOperator):
     """Recursive molecule expansion over a (typically reflexive) link type."""
@@ -410,11 +477,6 @@ class RecursiveScan(PhysicalOperator):
                 if not self.formula.evaluate_molecule(molecule):
                     continue
             yield molecule
-
-
-#: Equality conjuncts matching more atoms than this are not enumerated from:
-#: walking that many ancestor chains costs more than testing the roots saves.
-MAX_ENUMERATION_CANDIDATES = 1024
 
 
 class IntervalScan(PhysicalOperator):
@@ -602,7 +664,15 @@ class Restrict(PhysicalOperator):
         return self.child.describe(ctx)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Molecule]:
-        for molecule in self.child.execute(ctx):
+        child = self.child
+        # A scan directly below learns the qualification: it may seed its
+        # roots from a component conjunct instead of visiting all of them.
+        molecules = (
+            child.execute(ctx, self.formula)
+            if isinstance(child, MoleculeScan)
+            else child.execute(ctx)
+        )
+        for molecule in molecules:
             ctx.counters.restrictions_evaluated += 1
             if self.formula.evaluate_molecule(molecule):
                 yield molecule
@@ -788,19 +858,22 @@ class _GroupAccumulator:
             for spec in specs
         ]
 
-    def fold_molecule(self, specs, molecule: Molecule) -> None:
+    def fold_components(self, specs, atoms_of_type) -> None:
+        """Fold one molecule, given as ``atoms_of_type(type name) -> atoms``
+        (:meth:`Molecule.atoms_of_type`, or a lookup in the per-type map of a
+        component walk)."""
         self.count += 1
         for spec, target in zip(specs, self.targets):
             if spec.component is not None:
-                for atom in molecule.atoms_of_type(spec.component):
+                for atom in atoms_of_type(spec.component):
                     target.add(atom.identifier)
             elif spec.distinct:
-                for atom in molecule.atoms_of_type(spec.attribute.atom_type):
+                for atom in atoms_of_type(spec.attribute.atom_type):
                     value = atom.get(spec.attribute.attribute)
                     if value is not None:
                         target.add(_distinct_key(value))
             elif spec.attribute is not None:
-                for atom in molecule.atoms_of_type(spec.attribute.atom_type):
+                for atom in atoms_of_type(spec.attribute.atom_type):
                     target.setdefault(atom.identifier, atom.get(spec.attribute.attribute))
 
     def fold_atom(self, specs, identifier: str, values: "Sequence[object]") -> None:
@@ -932,37 +1005,26 @@ class AggregationOperator(PhysicalOperator):
         )
 
 
-class HashAggregate(AggregationOperator):
-    """Streaming Γ: fold the child's molecule stream into a group hash table."""
+def _component_lookup(per_type: "Dict[str, Dict[str, Atom]]"):
+    """:meth:`Molecule.atoms_of_type` over a component walk's per-type map."""
 
-    def __init__(self, child: PhysicalOperator, group_by, aggregates) -> None:
-        self.child = child
-        self.group_by = tuple(group_by)
-        self.aggregates = tuple(aggregates)
+    def atoms_of_type(type_name: Optional[str]) -> Iterable[Atom]:
+        if type_name is None:
+            return [atom for bucket in per_type.values() for atom in bucket.values()]
+        return per_type.get(type_name, {}).values()
 
-    def describe(self, ctx: ExecutionContext) -> MoleculeTypeDescription:
-        return self.child.describe(ctx)
-
-    def rows(self, ctx: ExecutionContext) -> List[Tuple]:
-        groups: Dict[Tuple, _GroupAccumulator] = {}
-        for molecule in self.child.execute(ctx):
-            key = tuple(ref.value_from_atom(molecule.root_atom) for ref in self.group_by)
-            accumulator = groups.get(key)
-            if accumulator is None:
-                accumulator = groups[key] = _GroupAccumulator(self.aggregates)
-            accumulator.fold_molecule(self.aggregates, molecule)
-        ctx.counters.groups_aggregated += len(groups)
-        return finalize_groups(self.group_by, self.aggregates, groups)
+    return atoms_of_type
 
 
-class SortedGroupAggregate(AggregationOperator):
-    """Γ by sorting: materialize keyed molecules, sort, fold adjacent runs.
+class _MoleculeAggregate(AggregationOperator):
+    """Γ over a child operator's molecules, one fold per molecule.
 
-    Result-identical to :class:`HashAggregate` (the planner's cost model
-    picks between them): equal keys are adjacent after the canonical sort, so
-    one accumulator is live at a time; a final merge pass guards the
-    pathological case of ``==``-equal keys with distinct canonical forms
-    (e.g. ``1`` vs ``1.0``).
+    A bare α is folded component-wise: the group key comes from the root
+    atom and the aggregate targets from :meth:`MoleculeScan.components`, so no
+    molecule is assembled for a row that only needs identifiers and values
+    (which branches of the structure that walk enters is the optimizer's
+    ``prune_structure`` decision, not the operator's).  Any other input (Σ,
+    set operations, recursion) streams its molecules into the same fold.
     """
 
     def __init__(self, child: PhysicalOperator, group_by, aggregates) -> None:
@@ -973,19 +1035,52 @@ class SortedGroupAggregate(AggregationOperator):
     def describe(self, ctx: ExecutionContext) -> MoleculeTypeDescription:
         return self.child.describe(ctx)
 
+    def _keyed_inputs(self, ctx: ExecutionContext):
+        """``(group key, atoms_of_type)`` per input molecule."""
+        child = self.child
+        group_by = self.group_by
+        rows = child.components(ctx) if isinstance(child, MoleculeScan) else None
+        if rows is not None:
+            for root_atom, per_type in rows:
+                key = tuple(ref.value_from_atom(root_atom) for ref in group_by)
+                yield key, _component_lookup(per_type)
+            return
+        for molecule in child.execute(ctx):
+            key = tuple(ref.value_from_atom(molecule.root_atom) for ref in group_by)
+            yield key, molecule.atoms_of_type
+
+
+class HashAggregate(_MoleculeAggregate):
+    """Streaming Γ: fold the child's molecules into a group hash table."""
+
     def rows(self, ctx: ExecutionContext) -> List[Tuple]:
-        keyed: List[Tuple[Tuple, Molecule]] = [
-            (
-                tuple(ref.value_from_atom(molecule.root_atom) for ref in self.group_by),
-                molecule,
-            )
-            for molecule in self.child.execute(ctx)
-        ]
+        groups: Dict[Tuple, _GroupAccumulator] = {}
+        for key, atoms_of_type in self._keyed_inputs(ctx):
+            accumulator = groups.get(key)
+            if accumulator is None:
+                accumulator = groups[key] = _GroupAccumulator(self.aggregates)
+            accumulator.fold_components(self.aggregates, atoms_of_type)
+        ctx.counters.groups_aggregated += len(groups)
+        return finalize_groups(self.group_by, self.aggregates, groups)
+
+
+class SortedGroupAggregate(_MoleculeAggregate):
+    """Γ by sorting: materialize keyed molecules, sort, fold adjacent runs.
+
+    Result-identical to :class:`HashAggregate` (the planner's cost model
+    picks between them): equal keys are adjacent after the canonical sort, so
+    one accumulator is live at a time; a final merge pass guards the
+    pathological case of ``==``-equal keys with distinct canonical forms
+    (e.g. ``1`` vs ``1.0``).
+    """
+
+    def rows(self, ctx: ExecutionContext) -> List[Tuple]:
+        keyed = list(self._keyed_inputs(ctx))
         keyed.sort(key=lambda pair: _canonical_key(pair[0]))
         groups: Dict[Tuple, _GroupAccumulator] = {}
         run_key: Optional[Tuple] = None
         accumulator: Optional[_GroupAccumulator] = None
-        for key, molecule in keyed:
+        for key, atoms_of_type in keyed:
             if accumulator is None or key != run_key:
                 run_key = key
                 previous = groups.get(key)
@@ -993,7 +1088,7 @@ class SortedGroupAggregate(AggregationOperator):
                     accumulator = groups[key] = _GroupAccumulator(self.aggregates)
                 else:  # an ==-equal key seen under another canonical form
                     accumulator = previous
-            accumulator.fold_molecule(self.aggregates, molecule)
+            accumulator.fold_components(self.aggregates, atoms_of_type)
         ctx.counters.groups_aggregated += len(groups)
         return finalize_groups(self.group_by, self.aggregates, groups)
 

@@ -405,19 +405,25 @@ class MQLInterpreter:
         plan one at a time over the shared statistics (execution of the
         chosen plan runs outside the lock, fully concurrent).
         """
+        return self._plan(statement, explain=False)
+
+    def _plan(self, statement, explain: bool) -> PlanChoice:
+        """:meth:`plan`; with *explain* the choice is always costed and says
+        how each α finds its roots (:meth:`Planner.explain`)."""
         ast = parse(statement) if isinstance(statement, str) else statement
         if isinstance(ast, ExplainStatement):
             ast = ast.statement
         if isinstance(ast, (TransactionStatement, CheckpointStatement)):
             raise MQLSemanticError("transaction and checkpoint statements have no plan")
         with self._plan_lock:
+            choose = self.planner.explain if explain else self.planner.optimize
             if isinstance(ast, (InsertStatement, DeleteStatement, ModifyStatement)):
                 write_plan = QueryTranslator(self.database).translate_dml(ast)
                 if isinstance(write_plan, InsertMolecule):
                     raise MQLSemanticError("INSERT has no qualifying read plan to optimize")
-                return self.planner.optimize(write_plan.source)
+                return choose(write_plan.source)
             logical = QueryTranslator(self.database).translate_statement(ast)
-            return self.planner.optimize(logical)
+            return choose(logical)
 
     def explain(self, statement: "str | Statement | DMLStatement") -> List[str]:
         """Return the algebra-operation plan for *statement* without executing it.
@@ -501,7 +507,8 @@ class MQLInterpreter:
         choice: Optional[PlanChoice] = None
         if optimize and isinstance(plan, (DeleteMolecules, ModifyAtoms)):
             with self._plan_lock:
-                choice = self.planner.optimize(plan.source)
+                choose = self.planner.explain if explain else self.planner.optimize
+                choice = choose(plan.source)
             plan = replace(plan, source=choice.best)
         if explain:
             return self._explain_write(statement, plan, choice)
@@ -614,7 +621,7 @@ class MQLInterpreter:
         return found
 
     def _explain_result(self, ast: ExplainStatement) -> QueryResult:
-        choice = self.plan(ast.statement)
+        choice = self._plan(ast.statement, explain=True)
         # The empty result carries the plan's *output* schema (post-projection),
         # which the compiled operator reports — not the defining α structure.
         operator = compile_plan(choice.best)

@@ -25,9 +25,15 @@ from typing import List, Optional, Tuple
 
 from repro.core.database import Database
 from repro.engine.executor import Executor
+from repro.core.predicates import equality_conjuncts
 from repro.engine.logical import (
+    AggregatePlan,
     ColumnarAggregatePlan,
+    DefinePlan,
     IntervalScanPlan,
+    ProjectPlan,
+    RestrictPlan,
+    SetOpPlan,
     recursive_nodes,
 )
 from repro.optimizer.plans import PlanExecution, PlanNode, describe_plan
@@ -163,15 +169,9 @@ class Planner:
             self._statistics.apply_event(event)
 
     def optimize(self, plan: PlanNode) -> PlanChoice:
-        """Rewrite *plan* and return the costed :class:`PlanChoice`."""
-        rewritten: RewriteResult = rewrite(
-            plan,
-            self.accelerators,
-            columnar=self.columnar,
-            statistics=lambda: self.statistics,
-        )
-        recursive = recursive_nodes(rewritten.plan)
-        if not rewritten.applied_rules and not recursive:
+        """Rewrite *plan* and return the :class:`PlanChoice` to execute."""
+        rewritten = self._rewrite(plan)
+        if not rewritten.applied_rules and not recursive_nodes(rewritten.plan):
             # No rule fired on a non-recursive plan: both variants are the
             # same plan, so collecting statistics and estimating costs would
             # decide nothing.
@@ -182,16 +182,67 @@ class Planner:
                 optimized_cost=0.0,
                 applied_rules=(),
             )
+        return self._costed(plan, rewritten)
+
+    def explain(self, plan: PlanNode) -> PlanChoice:
+        """The :class:`PlanChoice` for ``EXPLAIN``: always costed — also when
+        no rule fired and :meth:`optimize` would not bother — and annotated
+        with how every α of the chosen plan finds its roots."""
+        choice = self._costed(plan, self._rewrite(plan))
+        choice.notes = self._root_access_notes(choice.optimized) + choice.notes
+        return choice
+
+    def _rewrite(self, plan: PlanNode) -> RewriteResult:
+        return rewrite(
+            plan,
+            self.accelerators,
+            columnar=self.columnar,
+            statistics=lambda: self.statistics,
+        )
+
+    def _costed(self, plan: PlanNode, rewritten: RewriteResult) -> PlanChoice:
         choice = PlanChoice(
             original=plan,
             optimized=rewritten.plan,
             original_cost=self.cost_model.estimate(plan),
             optimized_cost=self.cost_model.estimate(rewritten.plan),
             applied_rules=rewritten.applied_rules,
-            notes=self._recursion_notes(recursive) + self._columnar_notes(rewritten.plan),
+            notes=self._recursion_notes(recursive_nodes(rewritten.plan))
+            + self._columnar_notes(rewritten.plan),
         )
         self._advise_dispatch(choice)
         return choice
+
+    def _root_access_notes(self, plan: PlanNode) -> Tuple[str, ...]:
+        """One ``root access:`` line per α of *plan*, as the cost model sees it."""
+        notes: List[str] = []
+
+        def visit(node: PlanNode, restrict: Optional[RestrictPlan] = None) -> None:
+            if isinstance(node, DefinePlan):
+                walk = self.cost_model.upward_walk(restrict) if restrict is not None else None
+                if walk is not None:
+                    count = math.ceil(walk.candidates)
+                    access = (
+                        f"upward walk from ≈ {count} {walk.atom_type} "
+                        f"candidate{'s' * (count != 1)} of {walk.conjuncts} equality "
+                        f"conjunct{'s' * (walk.conjuncts != 1)} "
+                        "(a pinned read visits all roots)"
+                    )
+                elif equality_conjuncts(node.root_filter, node.description.root):
+                    access = "root index"
+                else:
+                    access = "all roots"
+                notes.append(f"α {node.name}: root access: {access}")
+            elif isinstance(node, RestrictPlan):
+                visit(node.child, node)
+            elif isinstance(node, (ProjectPlan, AggregatePlan)):
+                visit(node.child)
+            elif isinstance(node, SetOpPlan):
+                visit(node.left)
+                visit(node.right)
+
+        visit(plan)
+        return tuple(notes)
 
     def _advise_dispatch(self, choice: PlanChoice) -> None:
         """Cost dispatch targets against serial execution of *choice*.

@@ -6,18 +6,22 @@ ablation benchmark):
 
 * :func:`merge_restrictions` — ``Σ[f2](Σ[f1](x)) → Σ[f1 AND f2](x)``; avoids
   one full pass over the intermediate molecule stream.
-* :func:`push_down_restriction` — when the restriction formula only references
-  the *root* atom type of the defining α, evaluate it on root atoms before
-  derivation (``Σ[f](α(...)) → α[root filter f](...)``); molecules that would
-  be filtered out are never derived, and the scan can answer equality filters
-  through a secondary index.
+* :func:`push_down_restriction` — the conjuncts of a restriction that only
+  reference the *root* atom type of the defining α are evaluated on root atoms
+  before derivation (``Σ[f AND g](α(...)) → Σ[g](α[root filter f](...))``, the
+  Σ disappearing when nothing is left for it); molecules that would be
+  filtered out are never derived, the scan can answer equality filters
+  through a secondary index, and the conjuncts that stay in Σ can still seed
+  the scan's roots from a component atom type.
 * :func:`choose_root_access` — cost composite grid-file probes against the
   best single hash-bucket lookup for multi-equality root filters and pin the
   winner on the α as its ``root_access`` (the scan previously always
   preferred the grid).
-* :func:`prune_structure` — drop atom types that neither the projection nor
-  any restriction references (and that are not needed to keep the structure
-  coherent); the hierarchical join then has fewer branches to follow.
+* :func:`prune_structure` — under a projection or an aggregation, drop atom
+  types that neither the projection (the group keys and aggregate targets)
+  nor any restriction references (and that are not needed to keep the
+  structure coherent); the hierarchical join then has fewer branches to
+  follow.
 * :func:`accelerate_recursion` — swap a fixpoint :class:`RecursivePlan` for an
   :class:`IntervalScanPlan` when a registered structure index covers its
   recursive description; closures are then answered by interval range scans
@@ -43,6 +47,7 @@ from repro.core.predicates import (
     AttributeRef,
     Comparison,
     Formula,
+    conjoin,
     split_conjunction,
 )
 from repro.engine.logical import (
@@ -89,7 +94,8 @@ def merge_restrictions(plan: PlanNode) -> RewriteResult:
 
 
 def push_down_restriction(plan: PlanNode) -> RewriteResult:
-    """Move root-only restrictions into the defining α as a root filter."""
+    """Move the root-only conjuncts of a restriction into the defining α as a
+    root filter; whatever references other atom types stays in Σ."""
     applied: List[str] = []
 
     def references_only_root(formula: Formula, description: MoleculeTypeDescription) -> bool:
@@ -102,17 +108,20 @@ def push_down_restriction(plan: PlanNode) -> RewriteResult:
     def walk(node: PlanNode) -> PlanNode:
         if isinstance(node, RestrictPlan):
             child = walk(node.child)
-            if isinstance(child, DefinePlan) and references_only_root(
-                node.formula, child.description
-            ):
-                applied.append("push_down_restriction")
-                combined = (
-                    node.formula
-                    if child.root_filter is None
-                    else And(child.root_filter, node.formula)
-                )
-                return DefinePlan(child.name, child.description, combined, child.root_access)
-            return RestrictPlan(child, node.formula)
+            if not isinstance(child, DefinePlan):
+                return RestrictPlan(child, node.formula)
+            pushed: List[Formula] = []
+            kept: List[Formula] = []
+            for conjunct in split_conjunction(node.formula):
+                side = pushed if references_only_root(conjunct, child.description) else kept
+                side.append(conjunct)
+            if not pushed:
+                return RestrictPlan(child, node.formula)
+            applied.append("push_down_restriction")
+            if child.root_filter is not None:
+                pushed.insert(0, child.root_filter)
+            define = DefinePlan(child.name, child.description, conjoin(pushed), child.root_access)
+            return RestrictPlan(define, conjoin(kept)) if kept else define
         if isinstance(node, ProjectPlan):
             return ProjectPlan(walk(node.child), node.atom_type_names)
         if isinstance(node, AggregatePlan):
@@ -125,14 +134,16 @@ def push_down_restriction(plan: PlanNode) -> RewriteResult:
 
 
 def prune_structure(plan: PlanNode) -> RewriteResult:
-    """Remove atom types no projection or restriction needs from the α structure.
+    """Remove atom types no projection, aggregate or restriction needs from the
+    α structure.
 
     Only applies when the outermost operation of a query block is a projection
-    (otherwise the full structure is part of the result and nothing may be
-    dropped).  Set operations are pruned side by side — pruning never changes
-    the post-projection structure, so union compatibility is preserved.  The
-    pruned structure keeps every atom type on a root-to-needed-type path so it
-    stays coherent.
+    or an aggregation (otherwise the full structure is part of the result and
+    nothing may be dropped); under Γ the needed types are those of the group
+    keys and the aggregate targets.  Set operations are pruned side by side —
+    pruning never changes the post-projection structure, so union
+    compatibility is preserved.  The pruned structure keeps every atom type
+    on a root-to-needed-type path so it stays coherent.
     """
     if isinstance(plan, SetOpPlan):
         left = prune_structure(plan.left)
@@ -141,31 +152,34 @@ def prune_structure(plan: PlanNode) -> RewriteResult:
             SetOpPlan(plan.operator, left.plan, right.plan, plan.name),
             left.applied_rules + right.applied_rules,
         )
-    if not isinstance(plan, ProjectPlan):
+    if isinstance(plan, ProjectPlan):
+        needed: Set[str] = set(plan.atom_type_names)
+    elif isinstance(plan, AggregatePlan):
+        needed = {ref.atom_type for ref in plan.group_by if ref.atom_type}
+        for spec in plan.aggregates:
+            if spec.component is not None:
+                needed.add(spec.component)
+            elif spec.attribute is not None and spec.attribute.atom_type:
+                needed.add(spec.attribute.atom_type)
+    else:
         return RewriteResult(plan, ())
-
-    needed: Set[str] = {name.split("@", 1)[0] for name in plan.atom_type_names}
 
     def collect_restrictions(node: PlanNode) -> None:
         if isinstance(node, RestrictPlan):
-            for atom_type in node.formula.referenced_atom_types():
-                needed.add(atom_type.split("@", 1)[0])
+            needed.update(node.formula.referenced_atom_types())
             collect_restrictions(node.child)
-        elif isinstance(node, ProjectPlan):
+        elif isinstance(node, (ProjectPlan, AggregatePlan)):
             collect_restrictions(node.child)
         elif isinstance(node, DefinePlan) and node.root_filter is not None:
-            for atom_type in node.root_filter.referenced_atom_types():
-                needed.add(atom_type.split("@", 1)[0])
+            needed.update(node.root_filter.referenced_atom_types())
 
     collect_restrictions(plan)
     applied: List[str] = []
 
     def prune_description(description: MoleculeTypeDescription) -> MoleculeTypeDescription:
-        keep: Set[str] = set()
+        keep: Set[str] = {description.root}
         for target in needed:
-            path = _path_to(description, target)
-            keep.update(path)
-        keep.add(description.root)
+            keep.update(description.paths_to(target))
         if keep >= set(description.atom_type_names):
             return description
         ordered = [name for name in description.atom_type_names if name in keep]
@@ -181,30 +195,11 @@ def prune_structure(plan: PlanNode) -> RewriteResult:
             return RestrictPlan(walk(node.child), node.formula)
         if isinstance(node, ProjectPlan):
             return ProjectPlan(walk(node.child), node.atom_type_names)
+        if isinstance(node, AggregatePlan):
+            return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
         return node
 
     return RewriteResult(walk(plan), tuple(applied))
-
-
-def _path_to(description: MoleculeTypeDescription, target_bare: str) -> Set[str]:
-    """Atom types on some root-to-target path (empty when the target is absent)."""
-    target = None
-    for name in description.atom_type_names:
-        if name.split("@", 1)[0] == target_bare:
-            target = name
-            break
-    if target is None:
-        return set()
-    # Walk parents back to the root, accumulating every node on the way.
-    path: Set[str] = {target}
-    frontier = [target]
-    while frontier:
-        current = frontier.pop()
-        for directed in description.parents_of(current):
-            if directed.source not in path:
-                path.add(directed.source)
-                frontier.append(directed.source)
-    return path
 
 
 def accelerate_recursion(plan: PlanNode, accelerators) -> RewriteResult:

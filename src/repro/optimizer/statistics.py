@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.database import Database
 from repro.core.molecule import MoleculeTypeDescription
@@ -74,6 +74,21 @@ CATCHUP_RECORD_COST = 2.0
 REPLICA_ROUTE_COST = 50.0
 
 
+class UpwardWalk(NamedTuple):
+    """The cost model's picture of a scan seeding its roots from a component."""
+
+    #: The component atom type whose equality conjunct seeds the walk.
+    atom_type: str
+    #: Expected atoms matching the rarest usable conjunct.
+    candidates: float
+    #: Number of usable equality conjuncts (the rarest one is walked from).
+    conjuncts: int
+    #: Expected root atoms the walk reaches.
+    roots: float
+    #: Expected links looked at on the way up.
+    links: float
+
+
 def recursion_profile_key(description) -> Tuple[str, str, str]:
     """The profile key of a recursive description (``max_depth`` is per-query)."""
     return (
@@ -89,6 +104,9 @@ class DatabaseStatistics:
 
     atom_counts: Dict[str, int] = field(default_factory=dict)
     link_counts: Dict[str, int] = field(default_factory=dict)
+    #: The one link type between each pair of atom types — what an anonymous
+    #: directed use (MQL's ``a - b``) resolves to; ambiguous pairs are absent.
+    link_between: Dict[FrozenSet[str], Optional[str]] = field(default_factory=dict)
     distinct_values: Dict[Tuple[str, str], int] = field(default_factory=dict)
     #: Observed fixpoint behaviour per recursive description — running
     #: averages of closure size and traversal depth, fed back by the
@@ -116,6 +134,8 @@ class DatabaseStatistics:
                 statistics.distinct_values[(atom_type.name, attribute)] = max(1, len(values))
         for link_type in database.link_types:
             statistics.link_counts[link_type.name] = len(link_type)
+            pair = link_type.description
+            statistics.link_between[pair] = None if pair in statistics.link_between else link_type.name
         return statistics
 
     def apply_event(self, event) -> None:
@@ -184,6 +204,17 @@ class DatabaseStatistics:
         """The observed profile for *key*, or ``None`` before any execution."""
         return self.recursion_profiles.get(key)
 
+    def fanout(self, directed, per_type: str) -> float:
+        """Average number of links of the directed use per atom of *per_type*
+        (its source for the fan-out, its target for the fan-in)."""
+        name = directed.link_type_name
+        if not name or name == "-":
+            pair = frozenset(
+                (directed.source.split("@", 1)[0], directed.target.split("@", 1)[0])
+            )
+            name = self.link_between.get(pair) or "-"
+        return self.average_fanout(name, per_type)
+
     def average_fanout(self, link_type_name: str, source_type: str) -> float:
         """Average number of links per source atom for *link_type_name*."""
         links = self.link_counts.get(link_type_name.split("~", 1)[0], self.link_counts.get(link_type_name, 0))
@@ -225,7 +256,7 @@ class CostModel:
             if parent_expected == 0.0:
                 continue
             for directed in description.children_of(type_name):
-                fanout = self.statistics.average_fanout(directed.link_type_name, directed.source)
+                fanout = self.statistics.fanout(directed, directed.source)
                 expected = parent_expected * fanout
                 expected_per_type[directed.target] = expected_per_type.get(directed.target, 0.0) + expected
                 total_per_molecule += expected
@@ -238,15 +269,15 @@ class CostModel:
 
     def _estimate(self, plan: PlanNode) -> Tuple[float, float]:
         if isinstance(plan, DefinePlan):
-            root_bare = plan.description.root.split("@", 1)[0]
-            root_count = float(
-                self.statistics.atom_counts.get(root_bare)
-                or self.statistics.atom_counts.get(plan.description.root, 0)
-            )
+            root_count = self._atom_count(plan.description.root)
             filter_cost = 0.0
             if plan.root_filter is not None:
-                filter_cost = root_count  # one predicate evaluation per root atom
-                root_count *= self.statistics.selectivity(plan.root_filter)
+                # One predicate evaluation per candidate root atom: those the
+                # index names for the equality conjuncts, else all of them.
+                filter_cost = self._root_candidates(plan)
+                root_count = min(
+                    filter_cost, root_count * self.statistics.selectivity(plan.root_filter)
+                )
             return filter_cost + self.derivation_cost(plan.description, root_count), root_count
         if isinstance(plan, RestrictPlan):
             child_cost, child_cardinality = self._estimate(plan.child)
@@ -254,6 +285,10 @@ class CostModel:
             # propagation of the qualifying molecules.
             selectivity = self.statistics.selectivity(plan.formula)
             out_cardinality = child_cardinality * selectivity
+            walk = self.upward_walk(plan)
+            if walk is not None:
+                child_cost, child_cardinality = self._seeded_scan(plan.child, walk)
+                out_cardinality = min(out_cardinality, child_cardinality)
             description = _description_of(plan.child)
             propagation = self.derivation_cost(description, out_cardinality)
             return child_cost + child_cardinality + propagation, out_cardinality
@@ -275,11 +310,7 @@ class CostModel:
                 grouping = child_cardinality
             return child_cost + child_cardinality + grouping, groups
         if isinstance(plan, ColumnarAggregatePlan):
-            bare = plan.atom_type_name.split("@", 1)[0]
-            atoms = float(
-                self.statistics.atom_counts.get(bare)
-                or self.statistics.atom_counts.get(plan.atom_type_name, 0)
-            )
+            atoms = self._atom_count(plan.atom_type_name)
             cardinality = atoms
             if plan.root_filter is not None:
                 cardinality *= self.statistics.selectivity(plan.root_filter)
@@ -296,6 +327,80 @@ class CostModel:
                 return cost, left_cardinality
             return cost, min(left_cardinality, right_cardinality)
         raise TypeError(f"unknown plan node: {plan!r}")
+
+    def _atom_count(self, type_name: str) -> float:
+        """Occurrence size of *type_name* (a renamed type counts as its base)."""
+        return float(
+            self.statistics.atom_counts.get(type_name.split("@", 1)[0])
+            or self.statistics.atom_counts.get(type_name, 0)
+        )
+
+    def _root_candidates(self, define: DefinePlan) -> float:
+        """Expected root atoms the root filter's literal equality conjuncts
+        leave to evaluate (hash bucket or grid cell); all of them without one."""
+        candidates = self._atom_count(define.description.root)
+        for conjunct in equality_conjuncts(define.root_filter, define.description.root):
+            candidates *= self.statistics.selectivity(conjunct)
+        return candidates
+
+    def upward_walk(self, plan: PlanNode) -> Optional[UpwardWalk]:
+        """How the Σ *plan* directly above an α seeds the scan's roots, or
+        ``None`` when the scan visits all roots or goes through a root index.
+
+        Mirrors ``MoleculeScan._component_seed`` on estimates: every literal
+        equality conjunct on a component atom type contributes ``atoms ×
+        selectivity`` candidates, the rarest is walked from unless it exceeds
+        :data:`MAX_ENUMERATION_CANDIDATES` or an equality-indexed root filter
+        names fewer roots.  Going up, every use ``<lt, P, C>`` on the path
+        multiplies by its fan-in ``link_count(lt) / atom_count(C)``; parent
+        uses add up (DAG-shaped structures).  A head read with an index pool
+        is assumed — a pinned read visits all roots whatever this says.
+        """
+        if not isinstance(plan, RestrictPlan) or not isinstance(plan.child, DefinePlan):
+            return None
+        define = plan.child
+        description = define.description
+        if any("@" in name for name in description.atom_type_names):
+            return None
+        rarest: Optional[Tuple[str, float]] = None
+        conjuncts = 0
+        for type_name in description.atom_type_names:
+            if type_name == description.root:
+                continue
+            atoms = self._atom_count(type_name)
+            for conjunct in equality_conjuncts(plan.formula, type_name):
+                conjuncts += 1
+                candidates = atoms * self.statistics.selectivity(conjunct)
+                if rarest is None or candidates < rarest[1]:
+                    rarest = (type_name, candidates)
+        if rarest is None or rarest[1] > MAX_ENUMERATION_CANDIDATES:
+            return None
+        root_count = self._atom_count(description.root)
+        if self._root_candidates(define) <= rarest[1]:
+            return None
+        reached: Dict[str, float] = {rarest[0]: rarest[1]}
+        links = 0.0
+        for type_name in reversed(description.traversal_order()):
+            children = reached.get(type_name, 0.0)
+            if children == 0.0:
+                continue
+            for directed in description.parents_of(type_name):
+                fan_in = self.statistics.fanout(directed, type_name)
+                links += children * fan_in
+                reached[directed.source] = reached.get(directed.source, 0.0) + children * fan_in
+        roots = min(root_count, reached.get(description.root, 0.0))
+        return UpwardWalk(rarest[0], rarest[1], conjuncts, roots, links)
+
+    def _seeded_scan(self, define: DefinePlan, walk: UpwardWalk) -> Tuple[float, float]:
+        """Cost and cardinality of an α whose roots come from *walk*: the links
+        walked, one root-filter evaluation per root reached, one derivation
+        per root that passes."""
+        emitted = walk.roots
+        filter_cost = 0.0
+        if define.root_filter is not None:
+            filter_cost = walk.roots
+            emitted *= self.statistics.selectivity(define.root_filter)
+        return walk.links + filter_cost + self.derivation_cost(define.description, emitted), emitted
 
     def _group_cardinality(self, group_by, cardinality: float) -> float:
         """Expected number of groups a Γ over *cardinality* inputs produces."""
@@ -328,10 +433,7 @@ class CostModel:
         occurrence is empty (nothing to rank).
         """
         bare = root_type.split("@", 1)[0]
-        atoms = float(
-            self.statistics.atom_counts.get(bare)
-            or self.statistics.atom_counts.get(root_type, 0)
-        )
+        atoms = self._atom_count(root_type)
         if atoms <= 0 or len(attributes) < 2:
             return None
 

@@ -66,7 +66,7 @@ class TestReadme:
         statement = re.search(
             r'"EXPLAIN (SELECT ALL FROM RECURSIVE part[^"]*)"\s*"([^"]*)"', text
         )
-        printed = re.search(r"```\n(original plan .*?sample intervals[^\n]*)\n```", text, flags=re.S)
+        printed = re.search(r"```\n(original plan [^`]*?sample intervals[^\n]*)\n```", text)
         assert statement and printed
         query = statement.group(1) + statement.group(2)
         engine = PrimaEngine.from_database(build_bill_of_materials(depth=3, fan_out=2))
@@ -78,6 +78,21 @@ class TestReadme:
             # Anonymous result names count up process-wide.
             return re.sub(r"mql_result\d+", "mql_result", report)
 
+        assert unnumbered(explanation) == unnumbered(printed.group(1))
+
+    def test_readme_root_access_explain_matches_engine(self):
+        """The EXPLAIN report under "how a statement finds its molecules" is
+        what the engine prints for that statement on the Brazil geography."""
+        from repro import load_geography
+        from repro.storage.engine import PrimaEngine
+
+        text = read("README.md")
+        statement = re.search(r'"EXPLAIN (SELECT ALL FROM state - [^"]*)"\s*"([^"]*)"', text)
+        printed = re.search(r"```\n(original plan [^`]*?root access: upward walk[^\n]*)\n```", text)
+        assert statement and printed
+        engine = PrimaEngine.from_database(load_geography())
+        explanation = engine.query("EXPLAIN " + statement.group(1) + statement.group(2)).explanation
+        unnumbered = lambda report: re.sub(r"mql_result\d+", "mql_result", report)  # noqa: E731
         assert unnumbered(explanation) == unnumbered(printed.group(1))
 
     def test_readme_examples_table_matches_directory(self):
