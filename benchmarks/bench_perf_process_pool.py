@@ -102,7 +102,7 @@ def measure_catchup(engine: PrimaEngine, parts: int) -> Dict[str, object]:
     pool = engine.process_pool()
     # Bring every worker current first, so the timed catch-up ships exactly
     # the burst.
-    pool.catch_up_all(engine.generation, pool.feed_position())
+    pool.catch_up_all(engine.generation, pool.feed.position())
     before = pool.counters["catchup_records"]
     for i in range(BURST_RECORDS):
         engine.store_atom(
@@ -112,7 +112,7 @@ def measure_catchup(engine: PrimaEngine, parts: int) -> Dict[str, object]:
             level=9,
             cost=i % 500,
         )
-    _, seconds = timed(pool.catch_up_all, engine.generation, pool.feed_position())
+    _, seconds = timed(pool.catch_up_all, engine.generation, pool.feed.position())
     shipped = pool.counters["catchup_records"] - before
     serial = [fingerprint(r) for r in engine.parallel_query(STATEMENTS, mode="serial")]
     process = [

@@ -2,9 +2,9 @@
 
 Shared mutable attributes are annotated at their initialisation site::
 
-    self._feed = []  # guarded-by: ReplicationHub._feed_lock
+    self._records = []  # guarded-by: CommitFeed._lock
 
-From then on every **write** to ``self._feed`` anywhere in the class — an
+From then on every **write** to ``self._records`` anywhere in the class — an
 assignment, an augmented assignment, a ``del``, a subscript store, or a
 call of a known mutator method (``append``, ``pop``, ``update``, …) — must
 be one of:

@@ -43,7 +43,7 @@ FACTORY_MODULE = "repro.analysis.runtime"
 FACTORY_FUNCTIONS = {"make_lock": "Lock", "make_rlock": "RLock"}
 
 #: Method names common on builtin containers/files: the unique-method
-#: call-graph fallback never fires for these — a ``self._feed.append(...)``
+#: call-graph fallback never fires for these — a ``self._records.append(...)``
 #: on a plain list must not resolve to ``WriteAheadLog.append``.  Typed
 #: receivers still resolve normally.
 COMMON_METHOD_NAMES = frozenset({

@@ -27,7 +27,7 @@ ones are:
   ``commit`` — which take the versioning lock and, on a conflict loser's
   rollback, the per-type head locks — so it must sit below level 20.
 * The WAL observer contract (observers fire *inside* the log mutex, after
-  the bytes reach the OS) forces both catch-up feed locks **above**
+  the bytes reach the OS) forces the commit feed's lock **above**
   ``WriteAheadLog._lock``.
 * ``StructureIndexStore._lock`` / ``ColumnarStore._lock`` are acquired by
   the engine's event path while it holds the event lock, so they sit above
@@ -177,7 +177,7 @@ LOCKS: Tuple[LockSpec, ...] = (
         module="repro.engine.procpool",
         guards="one conversation (catch-up + execute batch, restarts "
         "included) at a time per worker slot",
-        rationale="the slot holder reads the feed (level 56) during "
+        rationale="the slot holder reads the commit feed (level 55) during "
         "catch-up and respawn; slots are never nested in each other",
         per_instance=True,
     ),
@@ -236,27 +236,20 @@ LOCKS: Tuple[LockSpec, ...] = (
         "after the bytes reach the OS",
         rationale="acquired under the write, versioning and event locks "
         "(direct logging, commit hook, event capture); observers only "
-        "acquire the feed locks above",
+        "acquire the commit feed's lock above",
     ),
     LockSpec(
-        name="ReplicationHub._feed_lock",
+        name="CommitFeed._lock",
         level=55,
         kind=KIND_LOCK,
         module="repro.storage.replication",
-        guards="the hub's in-memory WAL record feed (append from the "
-        "observer, slice/trim from shipping)",
+        guards="the engine's in-memory WAL record feed and its subscribers' "
+        "cursors (append from the observer; position, slice, advance and "
+        "trim from shipping and worker catch-up)",
         rationale="the WAL observer appends while the log mutex is held, "
-        "so the feed lock must sit above WriteAheadLog._lock",
-    ),
-    LockSpec(
-        name="ProcessPool._feed_lock",
-        level=56,
-        kind=KIND_LOCK,
-        module="repro.engine.procpool",
-        guards="the pool's in-memory WAL record feed (append from the "
-        "observer, slice/trim from worker catch-up)",
-        rationale="same WAL-observer contract as the hub feed; also read "
-        "while a worker slot lock (level 35) is held",
+        "so the feed lock must sit above WriteAheadLog._lock; it is also "
+        "taken under the versioning lock (pin + cut), a follower's lock "
+        "(ship) and a worker slot lock (catch-up), and acquires nothing",
     ),
     LockSpec(
         name="SnapshotHandle._release_guard",

@@ -1,57 +1,57 @@
-"""A persistent pool of checkpoint-seeded worker processes for read plans.
+"""A persistent pool of worker processes that execute shipped read plans.
 
 The GIL caps CPU-bound query execution at ~1× no matter how many threads
 `parallel_query` fans out (the honest E-PERF7 number).  This module buys
 real multi-core execution on stock CPython by shipping **compiled logical
-plans** to worker **processes**:
+plans** to worker **processes**.  A worker is a replica like any other: it
+hosts a :class:`~repro.storage.replication.FollowerEngine` and serves it
+over a pipe — this module is that transport plus the process lifecycle.
 
-* **Seeding.**  Each worker loads the primary's latest checkpoint image and
-  replays the WAL tail using the :mod:`repro.storage.recovery` machinery
-  verbatim (``load_checkpoint`` / ``apply_checkpoint`` / ``read_wal`` /
-  ``apply_ddl_record`` / ``apply_event_record``) — the same idempotent redo
-  path crash recovery trusts.  Workers never write the primary's files:
-  unlike :func:`~repro.storage.recovery.recover`, seeding does not truncate
-  torn WAL tails, it just stops at the last valid record.
+* **Seeding and catch-up** are the follower's (checkpoint image + WAL tail
+  through the recovery primitives, never a write to the primary's files;
+  then ``apply_records`` on every slice).  The pool holds one
+  :class:`~repro.storage.replication.FeedCursor` per worker slot on the
+  engine's :class:`~repro.storage.replication.CommitFeed`; before a
+  dispatch each worker is sent exactly the slice
+  :meth:`~repro.storage.replication.CommitFeed.take` grants it — never a
+  full reload — or the plan is refused (a worker cannot rewind; the router
+  falls back to primary-side snapshot execution).
 
-* **Catch-up.**  The primary taps its WAL through
-  :meth:`~repro.storage.wal.WriteAheadLog.add_observer` into an in-memory
-  **record feed** with monotone sequence numbers.  Before a dispatch, each
-  worker receives exactly the feed slice past its applied position — never
-  a full reload.  Sequence numbers (not generations) drive the slice:
-  commit order is not generation order (a later-committing transaction can
-  carry smaller generations), so filtering by generation could silently
-  drop records.  Generations are used only to *fast-forward* a worker's
-  applied generation to the pin (generation ticks without WAL records —
-  rollbacks, no-op writes — ship no bytes) and to *refuse* plans pinned to
-  a generation behind the worker's state (a worker cannot rewind; the
-  router falls back to primary-side snapshot execution).
+* **Execution.**  ``execute`` runs the shipped plan against the hosted
+  follower's engine, and only when the plan's pin *equals* the follower's
+  applied generation.
 
 * **Crash transparency.**  A worker that dies mid-dispatch (``kill -9``
-  included) is detected on the pipe, respawned, reseeded from the on-disk
-  checkpoint + WAL, caught up from the feed, and the statement retried;
-  repeated crashes degrade to primary-side fallback, never to an error.
-
-Because the observer fires *after* the record's bytes reach the OS, the
-feed is always a suffix of the durable log: a worker seeded from the files
-has at least every record the feed held at spawn time, and re-shipping the
-overlap is safe — replay is idempotent (the same property recovery relies
-on for the checkpoint-truncate crash window).
+  included) is detected on the pipe, respawned (reseeded from the on-disk
+  checkpoint + WAL, its cursor moved to the feed head first), caught up,
+  and the statement retried; repeated crashes — or a respawn that fails —
+  degrade to primary-side fallback, never to an error.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import multiprocessing
-import multiprocessing.connection
 import threading
 
 from repro.analysis.runtime import make_lock
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import StorageError
 
-#: Dispatch labels used in shipped results and EXPLAIN notes.
-DISPATCH_PROCESS = "process"
-DISPATCH_PARTITIONED = "process-partitioned"
+
+#: The pool's counters, ``maintenance_report()``'s ``procpool_*`` keys.
+COUNTERS = (
+    "workers_started",
+    "dispatches",
+    "plans_shipped",
+    "catchup_records",
+    "restarts",
+    "refusals",
+    "fallbacks",
+    "partitioned",
+)
 
 
 class WorkerCrashed(Exception):
@@ -65,28 +65,8 @@ class WorkerRefused(Exception):
 # ----------------------------------------------------------- worker process
 
 
-def _seed_engine(directory: str):
-    """Build a read-only engine replica from *directory*'s checkpoint + WAL.
-
-    Thin wrapper over :func:`repro.storage.replication.seed_engine` — the
-    seeding path followers share — returning the pool's historical
-    ``(engine, generation, records_replayed)`` tuple.
-    """
-    from repro.storage.replication import seed_engine
-
-    seed = seed_engine(directory, name="prima-worker")
-    return seed.engine, seed.generation, seed.records_replayed
-
-
-def _apply_record(engine, record: Dict[str, object]) -> int:
-    """Replay one WAL/feed record; returns the record's highest generation."""
-    from repro.storage.replication import apply_record
-
-    return apply_record(engine, record)
-
-
-def _execute_job(engine, job: Dict[str, object], applied_generation: int):
-    """Execute one shipped plan on the worker's engine; returns the payload."""
+def _execute_job(follower, job: Dict[str, object]):
+    """Execute one shipped plan on the hosted follower's engine; returns the payload."""
     from repro.engine.executor import compile_plan
     from repro.engine.physical import (
         AggregationOperator,
@@ -102,19 +82,14 @@ def _execute_job(engine, job: Dict[str, object], applied_generation: int):
     )
 
     pin = int(job["pin"])
-    if pin > applied_generation:
+    if pin != follower.applied_generation:
         raise WorkerRefused(
-            f"plan pinned to generation {pin} but worker applied only "
-            f"{applied_generation} — catch-up missing"
-        )
-    if pin < applied_generation:
-        raise WorkerRefused(
-            f"plan pinned to generation {pin} but worker already applied "
-            f"{applied_generation} — a worker cannot rewind"
+            f"plan pinned to generation {pin} but the worker is at "
+            f"{follower.applied_generation} — catch-up comes first and a "
+            "worker cannot rewind"
         )
     plan = plan_from_json(job["plan"])
-    interpreter = engine.interpreter()
-    executor = interpreter.executor
+    executor = follower.engine.interpreter().executor
     operator = compile_plan(plan)
     partition = job.get("partition")
     if partition is not None:
@@ -134,30 +109,24 @@ def _execute_job(engine, job: Dict[str, object], applied_generation: int):
         payload = encode_row_result(operator.columns(), operator.rows(ctx))
     else:
         payload = encode_molecule_result(operator.execute(ctx))
-    counters = ctx.counters
-    payload["counters"] = {
-        "molecules_derived": counters.molecules_derived,
-        "atoms_touched": counters.atoms_touched,
-        "restrictions_evaluated": counters.restrictions_evaluated,
-        "links_followed": counters.links_followed,
-        "index_lookups": counters.index_lookups,
-        "groups_aggregated": counters.groups_aggregated,
-        "columnar_rows_scanned": counters.columnar_rows_scanned,
-    }
+    payload["counters"] = dataclasses.asdict(ctx.counters)
     return payload
 
 
 def _worker_main(directory: str, conn) -> None:
-    """Worker-process entry point: seed, then serve the pipe until stopped."""
+    """Worker-process entry point: seed a follower, then serve it over the
+    pipe until stopped."""
+    from repro.storage.replication import FollowerEngine
+
     try:
-        engine, applied_generation, replayed = _seed_engine(directory)
+        follower = FollowerEngine(directory, name="prima-worker")
     except BaseException as exc:  # noqa: BLE001 - reported to the primary
         try:
             conn.send(("seed_error", repr(exc)))
         finally:
             conn.close()
         return
-    conn.send(("ready", applied_generation, replayed))
+    conn.send(("ready", follower.applied_generation))
     while True:
         try:
             message = conn.recv()
@@ -168,22 +137,12 @@ def _worker_main(directory: str, conn) -> None:
             conn.send(("stopped",))
             break
         try:
-            if op == "ping":
-                conn.send(("pong", applied_generation))
-            elif op == "catchup":
+            if op == "catchup":
                 _op, records, target = message
-                for record in records:
-                    _apply_record(engine, record)
-                if records:
-                    # The records went into the stores through the recovery
-                    # primitives, beneath the engine's cached access
-                    # structures — drop them so the next plan re-exports.
-                    engine._invalidate()  # noqa: SLF001 - intentional internal reuse
-                applied_generation = max(applied_generation, int(target))
-                conn.send(("caught", applied_generation, len(records)))
+                follower.apply_records(records, target)
+                conn.send(("caught", follower.applied_generation))
             elif op == "execute":
-                payload = _execute_job(engine, message[1], applied_generation)
-                conn.send(("result", payload))
+                conn.send(("result", _execute_job(follower, message[1])))
             else:
                 conn.send(("error", f"unknown op {op!r}"))
         except WorkerRefused as refusal:
@@ -197,91 +156,57 @@ def _worker_main(directory: str, conn) -> None:
 
 
 class _WorkerHandle:
-    """Primary-side state of one worker: process, pipe, applied positions."""
+    """Primary-side state of one worker slot: process, pipe, applied positions."""
 
-    __slots__ = ("process", "conn", "applied_seq", "applied_gen")
+    __slots__ = ("process", "conn", "cursor", "applied_gen")
 
-    def __init__(self, process, conn, applied_seq: int, applied_gen: int) -> None:
-        self.process = process
-        self.conn = conn
-        #: Feed position (absolute sequence number) this worker has applied.
+    def __init__(self, cursor) -> None:
+        self.process = None
+        self.conn = None
+        #: The slot's place on the commit feed, kept across respawns.
         #: Tracked primary-side: it only advances when the primary ships.
-        self.applied_seq = applied_seq
+        self.cursor = cursor
         #: Generation the worker has reached (applied records + fast-forwards).
-        self.applied_gen = applied_gen
+        self.applied_gen = 0
 
 
 class ProcessPool:
     """Spawn-context worker processes executing shipped read plans.
 
     Created lazily by :meth:`PrimaEngine.process_pool` (durable engines
-    only).  The pool owns the catch-up feed: construction installs a WAL
-    observer, so every record appended after this point is shippable
-    incrementally; anything earlier is covered by the workers' file-based
+    only) over the engine's commit feed: each slot subscribes before its
+    worker seeds, so every record appended after that point is shippable
+    incrementally; anything earlier is covered by the worker's file-based
     seeding.
     """
 
-    def __init__(self, engine, size: int) -> None:
-        if engine.durability is None or engine.wal is None:
-            raise StorageError(
-                "process-pool execution requires a durable engine: workers "
-                "seed from the checkpoint image and WAL tail"
-            )
-        self._engine = engine
+    def __init__(self, engine, feed, size: int) -> None:
         self._directory = str(engine.durability.directory)
         self._context = multiprocessing.get_context("spawn")
-        self._feed: List[Dict[str, object]] = []  # guarded-by: ProcessPool._feed_lock
-        self._feed_base = 0  # absolute sequence number of self._feed[0]  # guarded-by: ProcessPool._feed_lock
-        self._feed_lock = make_lock("ProcessPool._feed_lock")
+        #: The engine's commit feed (cut positions come from ``feed.position()``).
+        self.feed = feed
         self._closed = False
-        self.counters: Dict[str, int] = {
-            "workers_started": 0,
-            "dispatches": 0,
-            "plans_shipped": 0,
-            "catchup_records": 0,
-            "restarts": 0,
-            "refusals": 0,
-            "fallbacks": 0,
-            "partitioned": 0,
-        }
-        # Tap the WAL before any worker spawns: every record not yet on the
-        # feed at spawn time is, by the observer's post-flush contract,
-        # already in the files the worker seeds from.  The tap is one of
-        # possibly many subscribers (a replication hub may tail the same
-        # log); shutdown removes exactly this one.
-        engine.wal.add_observer(self._observe)
-        self._workers: List[_WorkerHandle] = [self._spawn() for _ in range(size)]  # guarded-by: ProcessPool._slot_locks
+        #: Added to on the thread that called the router (or
+        #: :meth:`catch_up_all`) — conversations on fan-out threads tally
+        #: into a per-call dict that is folded in after the join.
+        self.counters: Dict[str, int] = collections.Counter(dict.fromkeys(COUNTERS, 0))
+        # Every slot subscribes before any worker seeds.
+        self._workers: List[_WorkerHandle] = [  # guarded-by: ProcessPool._slot_locks
+            _WorkerHandle(feed.subscribe()) for _ in range(size)
+        ]
         #: One conversation (catch-up + execute batch, restarts included) at
         #: a time per worker slot — concurrent dispatches interleave across
         #: slots, never on one pipe.
         self._slot_locks: List[threading.Lock] = [
-            make_lock("ProcessPool._slot_locks") for _ in self._workers
+            make_lock("ProcessPool._slot_locks") for _ in range(size)
         ]
-
-    # ------------------------------------------------------------- the feed
-
-    def _observe(self, record: Dict[str, object]) -> None:
-        with self._feed_lock:
-            self._feed.append(record)
-
-    def feed_position(self) -> int:
-        """The absolute sequence number one past the last feed record."""
-        with self._feed_lock:
-            return self._feed_base + len(self._feed)
-
-    def _feed_slice(self, start: int, stop: int) -> List[Dict[str, object]]:
-        with self._feed_lock:
-            base = self._feed_base
-            return list(self._feed[max(0, start - base) : max(0, stop - base)])
-
-    def _trim_feed(self) -> None:
-        """Drop feed records every worker has applied (bounded memory)."""
-        floor = min((worker.applied_seq for worker in self._workers), default=0)
-        with self._feed_lock:
-            drop = floor - self._feed_base
-            if drop > 0:
-                del self._feed[:drop]
-                self._feed_base = floor
+        try:
+            for worker in self._workers:
+                self._spawn(worker)
+        except BaseException:
+            self.shutdown()  # stop what was started; nothing stays subscribed
+            raise
+        self.counters["workers_started"] = size
 
     # ------------------------------------------------------------ lifecycle
 
@@ -289,11 +214,12 @@ class ProcessPool:
     def size(self) -> int:
         return len(self._workers)
 
-    def _spawn(self) -> _WorkerHandle:
-        # Capture the feed position *before* the process starts: every
-        # record below it is durably in the files the worker reads, and any
-        # overlap with records at/after it double-applies idempotently.
-        applied_seq = self.feed_position()
+    def _spawn(self, worker: _WorkerHandle) -> None:
+        """Start a fresh process in *worker*'s slot and wait until it seeded."""
+        # Move the cursor to the feed head *before* the process starts:
+        # every record below it is durably in the files the worker reads,
+        # and any overlap with records at/after it double-applies idempotently.
+        self.feed.advance(worker.cursor)
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
@@ -302,50 +228,43 @@ class ProcessPool:
         )
         process.start()
         child_conn.close()
+        worker.process, worker.conn = process, parent_conn
         try:
             reply = parent_conn.recv()
         except (EOFError, OSError) as exc:
             raise StorageError(f"process-pool worker died while seeding: {exc!r}")
         if reply[0] != "ready":
             raise StorageError(f"process-pool worker failed to seed: {reply!r}")
-        self.counters["workers_started"] += 1
-        return _WorkerHandle(process, parent_conn, applied_seq, int(reply[1]))
+        worker.applied_gen = int(reply[1])
 
-    # requires: ProcessPool._slot_locks
-    def _restart(self, index: int) -> None:
-        worker = self._workers[index]
+    @staticmethod
+    def _stop(worker: _WorkerHandle) -> None:
+        """Ask *worker*'s process to stop (a dead pipe says it already has),
+        then reap it — by force if it lingers."""
+        if worker.process is None:
+            return
+        try:
+            worker.conn.send(("stop",))
+            worker.conn.recv()
+        except (EOFError, OSError):
+            pass
         try:
             worker.conn.close()
         except OSError:
             pass
+        worker.process.join(timeout=10)
         if worker.process.is_alive():
             worker.process.terminate()
-        worker.process.join(timeout=10)
-        self._workers[index] = self._spawn()
-        self.counters["restarts"] += 1
+            worker.process.join(timeout=10)
 
     def shutdown(self) -> None:
-        """Stop every worker and remove the WAL tap (idempotent)."""
+        """Stop every worker and leave the commit feed (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        wal = self._engine.wal
-        if wal is not None:
-            wal.remove_observer(self._observe)
         for worker in self._workers:
-            try:
-                worker.conn.send(("stop",))
-                worker.conn.recv()
-            except (EOFError, OSError):
-                pass
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.process.join(timeout=10)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=10)
+            self._stop(worker)
+            self.feed.unsubscribe(worker.cursor)
         # Slot locks are deliberately NOT taken here: shutdown runs after
         # the engine unpublished the pool (no new dispatches can reach it)
         # and closing the pipes makes any in-flight conversation fail over
@@ -362,99 +281,94 @@ class ProcessPool:
         except (EOFError, BrokenPipeError, OSError) as exc:
             raise WorkerCrashed(repr(exc))
 
-    def _catch_up(self, worker: _WorkerHandle, pin_gen: int, cut_seq: int) -> None:
-        """Ship the feed slice ``(worker.applied_seq, cut_seq]`` and fast-forward.
+    def _catch_up(self, worker: _WorkerHandle, pin_gen: int, cut: int) -> int:
+        """Send *worker* the slice the feed grants it for *(pin_gen, cut)* and
+        fast-forward it to the pin; returns the record count.
 
-        Raises :class:`WorkerRefused` when the worker is already past the
-        pin (an explicitly pinned older generation) — it cannot rewind.
+        Raises :class:`~repro.storage.replication.ReplicationError` when the
+        feed refuses the slice.
         """
-        if worker.applied_gen > pin_gen or worker.applied_seq > cut_seq:
-            raise WorkerRefused(
-                f"worker at generation {worker.applied_gen} (seq {worker.applied_seq}) "
-                f"is ahead of the pinned generation {pin_gen} (seq {cut_seq})"
-            )
-        records = self._feed_slice(worker.applied_seq, cut_seq)
-        # A worker has no version store: applying a record puts its state AT
-        # that record's generation.  When the dispatch pins an older
-        # generation the slice may contain commits past the pin (the cut is
-        # the live feed head) — shipping those would make the worker answer
-        # for a future the pin must not see, so the plan is refused instead.
-        for record in records:
-            if int(record.get("gen", 0)) > pin_gen:
-                raise WorkerRefused(
-                    f"catch-up slice contains a commit at generation "
-                    f"{record.get('gen')}, past the pinned generation {pin_gen}"
-                )
-        reply = self._call(worker, ("catchup", records, pin_gen))
-        if reply[0] != "caught":
-            raise WorkerCrashed(f"catch-up failed: {reply!r}")
-        worker.applied_seq = cut_seq
-        worker.applied_gen = max(worker.applied_gen, pin_gen)
-        self.counters["catchup_records"] += len(records)
-
-    def catch_up_all(self, pin_gen: int, cut_seq: int) -> None:
-        """Bring every worker to *(pin_gen, cut_seq)* (used by benchmarks/tests)."""
-        for index in range(len(self._workers)):
-            with self._slot_locks[index]:
-                try:
-                    self._catch_up(self._workers[index], pin_gen, cut_seq)
-                except WorkerCrashed:
-                    self._restart(index)
-                    self._catch_up(self._workers[index], pin_gen, cut_seq)
-        self._trim_feed()
+        records = self.feed.take(worker.cursor.seq, worker.applied_gen, pin_gen, cut)
+        if records or worker.applied_gen != pin_gen:
+            reply = self._call(worker, ("catchup", records, pin_gen))
+            if reply[0] != "caught":
+                raise WorkerCrashed(f"catch-up failed: {reply!r}")
+            worker.applied_gen = int(reply[1])
+        self.feed.advance(worker.cursor, cut)
+        return len(records)
 
     def run_batch(
         self,
         index: int,
         pin_gen: int,
-        cut_seq: int,
+        cut: int,
         jobs: List[Tuple[int, Dict[str, object]]],
-    ) -> Dict[int, Tuple]:
-        """Run *jobs* (``(key, job)`` pairs) on worker *index*, in order.
+        counts: Dict[str, int],
+    ) -> Tuple[bool, Dict[int, Tuple]]:
+        """Catch worker *index* up to *(pin_gen, cut)*, then run *jobs*
+        (``(key, job)`` pairs) on it, in order.
 
-        Each job's outcome is a worker reply tuple: ``("result", payload)``,
-        ``("refused", why)`` or — after the crash-retry budget is spent —
-        ``("fallback", why)``.  A crash mid-batch respawns the worker
-        (reseeded from disk, caught up from the feed) and resumes with the
-        job that was in flight.
+        Returns ``(ready, outcomes)``.  *outcomes* holds one reply tuple per
+        job key: the worker's ``("result", payload)`` / ``("refused", why)``,
+        or — when the conversation ended early and *ready* is false —
+        ``("refused", why)`` because the feed refused the catch-up, or
+        ``("fallback", why)`` because the crash budget is spent.  A crash
+        respawns the worker (reseeded from disk, caught up from the feed)
+        and resumes with the job that was in flight; a third crash, or a
+        respawn that fails, spends the budget.  What happened is added to
+        *counts*, which belongs to the calling thread (see :attr:`counters`).
         """
+        from repro.storage.replication import ReplicationError
+
         outcomes: Dict[int, Tuple] = {}
         pending = list(jobs)
         crashes = 0
         with self._slot_locks[index]:
-            while pending:
-                worker = self._workers[index]
+            worker = self._workers[index]
+            while True:
                 try:
-                    self._catch_up(worker, pin_gen, cut_seq)
+                    counts["catchup_records"] += self._catch_up(worker, pin_gen, cut)
                     while pending:
                         key, job = pending[0]
                         reply = self._call(worker, ("execute", job))
                         pending.pop(0)
                         outcomes[key] = reply
                         if reply[0] == "result":
-                            self.counters["plans_shipped"] += 1
+                            counts["plans_shipped"] += 1
                         elif reply[0] == "refused":
-                            self.counters["refusals"] += 1
-                except WorkerRefused as refusal:
-                    for key, _job in pending:
-                        outcomes[key] = ("refused", str(refusal))
-                    self.counters["refusals"] += len(pending)
-                    pending = []
-                except WorkerCrashed:
+                            counts["refusals"] += 1
+                    return True, outcomes
+                except ReplicationError as refusal:
+                    verdict = ("refused", str(refusal))
+                    counts["refusals"] += len(pending) or 1
+                except WorkerCrashed as crash:
                     crashes += 1
-                    if crashes > 2:
-                        for key, _job in pending:
-                            outcomes[key] = ("fallback", "worker crashed repeatedly")
-                        pending = []
-                    else:
-                        self._restart(index)
-        return outcomes
+                    verdict = ("fallback", f"worker crashed repeatedly: {crash}")
+                    if crashes <= 2 and not self._closed:
+                        self._stop(worker)
+                        try:
+                            self._spawn(worker)
+                        except (StorageError, OSError) as failure:
+                            verdict = ("fallback", f"worker respawn failed: {failure}")
+                        else:
+                            counts["restarts"] += 1
+                            counts["workers_started"] += 1
+                            continue
+                outcomes.update((key, verdict) for key, _job in pending)
+                return False, outcomes
+
+    def catch_up_all(self, pin_gen: int, cut: int) -> None:
+        """Bring every worker to *(pin_gen, cut)* (used by benchmarks/tests)."""
+        counts: Dict[str, int] = collections.Counter()
+        for index in range(len(self._workers)):
+            self.run_batch(index, pin_gen, cut, [], counts)
+        self.counters.update(counts)
 
     def dispatch_state(self) -> Dict[str, int]:
         """Pool telemetry for the planner's dispatch costing."""
-        tail = self.feed_position()
+        tail = self.feed.position()
         backlog = max(
-            (tail - worker.applied_seq for worker in self._workers), default=0
+            (tail - worker.cursor.seq for worker in self._workers), default=0
         )
         return {"workers": len(self._workers), "backlog": backlog}
 

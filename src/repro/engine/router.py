@@ -1,0 +1,222 @@
+"""The read router: one pinned batch of statements fanned over replicas.
+
+``PrimaEngine.parallel_query`` with ``mode="process"`` or ``mode="replica"``
+runs here.  Both modes are the same steps — the replicas differ only in what
+they are sent, which the two target classes below hide: pin and feed cut in
+one versioning-lock section; every target **prepares** for ``(pin, cut)``
+(catches up from the commit feed, or cannot serve this pin); each statement
+is **classified** once (only queries and set operations are routable, and a
+plan is built only for targets that are sent one); the routable ones **fan
+out** round-robin over the prepared targets, one thread each — or, a single
+recursive or columnar-aggregate plan over plan-shipping targets, one
+partition each; whatever is left unserved **falls back** to the primary at
+the same pin (DML and transaction statements raise there, as in thread
+mode); the targets' counts, kept in a dict of their own while they run on
+fan-out threads, are **tallied** into the shared counters on the calling
+thread; the pin is released.
+"""
+
+from __future__ import annotations
+
+import collections
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from repro.engine.logical import (
+    AggregatePlan,
+    ColumnarAggregatePlan,
+    IntervalScanPlan,
+    RecursivePlan,
+)
+from repro.exceptions import StorageError
+from repro.mql.ast_nodes import Query, SetOperation
+from repro.mql.parser import parse
+from repro.storage.replication import ReplicationError
+from repro.storage.shipping import ShippedQueryResult, merge_partitions, plan_to_json
+
+#: Plans a set of plan-shipping targets can execute as disjoint partitions.
+PARTITIONABLE = (RecursivePlan, IntervalScanPlan, ColumnarAggregatePlan)
+
+
+class Routed(NamedTuple):
+    """One routable statement of the batch."""
+
+    index: int
+    statement: str
+    #: The optimized plan and the job built from it — plan-shipping targets only.
+    plan: Optional[object]
+    job: Optional[Dict[str, object]]
+
+
+class WorkerSlot:
+    """A process-pool slot as a routing target: it is sent plan JSON over a
+    pipe, with crash-retry (:meth:`ProcessPool.run_batch`)."""
+
+    ships_plans = True
+
+    def __init__(self, pool, index: int) -> None:
+        self._pool = pool
+        self._index = index
+        self._at = (0, 0)
+        self.counts: Dict[str, int] = collections.Counter()
+
+    def prepare(self, pin_gen: int, cut: int, max_lag: int) -> bool:
+        """Catch the worker up to *(pin_gen, cut)*, or refuse."""
+        self._at = (pin_gen, cut)
+        return self.execute([])[0]
+
+    def execute(self, jobs) -> Tuple[bool, Dict[int, Tuple]]:
+        return self._pool.run_batch(self._index, *self._at, jobs, self.counts)
+
+    def serve(self, batch: List[Routed]) -> Dict[int, object]:
+        _ready, outcomes = self.execute([(routed.index, routed.job) for routed in batch])
+        return {
+            routed.index: ShippedQueryResult.from_payload(
+                routed.statement, outcomes[routed.index][1]
+            )
+            for routed in batch
+            if outcomes[routed.index][0] == "result"
+        }
+
+
+class FollowerTarget:
+    """An in-process follower as a routing target: it is sent statement text."""
+
+    ships_plans = False
+
+    def __init__(self, hub, follower) -> None:
+        self._hub = hub
+        self._follower = follower
+        self.counts: Dict[str, int] = collections.Counter()
+
+    def prepare(self, pin_gen: int, cut: int, max_lag: int) -> bool:
+        """Skip a follower ahead of the pin (it cannot rewind); have the hub
+        ship to one lagging more than *max_lag* generations; serve one within
+        the bound as it is, at its own applied generation."""
+        lag = self._follower.lag(pin_gen)
+        if lag > max_lag:
+            try:
+                self._hub.ship(self._follower, pin_gen, cut)
+                self.counts["waits"] += 1
+            except ReplicationError:
+                lag = -1
+        if lag < 0:
+            self.counts["skipped"] += 1
+        return lag >= 0
+
+    def serve(self, batch: List[Routed]) -> Dict[int, object]:
+        results = {}
+        for routed in batch:
+            try:
+                results[routed.index] = self._follower.query(routed.statement)
+            except StorageError:
+                # Follower-side failure (closed, promoted, racing detach):
+                # the primary serves the statement.
+                pass
+        self.counts["routed"] += len(results)
+        return results
+
+
+class ReadRouter:
+    """Routes one batch of read statements for a :class:`PrimaEngine`."""
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+
+    def run(
+        self,
+        statements: List[str],
+        generation: Optional[int],
+        targets: List[object],
+        counters: Dict[str, int],
+        max_lag: int = 0,
+    ) -> List[object]:
+        """Execute *statements* at one pin over *targets*; results come back
+        in statement order.  *counters* is the targets' shared tally (the
+        pool's or the hub's ``counters``, a :class:`collections.Counter`)."""
+        handle, cut = self._engine._pin(generation)  # noqa: SLF001
+        try:
+            pin_gen = handle.generation
+            ready = [t for t in targets if t.prepare(pin_gen, cut, max_lag)]
+            results: List[Optional[object]] = [None] * len(statements)
+            if ready:
+                routable = self._classify(statements, ready[0].ships_plans, pin_gen)
+                if (
+                    len(ready) >= 2
+                    and len(statements) == len(routable) == 1
+                    and isinstance(routable[0].plan, PARTITIONABLE)
+                ):
+                    results[0] = self._partitioned(routable[0], ready)
+                    if results[0] is not None:
+                        counters["partitioned"] += 1
+                else:
+                    for index, result in self._fan_out(routable, ready).items():
+                        results[index] = result
+            for index, result in enumerate(results):
+                if result is None:
+                    counters["fallbacks"] += 1
+                    results[index] = handle.query(statements[index])
+            return results
+        finally:
+            handle.release()
+            for target in targets:
+                counters.update(target.counts)
+
+    def _classify(
+        self, statements: List[str], ships_plans: bool, pin_gen: int
+    ) -> List[Routed]:
+        interpreter = self._engine.interpreter()
+        routable: List[Routed] = []
+        for index, statement in enumerate(statements):
+            plan = job = None
+            try:
+                ast = parse(statement)
+                if not isinstance(ast, (Query, SetOperation)):
+                    continue
+                if ships_plans:
+                    plan = interpreter.plan(ast).best
+                    aggregate = isinstance(plan, (AggregatePlan, ColumnarAggregatePlan))
+                    job = {
+                        "plan": plan_to_json(plan),
+                        "pin": pin_gen,
+                        "mode": "rows" if aggregate else "molecules",
+                        "partition": None,
+                    }
+            except Exception:
+                # Unparseable, untranslatable or unshippable (ShippingError):
+                # the primary runs it and raises the proper MQL error.
+                continue
+            routable.append(Routed(index, statement, plan, job))
+        return routable
+
+    @staticmethod
+    def _fan_out(routable: List[Routed], ready: List[object]) -> Dict[int, object]:
+        """Round-robin; each target serves its share on a thread of its own."""
+        batches = [routable[first :: len(ready)] for first in range(len(ready))]
+        pairs = [(target, batch) for target, batch in zip(ready, batches) if batch]
+        served: Dict[int, object] = {}
+        if pairs:
+            with ThreadPoolExecutor(max_workers=len(pairs)) as fanout:
+                for part in fanout.map(lambda pair: pair[0].serve(pair[1]), pairs):
+                    served.update(part)
+        return served
+
+    @staticmethod
+    def _partitioned(routed: Routed, ready: List[object]) -> Optional[object]:
+        """One statement, one disjoint partition per target; ``None`` when a
+        refused or crashed partition poisons the merge."""
+        count = len(ready)
+        job = dict(routed.job)
+        if isinstance(routed.plan, ColumnarAggregatePlan):
+            job["mode"] = "groups"
+        with ThreadPoolExecutor(max_workers=count) as fanout:
+            futures = [
+                fanout.submit(slot.execute, [(0, dict(job, partition=[part, count]))])
+                for part, slot in enumerate(ready)
+            ]
+            replies = [future.result()[1][0] for future in futures]
+        if any(reply[0] != "result" for reply in replies):
+            return None
+        return merge_partitions(
+            routed.statement, routed.plan, [reply[1] for reply in replies]
+        )

@@ -37,10 +37,18 @@ when the transaction commits — atomically with the MVCC commit-log entry —
 so recovery (:mod:`repro.storage.recovery`) is pure redo of the committed
 prefix.  :meth:`PrimaEngine.checkpoint` (or MQL ``CHECKPOINT``) writes a
 compact catalog + occurrence image and truncates the log.
+
+**Read replicas.**  A durable engine lazily owns one commit feed
+(:class:`~repro.storage.replication.CommitFeed`, its only WAL tap), from
+which the worker-process pool (:meth:`PrimaEngine.process_pool`) and the
+replication hub (:meth:`PrimaEngine.replication_hub`) catch their replicas
+up; :meth:`PrimaEngine.parallel_query` hands ``mode="process"`` and
+``mode="replica"`` to the one read router in :mod:`repro.engine.router`.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import threading
 
@@ -173,6 +181,9 @@ class PrimaEngine:
         self._wal_tx_pending: Dict[int, List[Dict[str, object]]] = {}
         self._recovery: Optional[RecoveryResult] = None
         self._checkpoints = 0
+        #: Lazily created WAL tap the process pool and the replication hub
+        #: catch their replicas up from (:meth:`_open_feed`).
+        self._commit_feed = None  # guarded-by: PrimaEngine._cache_lock
         #: Lazily created pool of checkpoint-seeded worker processes
         #: (:meth:`process_pool`); ``None`` until first use and for
         #: in-memory engines.
@@ -613,8 +624,18 @@ class PrimaEngine:
         Safe to call from any thread; the returned handle's reads are safe
         from any thread too (see :class:`SnapshotHandle`).
         """
+        return self._pin(generation)[0]
+
+    def _pin(self, generation: Optional[int]) -> "Tuple[SnapshotHandle, int]":
+        """:meth:`snapshot_at` plus the commit-feed position at the pin.
+
+        Both are taken inside the versioning engine lock, the critical
+        section transactional commits append their WAL record in — a commit
+        is either visible at the pin *and* below the cut, or neither.
+        """
         database = self.to_database()
         interpreter = self.interpreter()
+        feed = self._commit_feed
         state = database.versioning
         with state.lock:
             # Pin and snapshot-build form one critical section: a writer
@@ -623,7 +644,8 @@ class PrimaEngine:
             # dirty values into the handle.
             pinned = database.pin(generation)
             snapshot = state.make_snapshot(pinned)
-        return SnapshotHandle(database, interpreter, snapshot)
+            cut = feed.position() if feed is not None else 0
+        return SnapshotHandle(database, interpreter, snapshot), cut
 
     def parallel_query(
         self,
@@ -655,34 +677,40 @@ class PrimaEngine:
         durable reads, checksum/compression of results), which is what the
         E-PERF7 benchmark measures.
 
-        ``mode="process"`` instead ships each statement's compiled plan to
-        the checkpoint-seeded worker-process pool (:meth:`process_pool`),
-        executing CPU-bound plans off-GIL on *workers* processes.  Results
+        ``mode="process"`` and ``mode="replica"`` instead route the
+        statements over read replicas (:mod:`repro.engine.router`): every
+        replica is caught up to the pin first — or left out when it cannot
+        serve it (a replica cannot rewind) — the statements go round-robin
+        over the rest, and whatever no replica served (EXPLAIN, DML — which
+        still raises —, anything unparseable or unshippable, refusals,
+        crashes) runs on the primary at the same pinned generation.  Results
         keep statement order and render byte-identical ``to_dicts()``
-        content; statements the shipping codec refuses (opaque predicates,
-        EXPLAIN, DML — which still raises) fall back to primary-side
-        execution at the same pinned generation.  ``mode="serial"`` is the
-        explicit one-thread baseline.
-
-        ``mode="replica"`` routes read statements over the replication
-        hub's followers (:meth:`create_follower`) instead.  *max_lag*
-        bounds staleness in generations: a follower within the bound
-        serves at its own applied generation; one lagging further is
-        caught up (the hub ships the missing feed slice) before it serves;
-        one *ahead* of the pin is skipped — a follower cannot rewind.
-        With the default ``max_lag=0`` every routed follower answers
-        exactly at the pinned generation, byte-identical to primary
-        execution.  Unshippable statements (EXPLAIN, DML — which still
-        raises — and anything unparseable) and statements no follower can
-        serve fall back to the primary at the same pinned generation.
+        content.  ``mode="process"`` ships compiled plans to *workers*
+        worker processes (:meth:`process_pool`), off-GIL, and partitions a
+        single recursive or columnar-aggregate statement over all of them.
+        ``mode="replica"`` sends statement text to the followers
+        (:meth:`create_follower`); a follower lagging at most *max_lag*
+        generations serves at its own applied generation, so with the
+        default 0 every follower answers exactly at the pin.
+        ``mode="serial"`` is the explicit one-thread baseline.
         """
         statements = list(statements)
         if not statements:
             return []
-        if mode == "process":
-            return self._parallel_query_process(statements, generation, workers)
-        if mode == "replica":
-            return self._parallel_query_replica(statements, generation, max_lag)
+        if mode in ("process", "replica"):
+            from repro.engine.router import FollowerTarget, ReadRouter, WorkerSlot
+
+            if mode == "process":
+                pool = self.process_pool(workers)
+                pool.counters["dispatches"] += 1
+                counters = pool.counters
+                targets = [WorkerSlot(pool, slot) for slot in range(pool.size)]
+            else:
+                hub = self._replication
+                counters = hub.counters if hub is not None else collections.Counter()
+                followers = hub.followers() if hub is not None else []
+                targets = [FollowerTarget(hub, follower) for follower in followers]
+            return ReadRouter(self).run(statements, generation, targets, counters, max_lag)
         if mode == "serial":
             threads = 1
         elif mode != "thread":
@@ -709,18 +737,28 @@ class PrimaEngine:
         *workers* sizes the pool on first creation (default
         ``min(4, cpu count)``); later calls return the existing pool.
         """
-        if self._durability is None:
-            raise StorageError(
-                "process_pool requires a durable engine; construct it with "
-                "durability=DurabilityConfig(directory)"
-            )
         with self._cache_lock:
             if self._procpool is None:
                 from repro.engine.procpool import ProcessPool
 
                 size = workers or max(1, min(4, os.cpu_count() or 1))
-                self._procpool = ProcessPool(self, size)
+                self._procpool = ProcessPool(self, self._open_feed(), size)
             return self._procpool
+
+    def _open_feed(self):
+        """The engine's one WAL tap (lazy; durable engines only)."""
+        if self._wal is None:
+            raise StorageError(
+                "read replicas require a durable engine — they seed from its "
+                "checkpoint image and WAL tail; construct it with "
+                "durability=DurabilityConfig(directory)"
+            )
+        with self._cache_lock:
+            if self._commit_feed is None:
+                from repro.storage.replication import CommitFeed
+
+                self._commit_feed = CommitFeed(self._wal)
+            return self._commit_feed
 
     def _dispatch_state(self) -> "Optional[Dict[str, int]]":
         """Live pool + replica telemetry for the planner's dispatch costing.
@@ -745,19 +783,14 @@ class PrimaEngine:
     def replication_hub(self):
         """The engine's replication hub (lazy; durable engines only).
 
-        The hub taps the WAL into an in-memory record feed and owns the
-        followers it ships to (see :mod:`repro.storage.replication`).
+        The hub owns the in-process followers and ships them the commit
+        feed (see :mod:`repro.storage.replication`).
         """
-        if self._durability is None:
-            raise StorageError(
-                "replication requires a durable engine; construct it with "
-                "durability=DurabilityConfig(directory)"
-            )
         with self._cache_lock:
             if self._replication is None:
                 from repro.storage.replication import ReplicationHub
 
-                self._replication = ReplicationHub(self)
+                self._replication = ReplicationHub(self, self._open_feed())
             return self._replication
 
     def create_follower(self, name: Optional[str] = None):
@@ -804,297 +837,6 @@ class PrimaEngine:
                 "engine is fenced (a follower was promoted); writes must go "
                 "to the promoted engine"
             )
-
-    def _parallel_query_process(
-        self,
-        statements: "List[str]",
-        generation: Optional[int],
-        workers: Optional[int],
-    ) -> "List[QueryResult]":
-        """Fan statements out over the worker-process pool at one pin.
-
-        The pin and the feed cut are taken inside the versioning engine
-        lock, the same critical section transactional commits append their
-        WAL record in — a commit is therefore either visible at the pin
-        *and* included in the cut, or neither.  (Non-transactional direct
-        store writes flush their record outside that lock; interleaving one
-        with the pin can put the cut one record past the pin, which only
-        matters if the caller races direct writes against the dispatch.)
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.engine.logical import (
-            AggregatePlan,
-            ColumnarAggregatePlan,
-            IntervalScanPlan,
-            RecursivePlan,
-        )
-        from repro.engine.physical import (
-            aggregate_columns,
-            finalize_groups,
-            merge_group_accumulators,
-        )
-        from repro.storage.shipping import (
-            ShippedQueryResult,
-            ShippingError,
-            decode_group_states,
-            plan_to_json,
-        )
-        from repro.mql.ast_nodes import Query, SetOperation
-        from repro.mql.parser import parse
-
-        pool = self.process_pool(workers)
-        pool.counters["dispatches"] += 1
-        interpreter = self.interpreter()
-        database = self.to_database()
-        state = database.versioning
-        with state.lock:
-            pinned = database.pin(generation)
-            snapshot = state.make_snapshot(pinned)
-            cut_seq = pool.feed_position()
-        handle = SnapshotHandle(database, interpreter, snapshot)
-        try:
-            pin_gen = handle.generation
-            # ---- classify: build one shippable job per statement, or None.
-            jobs: "List[Optional[Dict[str, object]]]" = []
-            plans: "List[Optional[object]]" = []
-            for statement in statements:
-                job = None
-                plan = None
-                try:
-                    ast = parse(statement)
-                    if isinstance(ast, (Query, SetOperation)):
-                        choice = interpreter.plan(ast)
-                        plan = choice.best
-                        aggregate = isinstance(
-                            plan, (AggregatePlan, ColumnarAggregatePlan)
-                        )
-                        job = {
-                            "plan": plan_to_json(plan),
-                            "pin": pin_gen,
-                            "mode": "rows" if aggregate else "molecules",
-                            "partition": None,
-                        }
-                except ShippingError:
-                    job = None
-                except Exception:
-                    # Unparseable / untranslatable statements fall through to
-                    # handle.query, which raises the proper MQL error.
-                    job = None
-                jobs.append(job)
-                plans.append(plan)
-
-            results: "List[Optional[QueryResult]]" = [None] * len(statements)
-
-            # ---- intra-query partitioning: one statement, many workers.
-            partitionable = (
-                len(statements) == 1
-                and jobs[0] is not None
-                and pool.size >= 2
-                and isinstance(
-                    plans[0], (RecursivePlan, IntervalScanPlan, ColumnarAggregatePlan)
-                )
-            )
-            if partitionable:
-                plan = plans[0]
-                count = pool.size
-                grouped = isinstance(plan, ColumnarAggregatePlan)
-                part_jobs = []
-                for index in range(count):
-                    job = dict(jobs[0])
-                    job["partition"] = [index, count]
-                    if grouped:
-                        job["mode"] = "groups"
-                    part_jobs.append(job)
-                with ThreadPoolExecutor(max_workers=count) as fanout:
-                    futures = [
-                        fanout.submit(pool.run_batch, index, pin_gen, cut_seq, [(0, job)])
-                        for index, job in enumerate(part_jobs)
-                    ]
-                    outcomes = [future.result()[0] for future in futures]
-                if all(outcome[0] == "result" for outcome in outcomes):
-                    pool.counters["partitioned"] += 1
-                    if grouped:
-                        specs = plan.aggregates
-                        merged: Dict = {}
-                        total_counters: Dict[str, int] = {}
-                        for outcome in outcomes:
-                            payload = outcome[1]
-                            partial = decode_group_states(specs, payload["groups"])
-                            merge_group_accumulators(specs, merged, partial)
-                            for key, value in payload.get("counters", {}).items():
-                                total_counters[key] = total_counters.get(key, 0) + value
-                        rows = tuple(
-                            tuple(row)
-                            for row in finalize_groups(plan.group_by, specs, merged)
-                        )
-                        results[0] = ShippedQueryResult(
-                            statements[0],
-                            columns=aggregate_columns(plan.group_by, specs),
-                            rows=rows,
-                            counters=total_counters,
-                            dispatch="process-partitioned",
-                        )
-                    else:
-                        import json as _json
-
-                        dicts = []
-                        total_counters = {}
-                        for outcome in outcomes:
-                            payload = outcome[1]
-                            from repro.storage.wal import decode_value
-
-                            dicts.extend(
-                                decode_value(entry) for entry in payload["dicts"]
-                            )
-                            for key, value in payload.get("counters", {}).items():
-                                total_counters[key] = total_counters.get(key, 0) + value
-                        # Partitions interleave arbitrarily: impose the
-                        # canonical rendering order so the merged result is
-                        # deterministic regardless of worker scheduling.
-                        dicts.sort(
-                            key=lambda entry: _json.dumps(
-                                entry, sort_keys=True, default=str
-                            )
-                        )
-                        results[0] = ShippedQueryResult(
-                            statements[0],
-                            dicts=dicts,
-                            counters=total_counters,
-                            dispatch="process-partitioned",
-                        )
-                    pool._trim_feed()
-                    return list(results)
-                # A refused/crashed partition poisons the merge — fall back.
-                pool.counters["fallbacks"] += 1
-                results[0] = handle.query(statements[0])
-                return list(results)
-
-            # ---- statement fan-out: round-robin statements over workers.
-            batches: "Dict[int, List[Tuple[int, Dict[str, object]]]]" = {}
-            for index, job in enumerate(jobs):
-                if job is not None:
-                    batches.setdefault(index % pool.size, []).append((index, job))
-            if batches:
-                with ThreadPoolExecutor(max_workers=len(batches)) as fanout:
-                    futures = {
-                        fanout.submit(
-                            pool.run_batch, slot, pin_gen, cut_seq, batch
-                        ): slot
-                        for slot, batch in batches.items()
-                    }
-                    for future in futures:
-                        for index, outcome in future.result().items():
-                            if outcome[0] == "result":
-                                results[index] = ShippedQueryResult.from_payload(
-                                    statements[index], outcome[1]
-                                )
-            # Fallbacks: never-shippable statements plus refused/crashed ones
-            # execute on the primary at the same pinned generation (DML and
-            # transaction statements raise here, matching thread mode).
-            for index, result in enumerate(results):
-                if result is None:
-                    pool.counters["fallbacks"] += 1
-                    results[index] = handle.query(statements[index])
-            pool._trim_feed()
-            return list(results)
-        finally:
-            handle.release()
-
-    def _parallel_query_replica(
-        self,
-        statements: "List[str]",
-        generation: Optional[int],
-        max_lag: int,
-    ) -> "List[QueryResult]":
-        """Fan read statements over the replication hub's followers.
-
-        The pin and the feed cut are taken inside the versioning engine
-        lock — the same critical section transactional commits append
-        their WAL record in — so a commit is either visible at the pin
-        *and* included in the cut, or neither (the process-mode contract).
-
-        Follower eligibility at the pinned generation: lag < 0 (ahead of
-        an older pin) skips the follower; lag > *max_lag* waits on it (the
-        hub ships the missing ``(applied_seq, cut]`` slice — a refusal
-        skips instead); 0 ≤ lag ≤ *max_lag* serves as-is at the follower's
-        own applied generation.  Statements route round-robin over the
-        eligible followers; everything else — unshippable statements,
-        follower-side failures, no eligible follower at all — executes on
-        the primary at the same pinned generation.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.mql.ast_nodes import Query, SetOperation
-        from repro.mql.parser import parse
-        from repro.storage.replication import ReplicationError
-
-        hub = self._replication
-        followers = hub.followers() if hub is not None else []
-        database = self.to_database()
-        interpreter = self.interpreter()
-        state = database.versioning
-        with state.lock:
-            pinned = database.pin(generation)
-            snapshot = state.make_snapshot(pinned)
-            cut = hub.feed_position() if hub is not None else 0
-        handle = SnapshotHandle(database, interpreter, snapshot)
-        try:
-            pin_gen = handle.generation
-            eligible = []
-            for follower in followers:
-                lag = follower.lag(pin_gen)
-                if lag < 0:
-                    hub.counters["skipped"] += 1
-                    continue
-                if lag > max_lag:
-                    try:
-                        hub.ship(follower, pin_gen, cut)
-                        hub.counters["waits"] += 1
-                    except ReplicationError:
-                        hub.counters["skipped"] += 1
-                        continue
-                eligible.append(follower)
-
-            results: "List[Optional[QueryResult]]" = [None] * len(statements)
-            assignments: "List[Tuple[int, object]]" = []
-            if eligible:
-                routable = []
-                for index, statement in enumerate(statements):
-                    try:
-                        ast = parse(statement)
-                    except Exception:
-                        continue  # falls back; the primary raises properly
-                    if isinstance(ast, (Query, SetOperation)):
-                        routable.append(index)
-                assignments = [
-                    (index, eligible[position % len(eligible)])
-                    for position, index in enumerate(routable)
-                ]
-            if assignments:
-
-                def run(assignment):
-                    index, follower = assignment
-                    try:
-                        return index, follower.query(statements[index])
-                    except StorageError:
-                        # Follower-side failure (closed, promoted, racing
-                        # detach): the primary fallback below serves it.
-                        return index, None
-
-                with ThreadPoolExecutor(max_workers=len(eligible)) as fanout:
-                    for index, result in fanout.map(run, assignments):
-                        if result is not None:
-                            hub.counters["routed"] += 1
-                        results[index] = result
-            for index, result in enumerate(results):
-                if result is None:
-                    if hub is not None:
-                        hub.counters["fallbacks"] += 1
-                    results[index] = handle.query(statements[index])
-            return list(results)
-        finally:
-            handle.release()
 
     def collect_versions(self) -> Dict[str, object]:
         """Run version-chain garbage collection; returns the GC statistics."""
@@ -1206,10 +948,13 @@ class PrimaEngine:
         with self._cache_lock:
             pool, self._procpool = self._procpool, None
             hub, self._replication = self._replication, None
+            feed, self._commit_feed = self._commit_feed, None
         if pool is not None:
             pool.shutdown()
         if hub is not None:
             hub.close()
+        if feed is not None:
+            feed.close()
         if self._wal is not None:
             self._wal.close()
 
@@ -1500,38 +1245,20 @@ class PrimaEngine:
         report["recovery_replayed"] = (
             self._recovery.records_replayed if self._recovery is not None else 0
         )
+        from repro.engine.procpool import COUNTERS as POOL_COUNTERS
+        from repro.storage.replication import HUB_COUNTERS
+
         pool = self._procpool
         report["procpool_workers"] = pool.size if pool is not None else 0
-        for key in (
-            "dispatches",
-            "plans_shipped",
-            "catchup_records",
-            "restarts",
-            "refusals",
-            "fallbacks",
-            "partitioned",
-            "workers_started",
-        ):
+        for key in POOL_COUNTERS:
             report[f"procpool_{key}"] = pool.counters[key] if pool is not None else 0
         hub = self._replication
         report["replication_followers"] = (
             len(hub.followers()) if hub is not None else 0
         )
         report["replication_lag"] = hub.max_lag() if hub is not None else 0
-        for key in (
-            "followers_started",
-            "ships",
-            "records_shipped",
-            "refusals",
-            "promotions",
-            "routed",
-            "fallbacks",
-            "skipped",
-            "waits",
-        ):
-            report[f"replication_{key}"] = (
-                hub.counters[key] if hub is not None else 0
-            )
+        for key in HUB_COUNTERS:
+            report[f"replication_{key}"] = hub.counters[key] if hub is not None else 0
         report["fenced"] = self._fenced
         lock_report = runtime_lock_report()
         if lock_report is not None:

@@ -1,41 +1,34 @@
-"""Log-shipping replication: follower engines, catch-up, and promotion.
+"""Log-shipping replication: the commit feed, the replica, catch-up, promotion.
 
 The WAL's commit and DDL records are a self-contained replication feed
 (every record carries the full change events of one committed unit), and
 the recovery machinery replays them idempotently — the two properties this
 module combines into read scale-out:
 
-* **Seeding.**  A :class:`FollowerEngine` builds its state from the
-  primary's durability directory exactly the way a process-pool worker
-  does: load the checkpoint image, replay the WAL tail through the
-  :mod:`repro.storage.recovery` primitives, never write a byte back.
-  Unlike :func:`~repro.storage.recovery.recover`, a torn WAL tail is *not*
-  truncated — against a live primary it is an in-flight append, not a
-  crash artefact (see :func:`~repro.storage.wal.read_wal`).
+* **The commit feed.**  One :class:`CommitFeed` per durable engine taps the
+  WAL (the only :meth:`~repro.storage.wal.WriteAheadLog.add_observer` call
+  in the package) into an in-memory record list with monotone sequence
+  numbers.  The observer fires inside the log mutex *after* the bytes reach
+  the OS, so the feed is always a suffix of the durable file: a replica
+  that subscribes and *then* seeds from the files holds at least every
+  record below its :class:`FeedCursor`, and re-shipping the overlap
+  double-applies idempotently.  The feed keeps the records past the lowest
+  cursor — each once, however many subscribers; nothing while there are
+  none — and :meth:`CommitFeed.take` alone decides which of them a replica
+  may be given for a pinned read.
 
-* **Tailing.**  Two transports share one apply path:
-
-  - **in-process** — a :class:`ReplicationHub` taps the primary's WAL via
-    :meth:`~repro.storage.wal.WriteAheadLog.add_observer` into an
-    in-memory record feed with monotone sequence numbers (the PR 8
-    contract: the observer fires inside the log mutex *after* the bytes
-    reach the OS, so the feed is always a suffix of the durable file and
-    a follower seeded from the files holds at least every record the
-    feed held at seed time — re-shipping the overlap double-applies
-    idempotently);
-  - **out-of-process** — :meth:`FollowerEngine.poll` reads the WAL file
-    incrementally (``read_wal(path, from_offset=…)``), treats a torn
-    tail as *not yet* (re-polls from the last good offset, never
-    truncates), and survives primary checkpoint truncation by re-seeding
-    from the new image when the checkpoint stamp changes or the log
-    shrinks below the consumed offset.
-
-* **Catch-up.**  The follower reports ``applied_seq``; the hub ships the
-  ``(applied_seq, cut]`` feed slice.  Sequence numbers — not generations —
-  drive the slice (commit order is not generation order); generations only
-  *fast-forward* the follower to the pin or *refuse* a ship whose pin lies
-  behind the follower's state (a follower cannot rewind) or whose slice
-  contains a commit past the pin (too fresh for the pinned read).
+* **The replica.**  A :class:`FollowerEngine` is a checkpoint-seeded,
+  read-only engine plus one apply path (:meth:`FollowerEngine.apply_records`).
+  Seeding loads the checkpoint image and replays the WAL tail through the
+  :mod:`repro.storage.recovery` primitives and never writes a byte back —
+  unlike :func:`~repro.storage.recovery.recover`, a torn WAL tail is *not*
+  truncated: against a live primary it is an in-flight append, not a crash
+  artefact (see :func:`~repro.storage.wal.read_wal`).  Three transports
+  feed the same class: **in-process** (:meth:`ReplicationHub.ship` hands
+  the follower its feed slice), **pipe** (a :mod:`repro.engine.procpool`
+  worker process hosts a follower and is sent the same slice) and **file
+  poll** (:meth:`FollowerEngine.poll` reads the WAL file incrementally,
+  from any process).
 
 * **Promotion.**  :meth:`FollowerEngine.promote` fences the old primary
   *first* (no record can enter the feed afterwards), then ships the final
@@ -44,23 +37,165 @@ module combines into read scale-out:
   refuses every subsequent write (basic interface, DDL, and transactions —
   in-flight transactions abort at their commit point).
 
-The replica-aware read router lives on the engine
-(:meth:`PrimaEngine.parallel_query` with ``mode="replica"``); this module
-provides the follower lifecycle and the feed it routes over.
+The read router over these replicas lives in :mod:`repro.engine.router`
+(:meth:`PrimaEngine.parallel_query` with ``mode="replica"`` or
+``mode="process"``).
 """
 
 from __future__ import annotations
 
+import collections
 import os
 from repro.analysis.runtime import make_lock, make_rlock
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import StorageError
 
 
+#: The hub's counters, ``maintenance_report()``'s ``replication_*`` keys.
+HUB_COUNTERS = (
+    "followers_started",
+    "ships",
+    "records_shipped",
+    "refusals",
+    "promotions",
+    "routed",
+    "fallbacks",
+    "skipped",
+    "waits",
+)
+
+
 class ReplicationError(StorageError):
     """A replication-protocol violation (rewind, fenced feed, bad record)."""
+
+
+# ---------------------------------------------------------- the commit feed
+
+
+class FeedCursor:
+    """One subscriber's place on the feed: the absolute sequence number one
+    past the last record it was sent (see :meth:`CommitFeed.advance`)."""
+
+    __slots__ = ("seq",)
+
+    def __init__(self, seq: int) -> None:
+        self.seq = seq
+
+
+class CommitFeed:
+    """The engine's WAL records since the slowest subscriber, held once;
+    shared by the engine's process pool and its replication hub."""
+
+    def __init__(self, wal) -> None:
+        self._wal = wal
+        self._lock = make_lock("CommitFeed._lock")
+        self._records: List[Dict[str, object]] = []  # guarded-by: CommitFeed._lock
+        self._base = 0  # absolute sequence number of self._records[0]  # guarded-by: CommitFeed._lock
+        self._cursors: List[FeedCursor] = []  # guarded-by: CommitFeed._lock
+        wal.add_observer(self._observe)
+
+    def _observe(self, record: Dict[str, object]) -> None:
+        with self._lock:
+            if self._cursors:
+                self._records.append(record)
+            else:
+                # Nobody to ship to: a later subscriber seeds from the files,
+                # which by the observer's post-flush contract hold this record.
+                self._base += 1
+
+    def position(self) -> int:
+        """The absolute sequence number one past the last observed record."""
+        with self._lock:
+            return self._base + len(self._records)
+
+    def __len__(self) -> int:
+        """Records currently held in memory."""
+        with self._lock:
+            return len(self._records)
+
+    def subscribe(self) -> FeedCursor:
+        """Register a subscriber at the current position.
+
+        Subscribe *before* seeding the replica: every record below the
+        cursor is then already in the files it seeds from, and every record
+        at or past it stays on the feed until the cursor moves over it.
+        """
+        with self._lock:
+            cursor = FeedCursor(self._base + len(self._records))
+            self._cursors.append(cursor)
+            return cursor
+
+    def unsubscribe(self, cursor: FeedCursor) -> None:
+        """Stop keeping records for *cursor* (idempotent)."""
+        with self._lock:
+            if cursor in self._cursors:
+                self._cursors.remove(cursor)
+            self._trim()
+
+    def advance(self, cursor: FeedCursor, seq: Optional[int] = None) -> None:
+        """Move *cursor* to *seq*, once the subscriber was sent everything
+        below it (default: the feed head — it is about to re-seed from the
+        files), and drop what every subscriber has now been sent."""
+        with self._lock:
+            cursor.seq = self._base + len(self._records) if seq is None else seq
+            self._trim()
+
+    def take(
+        self, applied_seq: int, applied_gen: int, pin_gen: Optional[int], cut: int
+    ) -> List[Dict[str, object]]:
+        """The ``(applied_seq, cut]`` slice for a replica that has applied up
+        to ``(applied_seq, applied_gen)`` and is to serve *pin_gen*.
+
+        Sequence numbers — not generations — drive the slice: commit order
+        is not generation order.  Generations only fast-forward the replica
+        to the pin, or refuse the slice (:class:`ReplicationError`, nothing
+        returned).  A replica has no version store — applying a record puts
+        it AT that record's generation — so one already ahead of the pin
+        cannot rewind, and a slice holding a commit past the pin (the cut is
+        the live feed head) would make it answer for a future the pin must
+        not see.  ``pin_gen=None`` asks for the head: every record up to
+        *cut* is a decided commit, so only the position is checked.
+        """
+        if applied_seq > cut or (pin_gen is not None and applied_gen > pin_gen):
+            raise ReplicationError(
+                f"replica at generation {applied_gen} (seq {applied_seq}) is "
+                f"ahead of the pinned generation {pin_gen} (seq {cut}) — "
+                "cannot rewind"
+            )
+        with self._lock:
+            base = self._base
+            if applied_seq < base:
+                raise ReplicationError(
+                    f"feed records {applied_seq}..{base} are already trimmed: "
+                    "the replica holds no subscribed cursor"
+                )
+            records = self._records[applied_seq - base : cut - base]
+        if pin_gen is not None:
+            for record in records:
+                if int(record.get("gen", 0)) > pin_gen:
+                    raise ReplicationError(
+                        f"catch-up slice contains a commit at generation "
+                        f"{record.get('gen')}, past the pinned generation "
+                        f"{pin_gen} — too fresh"
+                    )
+        return records
+
+    # requires: CommitFeed._lock
+    def _trim(self) -> None:
+        """Drop the records below the lowest cursor — all of them when
+        nobody subscribes (bounded memory)."""
+        head = self._base + len(self._records)
+        floor = min((cursor.seq for cursor in self._cursors), default=head)
+        drop = floor - self._base
+        if drop > 0:
+            del self._records[:drop]
+            self._base = floor
+
+    def close(self) -> None:
+        """Remove the WAL tap (idempotent)."""
+        self._wal.remove_observer(self._observe)
 
 
 # ------------------------------------------------------------ shared replay
@@ -70,8 +205,8 @@ def apply_record(engine, record: Dict[str, object]) -> int:
     """Replay one WAL/feed record on *engine*'s stores; returns the record's
     highest generation (0 for DDL records).
 
-    The single replay routine shared by process-pool workers, followers and
-    follower re-seeding — always the recovery primitives, always idempotent.
+    The single replay routine of seeding and :meth:`FollowerEngine.apply_records`
+    — always the recovery primitives, always idempotent.
     """
     from repro.storage.recovery import apply_ddl_record, apply_event_record
 
@@ -153,7 +288,8 @@ class FollowerEngine:
     """A read-only replica of a durable primary, fed by its WAL.
 
     Construct directly with the primary's durability directory for an
-    out-of-process follower (drive it with :meth:`poll`), or through
+    out-of-process follower (drive it with :meth:`poll`; a process-pool
+    worker hosts one and is sent its records over the pipe), or through
     :meth:`ReplicationHub.create_follower` /
     :meth:`PrimaEngine.create_follower` for an in-process follower the hub
     ships to incrementally.  Reads (:meth:`query`) run against a pinned
@@ -180,11 +316,22 @@ class FollowerEngine:
             "torn_tail_retries": 0,
             "queries": 0,
         }
-        #: Feed position (hub transport): absolute sequence number one past
-        #: the last hub record applied.  Owned by the hub — it only
-        #: advances when the hub ships.
-        self.applied_seq = 0
-        self._seed()
+        #: Place on the primary's commit feed (hub transport only), taken
+        #: before seeding so the seed covers everything below it.  Owned by
+        #: the hub — it only advances when the hub ships.
+        self._cursor = hub.feed.subscribe() if hub is not None else None
+        try:
+            self._seed()
+        except BaseException:
+            if hub is not None:
+                hub.feed.unsubscribe(self._cursor)
+            raise
+
+    @property
+    def applied_seq(self) -> int:
+        """Feed position one past the last record the hub shipped (0
+        without a hub)."""
+        return self._cursor.seq if self._cursor is not None else 0
 
     def _seed(self) -> SeedResult:
         seed = seed_engine(self._directory, name=self.name)
@@ -207,30 +354,28 @@ class FollowerEngine:
                 "promote() returned"
             )
 
-    def apply_records(self, records, target_generation: int) -> None:
-        """Apply a feed slice, then fast-forward to *target_generation*.
+    def apply_records(self, records, target_generation: int = 0) -> None:
+        """Apply *records*, then fast-forward to *target_generation*.
 
-        The hub's transport: records arrive in feed order and double-applies
-        are idempotent.  *target_generation* absorbs generation ticks that
-        ship no bytes (rollbacks, no-op writes) — it may only move the
-        follower forward.
+        The one apply path of every transport: records arrive in log order
+        and double-applies are idempotent.  The follower ends at the highest
+        of its own generation, the applied records' and *target_generation*
+        — the latter absorbs generation ticks that ship no bytes (rollbacks,
+        no-op writes); nothing ever moves the follower backwards.
         """
         with self._lock:
             self._require_live()
+            generation = max(self.applied_generation, int(target_generation))
             for record in records:
-                apply_record(self._engine, record)
-                self.counters["records_applied"] += 1
+                generation = max(generation, apply_record(self._engine, record))
+            self.counters["records_applied"] += len(records)
             if records:
                 # Records went into the stores through the recovery
                 # primitives, beneath the engine's cached access structures —
                 # drop them so the next read re-exports.
                 self._engine._invalidate()  # noqa: SLF001 - intentional internal reuse
-            self.applied_generation = max(
-                self.applied_generation, int(target_generation)
-            )
-            self._engine.generation = max(
-                self._engine.generation, self.applied_generation
-            )
+            self.applied_generation = generation
+            self._engine.generation = max(self._engine.generation, generation)
 
     def poll(self) -> int:
         """Apply newly durable records from the primary's files; returns the
@@ -278,15 +423,8 @@ class FollowerEngine:
                 # In-flight append: apply the valid prefix, keep the offset
                 # at the last good byte, and let a later poll retry.
                 self.counters["torn_tail_retries"] += 1
-            generation = self.applied_generation
-            for record in scan.records:
-                generation = max(generation, apply_record(self._engine, record))
-                self.counters["records_applied"] += 1
-            if scan.records:
-                self._engine._invalidate()  # noqa: SLF001 - intentional internal reuse
+            self.apply_records(scan.records)
             self._wal_offset = scan.valid_bytes
-            self.applied_generation = generation
-            self._engine.generation = max(self._engine.generation, generation)
             return len(scan.records)
 
     # ------------------------------------------------------------- reading
@@ -376,90 +514,43 @@ class FollowerEngine:
 
 
 class ReplicationHub:
-    """Primary-side replication state: the WAL feed and its followers.
+    """Primary-side replication state: the in-process followers of one engine.
 
     Created lazily by :meth:`PrimaEngine.replication_hub` (durable engines
-    only).  Construction installs a WAL observer — one of possibly many
-    (a process pool may tap the same log); every record appended after this
-    point is shippable incrementally, anything earlier is covered by the
-    followers' file-based seeding.
+    only).  The hub ships from the engine's :class:`CommitFeed` (shared with
+    the process pool): every record appended after a follower subscribed is
+    shippable incrementally, anything earlier is covered by the follower's
+    file-based seeding.
     """
 
-    def __init__(self, engine) -> None:
-        if engine.durability is None or engine.wal is None:
-            raise ReplicationError(
-                "replication requires a durable engine: followers seed from "
-                "the checkpoint image and WAL tail"
-            )
+    def __init__(self, engine, feed: CommitFeed) -> None:
         self._engine = engine
         self._directory = str(engine.durability.directory)
-        self._feed: List[Dict[str, object]] = []  # guarded-by: ReplicationHub._feed_lock
-        self._feed_base = 0  # absolute sequence number of self._feed[0]  # guarded-by: ReplicationHub._feed_lock
-        self._feed_lock = make_lock("ReplicationHub._feed_lock")
+        #: The engine's commit feed (cut positions come from ``feed.position()``).
+        self.feed = feed
         self._followers: List[FollowerEngine] = []  # guarded-by: ReplicationHub._lock
         self._lock = make_rlock("ReplicationHub._lock")
         self._closed = False
-        self.counters: Dict[str, int] = {
-            "followers_started": 0,
-            "ships": 0,
-            "records_shipped": 0,
-            "refusals": 0,
-            "promotions": 0,
-            "routed": 0,
-            "fallbacks": 0,
-            "skipped": 0,
-            "waits": 0,
-        }
-        engine.wal.add_observer(self._observe)
-
-    # ------------------------------------------------------------- the feed
-
-    def _observe(self, record: Dict[str, object]) -> None:
-        with self._feed_lock:
-            self._feed.append(record)
-
-    def feed_position(self) -> int:
-        """The absolute sequence number one past the last feed record."""
-        with self._feed_lock:
-            return self._feed_base + len(self._feed)
-
-    def _feed_slice(self, start: int, stop: int) -> List[Dict[str, object]]:
-        with self._feed_lock:
-            base = self._feed_base
-            return list(self._feed[max(0, start - base) : max(0, stop - base)])
-
-    def _trim_feed(self) -> None:
-        """Drop feed records every follower has applied (bounded memory)."""
-        with self._lock:
-            floor = min(
-                (follower.applied_seq for follower in self._followers), default=0
-            )
-        with self._feed_lock:
-            drop = floor - self._feed_base
-            if drop > 0:
-                del self._feed[:drop]
-                self._feed_base = floor
+        self.counters: Dict[str, int] = collections.Counter(dict.fromkeys(HUB_COUNTERS, 0))
 
     # ------------------------------------------------------------ followers
 
     def create_follower(self, name: Optional[str] = None) -> FollowerEngine:
         """Seed a new in-process follower and register it for shipping.
 
-        The feed position is captured *before* seeding: every record below
-        it is, by the observer's post-flush contract, already in the files
-        the follower seeds from; records at/after it ship incrementally,
+        The follower subscribes to the feed *before* it seeds: every record
+        below its cursor is, by the observer's post-flush contract, already
+        in the files it seeds from; records at/after it ship incrementally,
         and any overlap with the seed double-applies idempotently.
         """
         with self._lock:
             if self._closed:
                 raise ReplicationError("replication hub is closed")
-            seq0 = self.feed_position()
             follower = FollowerEngine(
                 self._directory,
                 name=name or f"{self._engine.name}-follower-{self.counters['followers_started']}",
                 hub=self,
             )
-            follower.applied_seq = seq0
             self._followers.append(follower)
             self.counters["followers_started"] += 1
             return follower
@@ -474,7 +565,7 @@ class ReplicationHub:
             if follower in self._followers:
                 self._followers.remove(follower)
                 follower._hub = None
-        self._trim_feed()
+        self.feed.unsubscribe(follower._cursor)
 
     # ------------------------------------------------------------- shipping
 
@@ -487,49 +578,32 @@ class ReplicationHub:
         """Ship the ``(applied_seq, cut]`` feed slice to *follower*; returns
         the record count shipped.
 
-        *pin_generation* is the fast-forward target and the refusal bound: a
-        follower already past the pin cannot rewind, and a slice containing a
-        commit past the pin would make the follower answer for a future the
-        pin must not see — both raise :class:`ReplicationError` and ship
-        nothing.  When *pin_generation* is ``None`` the caller wants the
-        head: the pin covers every record in the slice, because the
-        write-ahead ordering (bytes durable, then snapshot published) means
-        the feed can momentarily run ahead of the primary's published
-        generation — such records are decided commits, not a future.
+        *pin_generation* is the fast-forward target and the refusal bound of
+        :meth:`CommitFeed.take` — a refusal raises :class:`ReplicationError`
+        and ships nothing.  When *pin_generation* is ``None`` the caller
+        wants the head: the follower ends at the newest record in the slice,
+        because the write-ahead ordering (bytes durable, then snapshot
+        published) means the feed can momentarily run ahead of the primary's
+        published generation — such records are decided commits, not a
+        future.
         """
         if cut is None:
-            cut = self.feed_position()
-        catch_up_to_head = pin_generation is None
-        if catch_up_to_head:
-            pin_generation = self._engine.generation
+            cut = self.feed.position()
         with follower._lock:
-            if catch_up_to_head:
-                for record in self._feed_slice(follower.applied_seq, cut):
-                    pin_generation = max(pin_generation, int(record.get("gen", 0)))
-            if (
-                follower.applied_generation > pin_generation
-                or follower.applied_seq > cut
-            ):
-                self.counters["refusals"] += 1
-                raise ReplicationError(
-                    f"follower at generation {follower.applied_generation} "
-                    f"(seq {follower.applied_seq}) is ahead of the pinned "
-                    f"generation {pin_generation} (seq {cut}) — cannot rewind"
+            try:
+                records = self.feed.take(
+                    follower.applied_seq, follower.applied_generation, pin_generation, cut
                 )
-            records = self._feed_slice(follower.applied_seq, cut)
-            for record in records:
-                if int(record.get("gen", 0)) > pin_generation:
-                    self.counters["refusals"] += 1
-                    raise ReplicationError(
-                        f"catch-up slice contains a commit at generation "
-                        f"{record.get('gen')}, past the pinned generation "
-                        f"{pin_generation} — too fresh"
-                    )
-            follower.apply_records(records, pin_generation)
-            follower.applied_seq = cut
+            except ReplicationError:
+                self.counters["refusals"] += 1
+                raise
+            follower.apply_records(
+                records,
+                self._engine.generation if pin_generation is None else pin_generation,
+            )
+            self.feed.advance(follower._cursor, cut)
         self.counters["ships"] += 1
         self.counters["records_shipped"] += len(records)
-        self._trim_feed()
         return len(records)
 
     def catch_up_all(
@@ -574,7 +648,7 @@ class ReplicationHub:
             #    feed position below is the final one.
             self._engine.fence()
             # 2. Final cut at the fenced head; 3. ship the remaining slice.
-            self.ship(follower, self._engine.generation, self.feed_position())
+            self.ship(follower, self._engine.generation, self.feed.position())
             self.counters["promotions"] += 1
         # 4. Detach — the promoted engine leaves the feed.
         self.detach(follower)
@@ -582,7 +656,7 @@ class ReplicationHub:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Remove the WAL tap and detach every follower (idempotent).
+        """Detach every follower (idempotent).
 
         Followers are not destroyed: each keeps serving reads at its applied
         generation — it just stops receiving records.
@@ -590,14 +664,11 @@ class ReplicationHub:
         if self._closed:
             return
         self._closed = True
-        wal = self._engine.wal
-        if wal is not None:
-            wal.remove_observer(self._observe)
         for follower in self.followers():
             self.detach(follower)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ReplicationHub(followers={len(self._followers)}, "
-            f"feed={self.feed_position()})"
+            f"feed={self.feed.position()})"
         )

@@ -446,3 +446,48 @@ class ShippedQueryResult:
             f"{len(self.rows)} rows" if self.rows is not None else f"{len(self)} molecules"
         )
         return f"ShippedQueryResult({self.statement!r}, {shape}, {self.dispatch})"
+
+
+def merge_partitions(
+    statement: str, plan: PlanNode, payloads: List[Dict[str, object]]
+) -> ShippedQueryResult:
+    """Merge the worker payloads of one plan executed as disjoint partitions.
+
+    A partitioned Γ returns accumulator states, merged group by group and
+    finalized once; every other partitioned plan returns molecules, whose
+    union is put in the canonical rendering order — partitions interleave
+    arbitrarily, so the merged result must not depend on worker scheduling.
+    """
+    from repro.engine.physical import (
+        aggregate_columns,
+        finalize_groups,
+        merge_group_accumulators,
+    )
+
+    counters: Dict[str, int] = {}
+    for payload in payloads:
+        for key, value in payload.get("counters", {}).items():
+            counters[key] = counters.get(key, 0) + value
+    if isinstance(plan, ColumnarAggregatePlan):
+        specs = plan.aggregates
+        merged: Dict = {}
+        for payload in payloads:
+            merge_group_accumulators(
+                specs, merged, decode_group_states(specs, payload["groups"])
+            )
+        return ShippedQueryResult(
+            statement,
+            columns=aggregate_columns(plan.group_by, specs),
+            rows=tuple(
+                tuple(row) for row in finalize_groups(plan.group_by, specs, merged)
+            ),
+            counters=counters,
+            dispatch="process-partitioned",
+        )
+    dicts = [
+        decode_value(entry) for payload in payloads for entry in payload["dicts"]
+    ]
+    dicts.sort(key=lambda entry: json.dumps(entry, sort_keys=True, default=str))
+    return ShippedQueryResult(
+        statement, dicts=dicts, counters=counters, dispatch="process-partitioned"
+    )

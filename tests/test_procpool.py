@@ -1,23 +1,29 @@
-"""Multi-process query execution: checkpoint-seeded workers, plan shipping.
+"""The read router's contract on both routes, and multi-process execution.
 
 ``PrimaEngine.parallel_query(..., mode="process")`` ships compiled logical
-plans to a pool of worker processes, each seeded by loading the latest
-checkpoint image and replaying the WAL tail, then kept current through
-incremental record shipping.  The contract is the same as thread mode:
+plans to a pool of worker processes, ``mode="replica"`` sends statement text
+to in-process followers; both kinds of replica are seeded by loading the
+latest checkpoint image and replaying the WAL tail, then kept current from
+the engine's commit feed, and both go through one router
+(:mod:`repro.engine.router`).  The contract is the same as thread mode:
 statement-ordered results whose rendered content is byte-identical to serial
 execution at the same pinned generation.
 
-Covers: fingerprint parity for statement fan-out and for the two partitioned
-shapes (per-root recursive closures, per-partition columnar Γ folds with a
-``COUNT(DISTINCT …)`` set-merge), transparent restart after ``kill -9`` of a
-worker mid-sequence, incremental catch-up after write bursts and after
-checkpoint truncation, generation refusal → primary fallback, shipping-codec
-round-trip determinism, and a hypothesis sweep of interleaved DML.
+Covers: the route contract, once, parametrized over both routes (parity,
+statement order, unroutable statements fall back, DML raises, an older pin is
+refused and falls back, no replica available falls back, counters move);
+fingerprint parity for the two partitioned shapes (per-root recursive
+closures, per-partition columnar Γ folds with a ``COUNT(DISTINCT …)``
+set-merge), transparent restart after ``kill -9`` of a worker mid-sequence,
+a respawn or a pool construction that fails, incremental catch-up after
+write bursts and after checkpoint truncation, shipping-codec round-trip
+determinism, and a hypothesis sweep of interleaved DML.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -95,11 +101,38 @@ def build_engine(directory, parts=12, items=60, checkpoint=True) -> PrimaEngine:
     return engine
 
 
+def add_replicas(engine, mode):
+    """Two replicas of the kind *mode* routes over."""
+    if mode == "process":
+        engine.process_pool(workers=2)
+    else:
+        engine.create_follower("f0")
+        engine.create_follower("f1")
+
+
+def still_alive(pids, timeout=10):
+    """The child processes of *pids* that have not ended within *timeout* s
+    (``active_children`` reaps the ended ones, so a zombie does not count)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = [p.pid for p in multiprocessing.active_children() if p.pid in pids]
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.02)
+
+
+def kill_and_wait(pid):
+    os.kill(pid, signal.SIGKILL)
+    assert not still_alive([pid])
+
+
 @pytest.fixture(scope="module")
 def shared_engine(tmp_path_factory):
-    """One engine + 2-worker pool reused by the read-only parity tests."""
+    """One engine + 2-worker pool + 2 followers reused by the read-only
+    parity tests."""
     engine = build_engine(tmp_path_factory.mktemp("procpool-shared"))
-    engine.process_pool(workers=2)
+    add_replicas(engine, "process")
+    add_replicas(engine, "replica")
     yield engine
     engine.close()
 
@@ -111,14 +144,129 @@ def fresh_engine(tmp_path):
     engine.close()
 
 
-class TestProcessModeParity:
-    def test_statement_fanout_matches_serial(self, shared_engine):
+ROUTES = ("process", "replica")
+
+#: maintenance_report() keys per route: the replica count, the counter of
+#: statements a replica served, of targets that refused an older pin, and of
+#: statements the primary served instead.
+REPORT_KEYS = {
+    "process": (
+        "procpool_workers",
+        "procpool_plans_shipped",
+        "procpool_refusals",
+        "procpool_fallbacks",
+    ),
+    "replica": (
+        "replication_followers",
+        "replication_routed",
+        "replication_skipped",
+        "replication_fallbacks",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ROUTES)
+class TestRouteContract:
+    """What ``parallel_query`` promises on every replica route."""
+
+    def test_fanout_matches_serial(self, shared_engine, mode):
         serial = shared_engine.parallel_query(STATEMENTS, mode="serial")
-        proc = shared_engine.parallel_query(STATEMENTS, mode="process")
-        assert len(proc) == len(serial)
-        for expected, got in zip(serial, proc):
+        routed = shared_engine.parallel_query(STATEMENTS, mode=mode)
+        assert len(routed) == len(serial)
+        for expected, got in zip(serial, routed):
             assert fingerprint(got) == fingerprint(expected)
 
+    def test_results_keep_statement_order(self, shared_engine, mode):
+        statements = list(reversed(STATEMENTS))
+        serial = shared_engine.parallel_query(statements, mode="serial")
+        routed = shared_engine.parallel_query(statements, mode=mode)
+        for expected, got in zip(serial, routed):
+            assert fingerprint(got) == fingerprint(expected)
+
+    def test_unroutable_statement_falls_back_to_primary(self, shared_engine, mode):
+        fallbacks = REPORT_KEYS[mode][3]
+        before = shared_engine.maintenance_report()[fallbacks]
+        (result,) = shared_engine.parallel_query(
+            ["EXPLAIN SELECT item FROM item WHERE item.qty = 2;"], mode=mode
+        )
+        assert result is not None and not isinstance(result, ShippedQueryResult)
+        assert result.explanation
+        assert shared_engine.maintenance_report()[fallbacks] == before + 1
+
+    def test_dml_still_rejected(self, shared_engine, mode):
+        with pytest.raises(StorageError):
+            shared_engine.parallel_query(
+                ["DELETE FROM item WHERE item.qty = 2;"], mode=mode
+            )
+        assert shared_engine.maintenance_report()["pins_active"] == 0
+
+    def test_counters_move_exactly(self, shared_engine, mode):
+        """Every routed statement is tallied once — the fan-out threads count
+        into their own dict and the router adds it up after the join."""
+        replicas, served, _refused, fallbacks = REPORT_KEYS[mode]
+        before = shared_engine.maintenance_report()
+        for _ in range(5):
+            shared_engine.parallel_query(STATEMENTS[:3], mode=mode)
+        report = shared_engine.maintenance_report()
+        assert report[replicas] == 2
+        assert report[served] == before[served] + 15
+        assert report[fallbacks] == before[fallbacks]
+        assert report["fenced"] is False
+        if mode == "process":
+            assert report["procpool_dispatches"] == before["procpool_dispatches"] + 5
+            assert report["procpool_workers_started"] >= 2
+        else:
+            assert report["replication_followers_started"] == 2
+            assert report["replication_lag"] >= 0
+
+    def test_older_pin_is_refused_and_falls_back(self, fresh_engine, mode):
+        _replicas, _served, refused, fallbacks = REPORT_KEYS[mode]
+        add_replicas(fresh_engine, mode)
+        with fresh_engine.snapshot_at() as old:
+            for i in range(300, 310):
+                fresh_engine.store_atom(
+                    "item", identifier=f"i{i}", name=f"n{i}", grp="new", val=3.0, qty=3
+                )
+            # Advance the replicas past the old generation…
+            fresh_engine.parallel_query(STATEMENTS[:2], mode=mode)
+            before = fresh_engine.maintenance_report()
+            # …then dispatch pinned at it: a replica cannot rewind, so both
+            # are left out and the primary serves the statement at the old pin.
+            (result,) = fresh_engine.parallel_query(
+                ["SELECT COUNT(item.name) FROM item;"],
+                mode=mode,
+                generation=old.generation,
+            )
+            expected = old.query("SELECT COUNT(item.name) FROM item;")
+            assert fingerprint(result) == fingerprint(expected)
+            report = fresh_engine.maintenance_report()
+            assert report[refused] == before[refused] + 2
+            assert report[fallbacks] == before[fallbacks] + 1
+
+    def test_no_replica_available_falls_back(self, fresh_engine, mode, monkeypatch):
+        """Process: every worker is dead and cannot be respawned.  Replica:
+        no follower was ever created."""
+        if mode == "process":
+            pool = fresh_engine.process_pool(workers=2)
+            for pid in pool.worker_pids():
+                kill_and_wait(pid)
+
+            def no_spawn(worker):
+                raise StorageError("process-pool worker failed to seed: injected")
+
+            monkeypatch.setattr(pool, "_spawn", no_spawn)
+        serial = fresh_engine.parallel_query(STATEMENTS[:2], mode="serial")
+        routed = fresh_engine.parallel_query(STATEMENTS[:2], mode=mode)
+        for expected, got in zip(serial, routed):
+            assert fingerprint(got) == fingerprint(expected)
+        report = fresh_engine.maintenance_report()
+        assert report["pins_active"] == 0
+        if mode == "process":
+            assert report["procpool_fallbacks"] == 2
+            assert report["procpool_restarts"] == 0
+
+
+class TestProcessModeParity:
     def test_partitioned_recursive_closure(self, shared_engine):
         serial = shared_engine.query(RECURSIVE_ALL)
         (proc,) = shared_engine.parallel_query([RECURSIVE_ALL], mode="process")
@@ -135,37 +283,15 @@ class TestProcessModeParity:
         assert fingerprint(proc) == fingerprint(serial)
         assert shared_engine.process_pool().counters["partitioned"] >= 1
 
-    def test_results_keep_statement_order(self, shared_engine):
-        statements = list(reversed(STATEMENTS))
-        serial = shared_engine.parallel_query(statements, mode="serial")
-        proc = shared_engine.parallel_query(statements, mode="process")
-        for expected, got in zip(serial, proc):
-            assert fingerprint(got) == fingerprint(expected)
-
-    def test_explain_falls_back_to_primary(self, shared_engine):
-        (result,) = shared_engine.parallel_query(
-            ["EXPLAIN SELECT item FROM item WHERE item.qty = 2;"], mode="process"
-        )
-        assert not isinstance(result, ShippedQueryResult)
-        assert shared_engine.process_pool().counters["fallbacks"] >= 1
-
-    def test_dml_still_rejected(self, shared_engine):
-        with pytest.raises(StorageError):
-            shared_engine.parallel_query(
-                ["DELETE FROM item WHERE item.qty = 2;"], mode="process"
-            )
+    def test_followers_are_not_partitioned(self, shared_engine):
+        """Partitioned execution stays a worker-slot capability."""
+        (routed,) = shared_engine.parallel_query([RECURSIVE_ALL], mode="replica")
+        assert not isinstance(routed, ShippedQueryResult)
+        assert fingerprint(routed) == fingerprint(shared_engine.query(RECURSIVE_ALL))
 
     def test_unknown_mode_rejected(self, shared_engine):
         with pytest.raises(StorageError):
             shared_engine.parallel_query(["SELECT item FROM item;"], mode="fiber")
-
-    def test_maintenance_report_counters(self, shared_engine):
-        shared_engine.parallel_query(STATEMENTS[:2], mode="process")
-        report = shared_engine.maintenance_report()
-        assert report["procpool_workers"] == 2
-        assert report["procpool_dispatches"] >= 1
-        assert report["procpool_plans_shipped"] >= 1
-        assert report["procpool_workers_started"] >= 2
 
 
 class TestWorkerLifecycle:
@@ -225,27 +351,54 @@ class TestWorkerLifecycle:
             assert fingerprint(got) == fingerprint(expected)
         assert pool.counters["restarts"] == 0
 
-    def test_refusal_on_rewound_generation_falls_back(self, fresh_engine):
+    def test_failed_respawn_degrades_to_fallback(self, fresh_engine, monkeypatch):
+        """A respawn that fails is a crash the pool absorbs, like an
+        exhausted crash budget: the slot's statements run on the primary."""
         pool = fresh_engine.process_pool(workers=2)
-        with fresh_engine.snapshot_at() as old:
-            for i in range(300, 310):
-                fresh_engine.store_atom(
-                    "item", identifier=f"i{i}", name=f"n{i}", grp="new", val=3.0, qty=3
-                )
-            # Advance the workers past the old generation…
-            fresh_engine.parallel_query(STATEMENTS[:1], mode="process")
-            refusals_before = pool.counters["refusals"]
-            # …then dispatch pinned at it: workers cannot rewind, so every
-            # statement falls back to the primary at the old pin.
-            results = fresh_engine.parallel_query(
-                ["SELECT COUNT(item.name) FROM item;"],
-                mode="process",
-                generation=old.generation,
-            )
-            expected = old.query("SELECT COUNT(item.name) FROM item;")
-            assert fingerprint(results[0]) == fingerprint(expected)
-            assert pool.counters["refusals"] > refusals_before
-            assert pool.counters["fallbacks"] >= 1
+        baseline = fresh_engine.parallel_query(STATEMENTS, mode="serial")
+        pids = pool.worker_pids()
+        kill_and_wait(pids[0])
+
+        def no_spawn(worker):
+            raise StorageError("process-pool worker failed to seed: injected")
+
+        monkeypatch.setattr(pool, "_spawn", no_spawn)
+        proc = fresh_engine.parallel_query(STATEMENTS, mode="process")
+        for expected, got in zip(baseline, proc):
+            assert fingerprint(got) == fingerprint(expected)
+        report = fresh_engine.maintenance_report()
+        assert report["pins_active"] == 0
+        assert report["procpool_restarts"] == 0
+        assert report["procpool_plans_shipped"] + report["procpool_fallbacks"] == len(
+            STATEMENTS
+        )
+        fresh_engine.close()
+        assert not still_alive(pids)
+
+    def test_failed_construction_stops_what_it_started(self, fresh_engine, monkeypatch):
+        """A seed failure on worker k must not orphan workers 0…k-1 nor leave
+        anything subscribed to the commit feed."""
+        from repro.engine.procpool import ProcessPool
+
+        spawn = ProcessPool._spawn
+        started = []
+
+        def second_spawn_fails(pool, worker):
+            if started:
+                raise StorageError("process-pool worker failed to seed: injected")
+            spawn(pool, worker)
+            started.append(worker.process)
+
+        monkeypatch.setattr(ProcessPool, "_spawn", second_spawn_fails)
+        with pytest.raises(StorageError, match="injected"):
+            fresh_engine.process_pool(workers=3)
+        assert len(started) == 1 and not started[0].is_alive()
+        fresh_engine.store_atom(
+            "item", identifier="after", name="after", grp="x", val=0.0, qty=0
+        )
+        assert len(fresh_engine._open_feed()) == 0  # nobody subscribed
+        monkeypatch.undo()
+        assert fresh_engine.process_pool(workers=2).size == 2  # and it can be retried
 
     def test_pool_requires_durability(self):
         engine = PrimaEngine()
@@ -257,19 +410,7 @@ class TestWorkerLifecycle:
         pool = engine.process_pool(workers=2)
         pids = pool.worker_pids()
         engine.close()
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            alive = []
-            for pid in pids:
-                try:
-                    os.kill(pid, 0)
-                    alive.append(pid)
-                except OSError:
-                    pass
-            if not alive:
-                break
-            time.sleep(0.02)
-        assert not alive
+        assert not still_alive(pids)
 
 
 class TestShippingCodec:

@@ -1,22 +1,23 @@
-"""Log-shipping replication: followers, catch-up, promotion, read routing.
+"""Log-shipping replication: the commit feed, followers, catch-up, promotion.
 
-``storage/replication.py`` turns the WAL's commit/DDL records into a
-replication feed: a :class:`FollowerEngine` seeds from the checkpoint image
-plus WAL tail (the process-pool seeding path), then tracks the primary
-either through the in-process :class:`ReplicationHub` feed or by polling
-the WAL file incrementally, and serves snapshot-pinned reads at its applied
-generation.  ``parallel_query(mode="replica")`` fans read statements over
-the followers with a staleness bound.
+``storage/replication.py`` turns the WAL's commit/DDL records into one
+commit feed: a :class:`FollowerEngine` seeds from the checkpoint image plus
+WAL tail, then tracks the primary either through the in-process
+:class:`ReplicationHub` (which ships it the feed) or by polling the WAL file
+incrementally, and serves snapshot-pinned reads at its applied generation.
+``parallel_query(mode="replica")`` fans read statements over the followers
+with a staleness bound (the route contract both replica routes share is in
+``test_procpool.py::TestRouteContract``).
 
-Covers: WAL multi-observer fan-out (a process pool and a replication tail
-must never clobber each other's tap — the PR 9 bugfix), incremental
-``read_wal(from_offset=…)`` with a cut at every byte of an in-flight
-record, follower polling across torn tails and checkpoint truncation
-(re-seed, never rewind), hub catch-up with rewind/too-fresh refusals,
-byte-parity live / mid-catch-up / after promotion, fencing (basic writes,
-DDL, new and in-flight transactions), the replica router's staleness and
-fallback semantics, planner dispatch costing with replicas, and a
-hypothesis sweep of DML bursts vs. follower replay parity.
+Covers: WAL multi-observer fan-out, the one feed (a record is held once
+however many subscribers, a leaving subscriber never stops the others, no
+subscriber → nothing held), incremental ``read_wal(from_offset=…)`` with a
+cut at every byte of an in-flight record, follower polling across torn tails
+and checkpoint truncation (re-seed, never rewind), hub catch-up with
+rewind/too-fresh refusals, byte-parity live / mid-catch-up / after
+promotion, fencing (basic writes, DDL, new and in-flight transactions), the
+replica router's staleness semantics, planner dispatch costing with
+replicas, and a hypothesis sweep of DML bursts vs. follower replay parity.
 """
 
 from __future__ import annotations
@@ -164,26 +165,82 @@ class TestWalObserverFanout:
         assert first == [] and len(second) == 1
         wal.close()
 
-    def test_pool_shutdown_keeps_replication_tap_live(self, fresh_engine):
-        """Regression: with a process pool and a replication hub both
-        subscribed, shutting the pool down must not clobber the hub's tap."""
+
+class TestCommitFeed:
+    """One WAL tap per engine: the pool's workers and the hub's followers
+    are subscribers of the same feed."""
+
+    def test_pool_shutdown_leaves_followers_receiving(self, fresh_engine):
         pool = fresh_engine.process_pool(workers=2)
+        follower = fresh_engine.create_follower()
         hub = fresh_engine.replication_hub()
         burst(fresh_engine, 100, 105)
-        before = hub.feed_position()
-        assert before >= 5
         pool.shutdown()
         burst(fresh_engine, 105, 110)
-        assert hub.feed_position() == before + 5
+        assert hub.ship(follower) == 10
+        assert fingerprint(follower.query(COUNT_ITEMS)) == fingerprint(
+            fresh_engine.query(COUNT_ITEMS)
+        )
 
-    def test_hub_close_keeps_pool_tap_live(self, fresh_engine):
+    def test_hub_close_leaves_pool_receiving(self, fresh_engine):
         pool = fresh_engine.process_pool(workers=2)
+        fresh_engine.create_follower()
         hub = fresh_engine.replication_hub()
+        burst(fresh_engine, 100, 105)
         fresh_engine._replication = None  # close out-of-band, engine keeps pool
         hub.close()
-        before = pool.feed_position()
-        burst(fresh_engine, 110, 115)
-        assert pool.feed_position() == before + 5
+        burst(fresh_engine, 105, 110)
+        serial = fresh_engine.parallel_query(STATEMENTS[:3], mode="serial")
+        shipped = fresh_engine.parallel_query(STATEMENTS[:3], mode="process")
+        for expected, got in zip(serial, shipped):
+            assert fingerprint(got) == fingerprint(expected)
+        assert pool.counters["catchup_records"] == 2 * 10
+        assert pool.counters["fallbacks"] == 0
+
+    def test_one_record_is_held_once(self, fresh_engine):
+        """With a pool and a follower on one engine a burst of n commits
+        leaves exactly n records in memory, until *both* have caught up."""
+        pool = fresh_engine.process_pool(workers=2)
+        fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        assert pool.feed is hub.feed
+        feed, before = hub.feed, hub.feed.position()
+        burst(fresh_engine, 100, 120)
+        assert len(feed) == 20 and feed.position() == before + 20
+        pool.catch_up_all(fresh_engine.generation, feed.position())
+        assert len(feed) == 20  # the follower still needs them
+        hub.catch_up_all()
+        assert len(feed) == 0 and feed.position() == before + 20
+
+    def test_feed_holds_nothing_without_subscribers(self, fresh_engine):
+        """Regression: a hub with no follower never trimmed while its WAL
+        tap kept appending — unbounded memory after the last ``close()``."""
+        follower = fresh_engine.create_follower()
+        feed = fresh_engine.replication_hub().feed
+        burst(fresh_engine, 100, 110)
+        assert len(feed) == 10
+        follower.close()
+        assert len(feed) == 0
+        before = feed.position()
+        burst(fresh_engine, 110, 360)
+        assert len(feed) == 0 and feed.position() == before + 250
+        # A later subscriber seeds from the files and misses nothing.
+        late = fresh_engine.create_follower()
+        assert late.applied_seq == feed.position()
+        assert fingerprint(late.query(COUNT_ITEMS)) == fingerprint(
+            fresh_engine.query(COUNT_ITEMS)
+        )
+
+    def test_detached_follower_is_refused_not_given_a_gap(self, fresh_engine):
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        follower.close()
+        burst(fresh_engine, 100, 105)
+        keeper = fresh_engine.create_follower()  # makes the feed hold records again
+        burst(fresh_engine, 105, 110)
+        with pytest.raises(ReplicationError, match="trimmed"):
+            hub.ship(follower)
+        assert hub.ship(keeper) == 5
 
 
 class TestIncrementalReadWal:
@@ -344,11 +401,14 @@ class TestHubCatchUp:
 
     def test_feed_trimmed_after_catch_up(self, fresh_engine):
         fresh_engine.create_follower()
+        fresh_engine.create_follower()
         hub = fresh_engine.replication_hub()
+        before = hub.feed.position()
         burst(fresh_engine, 100, 140)
+        assert len(hub.feed) == 40
         hub.catch_up_all()
-        assert hub._feed == []  # every follower applied everything
-        assert hub.feed_position() == hub._feed_base
+        assert len(hub.feed) == 0  # every follower applied everything
+        assert hub.feed.position() == before + 40
 
     def test_replication_requires_durability(self):
         engine = PrimaEngine()
@@ -446,14 +506,6 @@ class TestPromotion:
 
 
 class TestReplicaRouter:
-    def test_router_parity_with_followers(self, replica_engine):
-        serial = replica_engine.parallel_query(STATEMENTS, mode="serial")
-        routed = replica_engine.parallel_query(STATEMENTS, mode="replica")
-        assert len(routed) == len(serial)
-        for expected, got in zip(serial, routed):
-            assert fingerprint(got) == fingerprint(expected)
-        assert replica_engine.replication_hub().counters["routed"] >= 1
-
     def test_router_catches_lagging_followers_up(self, replica_engine):
         hub = replica_engine.replication_hub()
         burst(replica_engine, 500, 520, grp="lagged")
@@ -464,20 +516,6 @@ class TestReplicaRouter:
             assert fingerprint(got) == fingerprint(expected)
         assert hub.counters["waits"] > waits_before
         assert hub.max_lag() == 0
-
-    def test_router_skips_followers_ahead_of_old_pin(self, replica_engine):
-        hub = replica_engine.replication_hub()
-        with replica_engine.snapshot_at() as old:
-            burst(replica_engine, 520, 530, grp="ahead")
-            hub.catch_up_all()  # both followers move past the old pin
-            skipped_before = hub.counters["skipped"]
-            fallbacks_before = hub.counters["fallbacks"]
-            (result,) = replica_engine.parallel_query(
-                [COUNT_ITEMS], mode="replica", generation=old.generation
-            )
-            assert fingerprint(result) == fingerprint(old.query(COUNT_ITEMS))
-            assert hub.counters["skipped"] >= skipped_before + 2
-            assert hub.counters["fallbacks"] > fallbacks_before
 
     def test_router_bounded_staleness_serves_follower_generation(self, tmp_path):
         engine = build_engine(tmp_path)
@@ -495,40 +533,6 @@ class TestReplicaRouter:
                 assert follower.lag(engine.generation) == 10
         finally:
             engine.close()
-
-    def test_router_unshippable_statements_fall_back(self, replica_engine):
-        hub = replica_engine.replication_hub()
-        fallbacks_before = hub.counters["fallbacks"]
-        (result,) = replica_engine.parallel_query(
-            ["EXPLAIN SELECT item FROM item WHERE item.qty = 2;"], mode="replica"
-        )
-        assert result is not None
-        assert hub.counters["fallbacks"] > fallbacks_before
-
-    def test_router_dml_still_rejected(self, replica_engine):
-        with pytest.raises(StorageError):
-            replica_engine.parallel_query(
-                ["DELETE FROM item WHERE item.qty = 2;"], mode="replica"
-            )
-
-    def test_router_without_followers_falls_back(self, tmp_path):
-        engine = build_engine(tmp_path)
-        try:
-            serial = engine.parallel_query(STATEMENTS[:2], mode="serial")
-            routed = engine.parallel_query(STATEMENTS[:2], mode="replica")
-            for expected, got in zip(serial, routed):
-                assert fingerprint(got) == fingerprint(expected)
-        finally:
-            engine.close()
-
-    def test_maintenance_report_counters(self, replica_engine):
-        replica_engine.parallel_query(STATEMENTS[:2], mode="replica")
-        report = replica_engine.maintenance_report()
-        assert report["replication_followers"] == 2
-        assert report["replication_followers_started"] == 2
-        assert report["replication_routed"] >= 1
-        assert report["replication_lag"] >= 0
-        assert report["fenced"] is False
 
 
 class TestDispatchCosting:
