@@ -62,14 +62,15 @@ def build_engine(depth: int, fan_out: int, directory=None, fsync: str = "batch")
 
 
 def store_state(engine: PrimaEngine) -> str:
-    """A byte-stable fingerprint of the engine's stores."""
+    """A byte-stable fingerprint of the engine's database."""
+    database = engine.to_database()
     atoms = {
-        name: {atom.identifier: atom.values for atom in store}
-        for name, store in engine._atom_stores.items()
+        atom_type.name: {atom.identifier: atom.values for atom in atom_type}
+        for atom_type in database.atom_types
     }
     links = {
-        name: sorted(sorted(link.given_order) for link in store)
-        for name, store in engine._link_stores.items()
+        link_type.name: sorted(sorted(link.given_order) for link in link_type)
+        for link_type in database.link_types
     }
     return json.dumps({"atoms": atoms, "links": links}, sort_keys=True, default=str)
 

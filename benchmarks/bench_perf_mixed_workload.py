@@ -1,17 +1,18 @@
 """E-PERF4 — mixed read/write workloads: incremental maintenance vs. rebuild.
 
 Interleaves molecule queries with MQL DML (INSERT / MODIFY / DELETE) over a
-scaled geography, comparing the engine's two cache-maintenance strategies:
+scaled geography, comparing the engine's cache maintenance with a baseline:
 
-* ``incremental`` (default) — every write is folded into the cached
-  snapshot, hash indexes, atom network and planner statistics;
-* ``rebuild`` — the historical invalidate-everything behaviour: each write
-  discards all caches and the next query re-exports the snapshot, rebuilds
-  the network and re-creates the interpreter.
+* ``incremental`` — the engine: every write is folded into its hash
+  indexes, atom network and planner statistics;
+* ``rebuild`` — the historical invalidate-everything behaviour, rebuilt here
+  (:func:`rebuild_everything`; the engine no longer has such a mode): each
+  write discards every derived structure, so the next query re-exports the
+  state, rebuilds the network and re-creates the interpreter.
 
-Shape checks: both modes return identical query results; in steady state the
-incremental engine performs **zero** full rebuilds (build counters stay at 1
-after warm-up) and beats the rebuild engine's wall-clock.
+Shape checks: both return identical query results; in steady state the
+engine performs **zero** full rebuilds (build counters stay at 1 after
+warm-up) and beats the rebuilding baseline's wall-clock.
 
 Run standalone to emit ``BENCH_mixed_workload.json``::
 
@@ -21,7 +22,7 @@ Run standalone to emit ``BENCH_mixed_workload.json``::
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from bench_common import parse_benchmark_args, write_report
 
@@ -35,48 +36,73 @@ QUERY_STATEMENTS = (
 )
 
 
-def run_mixed_workload(engine: PrimaEngine, rounds: int) -> Dict[str, object]:
-    """Drive *rounds* of interleaved query/insert/modify/delete statements."""
+def rebuild_everything(engine: PrimaEngine) -> PrimaEngine:
+    """The invalidate-everything baseline: throw the engine away after a write.
+
+    What continues is a fresh engine bulk-loaded from the written state — a
+    full re-export, and on its first query a new network, index pool,
+    interpreter and statistics pass.
+    """
+    return PrimaEngine.from_database(engine.to_database())
+
+
+def run_mixed_workload(
+    engine: PrimaEngine,
+    rounds: int,
+    after_write: Optional[Callable[[PrimaEngine], PrimaEngine]] = None,
+) -> Dict[str, object]:
+    """Drive *rounds* of interleaved query/insert/modify/delete statements.
+
+    *after_write* (the baseline's :func:`rebuild_everything`) replaces the
+    engine after every DML statement; ``rebuilds`` counts those.
+    """
     sizes: List[int] = []
+    rebuilds = 0
+
+    def write(statement: str) -> None:
+        nonlocal engine, rebuilds
+        engine.query(statement)
+        if after_write is not None:
+            engine = after_write(engine)
+            rebuilds += 1
+
     started = time.perf_counter()
     for index in range(rounds):
         code = f"W{index}"
-        engine.query(
+        write(
             "INSERT state - area VALUES "
             f"{{name: 'w{index}', code: '{code}', hectare: {600 + index}, "
             f"area: {{area_id: 'aw{index}', kind: 'state-border'}}}};"
         )
         for statement in QUERY_STATEMENTS:
             sizes.append(len(engine.query(statement)))
-        engine.query(
+        write(
             f"MODIFY state FROM state - area SET hectare = {100 + index} "
             f"WHERE state.code = '{code}';"
         )
         sizes.append(len(engine.query(f"SELECT ALL FROM state-area WHERE state.code = '{code}';")))
-        engine.query(f"DELETE FROM state - area WHERE state.code = '{code}';")
+        write(f"DELETE FROM state - area WHERE state.code = '{code}';")
     elapsed = time.perf_counter() - started
     return {
         "elapsed_seconds": elapsed,
         "statements": rounds * (3 + len(QUERY_STATEMENTS) + 1),
         "result_sizes": sizes,
+        "rebuilds": rebuilds,
         "maintenance": engine.maintenance_statistics(),
     }
 
 
-def build_engine(mode: str, n_states: int) -> PrimaEngine:
+def build_engine(n_states: int) -> PrimaEngine:
     database = build_geography(n_states=n_states, edges_per_state=5, n_rivers=4)
-    engine = PrimaEngine.from_database(database, maintenance=mode)
+    engine = PrimaEngine.from_database(database)
     engine.query("SELECT ALL FROM state-area WHERE state.code = 'S1';")  # warm caches
     return engine
 
 
 def compare_modes(rounds: int, n_states: int) -> Dict[str, object]:
-    """Run the workload under both maintenance modes and compare."""
-    runs: Dict[str, Dict[str, object]] = {}
-    for mode in ("incremental", "rebuild"):
-        engine = build_engine(mode, n_states)
-        runs[mode] = run_mixed_workload(engine, rounds)
-    incremental, rebuild = runs["incremental"], runs["rebuild"]
+    """Run the workload on the engine and on the rebuilding baseline."""
+    incremental = run_mixed_workload(build_engine(n_states), rounds)
+    rebuild = run_mixed_workload(build_engine(n_states), rounds, rebuild_everything)
     return {
         "experiment": "E-PERF4 mixed read/write workload",
         "rounds": rounds,
@@ -93,9 +119,9 @@ def compare_modes(rounds: int, n_states: int) -> Dict[str, object]:
 
 def test_perf4_incremental_steady_state_has_zero_rebuilds():
     """After warm-up, a mixed workload causes no snapshot/network/index rebuilds."""
-    engine = build_engine("incremental", n_states=10)
-    run_mixed_workload(engine, rounds=5)
-    report = engine.maintenance_statistics()
+    engine = build_engine(n_states=10)
+    report = run_mixed_workload(engine, rounds=5)["maintenance"]
+    assert engine.maintenance_statistics() == report  # still the same engine
     assert report["snapshot_builds"] == 1
     assert report["network_builds"] == 1
     assert report["interpreter_builds"] == 1
@@ -106,10 +132,8 @@ def test_perf4_incremental_steady_state_has_zero_rebuilds():
 
 def test_perf4_rebuild_mode_rebuilds_per_write():
     """The baseline pays one full cache rebuild per write burst."""
-    engine = build_engine("rebuild", n_states=10)
-    run_mixed_workload(engine, rounds=5)
-    report = engine.maintenance_statistics()
-    assert report["snapshot_builds"] > 5
+    run = run_mixed_workload(build_engine(n_states=10), 5, rebuild_everything)
+    assert run["rebuilds"] == 15  # three DML statements a round
 
 
 def test_perf4_modes_return_identical_results():
@@ -145,7 +169,7 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     print(
         f"  rebuild:     {rebuild['elapsed_seconds']:.3f}s, "
-        f"builds={rebuild['maintenance']['snapshot_builds']}"
+        f"builds={1 + rebuild['rebuilds']}"
     )
     print(f"  speedup: {comparison['speedup']:.2f}x, identical={comparison['results_identical']}")
     write_report(args.output, comparison)

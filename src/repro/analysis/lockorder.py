@@ -42,15 +42,16 @@ FACTORY_MODULE = "repro.analysis.runtime"
 
 FACTORY_FUNCTIONS = {"make_lock": "Lock", "make_rlock": "RLock"}
 
-#: Method names common on builtin containers/files: the unique-method
-#: call-graph fallback never fires for these — a ``self._records.append(...)``
-#: on a plain list must not resolve to ``WriteAheadLog.append``.  Typed
-#: receivers still resolve normally.
+#: Method names common on builtin containers/strings/files (and ``os``): the
+#: unique-method call-graph fallback never fires for these — a
+#: ``self._records.append(...)`` on a plain list must not resolve to
+#: ``WriteAheadLog.append``, nor ``os.replace(tmp, path)`` to
+#: ``AtomType.replace``.  Typed receivers still resolve normally.
 COMMON_METHOD_NAMES = frozenset({
     "append", "extend", "insert", "remove", "pop", "clear", "add",
     "discard", "update", "setdefault", "popitem", "get", "keys", "values",
     "items", "copy", "sort", "reverse", "count", "index", "join", "split",
-    "strip", "write", "read", "readline", "flush", "seek", "tell",
+    "strip", "replace", "write", "read", "readline", "flush", "seek", "tell",
     "acquire", "release", "close", "open", "send", "recv", "put",
 })
 

@@ -115,18 +115,19 @@ LOCKS: Tuple[LockSpec, ...] = (
         kind=KIND_RLOCK,
         module="repro.storage.engine",
         guards="basic-interface writes (store_atom / connect / delete_atom), "
-        "fence() and checkpoint() serialize against each other",
+        "type DDL, fence() and checkpoint() serialize against each other",
     ),
     LockSpec(
         name="PrimaEngine._cache_lock",
         level=15,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="lazy construction/teardown of the cached access structures "
-        "(snapshot, network, interpreter, index pool, pool/hub references)",
-        rationale="construction of the snapshot takes head locks and the "
-        "versioning guard underneath, so it sits below 18-22; shutdown "
-        "hands pool/hub references out of the lock before closing them",
+        guards="lazy construction/teardown of the derived access structures "
+        "(network, interpreter, index pool, pool/hub references)",
+        rationale="type DDL holds it across the versioning lock (the "
+        "no-active-transaction check and the registration), so it sits "
+        "below 30; shutdown hands pool/hub references out of the lock "
+        "before closing them",
     ),
     LockSpec(
         name="Database._versioning_guard",
@@ -135,8 +136,8 @@ LOCKS: Tuple[LockSpec, ...] = (
         module="repro.core.database",
         guards="versioning-state creation (enable_versioning may race an "
         "engine thread against an MQL BEGIN WORK elsewhere)",
-        rationale="taken under the cache lock (snapshot build) and the "
-        "session guard (BEGIN WORK); acquires nothing underneath",
+        rationale="taken under the session guard (BEGIN WORK); acquires "
+        "nothing underneath",
     ),
     LockSpec(
         name="AtomType._lock",
@@ -155,7 +156,8 @@ LOCKS: Tuple[LockSpec, ...] = (
         module="repro.core.link",
         guards="per-type head lock (see AtomType._lock), plus the "
         "cardinality check; link-type and atom-type head locks are never "
-        "nested (mirror paths release one before taking the other)",
+        "nested (a delete releases each link type's before taking the "
+        "atom type's)",
         per_instance=True,
     ),
     LockSpec(
@@ -186,9 +188,9 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=40,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="one change event at a time: generation counter, store "
-        "mirror, incremental cache maintenance, WAL routing; also the "
-        "basic-interface store mutation (dict + hash indexes)",
+        guards="one change event at a time: generation counter, "
+        "incremental cache maintenance, WAL routing; also a declared "
+        "index's first build in the pool (basic-interface lookup)",
         rationale="acquired inside head locks and the versioning lock "
         "(event emission); only acquires the leaves above level 40",
     ),

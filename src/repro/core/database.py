@@ -65,7 +65,7 @@ class Database:
         The listener receives one :class:`~repro.core.events.ChangeEvent` per
         occurrence-level mutation — atom inserted/deleted/modified, link
         connected/disconnected — in mutation order.  This is the hook the
-        storage engine uses to maintain its snapshot, indexes and atom network
+        storage engine uses to maintain its indexes and atom network
         incrementally instead of rebuilding them on every write.
         """
         if listener not in self._listeners:
@@ -217,7 +217,9 @@ class Database:
             raise DuplicateNameError(
                 f"name {atom_type.name!r} already used by a link type"
             )
-        self._atom_types[atom_type.name] = atom_type
+        # Copy-on-write: a storage engine registers types in its live
+        # database while other threads iterate the registry (GC, planning).
+        self._atom_types = {**self._atom_types, atom_type.name: atom_type}
         for listener in self._listeners:
             atom_type.events.subscribe(listener)
         if self._versioning is not None:
@@ -290,7 +292,7 @@ class Database:
                 raise UnknownNameError(
                     f"link type {link_type.name!r} references unknown atom type {type_name!r}"
                 )
-        self._link_types[link_type.name] = link_type
+        self._link_types = {**self._link_types, link_type.name: link_type}
         for listener in self._listeners:
             link_type.events.subscribe(listener)
         if self._versioning is not None:

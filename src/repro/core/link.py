@@ -372,10 +372,27 @@ class LinkType:
             )
         if link.link_type_name != self._name:
             link = Link(self._name, *tuple(link.identifiers) * (2 if len(link.identifiers) == 1 else 1))
+        return self._insert(link, check=True)
+
+    def redo_connect(self, first: str, second: str) -> Link:
+        """Re-insert a logged link (recovery and replica replay).
+
+        The cardinality restriction was enforced when the link was first
+        connected and is *not* re-checked: a log replays in commit order,
+        which can pass through states the original mutation order never
+        produced (a re-applied prefix over a newer image; interleaved
+        transactions), and the replayed end state is the validated one.
+        """
+        return self._insert(
+            Link(self._name, first, second, self._first_type, self._second_type), check=False
+        )
+
+    def _insert(self, link: Link, check: bool) -> Link:
         with self._lock:
             if link in self._links:
                 return link
-            self._check_cardinality(link)
+            if check:
+                self._check_cardinality(link)
 
             def connect_head(link: Link = link) -> None:
                 self._links.add(link)

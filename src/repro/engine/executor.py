@@ -169,8 +169,9 @@ class Executor:
     filters and an optional atom network for link traversal.  The default
     pool does **not** cache transient indexes — a bare :class:`Database` may
     be mutated between runs and the executor has no invalidation hook.
-    Callers that can guarantee an immutable database (the storage engine
-    binds one pool per snapshot) pass a pool with transient builds enabled.
+    Callers that keep the pool coherent (the storage engine folds every
+    change event of its database into its one pool) pass a pool with
+    transient builds enabled.
     """
 
     def __init__(

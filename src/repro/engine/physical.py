@@ -82,7 +82,7 @@ class IndexPool:
     on first use from the database occurrence and **cached for the pool's
     lifetime** — which is only sound when the database cannot change under
     the pool, or when every change is folded in through :meth:`apply_event`
-    (the storage engine does the latter: it subscribes to its snapshot's
+    (the storage engine does the latter: it subscribes to its database's
     change events and keeps the pool's :attr:`generation` in lock-step with
     its own, so a coherent pool never needs rebuilding on writes).  Ephemeral
     executors over a live, unobserved :class:`~repro.core.database.Database`

@@ -218,7 +218,7 @@ class CheckpointStatement:
     Only meaningful on a durable storage engine
     (:class:`~repro.storage.engine.PrimaEngine` with a durability
     configuration); rejected while a session transaction is active, because
-    the stores then carry uncommitted mirror state.
+    the head then carries uncommitted writes.
     """
 
 

@@ -193,9 +193,7 @@ class MQLInterpreter:
         self._checkpoint_hook = checkpoint
 
     @classmethod
-    def from_directory(
-        cls, directory, fsync: str = "batch", maintenance: str = "incremental"
-    ) -> "MQLInterpreter":
+    def from_directory(cls, directory, fsync: str = "batch") -> "MQLInterpreter":
         """Reopen a durable engine's directory and return its interpreter.
 
         Recovery (checkpoint load + redo-only WAL replay) happens during the
@@ -205,9 +203,7 @@ class MQLInterpreter:
         """
         from repro.storage.engine import PrimaEngine  # deferred: package cycle
 
-        return PrimaEngine.open(
-            directory, fsync=fsync, maintenance=maintenance
-        ).interpreter()
+        return PrimaEngine.open(directory, fsync=fsync).interpreter()
 
     @property
     def planner(self) -> Planner:

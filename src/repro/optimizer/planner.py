@@ -107,7 +107,7 @@ class Planner:
     rewrite rule actually fired or a recursive node needs costing (costing
     identical non-recursive plans decides nothing).  Afterwards they can be
     maintained incrementally through :meth:`apply_event` — the storage engine
-    subscribes its planner to the snapshot's change events, so occurrence
+    subscribes its planner to its database's change events, so occurrence
     counts stay exact across writes (per-attribute distinct-value counts keep
     their collected values, an approximation that only shapes selectivity
     guesses).  Results stay correct either way: ranking drift can never

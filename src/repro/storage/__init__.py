@@ -8,22 +8,21 @@ molecule processing and implements an MQL interface".
 
 This package reproduces that architecture in memory:
 
-* :mod:`repro.storage.atom_store` / :mod:`repro.storage.link_store` — flat
-  stores with identifier lookup and secondary indexes,
-* :mod:`repro.storage.network` — the atom-network adjacency view used for fast
-  link traversal,
 * :mod:`repro.storage.engine` — the two-layer :class:`PrimaEngine`: an
   atom-oriented interface below, a molecule-processing interface (backed by
-  the molecule algebra and MQL) above.
+  the molecule algebra and MQL) above — two interfaces over one versioned
+  :class:`~repro.core.database.Database`, the engine's only copy of the state,
+* :mod:`repro.storage.index` — the hash and grid indexes the engine's index
+  pool serves value lookups from,
+* :mod:`repro.storage.network` — the atom-network adjacency view used for fast
+  link traversal.
 
 The substitution from the paper's C/mainframe prototype to pure Python is
 documented in DESIGN.md; the layering and the operation split are preserved.
 """
 
-from repro.storage.atom_store import AtomStore
 from repro.storage.engine import PrimaEngine, SnapshotHandle
 from repro.storage.index import HashIndex
-from repro.storage.link_store import LinkStore
 from repro.storage.network import AtomNetwork
 from repro.storage.recovery import RecoveryResult
 from repro.storage.replication import (
@@ -35,11 +34,9 @@ from repro.storage.wal import DurabilityConfig, WalError, WriteAheadLog, read_wa
 
 __all__ = [
     "AtomNetwork",
-    "AtomStore",
     "DurabilityConfig",
     "FollowerEngine",
     "HashIndex",
-    "LinkStore",
     "PrimaEngine",
     "RecoveryResult",
     "ReplicationError",

@@ -148,7 +148,7 @@ class ColumnarStore:
         #: row operators (the benchmark baseline and an escape hatch).
         self.enabled = True
         self._projections: Dict[str, ColumnarProjection] = {}  # guarded-by: ColumnarStore._lock
-        #: Engine write generation (stamped on every fold and interpreter build).
+        #: Engine write generation (stamped on every fold and fast-forward).
         self.generation = 0
         #: Pinned-snapshot reads that could not use a projection coherently.
         self.snapshot_gaps = 0
@@ -218,12 +218,6 @@ class ColumnarStore:
                     projection.apply_event(event)
                 if generation is not None:
                     projection.generation = generation
-
-    def mark_all_stale(self) -> None:
-        """Engine cache invalidation: projections resync on next head use."""
-        with self._lock:
-            for projection in self._projections.values():
-                projection._mark_stale()
 
     def stamp(self, generation: int) -> None:
         """Record the engine generation the built projections are coherent with."""

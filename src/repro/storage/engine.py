@@ -12,31 +12,34 @@ The engine mirrors the architecture the paper reports for the PRIMA prototype:
   rule-driven planner, and run on the streaming executor — which reuses the
   engine's secondary indexes and its cached atom network as access paths.
   MQL DML statements (INSERT / DELETE / MODIFY) run through the same
-  pipeline: the write plan mutates the snapshot database atomically, and the
-  engine mirrors every change back into its stores.
+  pipeline: the write plan mutates the database atomically.
 
-Internally the engine keeps one :class:`AtomStore` per atom type and one
-:class:`LinkStore` per link type; :meth:`to_database` exports a consistent
-:class:`~repro.core.database.Database` snapshot for the algebra layers.
+**One state.**  The two components are two *interfaces* over one occurrence
+of atoms and links: the engine creates one versioned
+:class:`~repro.core.database.Database` at construction and
+:meth:`PrimaEngine.to_database` returns that object for the engine's life.
+DDL adds types to it, the basic interface reads and writes its
+``AtomType``/``LinkType`` heads, MQL and the manipulation API mutate it
+directly, and recovery and replicas replay into it.  Its version clock, pins
+and commit log are the engine's MVCC state.
 
-**Cache maintenance.**  The snapshot, the atom network, the hash-index pool
-and the planner statistics are cached together and — in the default
-``incremental`` mode — maintained *in place* on every write: the engine
-subscribes to the snapshot's change events and folds each atom/link delta
-into the cached structures, bumping a :attr:`generation` counter that the
-executor's index pool is stamped with (a pool whose generation matches the
-engine's is coherent by construction).  The ``rebuild`` mode restores the
-historical invalidate-everything behaviour — every write discards all caches
-and the next read rebuilds them from the stores; the mixed-workload benchmark
-compares the two.
+**Cache maintenance.**  The atom network, the hash-index pool, the planner
+statistics, the structure indexes and the columnar projections are *derived*
+from the database and maintained in place: the engine subscribes to the
+database's change events once and folds each atom/link delta into them,
+advancing a :attr:`generation` counter the derived structures are stamped
+with (a pool whose generation matches the engine's is coherent by
+construction).  DDL drops the network, the index pool and the interpreter —
+never the database — and the next read rebuilds them.
 
 **Durability.**  With ``durability=DurabilityConfig(directory)`` the engine
 opens (and crash-recovers) a write-ahead log on construction: change events
-are buffered per transaction and appended as one checksummed commit record
-when the transaction commits — atomically with the MVCC commit-log entry —
-so recovery (:mod:`repro.storage.recovery`) is pure redo of the committed
-prefix.  :meth:`PrimaEngine.checkpoint` (or MQL ``CHECKPOINT``) writes a
-compact catalog + occurrence image and truncates the log.
+are buffered per writer — a transaction, or one basic-interface operation —
+and appended as one checksummed commit record when the writer commits —
+atomically with the MVCC commit-log entry for transactions — so recovery
+(:mod:`repro.storage.recovery`) is pure redo of the committed prefix.
+:meth:`PrimaEngine.checkpoint` (or MQL ``CHECKPOINT``) writes a compact
+catalog + occurrence image and truncates the log.
 
 **Read replicas.**  A durable engine lazily owns one commit feed
 (:class:`~repro.storage.replication.CommitFeed`, its only WAL tap), from
@@ -50,31 +53,20 @@ from __future__ import annotations
 
 import collections
 import os
-import threading
 
 from repro.analysis.runtime import make_lock, make_rlock
 from repro.analysis.runtime import checker_report as runtime_lock_report
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.atom import Atom, AtomType
 from repro.core.database import Database
-from repro.core.events import (
-    ATOM_DELETED,
-    ATOM_INSERTED,
-    ATOM_MODIFIED,
-    LINK_CONNECTED,
-    LINK_DISCONNECTED,
-    ChangeEvent,
-    Listener,
-)
+from repro.core.events import ChangeEvent
 from repro.core.link import Cardinality, Link, LinkType
 from repro.core.molecule import MoleculeType, MoleculeTypeDescription
 from repro.core.molecule_algebra import molecule_type_definition
 from repro.core.versions import Snapshot
-from repro.exceptions import StorageError, UnknownNameError
-from repro.storage.atom_store import AtomStore
-from repro.storage.link_store import LinkStore
+from repro.exceptions import StorageError
 from repro.storage.network import AtomNetwork
 from repro.storage.recovery import RecoveryResult, describe_attributes, recover
 from repro.storage.columnar import ColumnarStore
@@ -86,27 +78,14 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.mql.interpreter import MQLInterpreter, QueryResult
     from repro.optimizer.planner import PlanChoice
 
-#: The two cache-maintenance strategies.
-INCREMENTAL = "incremental"
-REBUILD = "rebuild"
-
-#: MVCC statistics reported while no snapshot (and hence no version clock) exists.
-NO_VERSION_STATISTICS: Dict[str, object] = {
-    "versions_live": 0,
-    "versions_collected": 0,
-    "oldest_pinned_generation": None,
-    "pins_active": 0,
-}
-
 
 class PrimaEngine:
     """An in-memory, two-layer storage engine for MAD databases.
 
-    *maintenance* selects the cache strategy: ``"incremental"`` (default)
-    folds every write into the cached snapshot, atom network, hash indexes
-    and planner statistics; ``"rebuild"`` invalidates everything on each
-    write and rebuilds lazily — the pre-write-pipeline behaviour, kept as
-    the benchmark baseline.
+    Every write — basic interface, MQL DML, the manipulation API on
+    :meth:`to_database` — lands in the engine's one database and is folded
+    into the cached atom network, hash indexes and planner statistics in
+    place.
 
     *durability* (a :class:`~repro.storage.wal.DurabilityConfig`) makes the
     engine persistent: construction recovers the directory's checkpoint and
@@ -119,65 +98,62 @@ class PrimaEngine:
     def __init__(
         self,
         name: str = "prima",
-        maintenance: str = INCREMENTAL,
         durability: Optional[DurabilityConfig] = None,
     ) -> None:
-        if maintenance not in (INCREMENTAL, REBUILD):
-            raise StorageError(
-                f"unknown maintenance mode {maintenance!r}; use 'incremental' or 'rebuild'"
-            )
         self.name = name
-        self.maintenance = maintenance
-        self._atom_stores: Dict[str, AtomStore] = {}
-        self._link_stores: Dict[str, LinkStore] = {}
-        self._cardinalities: Dict[str, Cardinality] = {}
-        self._snapshot: Optional[Database] = None
+        #: The engine's one copy of the state.  Its versioning state carries
+        #: the MVCC clock, the pins, the commit log and the fence flag.
+        self._database = Database(name)
+        self._database.subscribe(self._on_change)
+        state = self._database.enable_versioning()
+        #: Declared secondary indexes, ``(atom type, attribute)`` — the
+        #: catalog entry of :meth:`create_index`; the index itself lives in
+        #: the index pool.
+        self._indexed: Set[Tuple[str, str]] = set()
         self._network: Optional[AtomNetwork] = None
         self._interpreter: Optional["MQLInterpreter"] = None
         self._index_pool: Optional["IndexPool"] = None
-        self._dirty = False
-        #: Serializes basic-interface writes (store_atom/connect/delete_atom)
-        #: and checkpoints against each other.
+        #: Serializes basic-interface writes (store_atom/connect/delete_atom),
+        #: DDL and checkpoints against each other.
         self._write_lock = make_rlock("PrimaEngine._write_lock")
-        #: Guards lazy construction/teardown of the cached access structures
-        #: (snapshot, network, interpreter, index pool).
+        #: Guards lazy construction/teardown of the derived access structures
+        #: (network, interpreter, index pool).
         self._cache_lock = make_rlock("PrimaEngine._cache_lock")
-        #: The event path's lock: generation counter, stats, WAL routing,
-        #: store mirror and incremental cache maintenance fold one event at
-        #: a time.  Acquired *inside* the per-type head locks; only ever
-        #: acquires the true leaves below it — the interpreter's plan lock
-        #: and the WAL's lock (see DESIGN.md "Threading model").
+        #: The event path's lock: generation counter, stats, WAL routing and
+        #: incremental cache maintenance fold one event at a time.  Acquired
+        #: *inside* the per-type head locks; only ever acquires the true
+        #: leaves below it — the interpreter's plan lock and the WAL's lock
+        #: (see DESIGN.md "Threading model").
         self._event_lock = make_rlock("PrimaEngine._event_lock")
-        #: Per-thread mirror state: the ``_mirror`` guard flag and the
-        #: direct-write WAL buffer belong to the thread driving the write.
-        self._tls = threading.local()
-        #: Monotonic write generation; cached access structures are stamped
-        #: with the generation they are coherent with.
+        #: Monotonic write generation — the newest change event folded into
+        #: the derived structures, which are stamped with the generation they
+        #: are coherent with.  Follows the database's version clock.
         self.generation = 0
         self._stats: Dict[str, int] = {
-            "snapshot_builds": 0,
+            # The database is created once, with the engine.
+            "snapshot_builds": 1,
             "network_builds": 0,
             "interpreter_builds": 0,
             "invalidations": 0,
             "events_applied": 0,
         }
+        #: Basic-interface reads and occurrence writes per type name.
+        self._reads: Dict[str, int] = collections.Counter()
+        self._writes: Dict[str, int] = collections.Counter()
         #: Interval-encoded structure indexes over recursive link closures
-        #: (``CREATE STRUCTURE INDEX``).  The store outlives cache
-        #: invalidation — registrations and counters persist; only the
-        #: encodings are marked stale.  Created before recovery runs, which
+        #: (``CREATE STRUCTURE INDEX``).  Created before recovery runs, which
         #: may replay ``structure_index`` DDL records into it.
         self._structure_indexes = StructureIndexStore()
-        #: Columnar attribute projections backing MQL aggregate scans.  Like
-        #: the structure-index store it outlives cache invalidation: the
-        #: arrays are merely marked stale and rebuilt lazily on next head use.
+        #: Columnar attribute projections backing MQL aggregate scans.
         self._columnar = ColumnarStore()
         # -- durability state (all inert when durability is None) -----------
         self._durability = durability
         self._wal: Optional[WriteAheadLog] = None
-        #: Change events buffered per active transaction (keyed by ``id``);
-        #: flushed as one commit record when the transaction commits,
-        #: discarded when it rolls back — redo-only logging.  (Each entry is
-        #: appended and flushed by the one thread driving that transaction.)
+        #: Change events buffered per active writer (keyed by ``id``) — a
+        #: transaction, or this engine for a basic-interface operation;
+        #: flushed as one commit record when the writer commits, discarded
+        #: when it rolls back — redo-only logging.  (Each entry is appended
+        #: and flushed by the one thread driving that writer.)
         self._wal_tx_pending: Dict[int, List[Dict[str, object]]] = {}
         self._recovery: Optional[RecoveryResult] = None
         self._checkpoints = 0
@@ -191,11 +167,11 @@ class PrimaEngine:
         #: Lazily created replication hub (:meth:`replication_hub`);
         #: ``None`` until first use and for in-memory engines.
         self._replication = None  # guarded-by: PrimaEngine._cache_lock
-        #: ``True`` once :meth:`fence` ran (a follower was promoted over
-        #: this engine): every write — basic interface, DDL, transactions —
-        #: is refused from then on.
-        self._fenced = False  # guarded-by: PrimaEngine._write_lock
         if durability is not None:
+            # The WAL flushes a transaction's buffered events when it commits
+            # (and discards them when it rolls back); the hook fires inside
+            # Transaction.commit, right after the MVCC commit-log append.
+            state.transaction_hooks.append(self._wal_transaction_finished)
             # Recovery runs before the WAL opens for appending, so nothing
             # replayed here is ever re-logged.
             self._recovery = recover(self, durability)
@@ -208,23 +184,26 @@ class PrimaEngine:
 
     # ------------------------------------------------------------------ DDL
 
-    def create_atom_type(self, name: str, description) -> AtomStore:
-        """Create an atom type (backed by an :class:`AtomStore`)."""
-        self._require_unfenced()
-        if name in self._atom_stores or name in self._link_stores:
-            raise StorageError(f"type name {name!r} already in use")
-        store = AtomStore(name, description)
-        self._atom_stores[name] = store
-        self._invalidate()
+    def create_atom_type(self, name: str, description) -> AtomType:
+        """Create an atom type; returns the database's :class:`AtomType`."""
+        return self._add_atom_type(AtomType(name, description))
+
+    def _add_atom_type(self, atom_type: AtomType) -> AtomType:
+        """Register *atom_type* — empty for DDL, already filled for a bulk
+        load (:meth:`from_database`, a checkpoint image): the occurrence was
+        validated once when the type was built and enters without a
+        per-atom change event, before any derived structure exists."""
+        with self._ddl(atom_type.name):
+            self._database.add_atom_type(atom_type)
         if self._wal is not None:
             self._wal.append_ddl(
                 {
                     "op": "atom_type",
-                    "name": name,
-                    "attributes": describe_attributes(store.description),
+                    "name": atom_type.name,
+                    "attributes": describe_attributes(atom_type.description),
                 }
             )
-        return store
+        return atom_type
 
     def create_link_type(
         self,
@@ -232,34 +211,66 @@ class PrimaEngine:
         first_type: str,
         second_type: str,
         cardinality: Cardinality = Cardinality.MANY_TO_MANY,
-    ) -> LinkStore:
-        """Create a link type (backed by a :class:`LinkStore`)."""
-        self._require_unfenced()
-        if name in self._atom_stores or name in self._link_stores:
-            raise StorageError(f"type name {name!r} already in use")
-        for type_name in (first_type, second_type):
-            if type_name not in self._atom_stores:
-                raise UnknownNameError(f"unknown atom type {type_name!r}")
-        store = LinkStore(name, first_type, second_type)
-        self._link_stores[name] = store
-        self._cardinalities[name] = cardinality
-        self._invalidate()
+    ) -> LinkType:
+        """Create a link type; returns the database's :class:`LinkType`,
+        which enforces *cardinality* on every later :meth:`connect`."""
+        return self._add_link_type(LinkType(name, first_type, second_type, cardinality=cardinality))
+
+    def _add_link_type(self, link_type: LinkType) -> LinkType:
+        """Register *link_type* — empty for DDL, already filled for a bulk
+        load (see :meth:`_add_atom_type`)."""
+        with self._ddl(link_type.name):
+            self._database.add_link_type(link_type)
         if self._wal is not None:
+            first_type, second_type = link_type.atom_type_names
             self._wal.append_ddl(
                 {
                     "op": "link_type",
-                    "name": name,
+                    "name": link_type.name,
                     "first": first_type,
                     "second": second_type,
-                    "cardinality": cardinality.value,
+                    "cardinality": link_type.cardinality.value,
                 }
             )
-        return store
+        return link_type
+
+    @contextmanager
+    def _ddl(self, name: str):
+        """Guard one type registration, then drop the derived caches.
+
+        Refused while any transaction is active (the rule
+        :meth:`checkpoint` applies): dropping the interpreter would orphan a
+        ``BEGIN WORK`` session it owns.  The check and the registration
+        share one critical section of the versioning lock, so no
+        transaction can begin in between.
+        """
+        with self._write_lock, self._cache_lock:
+            self._require_unfenced()
+            if name in self._database:
+                raise StorageError(f"type name {name!r} already in use")
+            state = self._database.versioning
+            with state.lock:
+                if state.active_transactions:
+                    raise StorageError(
+                        "cannot create a type while transactions are active; "
+                        "COMMIT WORK or ROLLBACK WORK first"
+                    )
+                yield
+            self._invalidate()
 
     def create_index(self, atom_type_name: str, attribute: str) -> None:
-        """Create a secondary index on ``atom_type_name.attribute``."""
+        """Create a secondary index on ``atom_type_name.attribute``.
+
+        The declaration is catalog state (logged, checkpointed); the index
+        itself is built on first :meth:`lookup` in the engine's index pool
+        and maintained there like every index the executor uses.
+        """
         self._require_unfenced()
-        self._atom_store(atom_type_name).create_index(attribute)
+        if attribute not in self._database.atyp(atom_type_name).description:
+            raise StorageError(
+                f"cannot index unknown attribute {attribute!r} of {atom_type_name!r}"
+            )
+        self._indexed.add((atom_type_name, attribute))
         if self._wal is not None:
             self._wal.append_ddl(
                 {"op": "index", "type": atom_type_name, "attribute": attribute}
@@ -278,11 +289,8 @@ class PrimaEngine:
         and maintained incrementally off the change-event stream.
         """
         self._require_unfenced()
-        self._atom_store(atom_type_name)  # existence check
-        link_store = self._link_stores.get(link_type_name)
-        if link_store is None:
-            raise UnknownNameError(f"unknown link type {link_type_name!r}")
-        if atom_type_name not in (link_store.first_type, link_store.second_type):
+        self._database.atyp(atom_type_name)  # existence check
+        if atom_type_name not in self._database.ltyp(link_type_name).atom_type_names:
             raise StorageError(
                 f"link type {link_type_name!r} does not connect atom type "
                 f"{atom_type_name!r}"
@@ -313,208 +321,117 @@ class PrimaEngine:
         """Insert (or replace) an atom — basic-component write operation.
 
         Basic-interface writes serialize on the engine's write lock so the
-        store mutation, the snapshot mirror and the WAL record form one
-        atomic operation even when several threads auto-commit concurrently.
+        mutation and its WAL record form one atomic operation even when
+        several threads auto-commit concurrently.
         """
         with self._write_lock:
             self._require_unfenced()
-            store = self._atom_store(atom_type_name)
-            with self._event_lock:
-                # Store mutations share the event lock with the transactional
-                # mirror path (_mirror_to_stores), so multi-step store
-                # updates (dict + hash indexes) never interleave.
-                atom = store.store(values, identifier=identifier)
-            snapshot = self._maintainable()
-            if snapshot is not None:
-                with self._mirror():
-                    atom_type = snapshot.atyp(atom_type_name)
-                    if atom_type.get(atom.identifier) is None:
-                        atom_type.add(atom)
-                    else:
-                        atom_type.replace(atom)
-            else:
-                self._after_write()
-                self._wal_direct(
-                    [
-                        encode_event(
-                            ChangeEvent(
-                                ATOM_INSERTED,
-                                atom_type_name,
-                                atom=atom,
-                                generation=self.generation,
-                            )
-                        )
-                    ]
-                )
-            return atom
+            atom_type = self._database.atyp(atom_type_name)
+            with self._operation():
+                if identifier is None or atom_type.get(identifier) is None:
+                    return atom_type.add(values, identifier=identifier)
+                return atom_type.replace(Atom(atom_type_name, values, identifier=identifier))
 
     def get_atom(self, atom_type_name: str, identifier: str) -> Optional[Atom]:
         """Point lookup — basic-component read operation."""
-        return self._atom_store(atom_type_name).get(identifier)
+        atom_type = self._database.atyp(atom_type_name)
+        self._reads[atom_type_name] += 1
+        return atom_type.get(identifier)
 
     def lookup(self, atom_type_name: str, attribute: str, value: object) -> Tuple[Atom, ...]:
-        """Value lookup (indexed when possible) — basic-component read operation."""
-        return self._atom_store(atom_type_name).lookup(attribute, value)
+        """Value lookup (indexed when possible) — basic-component read operation.
+
+        A declared index (:meth:`create_index`) answers from the engine's
+        index pool; any other attribute is a filtered scan.
+        """
+        if (atom_type_name, attribute) not in self._indexed:
+            return tuple(
+                atom for atom in self.scan(atom_type_name) if atom.get(attribute) == value
+            )
+        atom_type = self._database.atyp(atom_type_name)
+        pool = self._pool()
+        # Under the event lock: the first use builds the index, and no change
+        # event may fold into the pool half-way through that pass.
+        with self._event_lock:
+            identifiers = pool.lookup(atom_type_name, attribute, value)
+        atoms = tuple(atom for atom in map(atom_type.get, identifiers) if atom is not None)
+        self._reads[atom_type_name] += len(atoms)
+        return atoms
 
     def scan(self, atom_type_name: str) -> Tuple[Atom, ...]:
         """Full scan of one atom type."""
-        return self._atom_store(atom_type_name).scan()
+        atoms = self._database.atyp(atom_type_name).occurrence
+        self._reads[atom_type_name] += len(atoms)
+        return atoms
 
     def connect(self, link_type_name: str, first: "Atom | str", second: "Atom | str") -> Link:
         """Insert a link — basic-component write operation.
 
-        Cardinality restrictions live on the snapshot's link types, not the
-        stores; when the mirror rejects the link the store write is undone
-        before re-raising, so store and snapshot can never diverge.
+        The link type checks its cardinality restriction before anything is
+        written or logged; a refused link raises
+        :class:`~repro.exceptions.CardinalityError` and leaves no trace.
         """
         with self._write_lock:
             self._require_unfenced()
-            store = self._link_store(link_type_name)
+            link_type = self._database.ltyp(link_type_name)
+            # By identifier, as replay connects it: the live and the
+            # recovered link then type their endpoints alike.
             first_id = first.identifier if isinstance(first, Atom) else first
             second_id = second.identifier if isinstance(second, Atom) else second
-            probe = Link(link_type_name, first_id, second_id, store.first_type, store.second_type)
-            existed = probe in store
-            with self._event_lock:
-                link = store.store(first_id, second_id)
-            snapshot = self._maintainable()
-            if snapshot is not None:
-                try:
-                    with self._mirror():
-                        snapshot.ltyp(link_type_name).connect(first_id, second_id)
-                except Exception:
-                    if not existed:
-                        with self._event_lock:
-                            store.delete(link)
-                    raise
-            else:
-                self._after_write()
-                self._wal_direct(
-                    [
-                        encode_event(
-                            ChangeEvent(
-                                LINK_CONNECTED,
-                                link_type_name,
-                                link=link,
-                                generation=self.generation,
-                            )
-                        )
-                    ]
-                )
-            return link
+            with self._operation():
+                return link_type.connect(first_id, second_id)
 
     def neighbours(self, link_type_name: str, identifier: str) -> Tuple[str, ...]:
         """Adjacent atom identifiers through one link type."""
-        return tuple(self._link_store(link_type_name).neighbours(identifier))
+        link_type = self._database.ltyp(link_type_name)
+        self._reads[link_type_name] += 1
+        return tuple(link_type.partners_of(identifier))
 
     def delete_atom(self, atom_type_name: str, identifier: str) -> int:
         """Delete an atom and all its incident links; returns the links removed."""
         with self._write_lock:
             self._require_unfenced()
-            return self._delete_atom_locked(atom_type_name, identifier)
+            atom_type = self._database.atyp(atom_type_name)
+            if atom_type.get(identifier) is None:
+                raise StorageError(f"no atom {identifier!r} in atom type {atom_type_name!r}")
+            with self._operation():
+                removed = 0
+                for link_type in self._database.link_types_of(atom_type_name):
+                    removed += link_type.remove_atom(identifier)
+                atom_type.remove(identifier)
+            return removed
 
-    def _delete_atom_locked(self, atom_type_name: str, identifier: str) -> int:
-        snapshot = self._maintainable()
-        removed_links: List[Tuple[str, Link]] = []
-        if self._wal is not None and snapshot is None:
-            # The incident links must be captured before the stores drop them;
-            # in the maintainable path the snapshot mirror emits one event per
-            # removal instead.
-            for link_store in self._link_stores.values():
-                if atom_type_name in (link_store.first_type, link_store.second_type):
-                    removed_links.extend(
-                        (link_store.link_type_name, link)
-                        for link in link_store.links_of(identifier)
-                    )
-        with self._event_lock:
-            removed_atom = self._atom_store(atom_type_name).delete(identifier)
-            removed = 0
-            for store in self._link_stores.values():
-                if atom_type_name in (store.first_type, store.second_type):
-                    removed += store.delete_atom(identifier)
-        if snapshot is not None:
-            with self._mirror():
-                for link_type in snapshot.link_types_of(atom_type_name):
-                    link_type.remove_atom(identifier)
-                atom_type = snapshot.atyp(atom_type_name)
-                if atom_type.get(identifier) is not None:
-                    atom_type.remove(identifier)
-        else:
-            self._after_write()
-            records = [
-                encode_event(
-                    ChangeEvent(
-                        LINK_DISCONNECTED,
-                        link_type_name,
-                        link=link,
-                        generation=self.generation,
-                    )
-                )
-                for link_type_name, link in removed_links
-            ]
-            records.append(
-                encode_event(
-                    ChangeEvent(
-                        ATOM_DELETED,
-                        atom_type_name,
-                        atom=removed_atom,
-                        generation=self.generation,
-                    )
-                )
-            )
-            self._wal_direct(records)
-        return removed
+    @contextmanager
+    def _operation(self):
+        """One basic-interface write: its change events are one commit record.
+
+        For the block's duration this engine is the versioning state's
+        (thread-local) writer, so :meth:`_wal_capture` buffers the events
+        exactly as it does for a transaction; they are flushed as a single
+        record on success and dropped on failure.
+        """
+        state = self._database.versioning
+        token = state.begin_tracking(self)
+        try:
+            yield
+        except BaseException:
+            self._wal_transaction_finished(self, committed=False)
+            raise
+        finally:
+            state.end_tracking(token)
+        self._wal_transaction_finished(self, committed=True)
 
     # --------------------------------------------- molecule-processing layer
 
     def to_database(self) -> Database:
-        """Export a :class:`Database` snapshot of the current engine contents.
+        """The engine's :class:`Database` — the same object for its whole life.
 
-        The snapshot is cached; in incremental mode it is maintained in place
-        across writes (the engine subscribes to its change events), so
-        repeated molecule queries over a mutating engine never re-export.
-        Mutations applied directly to the snapshot — e.g. by MQL DML write
-        plans or the manipulation API — are mirrored back into the stores.
+        It is the state itself, not an export: mutations applied to it
+        directly — by MQL DML write plans or the manipulation API — are the
+        engine's writes (logged, versioned, folded into the derived
+        structures) exactly like basic-interface operations.
         """
-        with self._cache_lock:
-            return self._to_database_locked()
-
-    def _to_database_locked(self) -> Database:
-        self._check_dirty()
-        if self._snapshot is not None:
-            return self._snapshot
-        db = Database(self.name)
-        for store in self._atom_stores.values():
-            atom_type = AtomType(store.atom_type_name, store.description)
-            for atom in store:
-                atom_type.add(atom)
-            db.add_atom_type(atom_type)
-        for store in self._link_stores.values():
-            link_type = LinkType(
-                store.link_type_name,
-                store.first_type,
-                store.second_type,
-                cardinality=self._cardinalities.get(store.link_type_name, Cardinality.MANY_TO_MANY),
-            )
-            for link in store:
-                first, second = link.given_order
-                link_type.add(Link(store.link_type_name, first, second, store.first_type, store.second_type))
-            db.add_link_type(link_type)
-        db.subscribe(self._listener_for(db))
-        # The snapshot carries the MVCC state: its version clock continues
-        # the engine's write generation, so event stamps and the engine's
-        # counter stay in lock-step.
-        state = db.enable_versioning(start_generation=self.generation)
-        # A fence outlives cache invalidation: rebuilt snapshots carry it so
-        # transactions on them keep refusing after the caches turn over.
-        state.fenced = self._fenced
-        if self._durability is not None:
-            # The WAL flushes a transaction's buffered events when it commits
-            # (and discards them when it rolls back); the hook fires inside
-            # Transaction.commit, right after the MVCC commit-log append.
-            state.transaction_hooks.append(self._wal_transaction_finished)
-        self._snapshot = db
-        self._stats["snapshot_builds"] += 1
-        return db
+        return self._database
 
     def define_molecule_type(
         self,
@@ -531,9 +448,9 @@ class PrimaEngine:
         Statements run through the planner → streaming-executor pipeline by
         default; ``optimize=False`` executes the literal α→Σ→Π translation
         through the materializing molecule algebra instead.  DML statements
-        (INSERT / DELETE / MODIFY) execute atomically against the snapshot;
-        every change is mirrored into the stores and folded into the cached
-        access structures.  ``BEGIN WORK`` / ``COMMIT WORK`` / ``ROLLBACK
+        (INSERT / DELETE / MODIFY) execute atomically against the database;
+        every change is folded into the cached access structures.
+        ``BEGIN WORK`` / ``COMMIT WORK`` / ``ROLLBACK
         WORK`` scope the engine's interpreter session as one transaction with
         repeatable reads and first-committer-wins conflict detection; for
         pinned read-only views see :meth:`snapshot_at`.
@@ -553,25 +470,20 @@ class PrimaEngine:
 
         The interpreter's executor answers pushed-down equality filters
         through hash indexes built (on demand, then cached) from the same
-        snapshot it queries, and traverses the cached atom network during the
-        hierarchical join.  In incremental mode writes are folded into those
-        structures in place; in rebuild mode any write discards them and this
-        method rebuilds everything on its next call.
+        database it queries, and traverses the cached atom network during
+        the hierarchical join.  Writes are folded into those structures in
+        place; only DDL discards them, and this method rebuilds them on its
+        next call.
         """
         with self._cache_lock:
-            self._check_dirty()
             if self._interpreter is None:
-                from repro.engine.executor import Executor, IndexPool
+                from repro.engine.executor import Executor
                 from repro.mql.interpreter import MQLInterpreter
 
-                database = self.to_database()
-                self._index_pool = IndexPool(database)
-                self._index_pool.generation = self.generation
-                self._structure_indexes.stamp(self.generation)
-                self._columnar.stamp(self.generation)
+                database = self._database
                 executor = Executor(
                     database,
-                    indexes=self._index_pool,
+                    indexes=self._pool(),
                     network=self.network(),
                     structure=self._structure_indexes,
                     columnar=self._columnar,
@@ -595,12 +507,22 @@ class PrimaEngine:
     def network(self) -> AtomNetwork:
         """Return the (cached, incrementally maintained) atom-network view."""
         with self._cache_lock:
-            self._check_dirty()
             if self._network is None:
-                self._network = AtomNetwork(self.to_database())
+                self._network = AtomNetwork(self._database)
                 self._network.generation = self.generation
                 self._stats["network_builds"] += 1
             return self._network
+
+    def _pool(self) -> "IndexPool":
+        """The (cached, incrementally maintained) hash-index pool — the
+        executor's access path and the home of every declared index."""
+        with self._cache_lock:
+            if self._index_pool is None:
+                from repro.engine.physical import IndexPool
+
+                self._index_pool = IndexPool(self._database)
+                self._index_pool.generation = self.generation
+            return self._index_pool
 
     # --------------------------------------------------- snapshots and MVCC
 
@@ -814,25 +736,17 @@ class PrimaEngine:
         in-flight transactions abort at their commit point.  Reads (and
         :meth:`checkpoint`) keep working.  Idempotent.
         """
-        with self._write_lock:
-            snapshot = self._snapshot
-            state = snapshot.versioning if snapshot is not None else None
-            if state is not None:
-                with state.lock:
-                    self._fenced = True
-                    state.fenced = True
-            else:
-                # No snapshot exists; _to_database_locked propagates the
-                # flag into the next one it builds.
-                self._fenced = True
+        state = self._database.versioning
+        with self._write_lock, state.lock:
+            state.fenced = True
 
     @property
     def fenced(self) -> bool:
         """``True`` once a follower promotion fenced this engine."""
-        return self._fenced
+        return self._database.versioning.fenced
 
     def _require_unfenced(self) -> None:
-        if self._fenced:
+        if self.fenced:
             raise StorageError(
                 "engine is fenced (a follower was promoted); writes must go "
                 "to the promoted engine"
@@ -840,9 +754,7 @@ class PrimaEngine:
 
     def collect_versions(self) -> Dict[str, object]:
         """Run version-chain garbage collection; returns the GC statistics."""
-        if self._snapshot is None:
-            return dict(NO_VERSION_STATISTICS)
-        return self._snapshot.collect_versions()
+        return self._database.collect_versions()
 
     # ---------------------------------------------------- durability and WAL
 
@@ -851,7 +763,6 @@ class PrimaEngine:
         cls,
         directory,
         name: str = "prima",
-        maintenance: str = INCREMENTAL,
         fsync: str = "batch",
         group_commit: int = 8,
     ) -> "PrimaEngine":
@@ -863,7 +774,6 @@ class PrimaEngine:
         """
         return cls(
             name,
-            maintenance=maintenance,
             durability=DurabilityConfig(directory, fsync=fsync, group_commit=group_commit),
         )
 
@@ -890,9 +800,9 @@ class PrimaEngine:
         the log — a crash between any two steps leaves a state recovery
         handles (old image + full log, or new image + full log, both of which
         replay to the committed head because replay is idempotent).  Refused
-        while any transaction is active: the stores then carry uncommitted
-        mirror state that must not enter an image.  Holds the engine's write
-        lock so no basic-interface write can interleave with the image.
+        while any transaction is active: the head then carries uncommitted
+        writes that must not enter an image.  Holds the engine's write lock
+        so no basic-interface write can interleave with the image.
         """
         with self._write_lock:
             return self._checkpoint_locked()
@@ -908,19 +818,17 @@ class PrimaEngine:
             # failing to truncate would otherwise leave a half-finished
             # checkpoint behind a closed engine.
             raise StorageError("cannot checkpoint a closed engine; reopen the directory")
-        from contextlib import nullcontext
-
         from repro.storage.recovery import write_checkpoint  # deferred: cycle hygiene
 
-        state = self._snapshot.versioning if self._snapshot is not None else None
+        state = self._database.versioning
         # The quiescence check, the image and the truncate form one critical
-        # section of the versioning engine lock (when one exists): a
-        # transaction beginning (or any mutation ticking) after the check
-        # would otherwise mirror uncommitted state into the stores
-        # mid-image.  Checkpoints are rare and explicitly quiescent;
-        # stalling pins/commits for the image write is the intended trade.
-        with state.lock if state is not None else nullcontext():
-            if (state is not None and state.active_transactions) or self._wal_tx_pending:
+        # section of the versioning engine lock: a transaction beginning (or
+        # any mutation ticking) after the check would otherwise put
+        # uncommitted state into the head mid-image.  Checkpoints are rare
+        # and explicitly quiescent; stalling pins/commits for the image
+        # write is the intended trade.
+        with state.lock:
+            if state.active_transactions or self._wal_tx_pending:
                 raise StorageError(
                     "cannot checkpoint while transactions are active; "
                     "COMMIT WORK or ROLLBACK WORK first"
@@ -932,8 +840,8 @@ class PrimaEngine:
             "path": str(path),
             "checkpoints": self._checkpoints,
             "generation": self.generation,
-            "atoms": sum(len(store) for store in self._atom_stores.values()),
-            "links": sum(len(store) for store in self._link_stores.values()),
+            "atoms": self._database.atom_count(),
+            "links": self._database.link_count(),
         }
 
     def close(self) -> None:
@@ -958,31 +866,23 @@ class PrimaEngine:
         if self._wal is not None:
             self._wal.close()
 
-    def _wal_direct(self, records: "List[Dict[str, object]]") -> None:
-        """Log one auto-committed basic-interface write (no transaction)."""
-        if self._wal is not None and records:
-            self._wal.commit_events(records)
-
-    def _wal_capture(self, event: ChangeEvent, source: Database) -> None:
+    def _wal_capture(self, event: ChangeEvent) -> None:
         """Route one change event into the WAL's buffers.
 
-        Events produced inside a transaction's tracked block are buffered
-        under that transaction (flushed at commit, dropped at rollback);
-        events of a basic-interface store write collect in the mirror buffer
-        (one record per operation); everything else — a direct snapshot
-        mutation outside any transaction — auto-commits immediately.
+        Events produced inside a writer's tracked block — a transaction, or
+        one basic-interface operation (:meth:`_operation`) — are buffered
+        under that writer (flushed at commit, dropped at rollback);
+        everything else — a direct database mutation outside any
+        transaction — auto-commits immediately.
 
-        Both the writer attribution (``current_writer``) and the mirror
-        buffer are thread-local, so concurrent writers on other threads can
-        never interleave their events into this thread's records.
+        The writer attribution (``current_writer``) is thread-local, so
+        concurrent writers on other threads can never interleave their
+        events into this thread's records.
         """
-        state = source.versioning
-        writer = state.current_writer if state is not None else None
+        writer = self._database.versioning.current_writer
         record = encode_event(event)
         if writer is not None:
             self._wal_tx_pending.setdefault(id(writer), []).append(record)
-        elif self._mirroring:
-            self._direct_buffer().append(record)
         else:
             self._wal.commit_events([record])
 
@@ -992,7 +892,8 @@ class PrimaEngine:
         Fired by :meth:`repro.manipulation.transactions.Transaction.commit`
         immediately after the MVCC commit-log append (and by ``rollback`` /
         conflict aborts with ``committed=False``, which discards the buffer —
-        the log only ever carries committed transactions).
+        the log only ever carries committed transactions); a basic-interface
+        operation ends through it too, with the engine as the writer.
         """
         events = self._wal_tx_pending.get(id(txn))
         if committed and events and self._wal is not None:
@@ -1004,107 +905,23 @@ class PrimaEngine:
 
     # -------------------------------------------------- cache maintenance
 
-    def _maintainable(self) -> Optional[Database]:
-        """The live snapshot a write can be folded into, or ``None``.
-
-        Returns the snapshot *object* (not a boolean) so callers hold a
-        stable reference: a concurrent cache teardown may null
-        ``self._snapshot`` mid-write, and re-reading the attribute would
-        crash.  Writing into a just-discarded snapshot is safe — its
-        listener path degrades to the stale-handle invalidate-on-next-read
-        behaviour.
-        """
-        if self.maintenance == INCREMENTAL and not self._dirty:
-            return self._snapshot
-        return None
-
-    @property
-    def _mirroring(self) -> bool:
-        """``True`` while *this thread* is inside a :meth:`_mirror` block."""
-        return getattr(self._tls, "mirroring", False)
-
-    def _direct_buffer(self) -> "List[Dict[str, object]]":
-        """This thread's buffer of one in-flight basic-interface write."""
-        buffer = getattr(self._tls, "direct_buffer", None)
-        if buffer is None:
-            buffer = []
-            self._tls.direct_buffer = buffer
-        return buffer
-
-    @contextmanager
-    def _mirror(self):
-        """Mark snapshot mutations that originated from a store write.
-
-        Inside the guard, :meth:`_on_change` skips the store mirror (the
-        store was already written) but still maintains the derived caches.
-        The events of the guarded block form one basic-interface operation;
-        on success they are flushed to the WAL as a single commit record, on
-        failure (the store write was undone) they are discarded.  The guard
-        flag and buffer are thread-local: mirror blocks on other threads
-        neither see this block's events nor flush them.
-        """
-        self._tls.mirroring = True
-        try:
-            yield
-        except BaseException:
-            self._direct_buffer().clear()
-            raise
-        finally:
-            self._tls.mirroring = False
-        buffer = self._direct_buffer()
-        if buffer:
-            records = list(buffer)
-            buffer.clear()
-            self._wal_direct(records)
-
-    def _listener_for(self, snapshot: Database) -> Listener:
-        """A change listener that remembers which snapshot it watches.
-
-        Snapshots are never unsubscribed: a write through a *stale* handle
-        (one the engine has since discarded) must still reach the stores —
-        it just degrades to invalidate-on-next-read instead of incremental
-        maintenance, because the current caches never saw it.
-        """
-
-        def listener(event: ChangeEvent, _source: Database = snapshot) -> None:
-            self._on_change(event, _source)
-
-        return listener
-
-    def _on_change(self, event: ChangeEvent, source: Database) -> None:
-        """Fold one snapshot change event into stores and cached structures.
+    def _on_change(self, event: ChangeEvent) -> None:
+        """Fold one database change event into the derived structures.
 
         Serialized on the engine's event lock: concurrent writer threads
         emit events one at a time (each already holds its type's head lock),
-        and the store mirror plus every incremental cache apply exactly one
-        delta at a time.  The event lock acquires only the true leaves (the
-        interpreter's plan lock, the WAL lock), so holding a head lock here
-        can never deadlock.
+        and every incremental cache applies exactly one delta at a time.
+        The event lock acquires only the true leaves (the interpreter's plan
+        lock, the WAL lock), so holding a head lock here can never deadlock.
         """
         with self._event_lock:
-            # The snapshot's version clock stamps every event; the engine
-            # counter follows it (max() also absorbs stale-handle writes
-            # whose discarded snapshot still ticks its own, older clock).
-            self.generation = max(self.generation + 1, event.generation or 0)
+            # The database's version clock stamps every event; writers on
+            # different types may reach this lock out of stamp order.
+            self.generation = max(self.generation, event.generation)
             self._stats["events_applied"] += 1
+            self._writes[event.type_name] += 1
             if self._wal is not None:
-                self._wal_capture(event, source)
-            if not self._mirroring:
-                self._mirror_to_stores(event)
-            if source is not self._snapshot:
-                # Stale-handle write: the stores are up to date, the caches
-                # never saw it — defer the teardown to the next read.
-                self._dirty = True
-                return
-            if self.maintenance == REBUILD and not self._session_active():
-                # The invalidate-everything baseline — but never while a
-                # BEGIN WORK session holds the interpreter: tearing it down
-                # would destroy the active transaction and orphan its
-                # writes.  For the session's duration the caches are
-                # maintained incrementally (the branch below); the first
-                # write after it ends restores the rebuild behaviour.
-                self._dirty = True
-                return
+                self._wal_capture(event)
             if self._network is not None:
                 self._network.apply_event(event)
                 self._network.generation = self.generation
@@ -1115,72 +932,43 @@ class PrimaEngine:
             if self._interpreter is not None:
                 self._interpreter.apply_event(event)
 
-    def _mirror_to_stores(self, event: ChangeEvent) -> None:
-        """Replay a snapshot-originated mutation on the backing stores."""
-        if event.kind in (ATOM_INSERTED, ATOM_MODIFIED):
-            store = self._atom_stores.get(event.type_name)
-            if store is not None:
-                store.store(event.atom)
-        elif event.kind == ATOM_DELETED:
-            store = self._atom_stores.get(event.type_name)
-            if store is not None and event.atom.identifier in store:
-                store.delete(event.atom.identifier)
-        elif event.kind == LINK_CONNECTED:
-            store = self._link_stores.get(event.type_name)
-            if store is not None:
-                first, second = event.link.given_order
-                store.store(first, second)
-        elif event.kind == LINK_DISCONNECTED:
-            store = self._link_stores.get(event.type_name)
-            if store is not None:
-                store.delete(event.link)
-
-    def _session_active(self) -> bool:
-        """``True`` while the cached interpreter runs a ``BEGIN WORK`` session."""
-        return self._interpreter is not None and getattr(
-            self._interpreter, "in_transaction", False
-        )
-
-    def _after_write(self) -> None:
-        """Account a store write that has no live snapshot to maintain.
-
-        The generation bump shares the event lock with :meth:`_on_change` —
-        the counter has exactly one guard, so ticks can never be lost
-        between a direct store write and a concurrent snapshot mutation.
-        """
+    def _advance_generation(self, generation: int) -> None:
+        """Fast-forward the version clock and the write generation to
+        *generation* (never backwards) — recovery and replicas resume at the
+        generation their records were logged at.  Nothing is mutated, so
+        whatever was coherent with the old generation is stamped coherent
+        with the new one."""
+        state = self._database.versioning
+        with state.lock:
+            state.generation = max(state.generation, generation)
         with self._event_lock:
-            self.generation += 1
-            if self.maintenance == REBUILD:
-                self._dirty = True
-
-    def _check_dirty(self) -> None:
-        """Tear down invalidated caches before serving a read."""
-        if self._dirty:
-            self._invalidate()
-            self._dirty = False
+            generation = self.generation = max(self.generation, generation)
+            if self._network is not None:
+                self._network.generation = generation
+            if self._index_pool is not None:
+                self._index_pool.generation = generation
+            self._structure_indexes.stamp(generation)
+            self._columnar.stamp(generation)
 
     def _invalidate(self) -> None:
-        """Discard every cached access structure (DDL and rebuild mode).
+        """DDL: drop the derived caches (network, index pool, interpreter).
 
-        The discarded snapshot deliberately stays subscribed: writes through
-        a stale handle keep reaching the stores (see :meth:`_listener_for`).
+        The database, its version clock and its pins are never dropped; the
+        structure indexes and columnar projections describe occurrences a
+        new type does not change, so they stay as they are.
         """
-        self._snapshot = None
         self._network = None
         self._interpreter = None
         self._index_pool = None
-        # Registrations and counters survive; only the encodings go stale
-        # (the next head use rebuilds them from the fresh snapshot).
-        self._structure_indexes.mark_all_stale()
-        self._columnar.mark_all_stale()
         self._stats["invalidations"] += 1
 
     def maintenance_statistics(self) -> Dict[str, int]:
         """Build/rebuild counters plus the current write generation.
 
-        ``snapshot_builds`` / ``network_builds`` / ``interpreter_builds``
-        count full (re)constructions — in incremental steady state they stay
-        at 1 while ``events_applied`` grows; ``index_generation`` equals
+        ``network_builds`` / ``interpreter_builds`` count full
+        (re)constructions — they stay at 1 while ``events_applied`` grows and
+        only DDL adds one; ``snapshot_builds`` is 1 for the engine's life
+        (its database is created once); ``index_generation`` equals
         ``generation`` whenever the executor's index pool is coherent.
         """
         report = dict(self._stats)
@@ -1228,10 +1016,7 @@ class PrimaEngine:
         report["network_generation"] = (
             self._network.generation if self._network is not None else 0
         )
-        if self._snapshot is not None and self._snapshot.versioning is not None:
-            report.update(self._snapshot.version_statistics())
-        else:
-            report.update(NO_VERSION_STATISTICS)
+        report.update(self._database.version_statistics())
         report["wal_bytes"] = self._wal.bytes_written if self._wal is not None else 0
         report["wal_records"] = self._wal.records_written if self._wal is not None else 0
         report["wal_syncs"] = self._wal.syncs if self._wal is not None else 0
@@ -1259,7 +1044,7 @@ class PrimaEngine:
         report["replication_lag"] = hub.max_lag() if hub is not None else 0
         for key in HUB_COUNTERS:
             report[f"replication_{key}"] = hub.counters[key] if hub is not None else 0
-        report["fenced"] = self._fenced
+        report["fenced"] = self.fenced
         lock_report = runtime_lock_report()
         if lock_report is not None:
             # Only present while REPRO_DEBUG_LOCKS is (or was) active: a
@@ -1275,28 +1060,27 @@ class PrimaEngine:
         cls,
         database: Database,
         name: Optional[str] = None,
-        maintenance: str = INCREMENTAL,
         durability: Optional[DurabilityConfig] = None,
     ) -> "PrimaEngine":
         """Bulk-load an engine from an existing database.
 
-        With *durability* (expects a fresh directory) the bulk load bypasses
-        the log and is persisted as the first checkpoint instead — the cheap
-        way to make a dataset durable.
+        Every type is copied (and its occurrence validated) once, whole —
+        no per-atom change event, no log record.  With *durability* (expects
+        a fresh directory) the load is persisted as the first checkpoint
+        instead — the cheap way to make a dataset durable.
         """
-        engine = cls(name or database.name, maintenance=maintenance, durability=durability)
+        engine = cls(name or database.name, durability=durability)
         for atom_type in database.atom_types:
-            store = engine.create_atom_type(atom_type.name, atom_type.description)
-            for atom in atom_type:
-                store.store(atom)
+            engine._add_atom_type(AtomType(atom_type.name, atom_type.description, atom_type))
         for link_type in database.link_types:
-            store = engine.create_link_type(
-                link_type.name, *link_type.atom_type_names, cardinality=link_type.cardinality
+            engine._add_link_type(
+                LinkType(
+                    link_type.name,
+                    *link_type.atom_type_names,
+                    (link.given_order for link in link_type),
+                    cardinality=link_type.cardinality,
+                )
             )
-            for link in link_type:
-                first, second = link.given_order
-                store.store(first, second)
-        engine._invalidate()
         if durability is not None:
             engine.checkpoint()
         return engine
@@ -1304,38 +1088,21 @@ class PrimaEngine:
     # ------------------------------------------------------------ statistics
 
     def statistics(self) -> Dict[str, Dict[str, int]]:
-        """Read/write counters per store (used by the storage tests and benches)."""
+        """Occurrence sizes plus basic-interface read and write counters per
+        type (used by the storage tests and benches)."""
+        sizes = self._database.statistics()
+        names = (*sizes["atom_types"], *sizes["link_types"])
         return {
-            "atoms": {name: len(store) for name, store in self._atom_stores.items()},
-            "links": {name: len(store) for name, store in self._link_stores.items()},
-            "reads": {
-                name: store.reads
-                for name, store in {**self._atom_stores, **self._link_stores}.items()
-            },
-            "writes": {
-                name: store.writes
-                for name, store in {**self._atom_stores, **self._link_stores}.items()
-            },
+            "atoms": sizes["atom_types"],
+            "links": sizes["link_types"],
+            "reads": {name: self._reads[name] for name in names},
+            "writes": {name: self._writes[name] for name in names},
         }
-
-    # ---------------------------------------------------------------- helpers
-
-    def _atom_store(self, name: str) -> AtomStore:
-        try:
-            return self._atom_stores[name]
-        except KeyError as exc:
-            raise UnknownNameError(f"unknown atom type {name!r}") from exc
-
-    def _link_store(self, name: str) -> LinkStore:
-        try:
-            return self._link_stores[name]
-        except KeyError as exc:
-            raise UnknownNameError(f"unknown link type {name!r}") from exc
 
     def __repr__(self) -> str:
         return (
-            f"PrimaEngine({self.name!r}, atom_types={len(self._atom_stores)}, "
-            f"link_types={len(self._link_stores)}, maintenance={self.maintenance!r})"
+            f"PrimaEngine({self.name!r}, atom_types={len(self._database.atom_types)}, "
+            f"link_types={len(self._database.link_types)})"
         )
 
 
@@ -1343,10 +1110,12 @@ class SnapshotHandle:
     """A pinned, repeatable-read view over a :class:`PrimaEngine` snapshot.
 
     Obtained from :meth:`PrimaEngine.snapshot_at`; usable as a context
-    manager.  The handle captures the engine's interpreter and snapshot
-    database at pin time, so its reads stay generation-stable even across
-    engine cache invalidations.  :meth:`release` drops the pin and triggers
-    version-chain garbage collection.
+    manager.  The handle captures the engine's interpreter at pin time and
+    reads the engine's database through its pin, so its reads stay
+    generation-stable across writes and across DDL (which drops the
+    engine's derived caches, never the database or its pins).
+    :meth:`release` drops the pin and triggers version-chain garbage
+    collection.
 
     Thread safety: :meth:`query` and :meth:`database_view` may be called
     from any thread, concurrently — reads resolve lock-free over immutable

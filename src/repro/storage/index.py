@@ -3,7 +3,7 @@
 A :class:`HashIndex` maps attribute values to atom identifiers within one atom
 type; it accelerates the atom-oriented interface's value lookups (the
 selective restrictions the optimizer pushes down).  Indexes are maintained
-incrementally by the stores that own them.
+incrementally by the index pool that owns them.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ durability directory in two phases:
    crash mid-checkpoint leaves the old image intact.
 2. **WAL replay** — every valid record after the checkpoint is applied in
    append order: DDL records re-create types and indexes, commit records
-   replay their change events against the stores.  Only committed
+   replay their change events against the engine's database — whose
+   ordinary event path keeps every derived structure coherent.  Only committed
    transactions ever reach the log (events are buffered per transaction and
    written as one record at commit), and :func:`repro.storage.wal.read_wal`
    discards torn final records by checksum — so replay is pure redo and the
@@ -31,17 +32,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from repro.core.atom import Atom, ensure_surrogate_counter
+from repro.core.atom import Atom, AtomType, ensure_surrogate_counter
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
-from repro.core.events import (
-    ATOM_DELETED,
-    ATOM_INSERTED,
-    ATOM_MODIFIED,
-    LINK_CONNECTED,
-    LINK_DISCONNECTED,
-    ChangeEvent,
-)
-from repro.core.link import Cardinality, Link
+from repro.core.link import Cardinality, Link, LinkType
 from repro.storage.wal import (
     DurabilityConfig,
     WalError,
@@ -118,32 +111,35 @@ def restore_attributes(serialized: Iterable[Dict[str, object]]) -> AtomTypeDescr
 
 
 def checkpoint_image(engine: "PrimaEngine") -> Dict[str, object]:
-    """A compact catalog + occurrence image of the engine's stores."""
+    """A compact catalog + occurrence image of the engine's database."""
+    database = engine.to_database()
     atom_types = []
-    for store in engine._atom_stores.values():
+    for atom_type in database.atom_types:
         atom_types.append(
             {
-                "name": store.atom_type_name,
-                "attributes": describe_attributes(store.description),
+                "name": atom_type.name,
+                "attributes": describe_attributes(atom_type.description),
                 "atoms": [
                     {"id": atom.identifier, "v": encode_value(atom.values)}
-                    for atom in sorted(store, key=lambda a: a.identifier)
+                    for atom in sorted(atom_type, key=lambda a: a.identifier)
                 ],
                 "indexes": sorted(
-                    name for name in store.description.names if store.has_index(name)
+                    name
+                    for name in atom_type.description.names
+                    if (atom_type.name, name) in engine._indexed
                 ),
             }
         )
     link_types = []
-    for store in engine._link_stores.values():
-        cardinality = engine._cardinalities.get(store.link_type_name)
+    for link_type in database.link_types:
+        first_type, second_type = link_type.atom_type_names
         link_types.append(
             {
-                "name": store.link_type_name,
-                "first": store.first_type,
-                "second": store.second_type,
-                "cardinality": (cardinality or Cardinality.MANY_TO_MANY).value,
-                "links": sorted(link.given_order for link in store),
+                "name": link_type.name,
+                "first": first_type,
+                "second": second_type,
+                "cardinality": link_type.cardinality.value,
+                "links": sorted(link.given_order for link in link_type),
             }
         )
     return {
@@ -206,29 +202,42 @@ def _fsync_directory(directory: Path) -> None:
 
 def apply_checkpoint(engine: "PrimaEngine", image: Dict[str, object]) -> int:
     """Recreate catalog and occurrences from a checkpoint image; returns the
-    highest surrogate ordinal seen."""
+    highest surrogate ordinal seen.
+
+    Every type is built whole and then registered — one validation pass, no
+    per-atom change event — and the engine resumes at the image's generation.
+    """
     highest = 0
     for entry in image.get("atom_types", ()):
-        store = engine.create_atom_type(entry["name"], restore_attributes(entry["attributes"]))
-        for record in entry.get("atoms", ()):
-            identifier = record["id"]
-            store.store(Atom(entry["name"], decode_value(record["v"]), identifier=identifier))
-            highest = max(highest, _surrogate_ordinal(identifier))
-        for attribute in entry.get("indexes", ()):
-            store.create_index(attribute)
-    for entry in image.get("link_types", ()):
-        engine.create_link_type(
-            entry["name"],
-            entry["first"],
-            entry["second"],
-            cardinality=Cardinality(entry.get("cardinality", Cardinality.MANY_TO_MANY.value)),
+        name = entry["name"]
+        records = entry.get("atoms", ())
+        highest = max([highest, *(_surrogate_ordinal(record["id"]) for record in records)])
+        engine._add_atom_type(
+            AtomType(
+                name,
+                restore_attributes(entry["attributes"]),
+                (
+                    Atom(name, decode_value(record["v"]), identifier=record["id"])
+                    for record in records
+                ),
+            )
         )
-        store = engine._link_stores[entry["name"]]
-        for first, second in entry.get("links", ()):
-            store.store(first, second)
+        for attribute in entry.get("indexes", ()):
+            engine.create_index(name, attribute)
+    for entry in image.get("link_types", ()):
+        engine._add_link_type(
+            LinkType(
+                entry["name"],
+                entry["first"],
+                entry["second"],
+                entry.get("links", ()),  # (first, second) identifier pairs
+                cardinality=Cardinality(entry.get("cardinality", Cardinality.MANY_TO_MANY.value)),
+            )
+        )
     for atom_type, link_type, direction in image.get("structure_indexes", ()):
         engine.create_structure_index(atom_type, link_type, direction)
     engine._structure_indexes.restore_states(image.get("structure_encodings", ()))
+    engine._advance_generation(int(image.get("generation", 0)))
     return highest
 
 
@@ -241,11 +250,12 @@ def apply_ddl_record(engine: "PrimaEngine", record: Dict[str, object]) -> None:
     replay, DDL replay must be idempotent for that window to be safe.
     """
     op = record.get("op")
+    database = engine.to_database()
     if op == "atom_type":
-        if record["name"] not in engine._atom_stores:
+        if not database.has_atom_type(record["name"]):
             engine.create_atom_type(record["name"], restore_attributes(record["attributes"]))
     elif op == "link_type":
-        if record["name"] not in engine._link_stores:
+        if not database.has_link_type(record["name"]):
             engine.create_link_type(
                 record["name"],
                 record["first"],
@@ -265,55 +275,37 @@ def apply_ddl_record(engine: "PrimaEngine", record: Dict[str, object]) -> None:
 
 
 def apply_event_record(engine: "PrimaEngine", event: Dict[str, object]) -> int:
-    """Replay one serialized change event against the stores; returns the
-    highest surrogate ordinal it introduced.
+    """Replay one serialized change event against the engine's database;
+    returns the highest surrogate ordinal it introduced.
 
-    Each replayed mutation is also folded into the structure-index store as a
-    :class:`~repro.core.events.ChangeEvent` — encodings restored from the
-    checkpoint image stay coherent across the WAL tail exactly as they do
-    across live writes (and mark themselves stale on anything the in-place
-    scheme cannot express).
+    The mutation travels the engine's ordinary event path, so the network,
+    the index pool and the structure encodings restored from the checkpoint
+    image stay coherent across the WAL tail exactly as they do across live
+    writes.  Replay is idempotent: an insert of a present atom replaces it,
+    a delete or disconnect of an absent one is a no-op.
     """
     tag = event.get("e")
     type_name = event["t"]
+    database = engine.to_database()
     if tag in ("ai", "am"):
-        store = engine._atom_stores[type_name]
-        identifier = event["id"]
-        atom = Atom(type_name, decode_value(event["v"]), identifier=identifier)
-        store.store(atom)
-        kind = ATOM_INSERTED if tag == "ai" else ATOM_MODIFIED
-        engine._structure_indexes.apply_event(ChangeEvent(kind, type_name, atom=atom))
-        return _surrogate_ordinal(identifier)
+        atom_type = database.atyp(type_name)
+        atom = Atom(type_name, decode_value(event["v"]), identifier=event["id"])
+        if atom_type.get(atom.identifier) is None:
+            atom_type.add(atom)
+        else:
+            atom_type.replace(atom)
+        return _surrogate_ordinal(atom.identifier)
     if tag == "ad":
-        store = engine._atom_stores[type_name]
-        if event["id"] in store:
-            store.delete(event["id"])
-        engine._structure_indexes.apply_event(
-            ChangeEvent(ATOM_DELETED, type_name, atom=Atom(type_name, {}, identifier=event["id"]))
-        )
+        atom_type = database.atyp(type_name)
+        if atom_type.get(event["id"]) is not None:
+            atom_type.remove(event["id"])
         return 0
     if tag == "lc":
-        link_store = engine._link_stores[type_name]
-        link_store.store(event["f"], event["s"])
-        engine._structure_indexes.apply_event(
-            ChangeEvent(
-                LINK_CONNECTED,
-                type_name,
-                link=Link(
-                    type_name, event["f"], event["s"], link_store.first_type, link_store.second_type
-                ),
-            )
-        )
+        database.ltyp(type_name).redo_connect(event["f"], event["s"])
         return 0
     if tag == "ld":
-        link_store = engine._link_stores[type_name]
-        link = Link(
-            type_name, event["f"], event["s"], link_store.first_type, link_store.second_type
-        )
-        link_store.delete(link)
-        engine._structure_indexes.apply_event(
-            ChangeEvent(LINK_DISCONNECTED, type_name, link=link)
-        )
+        link_type = database.ltyp(type_name)
+        link_type.remove(Link(type_name, event["f"], event["s"], *link_type.atom_type_names))
         return 0
     raise WalError(f"unknown event tag {tag!r} in commit record")
 
@@ -340,7 +332,7 @@ def recover(engine: "PrimaEngine", config: DurabilityConfig) -> RecoveryResult:
     if image is not None:
         highest_surrogate = apply_checkpoint(engine, image)
         result.checkpoint_loaded = True
-        result.generation = int(image.get("generation", 0))
+        result.generation = engine.generation
     scan: WalScan = read_wal(config.wal_path)
     result.discarded_bytes = scan.discarded_bytes
     if scan.discarded_bytes:
@@ -368,5 +360,5 @@ def recover(engine: "PrimaEngine", config: DurabilityConfig) -> RecoveryResult:
             raise WalError(f"unknown WAL record kind {kind!r}")
         result.records_replayed += 1
     ensure_surrogate_counter(highest_surrogate)
-    engine.generation = max(engine.generation, result.generation)
+    engine._advance_generation(result.generation)
     return result

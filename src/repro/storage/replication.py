@@ -151,9 +151,9 @@ class CommitFeed:
         Sequence numbers — not generations — drive the slice: commit order
         is not generation order.  Generations only fast-forward the replica
         to the pin, or refuse the slice (:class:`ReplicationError`, nothing
-        returned).  A replica has no version store — applying a record puts
-        it AT that record's generation — so one already ahead of the pin
-        cannot rewind, and a slice holding a commit past the pin (the cut is
+        returned).  A replica serves its head — applying a record puts it AT
+        that record's generation — so one already ahead of the pin cannot
+        rewind, and a slice holding a commit past the pin (the cut is
         the live feed head) would make it answer for a future the pin must
         not see.  ``pin_gen=None`` asks for the head: every record up to
         *cut* is a decided commit, so only the position is checked.
@@ -202,7 +202,7 @@ class CommitFeed:
 
 
 def apply_record(engine, record: Dict[str, object]) -> int:
-    """Replay one WAL/feed record on *engine*'s stores; returns the record's
+    """Replay one WAL/feed record on *engine*'s database; returns the record's
     highest generation (0 for DDL records).
 
     The single replay routine of seeding and :meth:`FollowerEngine.apply_records`
@@ -265,20 +265,17 @@ def seed_engine(directory, name: str = "prima-replica") -> SeedResult:
     config = DurabilityConfig(directory)
     stamp = checkpoint_stamp(config.checkpoint_path)
     engine = PrimaEngine(name=name)
-    generation = 0
     highest_surrogate = 0
-    replayed = 0
     image = load_checkpoint(config)
     if image is not None:
         highest_surrogate = apply_checkpoint(engine, image)
-        generation = int(image.get("generation", 0))
+    generation = engine.generation
     scan = read_wal(config.wal_path)
     for record in scan.records:
         generation = max(generation, apply_record(engine, record))
-        replayed += 1
     ensure_surrogate_counter(highest_surrogate)
-    engine.generation = max(engine.generation, generation)
-    return SeedResult(engine, generation, replayed, scan.valid_bytes, stamp)
+    engine._advance_generation(generation)  # noqa: SLF001 - the replay primitives' companion
+    return SeedResult(engine, generation, len(scan.records), scan.valid_bytes, stamp)
 
 
 # ------------------------------------------------------------- the follower
@@ -292,9 +289,11 @@ class FollowerEngine:
     worker hosts one and is sent its records over the pipe), or through
     :meth:`ReplicationHub.create_follower` /
     :meth:`PrimaEngine.create_follower` for an in-process follower the hub
-    ships to incrementally.  Reads (:meth:`query`) run against a pinned
-    snapshot at the follower's applied generation, so they are repeatable
-    even while records keep applying underneath.
+    ships to incrementally.  Applied records mutate the follower engine's
+    one database, so it is maintained incrementally like the head; reads
+    (:meth:`query`) run against a pinned snapshot at the follower's applied
+    generation and stay repeatable through MVCC while records keep applying
+    underneath.
     """
 
     def __init__(self, directory, name: str = "prima-follower", hub=None) -> None:
@@ -302,10 +301,9 @@ class FollowerEngine:
         self.name = name
         self._hub = hub
         #: Serializes applies, re-seeds and snapshot acquisition.  Query
-        #: *execution* runs outside it, on the acquired handle: applies go
-        #: through the recovery primitives, which replace store entries
-        #: with fresh objects — an in-flight read over previously exported
-        #: snapshot objects never sees a partial apply.
+        #: *execution* runs outside it, on the acquired handle: the pin keeps
+        #: the handle's generation readable from the version chains, so an
+        #: in-flight read never sees a partial apply.
         self._lock = make_rlock("FollowerEngine._lock")
         self._promoted = False  # guarded-by: FollowerEngine._lock
         self._closed = False
@@ -369,13 +367,8 @@ class FollowerEngine:
             for record in records:
                 generation = max(generation, apply_record(self._engine, record))
             self.counters["records_applied"] += len(records)
-            if records:
-                # Records went into the stores through the recovery
-                # primitives, beneath the engine's cached access structures —
-                # drop them so the next read re-exports.
-                self._engine._invalidate()  # noqa: SLF001 - intentional internal reuse
             self.applied_generation = generation
-            self._engine.generation = max(self._engine.generation, generation)
+            self._engine._advance_generation(generation)  # noqa: SLF001
 
     def poll(self) -> int:
         """Apply newly durable records from the primary's files; returns the

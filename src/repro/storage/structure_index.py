@@ -654,7 +654,7 @@ class StructureIndexStore:
     def __init__(self) -> None:
         self._lock = make_rlock("StructureIndexStore._lock")
         self._indexes: Dict[StructureKey, Optional[StructureIndex]] = {}  # guarded-by: StructureIndexStore._lock
-        #: Engine write generation (stamped on every fold and interpreter build).
+        #: Engine write generation (stamped on every fold and fast-forward).
         self.generation = 0
         #: Pinned-snapshot reads that could not use an index coherently.
         self.snapshot_gaps = 0
@@ -774,13 +774,6 @@ class StructureIndexStore:
                 index.apply_event(event)
                 if generation is not None:
                     index.generation = generation
-
-    def mark_all_stale(self) -> None:
-        """Engine cache invalidation: indexes resync on next head use."""
-        with self._lock:
-            for index in self._indexes.values():
-                if index is not None:
-                    index._mark_stale()
 
     def stamp(self, generation: int) -> None:
         """Record the engine generation the built indexes are coherent with."""

@@ -15,7 +15,7 @@ from repro.exceptions import (
     UnknownNameError,
 )
 from repro.schema import Catalog, SchemaBuilder, validate_database
-from repro.storage import AtomNetwork, AtomStore, HashIndex, LinkStore, PrimaEngine
+from repro.storage import AtomNetwork, HashIndex, PrimaEngine
 
 
 class TestERModel:
@@ -161,30 +161,42 @@ class TestStorage:
         assert len(index) == 1
 
     def test_atom_store_crud_and_indexes(self):
-        store = AtomStore("state", {"code": "string", "hectare": "integer"})
-        store.store({"code": "SP", "hectare": 750}, identifier="SP")
-        store.store({"code": "MG", "hectare": 900}, identifier="MG")
-        assert store.get("SP")["hectare"] == 750
-        store.create_index("code")
-        assert store.has_index("code")
-        assert len(store.lookup("code", "MG")) == 1
-        assert len(store.lookup("hectare", 750)) == 1  # unindexed scan path
-        store.delete("SP")
-        assert store.get("SP") is None
+        """The atom-oriented interface: CRUD, a declared index, error types."""
+        engine = PrimaEngine("e")
+        engine.create_atom_type("state", {"code": "string", "hectare": "integer"})
+        engine.store_atom("state", identifier="SP", code="SP", hectare=750)
+        engine.store_atom("state", identifier="MG", code="MG", hectare=900)
+        assert engine.get_atom("state", "SP")["hectare"] == 750
+        engine.create_index("state", "code")
+        assert len(engine.lookup("state", "code", "MG")) == 1
+        assert engine.maintenance_statistics()["index_builds"] == 1  # served by the pool
+        assert len(engine.lookup("state", "hectare", 750)) == 1  # unindexed scan path
+        assert engine.maintenance_statistics()["index_builds"] == 1
+        engine.store_atom("state", identifier="MG", code="GM", hectare=900)  # replace
+        assert engine.lookup("state", "code", "MG") == ()
+        assert len(engine.lookup("state", "code", "GM")) == 1
+        engine.delete_atom("state", "SP")
+        assert engine.get_atom("state", "SP") is None
         with pytest.raises(StorageError):
-            store.delete("SP")
+            engine.delete_atom("state", "SP")
         with pytest.raises(StorageError):
-            store.create_index("missing")
+            engine.create_index("state", "missing")
 
     def test_link_store_adjacency(self):
-        store = LinkStore("wrote", "author", "book")
-        store.store("a1", "b1")
-        store.store("a1", "b2")
-        assert store.neighbours("a1") == frozenset({"b1", "b2"})
-        assert store.degree("a1") == 2
-        assert len(store.links_of("b1")) == 1
-        assert store.delete_atom("a1") == 2
-        assert len(store) == 0
+        """The atom-oriented interface: links, neighbours, cascading delete."""
+        engine = PrimaEngine("e")
+        engine.create_atom_type("author", {"name": "string"})
+        engine.create_atom_type("book", {"title": "string"})
+        engine.create_link_type("wrote", "author", "book")
+        engine.store_atom("author", identifier="a1", name="Codd")
+        for identifier in ("b1", "b2"):
+            engine.store_atom("book", identifier=identifier, title=identifier)
+            engine.connect("wrote", "a1", identifier)
+        engine.connect("wrote", "a1", "b2")  # idempotent
+        assert set(engine.neighbours("wrote", "a1")) == {"b1", "b2"}
+        assert engine.neighbours("wrote", "b1") == ("a1",)
+        assert engine.delete_atom("author", "a1") == 2
+        assert engine.statistics()["links"]["wrote"] == 0
 
     def test_engine_two_layers(self, geo_db):
         engine = PrimaEngine.from_database(geo_db)
@@ -210,15 +222,6 @@ class TestStorage:
         # place — no re-export on writes.
         assert engine.to_database() is first
         assert len(first.atyp("a")) == 1
-
-    def test_engine_snapshot_invalidation_in_rebuild_mode(self):
-        engine = PrimaEngine("e", maintenance="rebuild")
-        engine.create_atom_type("a", {"x": "integer"})
-        first = engine.to_database()
-        assert engine.to_database() is first  # cached
-        engine.store_atom("a", x=1)
-        assert engine.to_database() is not first  # invalidated by the write
-        assert len(engine.to_database().atyp("a")) == 1
 
     def test_engine_ddl_errors(self):
         engine = PrimaEngine("e")

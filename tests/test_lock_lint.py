@@ -437,6 +437,7 @@ class TestSelfTest:
     def test_seeded_raw_lock_in_engine_copy_is_caught(self):
         sources = collect_sources(SRC_REPRO)
         sources["repro.storage.engine"] += (
+            "\n\nimport threading\n"
             "\n\ndef _lint_rogue_lock():\n"
             "    return threading.Lock()\n"
         )

@@ -387,23 +387,6 @@ class TestMQLTransactions:
         winner = engine.query("SELECT ALL FROM state-area WHERE state.code = 'S1';")
         assert next(iter(winner)).root_atom["hectare"] == 311
 
-    def test_rebuild_mode_session_survives_and_rolls_back(self):
-        """Regression: in rebuild maintenance mode, a DML statement inside
-        BEGIN WORK must not invalidate the interpreter (which would destroy
-        the session and permanently publish its uncommitted writes)."""
-        database = build_geography(n_states=4, edges_per_state=3, n_rivers=1)
-        engine = PrimaEngine.from_database(database, maintenance="rebuild")
-        engine.query("BEGIN WORK;")
-        engine.query("MODIFY state FROM state - area SET hectare = 999 WHERE state.code = 'S1';")
-        engine.query("ROLLBACK WORK;")
-        result = engine.query("SELECT ALL FROM state-area WHERE state.code = 'S1';")
-        assert next(iter(result)).root_atom["hectare"] != 999
-        # Rebuild semantics resume once the session is over.
-        engine.query("MODIFY state FROM state - area SET hectare = 7 WHERE state.code = 'S1';")
-        builds = engine.maintenance_statistics()["snapshot_builds"]
-        engine.query("SELECT ALL FROM state-area WHERE state.code = 'S1';")
-        assert engine.maintenance_statistics()["snapshot_builds"] == builds + 1
-
     def test_pin_during_uncommitted_transaction_sees_clean_state(self):
         """Regression: a snapshot pinned while another transaction holds
         uncommitted writes must read the pre-transaction values, both before

@@ -149,14 +149,15 @@ WORKLOAD: Tuple[Callable, ...] = (
 
 
 def store_state(engine: PrimaEngine) -> str:
-    """A byte-stable fingerprint of the engine's stores (the durable truth)."""
+    """A byte-stable fingerprint of the engine's database (the durable truth)."""
+    database = engine.to_database()
     atoms = {
-        name: {atom.identifier: atom.values for atom in store}
-        for name, store in engine._atom_stores.items()
+        atom_type.name: {atom.identifier: atom.values for atom in atom_type}
+        for atom_type in database.atom_types
     }
     links = {
-        name: sorted(sorted(link.given_order) for link in store)
-        for name, store in engine._link_stores.items()
+        link_type.name: sorted(sorted(link.given_order) for link in link_type)
+        for link_type in database.link_types
     }
     return json.dumps({"atoms": atoms, "links": links}, sort_keys=True, default=str)
 
@@ -530,6 +531,32 @@ def test_crash_between_checkpoint_image_and_wal_truncate_is_recoverable(tmp_path
     assert recovered.recovery.checkpoint_loaded
     # The full log replayed over the image: both DDL and commits, idempotent.
     assert recovered.recovery.ddl_replayed == 3
+    recovered.close()
+
+
+def test_replay_over_a_newer_image_does_not_recheck_cardinality(tmp_path):
+    """The same window with a restricted link type: the log connects a part
+    to one supplier, then moves it to another.  Re-applied over the image of
+    the *end* state, the first connect passes through a state the 1:n rule
+    would refuse — redo must not re-validate what was validated when logged."""
+    from repro.core.link import Cardinality
+    from repro.storage.recovery import write_checkpoint
+
+    directory = tmp_path / "dir"
+    engine = build_engine(directory)
+    engine.create_link_type("made-by", "supplier", "part", cardinality=Cardinality.ONE_TO_MANY)
+    engine.store_atom("part", identifier="p", part_no="P", cost=1)
+    for supplier in ("s1", "s2"):
+        engine.store_atom("supplier", identifier=supplier, name=supplier)
+    engine.connect("made-by", "s1", "p")
+    engine.delete_atom("supplier", "s1")  # disconnects p
+    engine.connect("made-by", "s2", "p")
+    expected = store_state(engine)
+    write_checkpoint(engine, engine.durability)  # crash before the truncate
+    engine.close()
+    recovered = PrimaEngine("crashbox", durability=DurabilityConfig(directory))
+    assert store_state(recovered) == expected
+    assert recovered.neighbours("made-by", "p") == ("s2",)
     recovered.close()
 
 

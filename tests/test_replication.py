@@ -378,6 +378,29 @@ class TestHubCatchUp:
                     pinned.query(statement)
                 )
 
+    def test_applies_maintain_the_follower_in_place(self, fresh_engine):
+        """Applied records mutate the follower's one database: a handle taken
+        before the applies keeps its generation through MVCC, and nothing is
+        rebuilt however many bursts ship (one re-export per burst before)."""
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        database = follower.engine.to_database()
+        held = follower.snapshot()
+        before = held.query(COUNT_ITEMS).rows
+        for round_ in range(3):
+            burst(fresh_engine, 100 + 10 * round_, 110 + 10 * round_)
+            assert hub.ship(follower) == 10
+            assert follower.query(COUNT_ITEMS).rows == fresh_engine.query(COUNT_ITEMS).rows
+            assert held.query(COUNT_ITEMS).rows == before
+        report = follower.engine.maintenance_report()
+        assert follower.engine.to_database() is database
+        assert report["snapshot_builds"] == 1
+        assert report["interpreter_builds"] == 1
+        assert report["events_applied"] == 30
+        assert report["pins_active"] == 1
+        held.release()
+        assert follower.engine.maintenance_report()["pins_active"] == 0
+
     def test_ship_refuses_rewind(self, fresh_engine):
         follower = fresh_engine.create_follower()
         hub = fresh_engine.replication_hub()

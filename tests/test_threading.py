@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from typing import Callable, List
 
@@ -337,6 +338,41 @@ class TestParallelReaders:
         engine.query("ROLLBACK WORK;")
         handle.release()
         assert engine.query(READ).molecules is not None  # session gone, head open
+
+
+# ------------------------------------------------------------- DDL races
+
+
+class TestDdlRaces:
+    def test_type_registration_vs_registry_readers(self):
+        """DDL registers types in the engine's live database while other
+        threads walk its type registry (version GC on every pin release,
+        incident-link lookups): nobody may see the registry mid-resize."""
+        engine = small_engine()
+        database = engine.to_database()
+        done = threading.Event()
+
+        def ddl() -> None:
+            try:
+                for index in range(600 * STRESS):
+                    engine.create_atom_type(f"t{index}", {"x": "integer"})
+                    engine.create_link_type(f"l{index}", "state", f"t{index}")
+            finally:
+                done.set()
+
+        def reader() -> None:
+            while not done.is_set():
+                engine.collect_versions()
+                assert len(database.link_types_of("area")) == 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([ddl, reader, reader])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(database.link_types_of("state")) == 1 + 600 * STRESS
+        assert len(engine.query("SELECT ALL FROM state - area;")) == 6
 
 
 # ------------------------------------------------- structure-index churn
