@@ -189,10 +189,11 @@ LOCKS: Tuple[LockSpec, ...] = (
         kind=KIND_RLOCK,
         module="repro.storage.engine",
         guards="one change event at a time: generation counter, "
-        "incremental cache maintenance, WAL routing; also a declared "
-        "index's first build in the pool (basic-interface lookup)",
+        "incremental cache maintenance, WAL routing; also every lookup and "
+        "lazy build in the index pool, which readers on any thread share",
         rationale="acquired inside head locks and the versioning lock "
-        "(event emission); only acquires the leaves above level 40",
+        "(event emission; a pinned lookup holds its type's head lock); only "
+        "acquires the leaves above level 40",
     ),
     LockSpec(
         name="MQLInterpreter._plan_lock",

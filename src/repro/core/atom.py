@@ -14,8 +14,9 @@ representable without foreign keys.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from repro.analysis.runtime import make_rlock
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.attributes import AtomTypeDescription, make_description
 from repro.core.events import (
@@ -235,7 +236,7 @@ class AtomType:
             swap()
             return None
         with state.lock:
-            generation = state.tick()
+            generation = state.mutation_generation = state.tick()
             if state.recording:
                 chain = self._versions.get(identifier)
                 if chain is None:
@@ -299,6 +300,25 @@ class AtomType:
         """All identifiers with a head or versioned state, sorted (for views)."""
         with self._lock:
             return tuple(sorted(set(self._atoms) | set(self._versions)))
+
+    @contextmanager
+    def settled(self) -> "Iterator[FrozenSet[str]]":
+        """Hold the head lock; yields the identifiers carrying a version chain.
+
+        This is how a pinned reader turns an index maintained at the head
+        into candidates for its own generation.  While any pin or
+        transaction is active every mutation chains its pre-state, and a
+        chain is dropped only once no live reader can tell it from the head
+        — so an atom *without* a chain has the same state at the pin as at
+        the head, and ``head answer ∪ chained identifiers`` is a superset of
+        the pinned answer (the reader re-reads each candidate through its
+        view).  Inside the block nothing of this type moves: a mutation that
+        was in flight has finished, change event delivered, and the next one
+        waits — the head answer read here and the yielded set describe the
+        same instant.
+        """
+        with self._lock:
+            yield frozenset(self._versions)
 
     # -- accessor functions of Definition 1 --------------------------------
 

@@ -235,7 +235,7 @@ class LinkType:
             swap()
             return None
         with state.lock:
-            generation = state.tick()
+            generation = state.mutation_generation = state.tick()
             if state.recording:
                 chain = self._versions.get(link)
                 if chain is None:

@@ -32,6 +32,18 @@ collector (:meth:`VersioningState.truncation_horizon` driving the types'
 ``truncate_versions``) drops every entry no live pin or active transaction
 can reach.
 
+The chains are also what lets a pinned reader use the **access paths kept at
+the head**.  An object without a chain has the same state at the pin as at
+the head, so an index maintained at the head answers a pinned lookup once the
+identifiers that carry a chain are added to its answer
+(:meth:`~repro.core.atom.AtomType.settled`; the reader resolves every
+candidate through its view, so the superset is exact) — no second index, no
+journal beside the chains.  Structures derived from the whole head (structure
+indexes, columnar projections) serve a pin while their stamp lies in the
+snapshot's window (:meth:`Snapshot.covers`): the clock also ticks for commits,
+which mutate nothing, so :attr:`VersioningState.mutation_generation` keeps
+the generation of the newest mutation beside it.
+
 **Thread safety.**  :class:`VersioningState` is the engine-level mutex of the
 MVCC substrate: one re-entrant :attr:`VersioningState.lock` guards the
 generation clock, the pin registry, the commit log, the active-transaction
@@ -119,25 +131,44 @@ class Snapshot:
 
     Use :meth:`VersioningState.make_snapshot` to build one with the current
     exclusion set.
+
+    *newest_mutation* is the generation of the newest occurrence mutation at
+    or below :attr:`generation`.  A commit ticks the clock without mutating
+    anything, so a structure derived from the head and stamped anywhere in
+    ``[newest_mutation, generation]`` holds exactly the pinned state
+    (:meth:`covers`); left out, only a stamp equal to the pin does.
     """
 
-    __slots__ = ("generation", "own", "excluded")
+    __slots__ = ("generation", "own", "excluded", "newest_mutation")
 
     def __init__(
         self,
         generation: int,
         own: Optional[Set[int]] = None,
         excluded: "FrozenSet[int]" = frozenset(),
+        newest_mutation: Optional[int] = None,
     ) -> None:
         self.generation = generation
         self.own: "Set[int] | FrozenSet[int]" = own if own is not None else frozenset()
         self.excluded = excluded
+        self.newest_mutation = generation if newest_mutation is None else newest_mutation
 
     def visible(self, generation: int) -> bool:
         """``True`` when a version stamped *generation* is visible here."""
         if generation in self.own:
             return True
         return generation <= self.generation and generation not in self.excluded
+
+    def covers(self, stamp: int) -> bool:
+        """``True`` when a structure derived from the head and stamped *stamp*
+        — every change event up to that generation folded in, none after —
+        holds the state this snapshot reads.  Never with own or excluded
+        writes: such a snapshot differs from every state the head was in."""
+        return (
+            not self.own
+            and not self.excluded
+            and self.newest_mutation <= stamp <= self.generation
+        )
 
     def __repr__(self) -> str:
         return (
@@ -206,8 +237,17 @@ class VersioningState:
         self.lock = make_rlock("VersioningState.lock")
         #: Monotonic generation counter; every occurrence mutation ticks it.
         self.generation = start_generation
+        #: Generation of the newest occurrence mutation.  Commits tick the
+        #: clock past it (:meth:`record_commit`) and replay fast-forwards the
+        #: clock without mutating; the types set it beside their tick.
+        self.mutation_generation = start_generation
         #: Refcounted pins per generation (readers + session transactions).
         self._pins: Dict[int, int] = {}  # guarded-by: VersioningState.lock
+        #: Pinned generation -> the older generation its snapshots read at:
+        #: one taken while a transaction has uncommitted writes excludes
+        #: them for good, so it resolves the states *before* those writes
+        #: however the writer ends (see :meth:`pin`).
+        self._pin_floors: Dict[int, int] = {}  # guarded-by: VersioningState.lock
         #: ``(commit_generation, write_keys)`` of every relevant commit.
         self._commit_log: List[Tuple[int, FrozenSet[WriteKey]]] = []  # guarded-by: VersioningState.lock
         #: Transactions currently between ``begin`` and ``commit``/``rollback``.
@@ -340,6 +380,14 @@ class VersioningState:
         current generation when nothing does (no chains are retained then,
         so *any* older generation would silently read head state).  A
         successful pin therefore always yields an exact snapshot.
+
+        A pin taken while transactions hold uncommitted writes at or below
+        it also retains the generation just before the oldest of them:
+        :meth:`make_snapshot` (same critical section) excludes those writes,
+        and the states underneath must outlive the writers — once one
+        commits or rolls back its start generation leaves the horizon, and
+        truncating to the pin itself would hand the reader the excluded
+        value, or nothing.
         """
         with self.lock:
             pinned = self.generation if generation is None else generation
@@ -356,6 +404,12 @@ class VersioningState:
                     "or never recorded)"
                 )
             self._pins[pinned] = self._pins.get(pinned, 0) + 1
+            for txn in self.active_transactions:
+                uncommitted = [g for g in getattr(txn, "own_generations", ()) if g <= pinned]
+                if uncommitted:
+                    self._pin_floors[pinned] = min(
+                        self._pin_floors.get(pinned, pinned), min(uncommitted) - 1
+                    )
             return pinned
 
     def release(self, generation: int) -> None:
@@ -377,6 +431,7 @@ class VersioningState:
                 )
             if count == 1:
                 del self._pins[generation]
+                self._pin_floors.pop(generation, None)
             else:
                 self._pins[generation] = count - 1
 
@@ -471,7 +526,11 @@ class VersioningState:
                 if gens is None or gens is own:
                     continue
                 excluded.update(g for g in gens if g <= pinned)
-            return Snapshot(pinned, own=own, excluded=frozenset(excluded))
+            # Only at the clock is the newest mutation below the pin known.
+            newest = self.mutation_generation if pinned == self.generation else pinned
+            return Snapshot(
+                pinned, own=own, excluded=frozenset(excluded), newest_mutation=newest
+            )
 
     def prune_commit_log(self) -> None:
         """Drop commit-log entries no active transaction can conflict with."""
@@ -494,15 +553,16 @@ class VersioningState:
     def truncation_horizon(self) -> Optional[int]:
         """The oldest generation any reader may still need (``None`` = none).
 
-        Bounded by the oldest pin **and** the oldest active transaction's
-        start generation: a transaction's pre-states must survive until it
-        finishes, because a reader pinning mid-flight excludes the writer's
-        generations and resolves those pre-states through the chains.
-        (Truncating them on an unrelated pin release would silently hand
-        such a reader the writer's uncommitted values.)
+        Bounded by the oldest pin — or the floor it retains, see :meth:`pin`
+        — **and** the oldest active transaction's start generation: a
+        transaction's pre-states must survive until it finishes, because a
+        reader pinning mid-flight excludes the writer's generations and
+        resolves those pre-states through the chains.  (Truncating them on
+        an unrelated pin release would silently hand such a reader the
+        writer's uncommitted values.)
         """
         with self.lock:
-            candidates = list(self._pins)
+            candidates = [self._pin_floors.get(pin, pin) for pin in self._pins]
             candidates.extend(
                 getattr(txn, "start_generation", 0)
                 for txn in self.active_transactions

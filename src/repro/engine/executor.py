@@ -202,20 +202,23 @@ class Executor:
         """A fresh execution context sharing the executor's access structures.
 
         With *snapshot* (a :class:`~repro.core.versions.Snapshot`) the context
-        reads through a pinned :meth:`Database.at` view instead: the head's
-        index pool and atom network are bypassed — they are maintained at the
-        head generation and would leak post-snapshot state into the read.
+        reads through a pinned :meth:`Database.at` view.  It keeps the index
+        pool, as a source of candidates: the pool is maintained at the head,
+        so a lookup is widened by the atoms that carry a version chain and
+        every candidate is read back through the view
+        (:class:`~repro.engine.physical.ExecutionContext`).  The atom network
+        has no such widening and is left out — the view's link types answer
+        the traversal.
 
-        Snapshot contexts are safe to build and run from any thread: every
-        object here is freshly constructed, the pinned views resolve
-        lock-free over immutable version chains (copying mutable head
-        collections briefly under the per-type head locks), and neither the
-        shared index pool nor the shared network is touched.  The structure
-        index store *is* shared, but it is internally locked and serves a
-        pinned reader only when its encoding is provably coherent with the
-        pin (falling back to the fixpoint loop otherwise).  Head contexts
-        (``snapshot=None``) share those mutable access structures and belong
-        to the engine's owning thread.
+        Snapshot contexts are safe to build and run from any thread: the
+        pinned views resolve lock-free over immutable version chains (copying
+        mutable head collections briefly under the per-type head locks), the
+        pool is read under the lock its owner folds change events under, and
+        the structure-index and columnar stores are internally locked and
+        serve a pinned reader only while their encoding provably holds the
+        pinned state (the fixpoint loop and the row fold otherwise).  Head
+        contexts (``snapshot=None``) share the network and the live columnar
+        arrays unlocked and belong to the engine's owning thread.
         """
         if snapshot is None:
             return ExecutionContext(
@@ -223,7 +226,7 @@ class Executor:
                 structure=self.structure, columnar=self.columnar,
             )
         return ExecutionContext(
-            self.database.at(snapshot), counters, None, None, snapshot=snapshot,
+            self.database.at(snapshot), counters, self.indexes, snapshot=snapshot,
             structure=self.structure, columnar=self.columnar,
         )
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -87,11 +88,20 @@ class IndexPool:
     its own, so a coherent pool never needs rebuilding on writes).  Ephemeral
     executors over a live, unobserved :class:`~repro.core.database.Database`
     must leave *build_transient* off, falling back to filtered scans.
+
+    *lock* is the lock the owner holds while it calls :meth:`apply_event`
+    (the storage engine's event lock).  Every lookup and lazy build runs
+    under it, so readers on any thread — the head, pinned handles, sessions
+    — share one pool with the writers folding into it; a pool nobody folds
+    into needs none.
     """
 
-    def __init__(self, database: Database, build_transient: bool = True) -> None:
+    def __init__(self, database: Database, build_transient: bool = True, lock=None) -> None:
         self.database = database
         self.build_transient = build_transient
+        # Named after the lock it is in an engine: the lock-order analysis
+        # resolves ``with self._event_lock`` by that name.
+        self._event_lock = lock if lock is not None else nullcontext()
         self._indexes: Dict[Tuple[str, str], object] = {}
         self._grids: Dict[Tuple[str, Tuple[str, ...]], object] = {}
         #: Write generation this pool is coherent with (stamped by the owner).
@@ -112,50 +122,58 @@ class IndexPool:
         it is charged to ``counters.atoms_indexed`` so moved work stays
         visible in plan comparisons.
         """
+        from repro.storage.index import HashIndex  # deferred: avoids a package cycle
+
         key = (atom_type_name, attribute)
-        index = self._indexes.get(key)
-        if index is None:
-            if not self.build_transient or not self.database.has_atom_type(atom_type_name):
-                return None
-            from repro.storage.index import HashIndex  # deferred: avoids a package cycle
+        with self._event_lock:
+            index = self._indexes.get(key)
+            if index is None:
+                index = self._build(HashIndex, self._indexes, key, counters)
+            return index.lookup(value) if index is not None else None
 
-            index = HashIndex(atom_type_name, attribute)
-            for atom in self.database.atyp(atom_type_name):
-                index.insert(atom)
-                if counters is not None:
-                    counters.atoms_indexed += 1
-            self._indexes[key] = index
-            self.builds += 1
-        return index.lookup(value)
-
-    def grid_for(
+    def grid_lookup(
         self,
         atom_type_name: str,
         attributes: Tuple[str, ...],
+        values: Dict[str, object],
         counters: Optional[ExecutionCounters] = None,
-    ):
-        """A composite :class:`~repro.storage.index.GridIndex` over the given
-        attribute tuple, or ``None`` when none is usable.
+    ) -> Optional[FrozenSet[str]]:
+        """The atoms matching every bound attribute of *values* in the
+        composite :class:`~repro.storage.index.GridIndex` over *attributes*
+        (all of them bound: one cell; a subset: a partial-match scan), or
+        ``None`` when no grid is usable.
 
-        Like :meth:`lookup`, missing grids are built transiently (one full
+        Like :meth:`lookup`, a missing grid is built transiently (one full
         occurrence pass, charged to ``counters.atoms_indexed``) and then
         maintained through :meth:`apply_event`.
         """
-        key = (atom_type_name, tuple(attributes))
-        grid = self._grids.get(key)
-        if grid is None:
-            if not self.build_transient or not self.database.has_atom_type(atom_type_name):
-                return None
-            from repro.storage.index import GridIndex  # deferred: avoids a package cycle
+        from repro.storage.index import GridIndex  # deferred: avoids a package cycle
 
-            grid = GridIndex(atom_type_name, key[1])
-            for atom in self.database.atyp(atom_type_name):
-                grid.insert(atom)
-                if counters is not None:
-                    counters.atoms_indexed += 1
-            self._grids[key] = grid
-            self.builds += 1
-        return grid
+        key = (atom_type_name, tuple(attributes))
+        with self._event_lock:
+            grid = self._grids.get(key)
+            if grid is None:
+                grid = self._build(GridIndex, self._grids, key, counters)
+            return grid.lookup(values) if grid is not None else None
+
+    def _build(self, kind, registry, key, counters: Optional[ExecutionCounters]):
+        """Build the *kind* index for *key* from the head and register it, or
+        ``None`` when this pool does not build.  Runs under the event lock: no
+        change event is folded half-way through the pass, and one whose
+        mutation the copied occurrence already shows is folded again
+        afterwards, harmlessly."""
+        atom_type_name = key[0]
+        if not self.build_transient or not self.database.has_atom_type(atom_type_name):
+            return None
+        index = kind(*key)
+        atoms = self.database.atyp(atom_type_name).occurrence
+        for atom in atoms:
+            index.insert(atom)
+        if counters is not None:
+            counters.atoms_indexed += len(atoms)
+        registry[key] = index
+        self.builds += 1
+        return index
 
     def apply_event(self, event, generation: Optional[int] = None) -> None:
         """Fold one atom-level change event into every matching cached index.
@@ -187,10 +205,20 @@ class IndexPool:
 class ExecutionContext:
     """Per-execution state: the database, work counters and access structures.
 
-    *indexes* is an optional :class:`IndexPool`; *network* an optional
+    *indexes* is the :class:`IndexPool` equality conjuncts are answered from
+    (:meth:`lookup`, :meth:`grid_lookup`) — without one the context carries a
+    pool that builds nothing and answers ``None``; *network* an optional
     :class:`~repro.storage.network.AtomNetwork` whose typed adjacency
     (``links_via``) replaces per-link-type lookups when present — the storage
     engine shares its cached network across queries this way.
+
+    With *snapshot* the *database* is that snapshot's view and *indexes* the
+    pool kept at the head of the same database.  A lookup is then the head
+    answer united with the identifiers of the type that carry a version
+    chain (:meth:`~repro.core.atom.AtomType.settled`): a superset of the
+    atoms matching at the pin, whoever wrote since — the head, this reader's
+    own transaction or an uncommitted peer.  Callers read every candidate
+    back through the view and test it again, so the superset is exact.
     """
 
     def __init__(
@@ -205,7 +233,9 @@ class ExecutionContext:
     ) -> None:
         self.database = database
         self.counters = counters or ExecutionCounters()
-        self.indexes = indexes
+        self.indexes = (
+            indexes if indexes is not None else IndexPool(database, build_transient=False)
+        )
         self.network = network
         #: The pinned :class:`~repro.core.versions.Snapshot` when *database*
         #: is a generation-stamped view, ``None`` for head execution.
@@ -216,6 +246,40 @@ class ExecutionContext:
         #: Optional :class:`~repro.storage.columnar.ColumnarStore` — the
         #: read-optimized per-type attribute arrays for aggregate scans.
         self.columnar = columnar
+
+    def lookup(
+        self, atom_type_name: str, attribute: str, value: object
+    ) -> Optional[FrozenSet[str]]:
+        """The atoms of *atom_type_name* that can have ``attribute = value``
+        in this context's database, or ``None`` when no index is usable."""
+        return self._candidates(
+            atom_type_name,
+            lambda: self.indexes.lookup(atom_type_name, attribute, value, self.counters),
+        )
+
+    def grid_lookup(
+        self, atom_type_name: str, attributes: Tuple[str, ...], values: Dict[str, object]
+    ) -> Optional[FrozenSet[str]]:
+        """:meth:`lookup` through the composite grid over *attributes*, with
+        any subset of them bound in *values*."""
+        return self._candidates(
+            atom_type_name,
+            lambda: self.indexes.grid_lookup(atom_type_name, attributes, values, self.counters),
+        )
+
+    def _candidates(self, atom_type_name: str, read) -> Optional[FrozenSet[str]]:
+        """``read()`` at the head; for a pinned reader widened by the chained
+        identifiers, both taken while the type's head lock holds it still."""
+        if self.snapshot is None:
+            return read()
+        head = self.indexes.database
+        if not head.has_atom_type(atom_type_name):
+            return None
+        with head.atyp(atom_type_name).settled() as chained:
+            identifiers = read()
+        if identifiers is None or not chained:
+            return identifiers
+        return identifiers | chained
 
     def links_via(self, link_type: LinkType, identifier: str) -> "Iterable[Link]":
         """The links of *link_type* incident to *identifier* (neighbour traversal)."""
@@ -360,21 +424,19 @@ class MoleculeScan(PhysicalOperator):
         must hold for some component atom of a qualifying molecule, so the
         roots above the atoms matching any one of them are a superset of the
         qualifying roots; the rarest conjunct gives the smallest.  ``None``
-        without an index pool to name those atoms (pinned snapshots,
-        followers), without such a conjunct, when even the rarest matches more
-        than :data:`MAX_ENUMERATION_CANDIDATES` atoms, or on a structure whose
-        links cannot be told apart walking upward.
+        without an index to name those atoms, without such a conjunct, when
+        even the rarest matches more than :data:`MAX_ENUMERATION_CANDIDATES`
+        atoms, or on a structure whose links cannot be told apart walking
+        upward.
         """
-        if restriction is None or ctx.indexes is None or not walk.plain:
+        if restriction is None or not walk.plain:
             return None
         best: Optional[Tuple[str, FrozenSet[str]]] = None
         for type_name in walk.description.atom_type_names:
             if type_name == walk.root:
                 continue
             for conjunct in equality_conjuncts(restriction, type_name):
-                identifiers = ctx.indexes.lookup(
-                    type_name, conjunct.lhs.attribute, conjunct.rhs, ctx.counters
-                )
+                identifiers = ctx.lookup(type_name, conjunct.lhs.attribute, conjunct.rhs)
                 if identifiers is None:
                     continue
                 ctx.counters.index_lookups += 1
@@ -395,8 +457,6 @@ class MoleculeScan(PhysicalOperator):
         the hash-index path.  Every candidate still passes through the full
         root filter afterwards, so index choice never affects results.
         """
-        if ctx.indexes is None:
-            return None
         root_bare = description.root.split("@", 1)[0]
         equalities: Dict[str, object] = {}
         for conjunct in split_conjunction(self.root_filter):
@@ -415,12 +475,12 @@ class MoleculeScan(PhysicalOperator):
         )
         if use_grid:
             attributes = tuple(sorted(equalities))
-            grid = ctx.indexes.grid_for(description.root, attributes, ctx.counters)
-            if grid is None:
-                grid = ctx.indexes.grid_for(root_bare, attributes, ctx.counters)
-            if grid is not None:
+            identifiers = ctx.grid_lookup(description.root, attributes, equalities)
+            if identifiers is None:
+                identifiers = ctx.grid_lookup(root_bare, attributes, equalities)
+            if identifiers is not None:
                 ctx.counters.index_lookups += 1
-                atoms = [root_type.get(identifier) for identifier in sorted(grid.lookup(equalities))]
+                atoms = [root_type.get(identifier) for identifier in sorted(identifiers)]
                 return [atom for atom in atoms if atom is not None]
         if self.root_access is not None and self.root_access[0] == "hash":
             # The planner named the most selective attribute(s) first; try
@@ -429,13 +489,9 @@ class MoleculeScan(PhysicalOperator):
             ordered += [a for a in equalities if a not in ordered]
             equalities = {attribute: equalities[attribute] for attribute in ordered}
         for attribute, value in equalities.items():
-            identifiers = ctx.indexes.lookup(
-                description.root, attribute, value, ctx.counters
-            )
+            identifiers = ctx.lookup(description.root, attribute, value)
             if identifiers is None:
-                identifiers = ctx.indexes.lookup(
-                    root_bare, attribute, value, ctx.counters
-                )
+                identifiers = ctx.lookup(root_bare, attribute, value)
             if identifiers is None:
                 continue
             ctx.counters.index_lookups += 1
@@ -543,8 +599,7 @@ class IntervalScan(PhysicalOperator):
     def _root_atoms(self, ctx, store, index, generation) -> Iterable[Atom]:
         """The roots to expand: the enumerated qualifying roots in identifier
         order when the index can name them, every atom of the type otherwise
-        (graph mode, stale or incoherent index, no usable equality conjunct,
-        no index pool to find the conjuncts' atoms with).
+        (graph mode, stale or incoherent index, no usable equality conjunct).
         """
         atom_type = ctx.database.atyp(self.description.atom_type_name)
         if index is None or not store.supports_pruning(index):
@@ -602,17 +657,13 @@ class IntervalScan(PhysicalOperator):
         """Per-conjunct candidate-atom sets for root enumeration, or ``None``.
 
         Each usable equality conjunct ``root_type.attr = const`` contributes
-        the set of atoms satisfying it (via hash or grid index); a context
-        without an index pool (pinned snapshots, followers) has no way to
-        name them short of a full pass and visits every root instead.
+        the set of atoms satisfying it (via hash or grid index).
         Enumeration is sound per conjunct only: the restriction is
         existential, so different closure members may satisfy different
         conjuncts — the closure must merely *intersect* every set.  Oversized
         sets are dropped (walking them costs more than it saves); dropping
         only admits more roots.
         """
-        if ctx.indexes is None:
-            return None
         wanted = [
             (conjunct.lhs.attribute, conjunct.rhs)
             for conjunct in equality_conjuncts(self.formula, self.description.atom_type_name)
@@ -621,17 +672,15 @@ class IntervalScan(PhysicalOperator):
             return None
         type_name = self.description.atom_type_name
         attributes = tuple(sorted({attribute for attribute, _ in wanted}))
-        grid = (
-            ctx.indexes.grid_for(type_name, attributes, ctx.counters)
-            if len(attributes) >= 2
-            else None
-        )
         sets: List[FrozenSet[str]] = []
         for attribute, value in wanted:
-            if grid is not None:
-                identifiers = grid.lookup({attribute: value})
-            else:
-                identifiers = ctx.indexes.lookup(type_name, attribute, value, ctx.counters)
+            identifiers = (
+                ctx.grid_lookup(type_name, attributes, {attribute: value})
+                if len(attributes) >= 2
+                else None
+            )
+            if identifiers is None:
+                identifiers = ctx.lookup(type_name, attribute, value)
                 if identifiers is None:
                     return None
             ctx.counters.index_lookups += 1

@@ -225,8 +225,7 @@ class Planner:
                     access = (
                         f"upward walk from ≈ {count} {walk.atom_type} "
                         f"candidate{'s' * (count != 1)} of {walk.conjuncts} equality "
-                        f"conjunct{'s' * (walk.conjuncts != 1)} "
-                        "(a pinned read visits all roots)"
+                        f"conjunct{'s' * (walk.conjuncts != 1)}"
                     )
                 elif equality_conjuncts(node.root_filter, node.description.root):
                     access = "root index"
@@ -380,7 +379,7 @@ class Planner:
                         f"  root access: ancestor walk from ≈ {count} "
                         f"candidate{'s' * (count != 1)} of {len(candidates)} equality "
                         f"conjunct{'s' * (len(candidates) != 1)} "
-                        "(a graph-mode index or a pinned read visits all roots)"
+                        "(a graph-mode index visits all roots)"
                     )
                 else:
                     notes.append("  root access: all roots")

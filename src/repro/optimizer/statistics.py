@@ -353,8 +353,7 @@ class CostModel:
         :data:`MAX_ENUMERATION_CANDIDATES` or an equality-indexed root filter
         names fewer roots.  Going up, every use ``<lt, P, C>`` on the path
         multiplies by its fan-in ``link_count(lt) / atom_count(C)``; parent
-        uses add up (DAG-shaped structures).  A head read with an index pool
-        is assumed — a pinned read visits all roots whatever this says.
+        uses add up (DAG-shaped structures).
         """
         if not isinstance(plan, RestrictPlan) or not isinstance(plan.child, DefinePlan):
             return None

@@ -7,15 +7,23 @@ per attribute, parallel to an identifier list, so the aggregate fold becomes
 tight list indexing — several times faster on wide occurrences and friendlier
 to the allocator (the per-atom dicts are never touched).
 
-Projections are built lazily on first head use (no DDL — any atom type is
+Projections are built lazily on first use (no DDL — any atom type is
 eligible) and maintained incrementally from the engine's change-event stream:
 inserts append, deletes swap-remove, modifications patch in place.  MVCC
 follows the structure-index rules exactly: every projection is
-generation-stamped by the owning engine, a pinned snapshot is served only
-when the stamp equals the pin and the snapshot carries no private or
-excluded writes, and anything else counts a ``snapshot_gap`` — the operator
-then falls back to the row path over the pinned view, preserving byte
-parity.  All counters surface through ``maintenance_report()``.
+generation-stamped by the owning engine, and a pinned snapshot is served only
+when it carries no private or excluded writes and the stamp lies in its
+window ``[newest mutation the snapshot sees, pinned generation]``
+(:meth:`~repro.core.versions.Snapshot.covers` — a commit ticks the clock
+without an event, so the stamp trails a pin taken at the head and still
+holds its state).  Such a reader is handed a *copy* of the arrays, taken
+under the store lock: the live lists are patched and swap-popped in place by
+the next fold.  When nothing is built yet it builds the projection itself,
+from its own pinned view and outside the store lock, and installs it only if
+the stamp has not moved meanwhile — a replica is read through pins alone and
+would otherwise never get one.  Anything else counts a ``snapshot_gap`` and
+the operator falls back to the row path over the pinned view, preserving
+byte parity.  All counters surface through ``maintenance_report()``.
 """
 
 from __future__ import annotations
@@ -38,10 +46,11 @@ class ColumnarProjection:
     """Per-type attribute arrays: one identifier list plus one list per attribute.
 
     Not internally synchronized — the owning :class:`ColumnarStore` wraps
-    every entry point in its lock.  Readers receive the live lists; the
+    every entry point in its lock.  Head readers receive the live lists; the
     engine's single-writer discipline (folds happen under the engine locks,
-    head reads on the owning thread) makes that safe, and pinned-snapshot
-    readers only ever see a projection provably coherent with their pin.
+    head reads on the owning thread) makes that safe.  Pinned-snapshot
+    readers receive a :meth:`detached` copy of a projection provably coherent
+    with their pin.
     """
 
     def __init__(self, type_name: str) -> None:
@@ -71,6 +80,16 @@ class ColumnarProjection:
     def column(self, attribute: str) -> List[object]:
         """The value array of *attribute* (parallel to :attr:`identifiers`)."""
         return self._columns[attribute]
+
+    def detached(self) -> "ColumnarProjection":
+        """A copy of the arrays that no later fold reaches (scan-only: it
+        cannot be maintained)."""
+        copy = ColumnarProjection(self.type_name)
+        copy.generation = self.generation
+        copy.stale = False
+        copy.identifiers = list(self.identifiers)
+        copy._columns = {name: list(values) for name, values in self._columns.items()}
+        return copy
 
     # --------------------------------------------------------------- rebuild
 
@@ -168,38 +187,50 @@ class ColumnarStore:
     def for_execution(self, type_name: str, ctx) -> Optional[ColumnarProjection]:
         """The projection serving *type_name* in *ctx*, or ``None`` (fallback).
 
-        Head contexts create and (re)build projections lazily; pinned-snapshot
-        contexts only ever use a projection whose generation matches the pin
-        and whose owning transaction has no private or excluded writes.
+        Head contexts create and (re)build projections in place and scan the
+        live arrays.  A pinned-snapshot context is served only inside its
+        window and without private or excluded writes, scans a copy, and
+        builds a missing projection from its own view (module docstring).
         """
         bare = type_name.split("@", 1)[0]
+        snapshot = getattr(ctx, "snapshot", None)
+        if not ctx.database.has_atom_type(bare):
+            return None
         with self._lock:
             if not self.enabled:
                 return None
             projection = self._projections.get(bare)
-            snapshot = getattr(ctx, "snapshot", None)
-            if snapshot is not None:
-                if (
-                    projection is None
-                    or projection.stale
-                    or projection.generation != snapshot.generation
-                    or getattr(snapshot, "own", None)
-                    or getattr(snapshot, "excluded", None)
-                ):
-                    # The operator counts the fallback when it takes the
-                    # row path; here we only record the coherence gap.
-                    self.snapshot_gaps += 1
-                    return None
+            if snapshot is None:
+                if projection is None:
+                    projection = ColumnarProjection(bare)
+                    self._projections[bare] = projection
+                if projection.stale:
+                    projection.refresh(ctx.database)
+                    projection.generation = self.generation
                 return projection
-            if not ctx.database.has_atom_type(bare):
+            built = projection is not None and not projection.stale
+            stamp = projection.generation if built else self.generation
+            if not snapshot.covers(stamp):
+                # The operator counts the fallback when it takes the row
+                # path; here we only record the coherence gap.
+                self.snapshot_gaps += 1
                 return None
-            if projection is None:
-                projection = ColumnarProjection(bare)
-                self._projections[bare] = projection
-            if projection.stale:
-                projection.refresh(ctx.database)
-                projection.generation = self.generation
-            return projection
+            if built:
+                return projection.detached()
+        # Never under the leaf lock: iterating a view takes the type's head
+        # lock, which a writer holds while it waits to fold in here.
+        fresh = ColumnarProjection(bare)
+        fresh.refresh(ctx.database)
+        with self._lock:
+            if self.generation != stamp or self._projections.get(bare) is not projection:
+                self.snapshot_gaps += 1
+                return None
+            if projection is not None:
+                fresh.builds += projection.builds
+                fresh.gap_events = projection.gap_events
+            fresh.generation = stamp
+            self._projections[bare] = fresh
+            return fresh.detached()
 
     def count_fallback(self) -> None:
         """One aggregate execution took the row path (ineligible filter, …)."""

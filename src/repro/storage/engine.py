@@ -349,11 +349,7 @@ class PrimaEngine:
                 atom for atom in self.scan(atom_type_name) if atom.get(attribute) == value
             )
         atom_type = self._database.atyp(atom_type_name)
-        pool = self._pool()
-        # Under the event lock: the first use builds the index, and no change
-        # event may fold into the pool half-way through that pass.
-        with self._event_lock:
-            identifiers = pool.lookup(atom_type_name, attribute, value)
+        identifiers = self._pool().lookup(atom_type_name, attribute, value)
         atoms = tuple(atom for atom in map(atom_type.get, identifiers) if atom is not None)
         self._reads[atom_type_name] += len(atoms)
         return atoms
@@ -520,7 +516,9 @@ class PrimaEngine:
             if self._index_pool is None:
                 from repro.engine.physical import IndexPool
 
-                self._index_pool = IndexPool(self._database)
+                # The pool reads and builds under the lock its events are
+                # folded under (_on_change), whichever thread asks.
+                self._index_pool = IndexPool(self._database, lock=self._event_lock)
                 self._index_pool.generation = self.generation
             return self._index_pool
 
@@ -585,8 +583,11 @@ class PrimaEngine:
         generation, and returns the results **in statement order** —
         byte-identical to running the same statements serially on the same
         snapshot, no matter how much committed DML races at the head.
-        Readers run lock-free over the immutable version chains; only the
-        plan step serializes briefly on the interpreter's planner lock.
+        Readers derive lock-free over the immutable version chains; the
+        plan step serializes briefly on the interpreter's planner lock and
+        an index lookup on the looked-up type's head lock (the index pool,
+        the structure indexes and the columnar projections are the head's,
+        shared by every reader — see DESIGN.md "Versioned access paths").
 
         *threads* defaults to ``min(len(statements), 4)``; ``threads=1``
         degrades to a serial loop over the same pinned handle (the E-PERF7

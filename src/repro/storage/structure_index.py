@@ -34,13 +34,21 @@ equality conjunct are the ancestor-or-self chains of the atoms matching it
 and nothing else.
 
 MVCC interaction: indexes are generation-stamped by the owning engine.  A
-pinned snapshot may use an index only when the stamp equals the snapshot's
-generation and the snapshot carries no private writes — checked when the scan
-starts and again, under the store lock, on every call it makes, because the
-head keeps folding writes into the shared encoding while the pin reads.
-Otherwise the store counts a ``snapshot_gap`` and the executor falls back to
-the fixpoint loop over the pinned view, preserving byte parity.  All counters
-surface through ``maintenance_report()``.
+pinned snapshot may use an index only when it carries no private or excluded
+writes and the stamp lies in its window ``[newest mutation the snapshot sees,
+pinned generation]`` (:meth:`~repro.core.versions.Snapshot.covers`: a commit
+ticks the clock without an event, so the stamp trails a pin taken at the head
+and still holds its state) — checked when the scan starts, and on every call
+it makes the store verifies again, under its lock, that nothing newer than
+the pin has been folded in, because the head keeps folding writes into the
+shared encoding while the pin reads.  A registered index nobody has built yet
+(or a stale one) is built by such a reader itself, from its own pinned view
+and outside the store lock, and installed only if the stamp has not moved
+meanwhile — a replica is read through pins alone and would otherwise stay on
+the fixpoint loop for ever.  Otherwise the store counts a ``snapshot_gap``
+and the executor falls back to the fixpoint loop over the pinned view,
+preserving byte parity.  All counters surface through
+``maintenance_report()``.
 """
 
 from __future__ import annotations
@@ -689,34 +697,46 @@ class StructureIndexStore:
     def for_execution(self, description: "RecursiveDescription", ctx) -> Optional[StructureIndex]:
         """The index to answer *description* in *ctx*, or ``None`` (fallback).
 
-        Head contexts rebuild a stale index in place; pinned-snapshot
-        contexts only ever use an index whose generation matches the pin and
-        whose owning transaction has no private or excluded writes.
+        Head contexts rebuild a stale index in place.  A pinned-snapshot
+        context is served only inside its window and without private or
+        excluded writes, and builds a missing or stale index from its own
+        view (module docstring).
         """
         key = structure_key(description)
+        snapshot = getattr(ctx, "snapshot", None)
         with self._lock:
-            index = self._indexes.get(key)
             if key not in self._indexes:
                 return None
-            snapshot = getattr(ctx, "snapshot", None)
-            if snapshot is not None:
-                if (
-                    index is None
-                    or index.stale
-                    or index.generation != snapshot.generation
-                    or getattr(snapshot, "own", None)
-                    or getattr(snapshot, "excluded", None)
-                ):
-                    self.snapshot_gaps += 1
-                    return None
+            index = self._indexes[key]
+            if snapshot is None:
+                if index is None:
+                    index = StructureIndex(key)
+                    self._indexes[key] = index
+                if index.stale:
+                    index.refresh(ctx.database)
+                    index.generation = self.generation
                 return index
-            if index is None:
-                index = StructureIndex(key)
-                self._indexes[key] = index
-            if index.stale:
-                index.refresh(ctx.database)
-                index.generation = self.generation
-            return index
+            built = index is not None and not index.stale
+            stamp = index.generation if built else self.generation
+            if not snapshot.covers(stamp):
+                self.snapshot_gaps += 1
+                return None
+            if built:
+                return index
+        # Never under the leaf lock: iterating a view takes the types' head
+        # locks, which a writer holds while it waits to fold in here.
+        fresh = StructureIndex(key)
+        fresh.refresh(ctx.database)
+        with self._lock:
+            if self.generation != stamp or self._indexes.get(key) is not index:
+                self.snapshot_gaps += 1
+                return None
+            if index is not None:
+                fresh.builds += index.builds
+                fresh.gap_events = index.gap_events
+            fresh.generation = stamp
+            self._indexes[key] = fresh
+            return fresh
 
     def closure(
         self,
@@ -727,9 +747,10 @@ class StructureIndexStore:
     ):
         """``index.closure`` under the store lock.  A pinned reader passes its
         *generation*: :meth:`for_execution` admitted the index once, but the
-        head keeps folding writes into it, so every later call re-verifies
-        coherence with the pin and answers ``None`` (fixpoint fallback over
-        the pinned view) once the encoding has moved on."""
+        head keeps folding writes into it, so every later call verifies that
+        nothing newer than the pin has been folded in and answers ``None``
+        (fixpoint fallback over the pinned view) once the encoding has moved
+        on."""
         with self._lock:
             if not self._coherent(index, generation):
                 return None
@@ -750,9 +771,11 @@ class StructureIndexStore:
             return index.qualifying_roots(candidate_sets, max_depth)
 
     def _coherent(self, index: StructureIndex, generation: Optional[int]) -> bool:
-        """Whether *index* still encodes the pinned *generation* (head
-        callers pass ``None``); a refusal counts as a snapshot gap."""
-        if generation is None or (not index.stale and index.generation == generation):
+        """Whether *index*, admitted by :meth:`for_execution`, still holds the
+        state pinned at *generation* (head callers pass ``None``): stamps
+        only grow, so it does until an event past the pin is folded in.  A
+        refusal counts as a snapshot gap."""
+        if generation is None or (not index.stale and index.generation <= generation):
             return True
         self.snapshot_gaps += 1
         return False

@@ -165,6 +165,31 @@ class TestSnapshotReaders:
         old.release()
         assert engine.maintenance_report()["versions_live"] == 0
 
+    @pytest.mark.parametrize("finish", ["commit", "rollback"])
+    def test_excluded_write_stays_excluded_after_its_writer_finishes(self, finish):
+        """A reader pinned while a transaction holds an uncommitted write
+        excludes it for good: the pre-state must survive the writer's end
+        and the next truncation (it used to be collected — the reader then
+        saw the committed value, or lost the atom to the rollback's chain)."""
+        engine = small_engine()
+        query = "SELECT ALL FROM state-area WHERE state.code = 'S1';"
+        state = next(iter(engine.query(query))).root_atom
+        txn = Transaction(engine.to_database())
+        txn.begin()
+        txn.modify_atom("state", state.identifier, hectare=999)
+        handle = engine.snapshot_at()
+        other = engine.snapshot_at()
+        before = fingerprint(handle.query(query))
+        assert "999" not in before
+        getattr(txn, finish)()
+        other.release()  # truncates to the horizon the remaining pin holds
+        assert fingerprint(handle.query(query)) == before
+        report = engine.maintenance_report()
+        assert report["pins_active"] == 1
+        assert report["oldest_pinned_generation"] == handle.generation
+        handle.release()
+        assert engine.maintenance_report()["versions_live"] == 0
+
     def test_maintenance_report_extends_statistics(self):
         engine = small_engine()
         report = engine.maintenance_report()

@@ -183,6 +183,19 @@ class TestRouteContract:
         for expected, got in zip(serial, routed):
             assert fingerprint(got) == fingerprint(expected)
 
+    def test_selective_reads_derive_only_the_answer(self, shared_engine, mode):
+        """Every replica reads through an index pool — a worker at the head
+        of its own copy, a follower through its pin — so a point read costs
+        its answer on either route, not the atom type."""
+        statements = [f"SELECT item FROM item WHERE item.name = 'n{i}';" for i in (7, 8, 9, 10)]
+        for result in shared_engine.parallel_query(statements, mode=mode):
+            counters = result.counters
+            if not isinstance(counters, dict):
+                counters = vars(counters)
+            assert len(result) == 1
+            assert counters["molecules_derived"] == counters["restrictions_evaluated"] == 1
+            assert counters["index_lookups"] == 1
+
     def test_unroutable_statement_falls_back_to_primary(self, shared_engine, mode):
         fallbacks = REPORT_KEYS[mode][3]
         before = shared_engine.maintenance_report()[fallbacks]

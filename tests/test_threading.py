@@ -12,6 +12,8 @@ is hit deliberately, not by luck.
 * reader threads hammering one pinned snapshot return byte-identical results
   throughout a concurrent DML burst (and ``parallel_query`` equals serial
   execution on the same generation);
+* a pinned columnar aggregate scanning while the head folds modifications and
+  deletes into the same projection counts the pinned state, nothing else;
 * a multi-threaded WAL append hammer under the ``batch`` group-commit policy
   produces no torn or interleaved records.
 
@@ -443,6 +445,77 @@ class TestStructureIndexChurn:
         assert report["structure_indexes"] == 1
         assert report["structure_builds"] >= 1
         assert report["pins_active"] == 0
+
+
+# ------------------------------------------------ columnar fold vs. head fold
+
+
+class TestColumnarFoldRace:
+    def test_pinned_aggregate_ignores_concurrent_head_folds(self):
+        """A pinned columnar aggregate scans while the head folds
+        modifications and deletes into the projection.  The writer starts the
+        moment the store has admitted the pin, so nothing but the copy the
+        store hands out keeps the patched values and swap-popped rows out of
+        the fold (the live arrays leaked them, or raised ``IndexError``)."""
+        engine = PrimaEngine("foldbox")
+        engine.create_atom_type("t", {"g": "string", "v": "integer"})
+        rows = 20_000
+        for index in range(rows):
+            engine.store_atom("t", identifier=f"t{index}", g="xy"[index % 2], v=1)
+        aggregate = "SELECT t.g, COUNT(*), SUM(t.v) FROM t GROUP BY t.g;"
+        engine.query(aggregate)  # builds the projection
+        counts = {"x": rows // 2, "y": rows // 2}
+        victims = iter(range(rows))
+        store = engine._columnar
+        admit = store.for_execution
+        admitted = threading.Event()
+
+        def admit_and_tell(type_name, ctx):
+            projection = admit(type_name, ctx)
+            if ctx.snapshot is not None:
+                admitted.set()
+            return projection
+
+        store.for_execution = admit_and_tell
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for _ in range(4 * STRESS):
+                expected = [(g, n, n) for g, n in sorted(counts.items())]
+                handle = engine.snapshot_at()
+                admitted.clear()
+                seen: List[list] = []
+
+                def reader() -> None:
+                    result = handle.query(aggregate)
+                    assert result.counters.columnar_rows_scanned == sum(counts_at_pin)
+                    seen.append([tuple(row) for row in result.rows])
+
+                def writer() -> None:
+                    assert admitted.wait(timeout=30)
+                    for _ in range(20):
+                        victim = next(victims)
+                        engine.store_atom("t", identifier=f"t{victim}", g="z", v=1)
+                        counts["xy"[victim % 2]] -= 1
+                        counts["z"] = counts.get("z", 0) + 1
+                        victim = next(victims)
+                        engine.delete_atom("t", f"t{victim}")
+                        counts["xy"[victim % 2]] -= 1
+
+                counts_at_pin = list(counts.values())
+                try:
+                    run_threads([reader, writer])
+                finally:
+                    handle.release()
+                assert seen == [expected]
+        finally:
+            sys.setswitchinterval(interval)
+            del store.for_execution
+        report = engine.maintenance_report()
+        assert report["columnar_fallbacks"] == report["columnar_snapshot_gaps"] == 0
+        assert [tuple(row) for row in engine.query(aggregate).rows] == [
+            (g, n, n) for g, n in sorted(counts.items())
+        ]
 
 
 # ----------------------------------------------------------- WAL append race
