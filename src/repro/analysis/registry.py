@@ -200,9 +200,9 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=42,
         kind=KIND_RLOCK,
         module="repro.mql.interpreter",
-        guards="planning and planner-statistics maintenance (planner code "
-        "never takes a head lock — statistics read atomic .occurrence "
-        "copies); execution runs outside it",
+        guards="planning, the statement cache and planner-statistics "
+        "maintenance (planner code never takes a head lock — statistics read "
+        "atomic .occurrence copies); binding and execution run outside it",
         rationale="the event path folds statistics into it while holding "
         "the event lock (so it sits above 40); the optimizer consults the "
         "structure-index registry while planning, so it sits below "

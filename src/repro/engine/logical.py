@@ -40,7 +40,7 @@ a query:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.molecule import MoleculeTypeDescription
 from repro.core.predicates import AttributeRef, Formula
@@ -350,6 +350,65 @@ def resolve_projection_names(
             raise MoleculeGraphError(f"atom type {requested!r} is not part of {subject}")
         resolved.append(match)
     return tuple(resolved)
+
+
+def _same(value):
+    return value
+
+
+def map_plan(
+    plan: PlanNode,
+    formula: Callable[[Formula], Formula] = _same,
+    description: Callable[[MoleculeTypeDescription], MoleculeTypeDescription] = _same,
+) -> PlanNode:
+    """*plan* rebuilt with *formula* applied to every formula it carries
+    (root filters, restrictions, recursive restrictions) and *description*
+    to the molecule-type description of every α; every other field is
+    shared with *plan*, and a node nothing changed in is *plan*'s own."""
+    if isinstance(plan, DefinePlan):
+        root_filter = plan.root_filter
+        mapped = description(plan.description)
+        if root_filter is None and mapped is plan.description:
+            return plan
+        return DefinePlan(
+            plan.name,
+            mapped,
+            formula(root_filter) if root_filter is not None else None,
+            plan.root_access,
+        )
+    if isinstance(plan, RestrictPlan):
+        return RestrictPlan(map_plan(plan.child, formula, description), formula(plan.formula))
+    if isinstance(plan, ProjectPlan):
+        return ProjectPlan(map_plan(plan.child, formula, description), plan.atom_type_names)
+    if isinstance(plan, (RecursivePlan, IntervalScanPlan)):
+        if plan.formula is None:
+            return plan
+        return type(plan)(plan.name, plan.description, formula(plan.formula))
+    if isinstance(plan, SetOpPlan):
+        return SetOpPlan(
+            plan.operator,
+            map_plan(plan.left, formula, description),
+            map_plan(plan.right, formula, description),
+            plan.name,
+        )
+    if isinstance(plan, AggregatePlan):
+        return AggregatePlan(
+            map_plan(plan.child, formula, description),
+            plan.group_by,
+            plan.aggregates,
+            plan.strategy,
+        )
+    if isinstance(plan, ColumnarAggregatePlan):
+        if plan.root_filter is None:
+            return plan
+        return ColumnarAggregatePlan(
+            plan.atom_type_name,
+            plan.group_by,
+            plan.aggregates,
+            formula(plan.root_filter),
+            plan.name,
+        )
+    raise TypeError(f"unknown plan node: {plan!r}")
 
 
 def recursive_nodes(

@@ -13,7 +13,9 @@ partition each; whatever is left unserved **falls back** to the primary at
 the same pin (DML and transaction statements raise there, as in thread
 mode); the targets' counts, kept in a dict of their own while they run on
 fan-out threads, are **tallied** into the shared counters on the calling
-thread; the pin is released.
+thread; the pin is released.  Classification goes through the primary
+interpreter's statement cache (:meth:`MQLInterpreter.read_plan`), so a
+template the batch repeats is parsed and planned once.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from repro.engine.logical import (
     RecursivePlan,
 )
 from repro.exceptions import StorageError
-from repro.mql.ast_nodes import Query, SetOperation
-from repro.mql.parser import parse
 from repro.storage.replication import ReplicationError
 from repro.storage.shipping import ShippedQueryResult, merge_partitions, plan_to_json
 
@@ -170,11 +170,11 @@ class ReadRouter:
         for index, statement in enumerate(statements):
             plan = job = None
             try:
-                ast = parse(statement)
-                if not isinstance(ast, (Query, SetOperation)):
+                choice = interpreter.read_plan(statement)
+                if choice is None:
                     continue
                 if ships_plans:
-                    plan = interpreter.plan(ast).best
+                    plan = choice.best
                     aggregate = isinstance(plan, (AggregatePlan, ColumnarAggregatePlan))
                     job = {
                         "plan": plan_to_json(plan),

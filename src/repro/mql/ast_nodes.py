@@ -15,6 +15,10 @@ operations between blocks:
   :class:`DeleteStatement` and :class:`ModifyStatement`, both of which carry a
   full molecule query (FROM structure + WHERE condition) as their qualifying
   read.
+
+A literal in a value position (a comparison's right-hand side, a ``SET``
+value, an INSERT object value) is a plain Python value — or, in the AST of a
+statement *template*, a :class:`Slot` standing for it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,38 @@ class AttributeReference:
         if self.atom_type:
             return f"{self.atom_type}.{self.attribute}"
         return self.attribute
+
+
+class Slot:
+    """The place of a literal in a statement *template* (see
+    :func:`repro.mql.parser.parse_template`): the *index*-th literal in a
+    value position, negated when the statement wrote ``- number``.
+
+    *sample* is the literal of the statement the template was parsed from;
+    it only ever supplies the slot's ``repr``, so an error message raised
+    while a template is translated reads exactly as it would for the
+    statement itself.  Slots stay inside the interpreter's statement cache,
+    which replaces every one of them by its literal (:meth:`bind`) before a
+    plan is compiled or returned.
+    """
+
+    __slots__ = ("index", "sample", "negated")
+
+    def __init__(self, index: int, sample: object, negated: bool = False) -> None:
+        self.index = index
+        self.sample = sample
+        self.negated = negated
+
+    def bind(self, values: Sequence[object]) -> object:
+        """This slot's literal among *values* (a statement's literals in order)."""
+        value = values[self.index]
+        return -value if self.negated else value  # type: ignore[operator]
+
+    def __neg__(self) -> "Slot":
+        return Slot(self.index, -self.sample, not self.negated)  # type: ignore[operator]
+
+    def __repr__(self) -> str:
+        return repr(self.sample)
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,37 @@ its result set into an enlarged database, exactly as Definitions 8–10
 prescribe); the parity tests assert both paths return identical molecule
 sets.  ``EXPLAIN <statement>`` reports the planner's choice without
 executing.
+
+**Statement cache — compile once, run many.**  A statement given as text is
+tokenized and split into its *template* and its literals
+(:func:`~repro.mql.parser.template`: every literal in a value position —
+comparison right-hand side, ``SET`` value, INSERT object value — becomes a
+slot).  The interpreter keeps a bounded LRU (:data:`STATEMENT_CACHE_CAPACITY`
+templates) from template to the planner's choice for it, planned once from
+the slotted AST; a later statement with the same template is served by one
+dictionary lookup and one bind of its literals into the cached plans — no
+parse, translation, rewrite or costing.  Planning is literal-invariant (the
+rules treat any right-hand side that is not an attribute reference as an
+opaque constant, selectivities are distinct-count based), which is what
+makes a shared entry exact.  An entry is stamped with what planning did
+depend on — the structure-index registry version, whether the columnar path
+is enabled, the planner's statistics epoch — and re-planned when a stamp
+moves; DDL drops the cache with the interpreter.  EXPLAIN statements, the
+literal ``optimize=False`` path and statements given as an AST are planned
+fresh.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 from repro.analysis.runtime import make_lock, make_rlock
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.database import Database
+from repro.core.derivation import resolve_description
 from repro.core.molecule import Molecule, MoleculeType
 from repro.core.molecule_algebra import (
     molecule_difference,
@@ -40,6 +60,7 @@ from repro.core.recursion import (
     RecursiveMolecule,
     recursive_molecule_type,
 )
+from repro.core.predicates import And, Comparison, Formula, Not, Or
 from repro.engine.executor import Executor, compile_plan
 from repro.engine.logical import (
     AggregatePlan,
@@ -47,14 +68,21 @@ from repro.engine.logical import (
     DeleteMolecules,
     InsertMolecule,
     ModifyAtoms,
+    PlanNode,
     WritePlanNode,
     describe_plan,
+    map_plan,
     plan_name,
     recursive_nodes,
 )
 from repro.engine.physical import ExecutionCounters
 from repro.engine.write import WriteSummary
-from repro.exceptions import MQLSemanticError, TransactionConflictError, TransactionError
+from repro.exceptions import (
+    MQLSemanticError,
+    StorageError,
+    TransactionConflictError,
+    TransactionError,
+)
 from repro.manipulation.transactions import Transaction
 from repro.mql.ast_nodes import (
     CheckpointStatement,
@@ -65,13 +93,42 @@ from repro.mql.ast_nodes import (
     ModifyStatement,
     Query,
     SetOperation,
+    Slot,
     Statement,
     TransactionStatement,
 )
-from repro.mql.parser import parse
+from repro.mql.lexer import Token, tokenize
+from repro.mql.parser import parse, parse_template, template
 from repro.mql.translator import QueryTranslator, next_anonymous_name
 from repro.optimizer.planner import PlanChoice, Planner
 from repro.optimizer.statistics import recursion_profile_key
+
+#: Statement templates one interpreter's statement cache holds; the least
+#: recently used one is dropped beyond it.
+STATEMENT_CACHE_CAPACITY = 256
+
+#: First keywords of the statements the cache never serves: EXPLAIN is
+#: planned fresh, transaction and checkpoint statements have no plan.
+_UNCACHED = frozenset({"EXPLAIN", "BEGIN", "COMMIT", "ROLLBACK", "CHECKPOINT"})
+
+_READS = (Query, SetOperation)
+_WRITES = (InsertStatement, DeleteStatement, ModifyStatement)
+
+
+class _CachedStatement(NamedTuple):
+    """One statement template in the cache; its plans hold slots."""
+
+    #: The template's AST class (``Query``, ``SetOperation`` or a DML class).
+    kind: type
+    #: The planner's choice for the read — the query, or the qualifying read
+    #: of DELETE/MODIFY — without its notes and dispatch, the anonymous link
+    #: uses of the plan that runs resolved; ``None`` for INSERT.
+    choice: Optional[PlanChoice]
+    #: The write plan (its source is the bound choice's best); ``None`` for reads.
+    write: Optional[WritePlanNode]
+    #: ``(structure-index registry version, columnar enabled, statistics
+    #: epoch)`` when the template was planned.
+    stamps: Tuple[int, bool, int]
 
 
 @dataclass
@@ -87,7 +144,9 @@ class QueryResult:
         the database unchanged; the literal (``optimize=False``) path returns
         the enlarged ``DB'`` produced by result propagation.
     statement:
-        The parsed AST, kept for explain-style reporting.
+        The parsed AST, kept for explain-style reporting — or the statement
+        text for a statement served through the statement cache (the
+        cached template's AST holds slots, not this statement's literals).
     counters:
         Work counters of the streaming execution (``None`` on the literal
         path, which accounts no work).
@@ -108,7 +167,7 @@ class QueryResult:
 
     molecule_type: Optional[MoleculeType]
     database: Database
-    statement: "Optional[Statement | DMLStatement | TransactionStatement]" = None
+    statement: "Optional[str | Statement | DMLStatement | TransactionStatement]" = None
     counters: Optional[ExecutionCounters] = None
     plan_choice: Optional[PlanChoice] = None
     explanation: Optional[str] = None
@@ -155,7 +214,11 @@ class MQLInterpreter:
     statistics collected once from the database) and an
     :class:`~repro.engine.executor.Executor` whose access structures are
     reused across statements.  Both can be supplied by a storage engine to
-    share its secondary indexes and cached atom network.
+    share its secondary indexes and cached atom network.  Statements given
+    as text are served through the statement cache (module docstring),
+    which every route through the interpreter shares: ``execute`` at the
+    head, in a ``BEGIN WORK`` session and at a pinned snapshot (``at=``),
+    :meth:`plan` and :meth:`read_plan`.
     """
 
     def __init__(
@@ -182,11 +245,18 @@ class MQLInterpreter:
         #: already-active check and orphan one registered, pinned
         #: transaction forever.
         self._session_guard = make_lock("MQLInterpreter._session_guard")
-        #: Serializes planning and statistics maintenance: snapshot readers
-        #: on worker threads plan one at a time (execution itself runs
-        #: concurrently), and a writer folding a change event into the
-        #: planner statistics can never race a reader mid-optimize.
+        #: Serializes planning, the statement cache and statistics
+        #: maintenance: snapshot readers on worker threads plan one at a time
+        #: (execution itself runs concurrently), and a writer folding a
+        #: change event into the planner statistics can never race a reader
+        #: mid-optimize.
         self._plan_lock = make_rlock("MQLInterpreter._plan_lock")
+        #: The statement cache: template key → :class:`_CachedStatement`,
+        #: least recently used first.
+        self._statements: "OrderedDict[tuple, _CachedStatement]" = OrderedDict()  # guarded-by: MQLInterpreter._plan_lock
+        #: Statements served from the cache, planned into it (a first
+        #: sight, or a re-plan) and entries dropped because a stamp moved.
+        self._cache_counts = {"hits": 0, "misses": 0, "invalidations": 0}  # guarded-by: MQLInterpreter._plan_lock
         #: Callable serving MQL ``CHECKPOINT`` — a durable storage engine
         #: passes its ``PrimaEngine.checkpoint``; ``None`` rejects the
         #: statement (nothing durable to checkpoint).
@@ -244,15 +314,21 @@ class MQLInterpreter:
 
         *at* (a :class:`~repro.core.versions.Snapshot`) pins the read to a
         generation — the storage engine's ``snapshot_at`` handles pass it.
-        Inside a session transaction queries default to the snapshot pinned
-        at ``BEGIN WORK`` plus the session's own writes (repeatable reads).
-        Two deliberate boundaries: the literal ``optimize=False`` path
-        materializes against the head and is rejected while a snapshot is in
-        play (no silently inconsistent reads), and the *qualifying read* of
-        a DML statement always runs at the head — deletions must observe
-        every concurrent-committed link to never leave dangling references,
-        and any overlap with a concurrent writer's keys aborts via
+        A pinned read is read-only: DML, transaction and checkpoint
+        statements raise :class:`StorageError` there.  Inside a session
+        transaction queries default to the snapshot pinned at ``BEGIN WORK``
+        plus the session's own writes (repeatable reads).  Two deliberate
+        boundaries: the literal ``optimize=False`` path materializes against
+        the head and is rejected while a snapshot is in play (no silently
+        inconsistent reads), and the *qualifying read* of a DML statement
+        always runs at the head — deletions must observe every
+        concurrent-committed link to never leave dangling references, and
+        any overlap with a concurrent writer's keys aborts via
         first-committer-wins anyway.
+
+        Text is served through the statement cache (module docstring),
+        except EXPLAIN, transaction and checkpoint statements and the
+        literal path.
 
         Thread affinity: while a ``BEGIN WORK`` session is active, every
         statement that would touch the session (anything without ``at=``)
@@ -260,30 +336,55 @@ class MQLInterpreter:
         :class:`TransactionError` pointing them at snapshot handles.
         Pinned reads (``at=``) are safe from any thread.
         """
-        ast = parse(statement) if isinstance(statement, str) else statement
+        optimize = self.optimize if optimize is None else optimize
+        if isinstance(statement, str):
+            tokens = tokenize(statement)
+            if optimize and tokens[0].value not in _UNCACHED:
+                return self._execute_cached(statement, tokens, at)
+            statement = parse(tokens)
+        return self._execute_ast(statement, optimize, at)
+
+    def _execute_cached(self, text: str, tokens: List[Token], at) -> QueryResult:
+        """:meth:`execute` for a statement the cache serves."""
+        key, values = template(tokens)
+        entry = self._lookup(key)
+        ast = parse_template(tokens) if entry is None else None
+        kind = type(ast) if entry is None else entry.kind
         if at is None:
             self._check_session_affinity()
+        elif kind not in _READS:
+            raise StorageError(_READ_ONLY)
+        if entry is None:
+            entry = self._plan_template(key, ast)
+        choice = self._bind_choice(entry, values)
+        if entry.write is None:
+            snapshot = at if at is not None else self._session_snapshot()
+            return self._run_read(text, choice, snapshot)
+        return self._run_write(text, _bind_write(entry.write, values, choice), choice)
+
+    def _execute_ast(self, ast, optimize: bool, at) -> QueryResult:
+        """:meth:`execute` for a parsed statement (planned fresh)."""
+        inner = ast.statement if isinstance(ast, ExplainStatement) else ast
+        if at is None:
+            self._check_session_affinity()
+        elif not isinstance(inner, _READS):
+            raise StorageError(_READ_ONLY)
         if isinstance(ast, TransactionStatement):
             return self._execute_transaction_statement(ast)
         if isinstance(ast, CheckpointStatement):
             return self._execute_checkpoint(ast)
-        explain = isinstance(ast, ExplainStatement)
-        inner = ast.statement if explain else ast
+        explain = inner is not ast
         if isinstance(inner, TransactionStatement):
             raise MQLSemanticError("transaction statements cannot be EXPLAINed")
         if isinstance(inner, CheckpointStatement):
             raise MQLSemanticError("CHECKPOINT cannot be EXPLAINed")
-        if isinstance(inner, (InsertStatement, DeleteStatement, ModifyStatement)):
-            return self._execute_dml(
-                inner,
-                explain=explain,
-                optimize=self.optimize if optimize is None else optimize,
-            )
+        if isinstance(inner, _WRITES):
+            return self._execute_dml(inner, explain=explain, optimize=optimize)
         if explain:
             return self._explain_result(ast)
         snapshot = at if at is not None else self._session_snapshot()
-        if self.optimize if optimize is None else optimize:
-            return self._execute_planned(inner, snapshot=snapshot)
+        if optimize:
+            return self._run_read(inner, self.plan(inner), snapshot)
         if snapshot is not None:
             raise MQLSemanticError(
                 "the literal (optimize=False) path materializes against the "
@@ -292,6 +393,113 @@ class MQLInterpreter:
             )
         molecule_type, database = self._execute_statement(inner, self.database)
         return QueryResult(molecule_type, database, inner)
+
+    # ------------------------------------------------------- statement cache
+
+    def _entry(self, tokens: List[Token]) -> Tuple[_CachedStatement, List[object]]:
+        """The cached template of *tokens* (planned now on a miss) and the
+        statement's literals."""
+        key, values = template(tokens)
+        entry = self._lookup(key)
+        if entry is None:
+            entry = self._plan_template(key, parse_template(tokens))
+        return entry, values
+
+    def _lookup(self, key: tuple) -> Optional[_CachedStatement]:
+        """The template cached under *key* while its stamps hold (a hit);
+        ``None`` — a miss — otherwise, dropping an entry whose stamp moved."""
+        with self._plan_lock:
+            entry = self._statements.get(key)
+            if entry is not None:
+                if entry.stamps == self._stamps():
+                    self._statements.move_to_end(key)
+                    self._cache_counts["hits"] += 1
+                    return entry
+                del self._statements[key]
+                self._cache_counts["invalidations"] += 1
+            self._cache_counts["misses"] += 1
+            return None
+
+    def _plan_template(self, key: tuple, ast) -> _CachedStatement:
+        """Translate and plan a template's AST and cache the outcome.
+
+        A statement that fails here caches nothing.  The stamps are read
+        before planning, so anything that moves meanwhile makes the entry
+        stale rather than wrong."""
+        with self._plan_lock:
+            stamps = self._stamps()
+            translator = QueryTranslator(self.database)
+            write: Optional[WritePlanNode] = None
+            if isinstance(ast, _WRITES):
+                write = translator.translate_dml(ast)
+                read = None if isinstance(write, InsertMolecule) else write.source
+            else:
+                read = translator.translate_statement(ast)
+            choice = self.planner.optimize(read) if read is not None else None
+            if choice is not None:
+                # What describes the present moment is re-attached per use.
+                choice.notes, choice.dispatch = (), None
+                # The plan that runs resolves its anonymous link uses once,
+                # here, instead of in every execution's scan operator.
+                resolved = map_plan(
+                    choice.best,
+                    description=lambda description: resolve_description(
+                        self.database, description
+                    ),
+                )
+                if choice.best is choice.optimized:
+                    choice.optimized = resolved
+                else:
+                    choice.original = resolved
+            entry = _CachedStatement(type(ast), choice, write, stamps)
+            self._statements[key] = entry
+            if len(self._statements) > STATEMENT_CACHE_CAPACITY:
+                self._statements.popitem(last=False)
+            return entry
+
+    # requires: MQLInterpreter._plan_lock
+    def _stamps(self) -> Tuple[int, bool, int]:
+        """What a cached plan depends on besides its template: the
+        structure-index registry (``accelerate_recursion``), the columnar
+        switch (``columnarize_aggregate``) and the statistics epoch."""
+        planner = self.planner
+        structure = planner.accelerators
+        columnar = planner.columnar
+        return (
+            structure.registry_version if structure is not None else 0,
+            bool(getattr(columnar, "enabled", False)),
+            planner.statistics_epoch,
+        )
+
+    def _bind_choice(
+        self, entry: _CachedStatement, values: List[object]
+    ) -> Optional[PlanChoice]:
+        """The cached choice with *values* bound into both plans and the
+        notes and dispatch advice of this moment (:meth:`Planner.annotate`)."""
+        cached = entry.choice
+        if cached is None:
+            return None
+        choice = PlanChoice(
+            original=_bind_plan(cached.original, values),
+            optimized=_bind_plan(cached.optimized, values),
+            original_cost=cached.original_cost,
+            optimized_cost=cached.optimized_cost,
+            applied_rules=cached.applied_rules,
+        )
+        with self._plan_lock:
+            self.planner.annotate(choice)
+        return choice
+
+    def plan_cache_statistics(self) -> Dict[str, int]:
+        """The statement cache's size and counters: ``plan_cache_entries``,
+        ``plan_cache_hits``, ``plan_cache_misses`` (cacheable statements
+        that had to be planned) and ``plan_cache_invalidations`` (entries
+        dropped because a stamp moved)."""
+        with self._plan_lock:
+            report = {"plan_cache_entries": len(self._statements)}
+            for name, count in self._cache_counts.items():
+                report[f"plan_cache_{name}"] = count
+            return report
 
     # --------------------------------------------------- session transactions
 
@@ -399,9 +607,36 @@ class MQLInterpreter:
 
         Serialized on the planner lock: concurrent snapshot-reader threads
         plan one at a time over the shared statistics (execution of the
-        chosen plan runs outside the lock, fully concurrent).
+        chosen plan runs outside the lock, fully concurrent).  Text is
+        served through the statement cache, like :meth:`execute`; the
+        choice's notes and dispatch advice are those of the moment of the
+        call either way.
         """
+        if isinstance(statement, str):
+            tokens = tokenize(statement)
+            if tokens[0].value not in _UNCACHED:
+                entry, values = self._entry(tokens)
+                if entry.choice is None:
+                    raise MQLSemanticError("INSERT has no qualifying read plan to optimize")
+                return self._bind_choice(entry, values)
+            statement = parse(tokens)
         return self._plan(statement, explain=False)
+
+    def read_plan(self, statement: str) -> Optional[PlanChoice]:
+        """The planner's choice for *statement* when it is a query — a query
+        block or a set operation between blocks — else ``None`` (DML,
+        EXPLAIN, transaction and checkpoint statements).
+
+        Served through the statement cache like :meth:`execute`; raises the
+        statement's MQL errors.  The read router classifies a batch with it.
+        """
+        tokens = tokenize(statement)
+        if tokens[0].value in _UNCACHED:
+            return None
+        entry, values = self._entry(tokens)
+        if entry.kind not in _READS:
+            return None
+        return self._bind_choice(entry, values)
 
     def _plan(self, statement, explain: bool) -> PlanChoice:
         """:meth:`plan`; with *explain* the choice is always costed and says
@@ -440,8 +675,8 @@ class MQLInterpreter:
 
     # ------------------------------------------------------ planned pipeline
 
-    def _execute_planned(self, statement: Statement, snapshot=None) -> QueryResult:
-        choice = self.plan(statement)
+    def _run_read(self, statement, choice: PlanChoice, snapshot=None) -> QueryResult:
+        """Execute a planned read at the head or at *snapshot*."""
         context = self.executor.context(snapshot=snapshot) if snapshot is not None else None
         if isinstance(choice.best, (AggregatePlan, ColumnarAggregatePlan)):
             aggregate = self.executor.run_aggregate(choice.best, context=context)
@@ -508,6 +743,13 @@ class MQLInterpreter:
             plan = replace(plan, source=choice.best)
         if explain:
             return self._explain_write(statement, plan, choice)
+        return self._run_write(statement, plan, choice)
+
+    def _run_write(
+        self, statement, plan: WritePlanNode, choice: Optional[PlanChoice]
+    ) -> QueryResult:
+        """Execute a planned write atomically — in the session transaction
+        when one is active, else auto-committed."""
         txn = self._session if self.in_transaction else None
         try:
             result = self.executor.run_write(plan, txn=txn)
@@ -569,8 +811,6 @@ class MQLInterpreter:
 
     def _write_validation_report(self, plan: WritePlanNode) -> List[str]:
         """The validation/cardinality checks a write plan will run, one per line."""
-        from repro.core.derivation import resolve_description  # deferred: cycle
-
         lines: List[str] = []
         if isinstance(plan, InsertMolecule):
             description = resolve_description(self.database, plan.description)
@@ -680,6 +920,51 @@ class MQLInterpreter:
             projected = molecule_projection(database, molecule_type, projection)
             molecule_type, database = projected.molecule_type, projected.database
         return molecule_type, database
+
+_READ_ONLY = "snapshot handles are read-only; run DML through the engine"
+
+
+def _bind_plan(plan: PlanNode, values: Sequence[object]) -> PlanNode:
+    """*plan* with every slot of its formulas replaced by its literal."""
+    if not values:
+        return plan
+    return map_plan(plan, formula=lambda formula: _bind_formula(formula, values))
+
+
+def _bind_formula(formula: Formula, values: Sequence[object]) -> Formula:
+    if isinstance(formula, Comparison):
+        if isinstance(formula.rhs, Slot):
+            return Comparison(formula.lhs, formula.op, formula.rhs.bind(values))
+        return formula
+    if isinstance(formula, (And, Or)):
+        return type(formula)(*(_bind_formula(operand, values) for operand in formula.operands))
+    if isinstance(formula, Not):
+        return Not(_bind_formula(formula.operand, values))
+    return formula
+
+
+def _bind_write(
+    write: WritePlanNode, values: Sequence[object], choice: Optional[PlanChoice]
+) -> WritePlanNode:
+    """The cached write plan with *values* bound, reading through *choice*."""
+    if isinstance(write, InsertMolecule):
+        return InsertMolecule(write.name, write.description, _bind_data(write.data, values))
+    if isinstance(write, ModifyAtoms):
+        updates = tuple((attribute, _bind_data(value, values)) for attribute, value in write.updates)
+        return ModifyAtoms(choice.best, write.atom_type_name, updates)
+    return DeleteMolecules(choice.best, write.cascade)
+
+
+def _bind_data(node: object, values: Sequence[object]) -> object:
+    """A literal, or a nested INSERT object, with its slots bound."""
+    if isinstance(node, Slot):
+        return node.bind(values)
+    if isinstance(node, dict):
+        return {key: _bind_data(value, values) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_bind_data(item, values) for item in node]
+    return node
+
 
 def execute(
     database: Database,

@@ -38,6 +38,19 @@ The ambiguity between a parenthesized *structure branch group* and the
 parenthesized *structure of a named molecule type* is resolved by look-ahead:
 ``ident "("`` directly after FROM is a named molecule-type definition when the
 identifier is not followed by a dash.
+
+**Templates.**  A *value position* is where a ``literal`` is a value of the
+statement rather than part of its shape: the right-hand side of a
+comparison, a ``SET`` value, an object value of ``INSERT`` (``_id``
+included) — lexically, a STRING or NUMBER token right after an operator or
+a ``:``, or after a ``-`` that follows one.  :func:`template` splits a token
+stream into the hashable key of its *template* (every token but those
+literals, which are reduced to their token type) and the literals in order;
+:func:`parse_template` parses the template into an AST whose value
+positions hold :class:`~repro.mql.ast_nodes.Slot` placeholders.  Two
+statements with one key therefore differ in nothing but their values.  A
+number that is not in a value position (``RECURSIVE part DOWN 3``) stays in
+the key: it shapes the plan.
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ from repro.mql.ast_nodes import (
     Query,
     RecursiveStructure,
     SetOperation,
+    Slot,
     Statement,
     StructureBranch,
     StructureNode,
@@ -484,3 +498,60 @@ def parse(text: "str | List[Token]") -> "Statement | ExplainStatement":
     """Parse an MQL statement (source text or a prepared token list) into an AST."""
     tokens = tokenize(text) if isinstance(text, str) else text
     return _Parser(tokens).parse_input()
+
+
+_VALUE_CONTEXT = (TokenType.OPERATOR, TokenType.COLON)
+# Aliases for the per-token loop below (an enum member lookup costs
+# several times a global read).
+_STRING, _NUMBER, _DASH, _BRACKET_NAME = (
+    TokenType.STRING,
+    TokenType.NUMBER,
+    TokenType.DASH,
+    TokenType.BRACKET_NAME,
+)
+
+
+def template(tokens: List[Token]) -> Tuple[tuple, List[object]]:
+    """The key of the statement template of *tokens* and its literals.
+
+    The key holds every token's value — keywords, identifiers and symbols
+    never share a value, the other types are paired with theirs — except
+    that a literal in a value position contributes only its token type; its
+    value goes to the list, in statement order.  Positions are left out, so
+    spacing, comments and the length of a literal never split a template.
+    """
+    key: List[object] = []
+    append = key.append
+    values: List[object] = []
+    previous = before = None
+    for kind, value, _line, _column in tokens:
+        if kind is _STRING or kind is _NUMBER:
+            if previous in _VALUE_CONTEXT or (
+                previous is _DASH and before in _VALUE_CONTEXT
+            ):
+                append(kind)
+                values.append(value)
+            else:
+                append((kind, value))
+        elif kind is _BRACKET_NAME:
+            append((kind, value))
+        else:
+            append(value)
+        before = previous
+        previous = kind
+    return tuple(key), values
+
+
+def parse_template(tokens: List[Token]) -> "Statement | ExplainStatement":
+    """Parse *tokens* with a :class:`~repro.mql.ast_nodes.Slot` in each value
+    position (slot *i* stands for the *i*-th literal :func:`template`
+    collects; its key has one element per token, a bare token type where a
+    slot goes)."""
+    key, _ = template(tokens)
+    slotted = list(tokens)
+    slots = 0
+    for index, part in enumerate(key):
+        if isinstance(part, TokenType):
+            slotted[index] = tokens[index]._replace(value=Slot(slots, tokens[index].value))
+            slots += 1
+    return _Parser(slotted).parse_input()

@@ -95,6 +95,12 @@ class PlanChoice:
         return text
 
 
+def _decides(applied_rules: Tuple[str, ...], plan: PlanNode) -> bool:
+    """Whether costing has something to decide: a rule fired, or the plan
+    recurses (fixpoint against interval scan)."""
+    return bool(applied_rules) or bool(recursive_nodes(plan))
+
+
 class Planner:
     """Applies the rewrite rules and picks the cheaper plan.
 
@@ -157,6 +163,12 @@ class Planner:
         """The columnar projection store consulted by ``columnarize_aggregate``."""
         return getattr(self.executor, "columnar", None)
 
+    @property
+    def statistics_epoch(self) -> int:
+        """:attr:`DatabaseStatistics.epoch` — 0 before the first collection
+        (a plan chosen before it consulted no statistics)."""
+        return self._statistics.epoch if self._statistics is not None else 0
+
     def apply_event(self, event) -> None:
         """Fold one change event into the collected statistics.
 
@@ -171,7 +183,7 @@ class Planner:
     def optimize(self, plan: PlanNode) -> PlanChoice:
         """Rewrite *plan* and return the :class:`PlanChoice` to execute."""
         rewritten = self._rewrite(plan)
-        if not rewritten.applied_rules and not recursive_nodes(rewritten.plan):
+        if not _decides(rewritten.applied_rules, rewritten.plan):
             # No rule fired on a non-recursive plan: both variants are the
             # same plan, so collecting statistics and estimating costs would
             # decide nothing.
@@ -207,11 +219,28 @@ class Planner:
             original_cost=self.cost_model.estimate(plan),
             optimized_cost=self.cost_model.estimate(rewritten.plan),
             applied_rules=rewritten.applied_rules,
-            notes=self._recursion_notes(recursive_nodes(rewritten.plan))
-            + self._columnar_notes(rewritten.plan),
         )
-        self._advise_dispatch(choice)
+        self._annotate(choice)
         return choice
+
+    def annotate(self, choice: PlanChoice) -> None:
+        """Give a choice :meth:`optimize` returned earlier — replayed by the
+        interpreter's statement cache — the notes and dispatch advice of the
+        present moment.
+
+        Those describe the state around the plan, not the plan: the observed
+        recursion profiles, the accelerators' state, the pool and replica
+        telemetry.  A choice :meth:`optimize` left uncosted keeps none.
+        """
+        if _decides(choice.applied_rules, choice.optimized):
+            self._annotate(choice)
+
+    def _annotate(self, choice: PlanChoice) -> None:
+        choice.notes = self._recursion_notes(
+            recursive_nodes(choice.optimized)
+        ) + self._columnar_notes(choice.optimized)
+        choice.dispatch = None
+        self._advise_dispatch(choice)
 
     def _root_access_notes(self, plan: PlanNode) -> Tuple[str, ...]:
         """One ``root access:`` line per α of *plan*, as the cost model sees it."""

@@ -115,6 +115,13 @@ class DatabaseStatistics:
     recursion_profiles: Dict[Tuple[str, str, str], Dict[str, float]] = field(
         default_factory=dict
     )
+    #: Advances when an estimate a plan may depend on moves by about a
+    #: factor of two — a folded occurrence count changes its
+    #: ``bit_length()`` — or a recursive description is observed for the
+    #: first time.  The interpreter's statement cache re-plans a statement
+    #: planned under an older epoch; drift inside one epoch only shapes
+    #: rankings, never results.
+    epoch: int = 0
 
     @classmethod
     def collect(cls, database: Database) -> "DatabaseStatistics":
@@ -145,20 +152,21 @@ class DatabaseStatistics:
         estimates) stay exact; per-attribute distinct-value counts are left
         as collected — they only shape selectivity guesses, and drifting
         there changes rankings, never results.  This is what lets a planner
-        survive writes without re-scanning the database.
+        survive writes without re-scanning the database.  A count whose
+        ``bit_length()`` changes advances :attr:`epoch`.
         """
-        if event.kind == "atom_inserted":
-            self.atom_counts[event.type_name] = self.atom_counts.get(event.type_name, 0) + 1
-        elif event.kind == "atom_deleted":
-            self.atom_counts[event.type_name] = max(
-                0, self.atom_counts.get(event.type_name, 0) - 1
-            )
-        elif event.kind == "link_connected":
-            self.link_counts[event.type_name] = self.link_counts.get(event.type_name, 0) + 1
-        elif event.kind == "link_disconnected":
-            self.link_counts[event.type_name] = max(
-                0, self.link_counts.get(event.type_name, 0) - 1
-            )
+        kind = event.kind
+        if kind in ("atom_inserted", "atom_deleted"):
+            counts = self.atom_counts
+        elif kind in ("link_connected", "link_disconnected"):
+            counts = self.link_counts
+        else:
+            return
+        before = counts.get(event.type_name, 0)
+        after = before + 1 if kind in ("atom_inserted", "link_connected") else max(0, before - 1)
+        counts[event.type_name] = after
+        if after.bit_length() != before.bit_length():
+            self.epoch += 1
 
     def observe_recursion(
         self,
@@ -180,6 +188,7 @@ class DatabaseStatistics:
             return
         profile = self.recursion_profiles.get(key)
         if profile is None:
+            self.epoch += 1
             self.recursion_profiles[key] = {
                 "runs": 1.0,
                 "roots": float(roots),

@@ -136,6 +136,10 @@ class PrimaEngine:
             "interpreter_builds": 0,
             "invalidations": 0,
             "events_applied": 0,
+            # Statement-cache counters of the interpreters DDL dropped.
+            "plan_cache_hits": 0,
+            "plan_cache_misses": 0,
+            "plan_cache_invalidations": 0,
         }
         #: Basic-interface reads and occurrence writes per type name.
         self._reads: Dict[str, int] = collections.Counter()
@@ -956,8 +960,15 @@ class PrimaEngine:
 
         The database, its version clock and its pins are never dropped; the
         structure indexes and columnar projections describe occurrences a
-        new type does not change, so they stay as they are.
+        new type does not change, so they stay as they are.  The dropped
+        interpreter's statement-cache counters carry over, its entries
+        counted as invalidated.
         """
+        if self._interpreter is not None:
+            cache = self._interpreter.plan_cache_statistics()
+            for name in ("plan_cache_hits", "plan_cache_misses", "plan_cache_invalidations"):
+                self._stats[name] += cache[name]
+            self._stats["plan_cache_invalidations"] += cache["plan_cache_entries"]
         self._network = None
         self._interpreter = None
         self._index_pool = None
@@ -971,8 +982,19 @@ class PrimaEngine:
         only DDL adds one; ``snapshot_builds`` is 1 for the engine's life
         (its database is created once); ``index_generation`` equals
         ``generation`` whenever the executor's index pool is coherent.
+        ``plan_cache_entries`` is the interpreter's statement-cache size,
+        ``plan_cache_hits`` / ``_misses`` / ``_invalidations`` count over the
+        engine's life (the entries DDL drops count as invalidated).
         """
         report = dict(self._stats)
+        interpreter = self._interpreter
+        cache = (
+            interpreter.plan_cache_statistics()
+            if interpreter is not None
+            else {"plan_cache_entries": 0}
+        )
+        for name, count in cache.items():
+            report[name] = report.get(name, 0) + count
         report["generation"] = self.generation
         report["network_rebuilds"] = self._network.rebuilds if self._network is not None else 0
         report["index_builds"] = self._index_pool.builds if self._index_pool is not None else 0
@@ -1147,27 +1169,14 @@ class SnapshotHandle:
         """Execute an MQL read statement as of the pinned generation.
 
         Snapshot handles are read-only: DML and transaction statements are
-        rejected — writes go through ``engine.query`` (or a ``BEGIN WORK``
-        session) and remain invisible to this handle.
+        rejected (the interpreter's rule for pinned reads) — writes go
+        through ``engine.query`` (or a ``BEGIN WORK`` session) and remain
+        invisible to this handle.  The statement text goes to the engine's
+        interpreter as it is, so the handle shares its statement cache.
         """
         if self._released:
             raise StorageError("snapshot handle has been released")
-        from repro.mql.ast_nodes import (
-            CheckpointStatement,
-            DMLStatement,
-            TransactionStatement,
-        )
-        from repro.mql.parser import parse  # deferred: package cycle
-
-        ast = parse(statement) if isinstance(statement, str) else statement
-        inner = getattr(ast, "statement", ast)  # unwrap EXPLAIN
-        if isinstance(
-            inner, (TransactionStatement, CheckpointStatement, *DMLStatement.__args__)
-        ):
-            raise StorageError(
-                "snapshot handles are read-only; run DML through the engine"
-            )
-        return self._interpreter.execute(ast, at=self._snapshot)
+        return self._interpreter.execute(statement, at=self._snapshot)
 
     def database_view(self):
         """The pinned :class:`~repro.core.versions.DatabaseView` (direct reads)."""

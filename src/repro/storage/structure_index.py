@@ -662,6 +662,9 @@ class StructureIndexStore:
     def __init__(self) -> None:
         self._lock = make_rlock("StructureIndexStore._lock")
         self._indexes: Dict[StructureKey, Optional[StructureIndex]] = {}  # guarded-by: StructureIndexStore._lock
+        #: Bumped by every new registration — the stamp a cached plan that
+        #: ``accelerate_recursion`` saw (or did not see) the registry by.
+        self.registry_version = 0  # guarded-by: StructureIndexStore._lock
         #: Engine write generation (stamped on every fold and fast-forward).
         self.generation = 0
         #: Pinned-snapshot reads that could not use an index coherently.
@@ -677,7 +680,9 @@ class StructureIndexStore:
             )
         key: StructureKey = (atom_type_name, link_type_name, direction)
         with self._lock:
-            self._indexes.setdefault(key, None)
+            if key not in self._indexes:
+                self._indexes[key] = None
+                self.registry_version += 1
         return key
 
     def registered(self) -> Tuple[StructureKey, ...]:

@@ -82,6 +82,45 @@ class TestLexer:
         else:  # pragma: no cover
             pytest.fail("expected MQLSyntaxError")
 
+    def test_positions_after_multiline_literals(self):
+        """A string literal or bracketed name spanning newlines moves the
+        line count: every token after one is reported where it is."""
+        tokens = tokenize("SELECT ALL FROM t0 WHERE t0.key = 'a\nb'\nAND x")
+        assert [(t.value, t.line, t.column) for t in tokens[-4:]] == [
+            ("a\nb", 1, 34),
+            ("AND", 3, 0),
+            ("x", 3, 4),
+            (None, 3, 5),
+        ]
+        tokens = tokenize("SELECT ALL FROM RECURSIVE part [comp\nosition\n] DOWN 2;")
+        assert [(t.value, t.line, t.column) for t in tokens[-5:]] == [
+            ("comp\nosition", 1, 31),
+            ("DOWN", 3, 2),
+            (2, 3, 7),
+            (";", 3, 8),
+            (None, 3, 9),
+        ]
+        with pytest.raises(MQLSyntaxError) as raised:
+            tokenize("SELECT ALL FROM t0 WHERE t0.key = '\n\n' AND %")
+        assert (raised.value.line, raised.value.column) == (3, 6)
+
+    def test_digits_outside_ascii_are_unexpected_characters(self):
+        """Numbers are written with 0-9; any other digit character is an
+        MQLSyntaxError (it used to escape as ValueError, or read as a digit)."""
+        digits = [
+            chr(code)
+            for code in range(0x3000)
+            if chr(code).isdigit() and chr(code) not in "0123456789"
+        ]
+        assert "²" in digits and "٣" in digits
+        for digit in digits:
+            for text in (
+                f"SELECT ALL FROM t0 WHERE t0.value = {digit};",
+                f"SELECT ALL FROM t0 WHERE t0.value = 1{digit};",
+            ):
+                with pytest.raises(MQLSyntaxError, match="unexpected character"):
+                    tokenize(text)
+
 
 class TestParser:
     def test_select_all_simple_chain(self):
