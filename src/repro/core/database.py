@@ -338,8 +338,27 @@ class Database:
         return self.atyp(type_name).insert(identifier=identifier, **values)
 
     def connect(self, link_type_name: str, first: "Atom | str", second: "Atom | str") -> Link:
-        """Insert a link of *link_type_name* between two atoms."""
-        return self.ltyp(link_type_name).connect(first, second)
+        """Insert a link of *link_type_name* between two atoms (see
+        :meth:`typed_link`)."""
+        return self.ltyp(link_type_name).add(self.typed_link(link_type_name, first, second))
+
+    def typed_link(self, link_type_name: str, first: "Atom | str", second: "Atom | str") -> Link:
+        """The link of *link_type_name* between two endpoints, each typed by
+        the atom type that stores it (nothing is inserted).
+
+        Identifiers are unique only within an atom type, and a link tells its
+        endpoints apart by type (:attr:`Link.endpoints`).  An atom carries
+        its type (:meth:`LinkType.link`).  Two bare identifiers are placed by
+        looking them up (:meth:`LinkType.placed`): in definition order when
+        they are stored that way, the other way round when only that fits.
+        A pair stored neither way keeps definition order — that link dangles,
+        and :meth:`validate` says so.
+        """
+        link_type = self.ltyp(link_type_name)
+        if isinstance(first, str) and isinstance(second, str):
+            atoms = (self.atyp(name) for name in link_type.atom_type_names)
+            first, second = link_type.placed(first, second, *atoms) or (first, second)
+        return link_type.link(first, second)
 
     def find_atom(self, identifier: str) -> Optional[Atom]:
         """Locate an atom by identifier across all atom types."""
@@ -355,7 +374,8 @@ class Database:
         """Check membership in the database domain ``DB*``.
 
         Raises when a link type references atoms that are not part of its
-        endpoint atom types' occurrences (referential integrity) or when a
+        endpoint atom types' occurrences (referential integrity: each
+        endpoint is looked up in the atom type it is typed with) or when a
         link type's endpoint atom types are missing.
         """
         for link_type in self._link_types.values():
@@ -364,15 +384,12 @@ class Database:
                 raise UnknownNameError(
                     f"link type {link_type.name!r} references undefined atom types"
                 )
-            first = self._atom_types[first_name]
-            second = self._atom_types[second_name]
-            known = set(first.identifiers()) | set(second.identifiers())
             for link in link_type:
-                for identifier in link.identifiers:
-                    if identifier not in known:
+                for endpoint_type, identifier in link.endpoints:
+                    if identifier not in self._atom_types[endpoint_type]:
                         raise DanglingLinkError(
                             f"link {link!r} of type {link_type.name!r} references "
-                            f"unknown atom {identifier!r}"
+                            f"unknown {endpoint_type!r} atom {identifier!r}"
                         )
 
     def is_valid(self) -> bool:

@@ -113,16 +113,18 @@ class StructureWalk:
         self._links_of = links_of if links_of is not None else _links_of_type
         self._on_link_followed = on_link_followed
         #: Per atom type in root-first order: its child uses as
-        #: ``(target type, link type, lookup in the target occurrence)``.
-        self._down: List[Tuple[str, List[Tuple[str, LinkType, object]]]] = []
+        #: ``(target type, link type, lookup in the target occurrence, far
+        #: end)`` — see :func:`_far_end`.
+        self._down: List[Tuple[str, List[Tuple[str, LinkType, object, Optional[int]]]]] = []
         #: Per atom type in leaf-first order: its parent uses as
-        #: ``(source type, link type, lookup in the source occurrence)``.
-        self._up: List[Tuple[str, List[Tuple[str, LinkType, object]]]] = []
+        #: ``(source type, link type, lookup in the source occurrence, far
+        #: end)``.
+        self._up: List[Tuple[str, List[Tuple[str, LinkType, object, Optional[int]]]]] = []
         #: Whether every use joins two distinct, un-renamed atom types — then
         #: a link's far end is always the use's other type, and component
         #: atoms are filed under the description's own type names.
         self.plain = "@" not in self.root
-        resolved: Dict[Tuple[str, str, str], LinkType] = {}
+        resolved: Dict[Tuple[str, str, str], Tuple[LinkType, Optional[int]]] = {}
         for type_name in description.traversal_order():
             children = []
             for directed in description.children_of(type_name):
@@ -132,15 +134,18 @@ class StructureWalk:
                     link_type = resolve_directed_link(database, directed)
                 if link_type.is_reflexive or "@" in directed.target:
                     self.plain = False
-                resolved[directed.as_tuple()] = link_type
-                children.append((directed.target, link_type, database.atyp(directed.target).get))
+                far = _far_end(link_type, type_name, directed.target)
+                resolved[directed.as_tuple()] = link_type, far
+                children.append((directed.target, link_type, database.atyp(directed.target).get, far))
             if children:
                 self._down.append((type_name, children))
         for type_name in reversed(description.traversal_order()):
-            parents = [
-                (directed.source, resolved[directed.as_tuple()], database.atyp(directed.source).get)
-                for directed in description.parents_of(type_name)
-            ]
+            parents = []
+            for directed in description.parents_of(type_name):
+                link_type, far = resolved[directed.as_tuple()]
+                # Upward the source is the far end: the other endpoint.
+                up = None if far is None else 1 - far
+                parents.append((directed.source, link_type, database.atyp(directed.source).get, up))
             if parents:
                 self._up.append((type_name, parents))
 
@@ -164,14 +169,21 @@ class StructureWalk:
             parents = per_type.get(type_name)
             if not parents:
                 continue
-            for target, link_type, lookup in children:
+            for target, link_type, lookup, far in children:
                 bucket = per_type.get(target)
                 if bucket is None:
                     bucket = per_type[target] = {}
+                near = 1 - far if far is not None else None
                 for parent_id in parents:
                     for link in links_of(link_type, parent_id):
-                        first, second = link.given_order
-                        child_id = second if first == parent_id else first
+                        if far is None:
+                            first, second = link.given_order
+                            child_id = second if first == parent_id else first
+                        else:
+                            endpoints = link.endpoints
+                            if endpoints[near][1] != parent_id:
+                                continue  # another type's atom with this identifier
+                            child_id = endpoints[far][1]
                         child_atom = lookup(child_id)
                         if child_atom is None:
                             # The partner belongs to the other endpoint type of a
@@ -209,17 +221,40 @@ class StructureWalk:
             children = reached.get(target)
             if not children:
                 continue
-            for source, link_type, lookup in parents:
+            for source, link_type, lookup, far in parents:
                 bucket = reached.setdefault(source, set())
+                near = 1 - far if far is not None else None
                 for child_id in children:
                     for link in links_of(link_type, child_id):
-                        first, second = link.given_order
-                        parent_id = second if first == child_id else first
+                        if far is None:
+                            first, second = link.given_order
+                            parent_id = second if first == child_id else first
+                        else:
+                            endpoints = link.endpoints
+                            if endpoints[near][1] != child_id:
+                                continue  # another type's atom with this identifier
+                            parent_id = endpoints[far][1]
                         if parent_id not in bucket and lookup(parent_id) is not None:
                             bucket.add(parent_id)
                         followed += 1
         self.links_followed += followed
         return reached.get(self.root, set())
+
+
+def _far_end(link_type: LinkType, near: str, far: str) -> Optional[int]:
+    """Where in :attr:`Link.endpoints` a use's walk from a *near* atom finds
+    the *far* atom: the index of the far type's endpoint when the link type
+    joins exactly these two distinct types, else ``None``.
+
+    Identifiers are unique only within an atom type, so the walk tells a
+    link's sides apart by endpoint type wherever the types differ; with
+    ``None`` (a reflexive link type) it goes by identifier.
+    """
+    first, second = link_type.atom_type_names
+    if near != far and (near, far) in ((first, second), (second, first)):
+        # Link.endpoints is sorted by type, and the two types differ.
+        return 0 if far < near else 1
+    return None
 
 
 def _links_of_type(link_type: LinkType, identifier: str) -> FrozenSet[Link]:

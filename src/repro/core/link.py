@@ -51,9 +51,15 @@ class Link:
     For reflexive link types the two endpoints may refer to distinct atoms of
     the same type; a self-loop (both endpoints the same atom) is permitted but
     rarely useful.
+
+    :attr:`endpoints` is the canonically ordered (sorted by type, then
+    identifier) ``((type, id), (type, id))`` view of the endpoints, for
+    display and for telling the endpoints apart by type; the semantics remain
+    unsorted.  It is a plain attribute — a fold over a whole link type reads
+    it once per link.
     """
 
-    __slots__ = ("link_type_name", "_pair", "_typed_pair", "_given")
+    __slots__ = ("link_type_name", "_pair", "endpoints", "_given")
 
     def __init__(
         self,
@@ -74,9 +80,7 @@ class Link:
         # sub-component on a 'composition' link).  Equality stays unordered,
         # matching the paper's "unsorted pair".
         self._given: Tuple[str, str] = (first_id, second_id)
-        # Keep a canonical ordered view (sorted by (type, id)) for display and
-        # for endpoint lookups; semantics remain unsorted.
-        self._typed_pair: Tuple[Tuple[Optional[str], str], ...] = tuple(
+        self.endpoints: Tuple[Tuple[Optional[str], str], ...] = tuple(
             sorted(((first_tn, first_id), (second_tn, second_id)), key=lambda pair: (pair[0] or "", pair[1]))
         )
 
@@ -84,11 +88,6 @@ class Link:
     def identifiers(self) -> FrozenSet[str]:
         """The unsorted pair of atom identifiers this link connects."""
         return self._pair
-
-    @property
-    def endpoints(self) -> Tuple[Tuple[Optional[str], str], ...]:
-        """Canonically ordered ``((type, id), (type, id))`` view of the endpoints."""
-        return self._typed_pair
 
     @property
     def given_order(self) -> Tuple[str, str]:
@@ -117,7 +116,7 @@ class Link:
 
     def endpoint_of_type(self, type_name: str) -> Optional[str]:
         """Return the endpoint identifier whose atom type is *type_name*, if any."""
-        for endpoint_type, identifier in self._typed_pair:
+        for endpoint_type, identifier in self.endpoints:
             if endpoint_type == type_name:
                 return identifier
         return None
@@ -131,7 +130,7 @@ class Link:
         return hash((self.link_type_name, self._pair))
 
     def __repr__(self) -> str:
-        ids = " -- ".join(identifier for _, identifier in self._typed_pair)
+        ids = " -- ".join(identifier for _, identifier in self.endpoints)
         return f"Link({self.link_type_name}: {ids})"
 
 
@@ -154,6 +153,7 @@ class LinkType:
         "_name",
         "_first_type",
         "_second_type",
+        "_endpoint_types",
         "_links",
         "_by_atom",
         "cardinality",
@@ -177,6 +177,9 @@ class LinkType:
         self._name = name
         self._first_type = first_type.name if isinstance(first_type, AtomType) else first_type
         self._second_type = second_type.name if isinstance(second_type, AtomType) else second_type
+        #: The endpoint types as a typed link of this type lists them
+        #: (:attr:`Link.endpoints` sorts by type).
+        self._endpoint_types = tuple(sorted((self._first_type, self._second_type)))
         self.cardinality = cardinality
         self._links: Set[Link] = set()  # guarded-by: LinkType._lock
         self._by_atom: Dict[str, Set[Link]] = {}  # guarded-by: LinkType._lock
@@ -357,22 +360,62 @@ class LinkType:
         Accepts either a prepared :class:`Link`, a 2-tuple of atoms or
         identifiers, or two positional atom arguments.  Cardinality
         restrictions are enforced here.
+
+        Every inserted link carries this type's endpoint types, and a
+        non-reflexive link gives its endpoints in definition order (so its
+        :attr:`Link.given_order` — what logs and images record — replays to
+        the same types).  Endpoints given as atoms or identifiers are typed as
+        :meth:`link` types them; a prepared link of another name, with other
+        endpoint types or given the other way round is rebuilt so.
         """
         if not isinstance(link, Link):
-            if second is not None:
-                first = link
-            else:
-                first, second = link  # type: ignore[misc]
-            link = Link(
-                self._name,
-                first,
-                second,
-                first_type=self._first_type if not isinstance(first, Atom) else None,
-                second_type=self._second_type if not isinstance(second, Atom) else None,
+            link = self.link(link, second) if second is not None else self.link(*link)
+        elif (
+            link.link_type_name != self._name
+            or (link.endpoints[0][0], link.endpoints[1][0]) != self._endpoint_types
+            or (
+                not self.is_reflexive
+                and link.given_order[0] != link.endpoint_of_type(self._first_type)
             )
-        if link.link_type_name != self._name:
-            link = Link(self._name, *tuple(link.identifiers) * (2 if len(link.identifiers) == 1 else 1))
+        ):
+            link = Link(self._name, *self._ordered_ids(link), self._first_type, self._second_type)
         return self._insert(link, check=True)
+
+    def link(self, first: "Atom | str", second: "Atom | str") -> Link:
+        """A link of this type between two endpoints (nothing is inserted).
+
+        The endpoints are typed by position, in definition order, exactly as
+        :meth:`redo_connect` types a logged link; two atoms of a
+        non-reflexive type are put in that order first, whichever way round
+        they were given.  Bare identifiers cannot say which atom type stores
+        them — :meth:`placed` puts them in order by looking.
+        """
+        if not self.is_reflexive and (
+            getattr(first, "type_name", None) == self._second_type
+            or getattr(second, "type_name", None) == self._first_type
+        ):
+            first, second = second, first
+        return Link(
+            self._name,
+            first.identifier if isinstance(first, Atom) else first,
+            second.identifier if isinstance(second, Atom) else second,
+            self._first_type,
+            self._second_type,
+        )
+
+    def placed(
+        self, first: str, second: str, first_atoms: AtomType, second_atoms: AtomType
+    ) -> Optional[Tuple[str, str]]:
+        """Two bare endpoint identifiers in definition order, judged by where
+        they are stored (*first_atoms*/*second_atoms* hold this type's two
+        atom types): as given when stored that way, swapped when only the
+        other way round fits (never for a reflexive type), ``None`` when
+        neither fits."""
+        if first in first_atoms and second in second_atoms:
+            return first, second
+        if not self.is_reflexive and second in first_atoms and first in second_atoms:
+            return second, first
+        return None
 
     def redo_connect(self, first: str, second: str) -> Link:
         """Re-insert a logged link (recovery and replica replay).
@@ -410,9 +453,10 @@ class LinkType:
     def _check_cardinality(self, link: Link) -> None:
         if self.cardinality is Cardinality.MANY_TO_MANY:
             return
-        for endpoint_type, identifier in link.endpoints:
-            existing = self._by_atom.get(identifier, set())
-            if not existing:
+        for endpoint in link.endpoints:
+            endpoint_type, identifier = endpoint
+            # Only this atom's links: another type's atom may share the identifier.
+            if not any(endpoint in other.endpoints for other in self._by_atom.get(identifier, ())):
                 continue
             if self.cardinality is Cardinality.ONE_TO_ONE:
                 raise CardinalityError(
@@ -442,19 +486,33 @@ class LinkType:
             generation = self._version_mutation(link, ABSENT, PRESENT, disconnect_head)
             self._emit(LINK_DISCONNECTED, link, generation=generation)
 
-    def remove_atom(self, identifier: str) -> int:
-        """Remove every link incident to atom *identifier*; return the count removed."""
+    def remove_atom(self, atom: "Atom | str") -> int:
+        """Remove every link incident to *atom* (see :meth:`links_of`);
+        return the count removed."""
         with self._lock:
-            links = list(self._by_atom.get(identifier, ()))
+            links = self.links_of(atom)
             for link in links:
                 self.remove(link)
             return len(links)
 
     def links_of(self, atom: "Atom | str") -> FrozenSet[Link]:
-        """Return all links incident to *atom*."""
-        identifier = atom.identifier if isinstance(atom, Atom) else atom
+        """Return all links incident to *atom*.
+
+        An identifier matches an endpoint of either type.  An :class:`Atom`
+        matches only the endpoint of its own type: identifiers are unique
+        within a type, so a link of another type's atom with the same
+        identifier is not this atom's.
+        """
+        if not isinstance(atom, Atom):
+            with self._lock:
+                return frozenset(self._by_atom.get(atom, ()))
+        endpoint = (atom.type_name, atom.identifier)
         with self._lock:
-            return frozenset(self._by_atom.get(identifier, set()))
+            return frozenset(
+                link
+                for link in self._by_atom.get(atom.identifier, ())
+                if endpoint in link.endpoints
+            )
 
     def partners_of(self, atom: "Atom | str") -> FrozenSet[str]:
         """Return the identifiers linked to *atom* through this link type."""
@@ -481,7 +539,7 @@ class LinkType:
         """Return a copy of this link type including its occurrence."""
         clone = self.empty_copy(name)
         for link in self._links:
-            clone.add(Link(clone.name, *self._ordered_ids(link)))
+            clone.add(link)
         return clone
 
     def restricted_to(
@@ -520,11 +578,8 @@ class LinkType:
         first_id = link.endpoint_of_type(self._first_type)
         second_id = link.endpoint_of_type(self._second_type)
         if first_id is None or second_id is None:
-            # Fall back to raw pair order for links created from bare identifiers.
-            pair = tuple(link.identifiers)
-            if len(pair) == 1:
-                return (pair[0], pair[0])
-            return (pair[0], pair[1])
+            # A link typed for other atom types: by position, as given.
+            return link.given_order
         return (first_id, second_id)
 
     def validate_against(self, first: AtomType, second: AtomType) -> None:

@@ -189,8 +189,7 @@ def propagate(result_set: ResultSet, database: Database) -> MoleculeOperationRes
             seen_link_names[new_link_name] = link_type
             propagated_link_types.append(link_type)
         for link in links_per_directed[directed.as_tuple()]:
-            ids = tuple(link.identifiers)
-            first, last = ids[0], ids[-1]
+            first, last = _use_endpoints(link, directed)
             link_type.add(Link(new_link_name, first, last, new_source, new_target))
         renamed_links.append(DirectedLink(new_link_name, new_source, new_target))
 
@@ -206,6 +205,22 @@ def propagate(result_set: ResultSet, database: Database) -> MoleculeOperationRes
         tuple(propagated_link_types),
         result_set,
     )
+
+
+def _use_endpoints(link: Link, directed: DirectedLink) -> Tuple[str, str]:
+    """``(source id, target id)`` of a link followed along *directed*.
+
+    The endpoints are told apart by (undecorated) type — identifiers are
+    unique only within a type; a use within one type keeps the link's given
+    order, its only record of the two roles.
+    """
+    source = directed.source.split("@", 1)[0]
+    target = directed.target.split("@", 1)[0]
+    if source != target:
+        ends = {type_name.split("@", 1)[0]: identifier for type_name, identifier in link.endpoints}
+        if source in ends and target in ends:
+            return ends[source], ends[target]
+    return link.given_order
 
 
 # --------------------------------------------------------------- Σ restriction

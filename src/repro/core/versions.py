@@ -697,6 +697,7 @@ class LinkTypeView:
         return chain.at(self._snapshot) is PRESENT
 
     def links_of(self, atom: "Atom | str") -> "FrozenSet[Link]":
+        """:meth:`LinkType.links_of` as of the snapshot."""
         identifier = getattr(atom, "identifier", atom)
         head, historic = self._type._incident_links(identifier)
         result = [link for link in head if self._link_visible(link)]
@@ -704,6 +705,9 @@ class LinkTypeView:
         for link in historic:
             if link not in head_set and self._link_visible(link):
                 result.append(link)
+        if identifier is not atom:  # an Atom: only its own type's endpoint
+            endpoint = (atom.type_name, identifier)  # type: ignore[union-attr]
+            return frozenset(link for link in result if endpoint in link.endpoints)
         return frozenset(result)
 
     def partners_of(self, atom: "Atom | str") -> FrozenSet[str]:

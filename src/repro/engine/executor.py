@@ -80,6 +80,7 @@ def compile_plan(plan: PlanNode) -> PhysicalOperator:
             plan.group_by,
             plan.aggregates,
             plan.root_filter,
+            plan.hop,
         )
     if isinstance(plan, RecursivePlan):
         return RecursiveScan(plan.name, plan.description, plan.formula)

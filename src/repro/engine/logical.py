@@ -153,10 +153,13 @@ class AggregatePlan:
 class ColumnarAggregatePlan:
     """Γ_col — aggregation answered from the columnar projection.
 
-    Result-equivalent to the single-type :class:`AggregatePlan` it replaces;
-    produced only by the optimizer's ``columnarize_aggregate`` rule.  The
-    physical operator falls back to the row path when the MVCC gate refuses
-    the columnar arrays for the executing snapshot.
+    Result-equivalent to the :class:`AggregatePlan` it replaces; produced
+    only by the optimizer's ``columnarize_aggregate`` rule.  The Γ input is
+    the root type alone or, with *hop* ``(link type, component type)``, the
+    one-hop α ``root - component``: component counts then come from one pass
+    over the link type's occurrence.  The physical operator falls back to
+    the row path when the MVCC gate refuses the columnar arrays for the
+    executing snapshot.
     """
 
     atom_type_name: str
@@ -164,6 +167,19 @@ class ColumnarAggregatePlan:
     aggregates: Tuple[AggregateSpec, ...]
     root_filter: Optional[Formula] = None
     name: str = ""
+    hop: Optional[Tuple[str, str]] = None
+
+
+def columnar_description(
+    atom_type_name: str, hop: Optional[Tuple[str, str]]
+) -> MoleculeTypeDescription:
+    """The molecule structure of a columnar Γ over *atom_type_name* and *hop*."""
+    if hop is None:
+        return MoleculeTypeDescription([atom_type_name], [])
+    link_type_name, component = hop
+    return MoleculeTypeDescription(
+        [atom_type_name, component], [(link_type_name, atom_type_name, component)]
+    )
 
 
 PlanNode = Union[
@@ -270,9 +286,12 @@ def describe_plan(plan: PlanNode, indent: str = "") -> str:
     if isinstance(plan, ColumnarAggregatePlan):
         keys = ", ".join(repr(key) for key in plan.group_by)
         aggs = ", ".join(spec.output for spec in plan.aggregates)
-        header = f"{indent}Γ_col {plan.atom_type_name} [{aggs}]"
+        header = f"{indent}Γ_col [{aggs}]"
         if keys:
             header += f" group by [{keys}]"
+        header += f" over {plan.atom_type_name}"
+        if plan.hop is not None:
+            header += f" + links {plan.hop[0]}"
         if plan.root_filter is not None:
             header += f" [root filter: {plan.root_filter!r}]"
         return header
@@ -305,7 +324,7 @@ def plan_description(plan: PlanNode) -> MoleculeTypeDescription:
     if isinstance(plan, (RecursivePlan, IntervalScanPlan)):
         return MoleculeTypeDescription([plan.description.atom_type_name], [])
     if isinstance(plan, ColumnarAggregatePlan):
-        return MoleculeTypeDescription([plan.atom_type_name], [])
+        return columnar_description(plan.atom_type_name, plan.hop)
     if isinstance(plan, SetOpPlan):
         return plan_description(plan.left)
     return plan_description(plan.child)
@@ -407,6 +426,7 @@ def map_plan(
             plan.aggregates,
             formula(plan.root_filter),
             plan.name,
+            plan.hop,
         )
     raise TypeError(f"unknown plan node: {plan!r}")
 

@@ -37,7 +37,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.atom import Atom
 from repro.core.database import Database
-from repro.core.derivation import StructureWalk, resolve_description
+from repro.core.derivation import StructureWalk, resolve_description, resolve_directed_link
+from repro.core.graph import DirectedLink
 from repro.core.link import Link, LinkType
 from repro.core.molecule import Molecule, MoleculeType, MoleculeTypeDescription
 from repro.core.predicates import (
@@ -49,7 +50,11 @@ from repro.core.predicates import (
     split_conjunction,
 )
 from repro.core.recursion import RecursiveDescription, RecursiveMolecule, expand_recursive
-from repro.engine.logical import canonical_structure, resolve_projection_names
+from repro.engine.logical import (
+    canonical_structure,
+    columnar_description,
+    resolve_projection_names,
+)
 from repro.exceptions import UnionCompatibilityError
 
 
@@ -925,22 +930,6 @@ class _GroupAccumulator:
                 for atom in atoms_of_type(spec.attribute.atom_type):
                     target.setdefault(atom.identifier, atom.get(spec.attribute.attribute))
 
-    def fold_atom(self, specs, identifier: str, values: "Sequence[object]") -> None:
-        """Fold one single-type root atom (row or columnar form).
-
-        *values* carries one pre-extracted attribute value per spec (``None``
-        placeholders for ``COUNT(*)``/component specs).
-        """
-        self.count += 1
-        for spec, target, value in zip(specs, self.targets, values):
-            if spec.component is not None:
-                target.add(identifier)
-            elif spec.distinct:
-                if value is not None:
-                    target.add(_distinct_key(value))
-            elif spec.attribute is not None:
-                target.setdefault(identifier, value)
-
     def finalize(self, spec, target) -> object:
         if spec.component is not None or spec.distinct:
             return len(target)
@@ -1143,16 +1132,25 @@ class SortedGroupAggregate(_MoleculeAggregate):
 
 
 class ColumnarAggregate(AggregationOperator):
-    """Γ over the columnar projection of a single-type structure.
+    """Γ over the columnar projection of the root type, and over one hop.
 
-    The group keys and aggregate targets are read straight out of per-type
+    The group keys and root targets are read straight out of per-type
     attribute arrays; the optional root filter (a conjunction of simple
     comparisons, guaranteed by the optimizer rule) is evaluated column-wise
     with the exact :func:`~repro.core.predicates._compare` semantics of the
-    row path.  When the context's columnar store refuses to serve the
-    executing snapshot (stale arrays, private transaction writes) the
-    operator folds the row occurrence directly — same accumulators, same
-    finalize, byte-identical rows.
+    row path.  With a *hop* ``(link type, component type)`` the component
+    counts come from one pass over the link type's occurrence: every link
+    adds its component endpoint to the group of its root endpoint — the side
+    chosen by endpoint type, never by identifier, because identifiers are
+    unique only within a type.  No molecule is derived.
+
+    When the context's columnar store refuses to serve the executing
+    snapshot (stale arrays, private transaction writes) the qualifying root
+    atoms come from the (pinned) occurrence instead and go through the same
+    fold and link pass — same accumulators, same finalize, byte-identical
+    rows.  The links come from the context's database either way: the live
+    occurrence at the head, the pinned view (which resolves visibility
+    itself) in a snapshot context.
     """
 
     def __init__(
@@ -1162,12 +1160,14 @@ class ColumnarAggregate(AggregationOperator):
         group_by,
         aggregates,
         root_filter: Optional[Formula] = None,
+        hop: Optional[Tuple[str, str]] = None,
     ) -> None:
         self.name = name
         self.atom_type_name = atom_type_name
         self.group_by = tuple(group_by)
         self.aggregates = tuple(aggregates)
         self.root_filter = root_filter
+        self.hop = hop
         #: Optional ``(index, count)`` root partition — a worker folding one
         #: slice of a fanned-out Γ accumulates only its own root atoms; the
         #: partial groups are merged via :func:`merge_group_accumulators`.
@@ -1175,15 +1175,8 @@ class ColumnarAggregate(AggregationOperator):
 
     def describe(self, ctx: ExecutionContext) -> MoleculeTypeDescription:
         return resolve_description(
-            ctx.database, MoleculeTypeDescription([self.atom_type_name], [])
+            ctx.database, columnar_description(self.atom_type_name, self.hop)
         )
-
-    def _spec_attributes(self) -> List[Optional[str]]:
-        """One attribute name per spec (``None`` for COUNT(*)/components)."""
-        return [
-            spec.attribute.attribute if spec.attribute is not None else None
-            for spec in self.aggregates
-        ]
 
     def _filter_conjuncts(self) -> Optional[List[Comparison]]:
         """The root filter as simple literal comparisons, or ``None``."""
@@ -1216,14 +1209,16 @@ class ColumnarAggregate(AggregationOperator):
         )
         conjuncts = self._filter_conjuncts()
         if projection is not None and conjuncts is not None:
-            return self._fold_columnar(ctx, projection, conjuncts)
-        if store is not None:
-            store.count_fallback()
-        return self._fold_rows(ctx)
+            roots = self._projected_roots(ctx, projection, conjuncts)
+        else:
+            if store is not None:
+                store.count_fallback()
+            roots = self._occurrence_roots(ctx)
+        return self._fold(ctx, *roots)
 
-    def _fold_columnar(
-        self, ctx: ExecutionContext, projection, conjuncts: List[Comparison]
-    ) -> Dict[Tuple, _GroupAccumulator]:
+    def _projected_roots(self, ctx: ExecutionContext, projection, conjuncts: List[Comparison]):
+        """``(identifiers, column, rows)``: the projection's identifier array,
+        its column accessor and the qualifying row numbers."""
         identifiers = projection.identifiers
         total = len(identifiers)
         ctx.counters.columnar_rows_scanned += total
@@ -1245,58 +1240,12 @@ class ColumnarAggregate(AggregationOperator):
             rows = [
                 row for row in rows if partition_member(identifiers[row], self.partition)
             ]
-        # Partition the qualifying rows by group key — the only per-row loop;
-        # everything after runs column-wise over each partition's index list.
-        key_columns = [projection.column(ref.attribute) for ref in self.group_by]
-        partitions: Dict[Tuple, List[int]] = {}
-        if len(key_columns) == 1:
-            column = key_columns[0]
-            for row in rows:
-                key = (column[row],)
-                bucket = partitions.get(key)
-                if bucket is None:
-                    bucket = partitions[key] = []
-                bucket.append(row)
-        elif key_columns:
-            for row in rows:
-                key = tuple(column[row] for column in key_columns)
-                bucket = partitions.get(key)
-                if bucket is None:
-                    bucket = partitions[key] = []
-                bucket.append(row)
-        else:
-            bucket = list(rows)
-            if bucket:
-                partitions[()] = bucket
-        # Every projection row is one distinct root atom, so the bulk fills
-        # below land exactly where fold_atom's setdefault/add would.
-        spec_columns = [
-            projection.column(attribute) if attribute is not None else None
-            for attribute in self._spec_attributes()
-        ]
-        groups: Dict[Tuple, _GroupAccumulator] = {}
-        for key, bucket in partitions.items():
-            accumulator = groups[key] = _GroupAccumulator(self.aggregates)
-            accumulator.count = len(bucket)
-            for index, (spec, column) in enumerate(zip(self.aggregates, spec_columns)):
-                if spec.component is not None:
-                    accumulator.targets[index] = {identifiers[row] for row in bucket}
-                elif spec.distinct:
-                    accumulator.targets[index] = {
-                        _distinct_key(column[row])
-                        for row in bucket
-                        if column[row] is not None
-                    }
-                elif spec.attribute is not None:
-                    accumulator.targets[index] = {
-                        identifiers[row]: column[row] for row in bucket
-                    }
-        return groups
+        return identifiers, projection.column, rows
 
-    def _fold_rows(self, ctx: ExecutionContext) -> Dict[Tuple, _GroupAccumulator]:
-        """Row-path fallback: fold the type occurrence atom by atom."""
-        attributes = self._spec_attributes()
-        groups: Dict[Tuple, _GroupAccumulator] = {}
+    def _occurrence_roots(self, ctx: ExecutionContext):
+        """:meth:`_projected_roots` read from the (pinned) occurrence: the
+        qualifying root atoms, filtered atom by atom, as transient columns."""
+        atoms: List[Atom] = []
         for atom in ctx.database.atyp(self.atom_type_name):
             if not partition_member(atom.identifier, self.partition):
                 continue
@@ -1305,13 +1254,114 @@ class ColumnarAggregate(AggregationOperator):
                 ctx.counters.restrictions_evaluated += 1
                 if not self.root_filter.evaluate_atom(atom):
                     continue
-            key = tuple(ref.value_from_atom(atom) for ref in self.group_by)
-            accumulator = groups.get(key)
-            if accumulator is None:
-                accumulator = groups[key] = _GroupAccumulator(self.aggregates)
-            values = tuple(
-                atom.get(attribute) if attribute is not None else None
-                for attribute in attributes
-            )
-            accumulator.fold_atom(self.aggregates, atom.identifier, values)
+            atoms.append(atom)
+        columns: Dict[str, List[object]] = {}
+
+        def column(attribute: str) -> List[object]:
+            values = columns.get(attribute)
+            if values is None:
+                values = columns[attribute] = [atom.get(attribute) for atom in atoms]
+            return values
+
+        return [atom.identifier for atom in atoms], column, range(len(atoms))
+
+    def _fold(
+        self, ctx: ExecutionContext, identifiers: List[str], column, rows
+    ) -> Dict[Tuple, _GroupAccumulator]:
+        # Partition the qualifying rows by group key — the only per-row loop;
+        # everything after runs column-wise over each partition's index list.
+        key_columns = [column(ref.attribute) for ref in self.group_by]
+        partitions: Dict[Tuple, List[int]] = {}
+        if len(key_columns) == 1:
+            values = key_columns[0]
+            for row in rows:
+                key = (values[row],)
+                bucket = partitions.get(key)
+                if bucket is None:
+                    bucket = partitions[key] = []
+                bucket.append(row)
+        elif key_columns:
+            for row in rows:
+                key = tuple(values[row] for values in key_columns)
+                bucket = partitions.get(key)
+                if bucket is None:
+                    bucket = partitions[key] = []
+                bucket.append(row)
+        else:
+            bucket = list(rows)
+            if bucket:
+                partitions[()] = bucket
+        # Every row is one distinct root atom, so the bulk fills below land
+        # exactly where a per-molecule fold's setdefault/add would.  Counts
+        # of the hop's component are left to the link pass.
+        partner = self.hop[1] if self.hop is not None else None
+        groups: Dict[Tuple, _GroupAccumulator] = {}
+        for key, bucket in partitions.items():
+            accumulator = groups[key] = _GroupAccumulator(self.aggregates)
+            accumulator.count = len(bucket)
+            for index, spec in enumerate(self.aggregates):
+                if spec.component is not None:
+                    if spec.component != partner:
+                        accumulator.targets[index] = {identifiers[row] for row in bucket}
+                elif spec.distinct:
+                    values = column(spec.attribute.attribute)
+                    accumulator.targets[index] = {
+                        _distinct_key(values[row])
+                        for row in bucket
+                        if values[row] is not None
+                    }
+                elif spec.attribute is not None:
+                    values = column(spec.attribute.attribute)
+                    accumulator.targets[index] = {
+                        identifiers[row]: values[row] for row in bucket
+                    }
+        if self.hop is not None:
+            self._fold_links(ctx, identifiers, partitions, groups)
         return groups
+
+    def _fold_links(
+        self,
+        ctx: ExecutionContext,
+        identifiers: List[str],
+        partitions: Dict[Tuple, List[int]],
+        groups: Dict[Tuple, _GroupAccumulator],
+    ) -> None:
+        """One pass over the hop's link type: each link whose root endpoint
+        is a qualifying root adds its component endpoint to that root's
+        group.  The endpoint names an atom — deletions take an atom's links
+        with it, and a database with a dangling link is not in ``DB*``."""
+        link_type_name, component = self.hop
+        root = self.atom_type_name
+        # Resolved even when nothing counts the component: a link type that
+        # does not connect the two types raises here as in the row walk.
+        link_type = resolve_directed_link(
+            ctx.database, DirectedLink(link_type_name, root, component)
+        )
+        counted = [
+            index for index, spec in enumerate(self.aggregates) if spec.component == component
+        ]
+        if not counted:
+            return
+        members: Dict[str, Set[str]] = {}
+        for key, bucket in partitions.items():
+            target = groups[key].targets[counted[0]]
+            for row in bucket:
+                members[identifiers[row]] = target
+        member = members.get
+        # A head context reads the live occurrence: one copy, which no
+        # writer can interrupt half-way; a pinned view yields its links.
+        links = tuple(link_type)
+        for link in links:
+            (first_type, first), (second_type, second) = link.endpoints
+            if first_type == root:
+                target = member(first)
+                if target is not None:
+                    target.add(second)
+            elif second_type == root:
+                target = member(second)
+                if target is not None:
+                    target.add(first)
+        ctx.counters.links_followed += len(links)
+        for accumulator in groups.values():
+            for index in counted[1:]:
+                accumulator.targets[index] = set(accumulator.targets[counted[0]])

@@ -162,66 +162,68 @@ class DeleteMoleculesOp(WriteOperator):
     ) -> Tuple[MoleculeType, WriteSummary]:
         summary = WriteSummary("delete")
         affected: List[Molecule] = []
-        component_union: Set[str] = set()
-        removed: Set[str] = set()
+        component_union: Set[Tuple[str, str]] = set()
+        removed: Set[Tuple[str, str]] = set()
         # The qualifying read is materialized up front: mutating occurrences
         # while the scan still iterates them would be the Halloween problem.
         for molecule in tuple(self.source.execute(ctx)):
             affected.append(molecule)
             summary.molecules_affected += 1
-            component_union |= molecule.atom_identifiers
-            for identifier in self._removable(ctx, molecule, removed):
-                self._delete_atom(ctx, txn, molecule, identifier, summary)
-                removed.add(identifier)
+            component_union.update(map(_atom_key, molecule.atoms))
+            for stored in self._removable(ctx, molecule, removed):
+                self._delete_atom(ctx, txn, stored, summary)
+                removed.add(_atom_key(stored))
         summary.atoms_kept = len(component_union) - summary.atoms_removed
         description = self.source.describe(ctx)
         return MoleculeType("deleted", description, tuple(affected)), summary
 
     def _removable(
-        self, ctx: ExecutionContext, molecule: Molecule, already_removed: Set[str]
-    ) -> List[str]:
+        self,
+        ctx: ExecutionContext,
+        molecule: Molecule,
+        already_removed: Set[Tuple[str, str]],
+    ) -> List[Atom]:
+        """The stored atoms of *molecule* to delete: all of them under
+        *cascade*, else the root and every atom linked only inside it."""
         component_ids = set(molecule.atom_identifiers)
-        removable: List[str] = []
+        root = _atom_key(molecule.root_atom)
+        removable: List[Atom] = []
         for atom in molecule.atoms:
-            if atom.identifier in already_removed:
+            stored = self._atom_type_of(ctx, atom.type_name).get(atom.identifier)
+            if stored is None or _atom_key(stored) in already_removed:
                 continue
-            if self.cascade or atom.identifier == molecule.root_atom.identifier:
-                removable.append(atom.identifier)
-                continue
-            external = False
-            for link_type in ctx.database.link_types:
-                for link in link_type.links_of(atom.identifier):
-                    if link.other(atom.identifier) not in component_ids:
-                        external = True
-                        break
-                if external:
-                    break
-            if not external:
-                removable.append(atom.identifier)
+            if self.cascade or _atom_key(atom) == root or not any(
+                link.other(atom.identifier) not in component_ids
+                for _link_type, link in _incident_links(ctx, stored)
+            ):
+                removable.append(stored)
         return removable
 
     def _delete_atom(
-        self,
-        ctx: ExecutionContext,
-        txn: "Transaction",
-        molecule: Molecule,
-        identifier: str,
-        summary: WriteSummary,
+        self, ctx: ExecutionContext, txn: "Transaction", stored: Atom, summary: WriteSummary
     ) -> None:
-        atom = molecule.get(identifier)
-        atom_type = self._atom_type_of(ctx, atom.type_name)
-        stored = atom_type.get(identifier)
-        if stored is None:
-            return
         # Each removal goes through the transaction so it carries a conflict
         # key (first-committer-wins detection) besides its undo action.
-        for link_type in ctx.database.link_types:
-            for link in link_type.links_of(identifier):
-                txn.disconnect(link_type.name, link)
-                summary.links_removed += 1
-        txn.remove_atom_only(atom_type, stored)
+        for link_type, link in list(_incident_links(ctx, stored)):
+            txn.disconnect(link_type.name, link)
+            summary.links_removed += 1
+        txn.remove_atom_only(ctx.database.atyp(stored.type_name), stored)
         summary.atoms_removed += 1
         ctx.counters.atoms_touched += 1
+
+
+def _atom_key(atom: Atom) -> Tuple[str, str]:
+    """An atom's identity: its (undecorated) type and its identifier —
+    identifiers are unique only within a type."""
+    return atom.type_name.split("@", 1)[0], atom.identifier
+
+
+def _incident_links(ctx: ExecutionContext, stored: Atom):
+    """``(link type, link)`` for every link of the stored atom *stored*: the
+    link types connecting its type, at the endpoint of its type."""
+    for link_type in ctx.database.link_types_of(stored.type_name):
+        for link in link_type.links_of(stored):
+            yield link_type, link
 
 
 class ModifyAtomsOp(WriteOperator):

@@ -374,10 +374,9 @@ class Transaction:
         atom = atom_type.get(identifier)
         if atom is None:
             raise TransactionError(f"no atom {identifier!r} in {atom_type_name!r}")
-        removed_links: List[Tuple[str, Tuple[str, str]]] = []
         incident: List[Tuple[LinkType, Link]] = []
         for link_type in self.database.link_types_of(atom_type_name):
-            for link in link_type.links_of(identifier):
+            for link in link_type.links_of(atom):
                 incident.append((link_type, link))
         # Claim every key before the first mutation: a conflict must abort
         # the operation without partial effects.
@@ -386,14 +385,13 @@ class Transaction:
             self._claim(link_key(link_type.name, link.identifiers))
         with self._tracked():
             for link_type, link in incident:
-                removed_links.append((link_type.name, link.given_order))
                 link_type.remove(link)
             atom_type.remove(identifier)
 
         def undo() -> None:
             atom_type.add(atom)
-            for link_type_name, (first, second) in removed_links:
-                self.database.ltyp(link_type_name).connect(first, second)
+            for link_type, link in incident:
+                link_type.add(link)
 
         self.log.record(undo)
         return atom
@@ -407,9 +405,11 @@ class Transaction:
         """
         link = self.connect_new(link_type_name, first, second)
         if link is None:
-            # Already linked: LinkType.add is idempotent and returns a link
-            # carrying the type's endpoint types, without emitting an event.
-            return self.database.ltyp(link_type_name).connect(first, second)
+            # Already linked: LinkType.add is idempotent and returns the
+            # typed link without emitting an event.
+            return self.database.ltyp(link_type_name).add(
+                self.database.typed_link(link_type_name, first, second)
+            )
         return link
 
     def connect_new(
@@ -420,16 +420,18 @@ class Transaction:
         This is the canonical logged-connect protocol: pre-existing links
         (e.g. a shared subobject re-reached through another parent) survive a
         rollback because no undo action is recorded for them.  The return
-        value tells callers whether a link was actually created.
+        value tells callers whether a link was actually created.  Endpoints
+        are typed as :meth:`~repro.core.database.Database.typed_link` types
+        them.
         """
         self._require_active()
         link_type = self.database.ltyp(link_type_name)
-        probe = Link(link_type_name, first, second)
-        if probe in link_type:
+        link = self.database.typed_link(link_type_name, first, second)
+        if link in link_type:
             return None
-        self._claim(link_key(link_type.name, probe.identifiers))
+        self._claim(link_key(link_type.name, link.identifiers))
         with self._tracked():
-            link = link_type.connect(first, second)
+            link_type.add(link)
         self.log.record(lambda: link_type.remove(link))
         return link
 
@@ -444,10 +446,9 @@ class Transaction:
         if link not in link_type:
             return
         self._claim(link_key(link_type.name, link.identifiers))
-        first, second = link.given_order
         with self._tracked():
             link_type.remove(link)
-        self.log.record(lambda lt=link_type, f=first, s=second: lt.connect(f, s))
+        self.log.record(lambda lt=link_type, lk=link: lt.add(lk))
 
     def remove_atom_only(self, atom_type: AtomType, stored: Atom) -> None:
         """Remove *stored* from its occurrence (links must already be gone).

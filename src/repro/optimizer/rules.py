@@ -26,11 +26,12 @@ ablation benchmark):
   :class:`IntervalScanPlan` when a registered structure index covers its
   recursive description; closures are then answered by interval range scans
   (or compact-adjacency sweeps) instead of hop-by-hop link chasing.
-* :func:`columnarize_aggregate` — route a Γ over a single-type, link-free α
-  (with an index-friendly literal filter, or none) onto the columnar
-  projection scan; the physical operator still falls back to the row path
-  whenever the projection cannot serve the read coherently, so firing the
-  rule never changes results.
+* :func:`columnarize_aggregate` — route a Γ over a single-type α, or over a
+  one-hop α ``root - component`` whose targets count components (with a
+  literal root filter, or none), onto the columnar projection scan; the
+  physical operator still falls back to the row path whenever the
+  projection cannot serve the read coherently, so firing the rule never
+  changes results.
 
 All rules recurse through set operations (each side of Ω/Δ/Ψ is rewritten
 independently) and through Γ inputs.
@@ -256,6 +257,24 @@ def _equality_attributes(formula: Formula, root_type: str) -> List[str]:
     return attributes
 
 
+def _lazy_cost_model(statistics):
+    """A zero-argument callable returning a cost model over *statistics* (a
+    :class:`~repro.optimizer.statistics.DatabaseStatistics` or a callable
+    returning one), built on the first call: a rule that finds no candidate
+    leaves the planner's statistics uncollected."""
+    state: dict = {}
+
+    def cost_model():
+        if "model" not in state:
+            from repro.optimizer.statistics import CostModel  # deferred: keeps import cost off the rule path
+
+            stats = statistics() if callable(statistics) else statistics
+            state["model"] = CostModel(stats)
+        return state["model"]
+
+    return cost_model
+
+
 def choose_root_access(plan: PlanNode, statistics=None) -> RewriteResult:
     """Pin the costed grid-vs-hash access method on multi-equality α scans.
 
@@ -270,15 +289,7 @@ def choose_root_access(plan: PlanNode, statistics=None) -> RewriteResult:
     applied: List[str] = []
     if statistics is None:
         return RewriteResult(plan, ())
-    from repro.optimizer.statistics import CostModel  # deferred: keeps import cost off the rule path
-
-    state: dict = {}
-
-    def cost_model() -> CostModel:
-        if "model" not in state:
-            stats = statistics() if callable(statistics) else statistics
-            state["model"] = CostModel(stats)
-        return state["model"]
+    cost_model = _lazy_cost_model(statistics)
 
     def decide(node: DefinePlan) -> DefinePlan:
         if node.root_access is not None or node.root_filter is None:
@@ -318,45 +329,87 @@ def _literal_conjunction(formula: Formula) -> "Optional[Tuple[Comparison, ...]]"
     return tuple(conjuncts)
 
 
-def columnarize_aggregate(plan: PlanNode, columnar) -> RewriteResult:
+def _one_hop(node: AggregatePlan, statistics) -> Optional[Tuple[str, str]]:
+    """``(link type, component type)`` when *node* is a Γ the columnar
+    operator can fold over the one-hop α ``root - component`` below it.
+
+    That is: one use from the root to a second, distinct type, neither
+    renamed (a plain walk — its link type cannot be reflexive); group keys
+    and attribute targets on the root, so every other target is ``COUNT(*)``
+    or a component count.  An anonymous use names the one link type the
+    statistics (*statistics()*, collected only then) know between the two
+    types.
+    """
+    description = node.child.description
+    root = description.root
+    if len(description.atom_type_names) != 2 or len(description.directed_links) != 1:
+        return None
+    (use,) = description.directed_links
+    component = use.target
+    if use.source != root or component == root or "@" in root + component:
+        return None
+    attributes = [spec.attribute for spec in node.aggregates if spec.attribute is not None]
+    if any(ref.atom_type != root for ref in (*node.group_by, *attributes)):
+        return None
+    link_type_name = use.link_type_name
+    if not link_type_name or link_type_name == "-":
+        link_type_name = statistics().link_between.get(frozenset((root, component)))
+    return (link_type_name, component) if link_type_name else None
+
+
+def columnarize_aggregate(plan: PlanNode, columnar, statistics=None) -> RewriteResult:
     """Route an eligible Γ onto the columnar projection scan.
 
     *columnar* is the engine's
     :class:`~repro.storage.columnar.ColumnarStore` (or ``None`` outside an
-    engine).  Eligible means: the Γ input is a bare single-type, link-free α
-    whose root filter is absent or a conjunction of literal comparisons —
-    exactly the shape the columnar operator can evaluate column-wise.  The
-    operator re-checks coherence at execution time and falls back to the row
-    path over the same (possibly pinned) view, so the rewrite is always
-    result-preserving.
+    engine).  Eligible means: the Γ input is a bare α whose root filter is
+    absent or a conjunction of literal comparisons — exactly what the
+    columnar operator can evaluate column-wise — over either the root type
+    alone or one hop to a component type (:func:`_one_hop`).  The hop needs
+    *statistics* (as for :func:`choose_root_access`): the route is taken
+    only when the cost model prices its pass over the link type below the
+    row fold, which a selective root filter answered by an index beats.
+    The operator re-checks coherence at execution time and falls back to
+    the row path over the same (possibly pinned) view, so the rewrite is
+    always result-preserving.
     """
     applied: List[str] = []
     if columnar is None or not getattr(columnar, "enabled", True):
         return RewriteResult(plan, ())
+    cost_model = _lazy_cost_model(statistics)
 
-    def eligible(node: AggregatePlan) -> Optional[DefinePlan]:
+    def columnar_plan(node: AggregatePlan) -> Optional[ColumnarAggregatePlan]:
         child = node.child
         if not isinstance(child, DefinePlan):
             return None
-        description = child.description
-        if len(description.atom_type_names) != 1 or description.directed_links:
-            return None
         if child.root_filter is not None and _literal_conjunction(child.root_filter) is None:
             return None
-        return child
+        description = child.description
+        hop = None
+        if len(description.atom_type_names) != 1 or description.directed_links:
+            if statistics is None:
+                return None
+            hop = _one_hop(node, lambda: cost_model().statistics)
+            if hop is None:
+                return None
+        columnar_node = ColumnarAggregatePlan(
+            description.root,
+            node.group_by,
+            node.aggregates,
+            root_filter=child.root_filter,
+            name=child.name,
+            hop=hop,
+        )
+        if hop is not None and cost_model().estimate(columnar_node) > cost_model().estimate(node):
+            return None
+        return columnar_node
 
     def walk(node: PlanNode) -> PlanNode:
         if isinstance(node, AggregatePlan):
-            child = eligible(node)
-            if child is not None:
+            columnar_node = columnar_plan(node)
+            if columnar_node is not None:
                 applied.append("columnarize_aggregate")
-                return ColumnarAggregatePlan(
-                    child.description.root,
-                    node.group_by,
-                    node.aggregates,
-                    root_filter=child.root_filter,
-                    name=child.name,
-                )
+                return columnar_node
             return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
         if isinstance(node, RestrictPlan):
             return RestrictPlan(walk(node.child), node.formula)
@@ -381,7 +434,7 @@ def rewrite(plan: PlanNode, accelerators=None, columnar=None, statistics=None) -
     access = choose_root_access(pushed.plan, statistics)
     pruned = prune_structure(access.plan)
     accelerated = accelerate_recursion(pruned.plan, accelerators)
-    columnarized = columnarize_aggregate(accelerated.plan, columnar)
+    columnarized = columnarize_aggregate(accelerated.plan, columnar, statistics)
     applied = (
         merged.applied_rules
         + pushed.applied_rules

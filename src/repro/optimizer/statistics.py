@@ -46,7 +46,8 @@ INTERVAL_TOUCH_COST = 1.0
 
 #: Cost units per row visited by a columnar aggregate scan: a list index into
 #: the attribute array instead of a per-atom dict traversal plus molecule
-#: assembly — a fraction of a row-path touch.
+#: assembly — a fraction of a row-path touch.  A one-hop component count
+#: pays it once more per link of the hop's link type.
 COLUMNAR_TOUCH_COST = 0.25
 
 #: Fixed cost units per dimension of a composite grid-file probe (locating
@@ -324,7 +325,11 @@ class CostModel:
             if plan.root_filter is not None:
                 cardinality *= self.statistics.selectivity(plan.root_filter)
             groups = self._group_cardinality(plan.group_by, cardinality)
-            return atoms * COLUMNAR_TOUCH_COST + groups, groups
+            # One array slot per root, plus one pass over the hop's links.
+            touched = atoms
+            if plan.hop is not None:
+                touched += self.statistics.link_counts.get(plan.hop[0], 0)
+            return touched * COLUMNAR_TOUCH_COST + groups, groups
         if isinstance(plan, SetOpPlan):
             left_cost, left_cardinality = self._estimate(plan.left)
             right_cost, right_cardinality = self._estimate(plan.right)

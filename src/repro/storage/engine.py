@@ -370,16 +370,14 @@ class PrimaEngine:
         The link type checks its cardinality restriction before anything is
         written or logged; a refused link raises
         :class:`~repro.exceptions.CardinalityError` and leaves no trace.
+        Endpoints may come either way round: each is typed by the atom type
+        that stores it (:meth:`~repro.core.database.Database.typed_link`).
         """
         with self._write_lock:
             self._require_unfenced()
-            link_type = self._database.ltyp(link_type_name)
-            # By identifier, as replay connects it: the live and the
-            # recovered link then type their endpoints alike.
-            first_id = first.identifier if isinstance(first, Atom) else first
-            second_id = second.identifier if isinstance(second, Atom) else second
+            link = self._database.typed_link(link_type_name, first, second)
             with self._operation():
-                return link_type.connect(first_id, second_id)
+                return self._database.ltyp(link_type_name).add(link)
 
     def neighbours(self, link_type_name: str, identifier: str) -> Tuple[str, ...]:
         """Adjacent atom identifiers through one link type."""
@@ -392,12 +390,13 @@ class PrimaEngine:
         with self._write_lock:
             self._require_unfenced()
             atom_type = self._database.atyp(atom_type_name)
-            if atom_type.get(identifier) is None:
+            atom = atom_type.get(identifier)
+            if atom is None:
                 raise StorageError(f"no atom {identifier!r} in atom type {atom_type_name!r}")
             with self._operation():
                 removed = 0
                 for link_type in self._database.link_types_of(atom_type_name):
-                    removed += link_type.remove_atom(identifier)
+                    removed += link_type.remove_atom(atom)
                 atom_type.remove(identifier)
             return removed
 

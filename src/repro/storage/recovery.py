@@ -30,7 +30,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.atom import Atom, AtomType, ensure_surrogate_counter
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
@@ -224,16 +224,17 @@ def apply_checkpoint(engine: "PrimaEngine", image: Dict[str, object]) -> int:
         )
         for attribute in entry.get("indexes", ()):
             engine.create_index(name, attribute)
+    database = engine.to_database()
     for entry in image.get("link_types", ()):
-        engine._add_link_type(
-            LinkType(
-                entry["name"],
-                entry["first"],
-                entry["second"],
-                entry.get("links", ()),  # (first, second) identifier pairs
-                cardinality=Cardinality(entry.get("cardinality", Cardinality.MANY_TO_MANY.value)),
-            )
+        link_type = LinkType(
+            entry["name"],
+            entry["first"],
+            entry["second"],
+            cardinality=Cardinality(entry.get("cardinality", Cardinality.MANY_TO_MANY.value)),
         )
+        for first, second in entry.get("links", ()):  # (first, second) identifier pairs
+            link_type.add(_placed(database, link_type, first, second))
+        engine._add_link_type(link_type)
     for atom_type, link_type, direction in image.get("structure_indexes", ()):
         engine.create_structure_index(atom_type, link_type, direction)
     engine._structure_indexes.restore_states(image.get("structure_encodings", ()))
@@ -301,13 +302,25 @@ def apply_event_record(engine: "PrimaEngine", event: Dict[str, object]) -> int:
             atom_type.remove(event["id"])
         return 0
     if tag == "lc":
-        database.ltyp(type_name).redo_connect(event["f"], event["s"])
+        link_type = database.ltyp(type_name)
+        link_type.redo_connect(*_placed(database, link_type, event["f"], event["s"]))
         return 0
     if tag == "ld":
         link_type = database.ltyp(type_name)
         link_type.remove(Link(type_name, event["f"], event["s"], *link_type.atom_type_names))
         return 0
     raise WalError(f"unknown event tag {tag!r} in commit record")
+
+
+def _placed(database, link_type: LinkType, first: str, second: str) -> Tuple[str, str]:
+    """A logged identifier pair in definition order (:meth:`LinkType.placed`).
+
+    Links are logged in definition order, but older logs and images may
+    hold a pair the other way round.  A pair stored neither way keeps its
+    logged order: its atoms are gone, and the log removes the link later.
+    """
+    atoms = (database.atyp(name) for name in link_type.atom_type_names)
+    return link_type.placed(first, second, *atoms) or (first, second)
 
 
 def _surrogate_ordinal(identifier: object) -> int:

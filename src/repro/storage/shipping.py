@@ -240,6 +240,7 @@ def encode_plan(plan: PlanNode) -> Dict[str, object]:
             "specs": [_encode_spec(spec) for spec in plan.aggregates],
             "f": encode_formula(plan.root_filter),
             "name": plan.name,
+            "hop": list(plan.hop) if plan.hop is not None else None,
         }
     raise ShippingError(
         f"cannot ship plan node {type(plan).__name__}: only read-only plans "
@@ -283,12 +284,14 @@ def decode_plan(payload: Dict[str, object]) -> PlanNode:
             strategy=payload["strategy"],
         )
     if kind == "columnar":
+        hop = payload["hop"]
         return ColumnarAggregatePlan(
             payload["atom"],
             tuple(_decode_ref(ref) for ref in payload["by"]),
             tuple(_decode_spec(spec) for spec in payload["specs"]),
             root_filter=decode_formula(payload["f"]),
             name=payload["name"],
+            hop=tuple(hop) if hop is not None else None,
         )
     raise ShippingError(f"cannot decode unknown plan tag {kind!r}")
 

@@ -368,6 +368,9 @@ class TestComponentFold:
 
     def test_walks_only_the_referenced_branch(self):
         engine = build_engine(*numeric_mesh())
+        # The row walk: with the columnar path on, the pruned one-hop
+        # ``a - b`` count is a pass over ``ab`` (tests/test_component_count.py).
+        engine.set_columnar(False)
         result = engine.query(f"SELECT a.g, COUNT(b) FROM {DIAMOND} GROUP BY a.g;")
         assert "prune_structure" in result.plan_choice.applied_rules
         # One b per root: the c and d branches are never entered.
@@ -444,6 +447,7 @@ class TestExplain:
     def test_gamma_prunes_unreferenced_branches(self):
         engine = build_engine(*chain_mesh())
         choice = engine.plan(f"SELECT a.g, COUNT(b) FROM {DIAMOND} GROUP BY a.g;")
-        assert choice.applied_rules == ("prune_structure",)
-        assert "(a, b)" in choice.explain()
+        # Pruned to the one hop ``a - b``, which the columnar Γ then folds.
+        assert choice.applied_rules == ("prune_structure", "columnarize_aggregate")
+        assert "over a + links ab" in choice.explain()
         assert choice.optimized_cost < choice.original_cost
