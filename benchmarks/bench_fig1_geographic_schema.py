@@ -88,6 +88,6 @@ def test_fig1_network_statistics(geo_db, benchmark):
     # The largest meshed structure spans several application objects: it
     # contains states, rivers and the whole shared geographic model between them.
     components = network.connected_components()
-    largest_types = {network.atom_type_of(identifier) for identifier in components[0]}
+    largest_types = {type_name for type_name, _identifier in components[0]}
     assert {"state", "river", "area", "net", "edge", "point"} <= largest_types
     assert len(components[0]) >= geo_db.atom_count() / 3

@@ -4,11 +4,11 @@ Interleaves molecule queries with MQL DML (INSERT / MODIFY / DELETE) over a
 scaled geography, comparing the engine's cache maintenance with a baseline:
 
 * ``incremental`` — the engine: every write is folded into its hash
-  indexes, atom network and planner statistics;
+  indexes and planner statistics;
 * ``rebuild`` — the historical invalidate-everything behaviour, rebuilt here
   (:func:`rebuild_everything`; the engine no longer has such a mode): each
   write discards every derived structure, so the next query re-exports the
-  state, rebuilds the network and re-creates the interpreter.
+  state, rebuilds the index pool and re-creates the interpreter.
 
 Shape checks: both return identical query results; in steady state the
 engine performs **zero** full rebuilds (build counters stay at 1 after
@@ -40,8 +40,8 @@ def rebuild_everything(engine: PrimaEngine) -> PrimaEngine:
     """The invalidate-everything baseline: throw the engine away after a write.
 
     What continues is a fresh engine bulk-loaded from the written state — a
-    full re-export, and on its first query a new network, index pool,
-    interpreter and statistics pass.
+    full re-export, and on its first query a new index pool, interpreter and
+    statistics pass.
     """
     return PrimaEngine.from_database(engine.to_database())
 
@@ -118,14 +118,12 @@ def compare_modes(rounds: int, n_states: int) -> Dict[str, object]:
 
 
 def test_perf4_incremental_steady_state_has_zero_rebuilds():
-    """After warm-up, a mixed workload causes no snapshot/network/index rebuilds."""
+    """After warm-up, a mixed workload causes no snapshot/interpreter/index rebuilds."""
     engine = build_engine(n_states=10)
     report = run_mixed_workload(engine, rounds=5)["maintenance"]
     assert engine.maintenance_statistics() == report  # still the same engine
     assert report["snapshot_builds"] == 1
-    assert report["network_builds"] == 1
     assert report["interpreter_builds"] == 1
-    assert report["network_rebuilds"] == 1  # the constructor pass only
     assert report["index_generation"] == report["generation"]
     assert report["events_applied"] > 0
 

@@ -215,8 +215,7 @@ def compare(parts: int, request_rounds: int) -> Dict[str, object]:
             "gil_note": (
                 "worker processes execute the plan pipeline off-GIL; the "
                 "speedup is bounded by physical cores (cpu_count above) and "
-                "by the per-dispatch shipping + catch-up overhead the "
-                "planner's dispatch costing models"
+                "by the per-dispatch shipping + catch-up overhead"
             ),
         }
     finally:

@@ -425,8 +425,8 @@ def _local_aliases(
     """Types of ``x = self.attr`` locals, via the attribute-type map.
 
     Closes the gap where ``hub = self._replication`` followed by
-    ``hub.dispatch_state()`` would leave the receiver untyped and drop the
-    call edge (the exact shape of the planner→hub inversion)."""
+    ``hub.max_lag()`` would leave the receiver untyped and drop the call
+    edge."""
     if cls is None:
         return {}
     aliases: Dict[str, str] = {}

@@ -123,7 +123,7 @@ LOCKS: Tuple[LockSpec, ...] = (
         kind=KIND_RLOCK,
         module="repro.storage.engine",
         guards="lazy construction/teardown of the derived access structures "
-        "(network, interpreter, index pool, pool/hub references)",
+        "(interpreter, index pool, pool/hub references)",
         rationale="type DDL holds it across the versioning lock (the "
         "no-active-transaction check and the registration), so it sits "
         "below 30; shutdown hands pool/hub references out of the lock "

@@ -65,7 +65,7 @@ class Database:
         The listener receives one :class:`~repro.core.events.ChangeEvent` per
         occurrence-level mutation — atom inserted/deleted/modified, link
         connected/disconnected — in mutation order.  This is the hook the
-        storage engine uses to maintain its indexes and atom network
+        storage engine uses to maintain its indexes and accelerators
         incrementally instead of rebuilding them on every write.
         """
         if listener not in self._listeners:

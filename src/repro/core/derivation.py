@@ -17,7 +17,7 @@ description, and no atom that is not.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.atom import Atom, AtomType
 from repro.core.database import Database
@@ -93,10 +93,12 @@ class StructureWalk:
     the roots whose molecules contain them (links are symmetric; the
     description only lays a direction over them).
 
-    *link_types* pre-resolves the directed uses, *links_of* overrides the
-    per-atom link access (e.g. a cached atom-network adjacency) and
-    *on_link_followed* observes each followed link; :attr:`links_followed`
-    counts them either way.
+    An atom's links are what its link type's ``incident`` hands out: the
+    live incidence bucket at the head (:meth:`LinkType.incident`), the
+    visible links in a snapshot view
+    (:meth:`~repro.core.versions.LinkTypeView.incident`) — one path for both.
+    *link_types* pre-resolves the directed uses; :attr:`links_followed`
+    counts the links the walk follows.
     """
 
     def __init__(
@@ -104,14 +106,10 @@ class StructureWalk:
         database: Database,
         description: MoleculeTypeDescription,
         link_types: Optional[Dict[Tuple[str, str, str], LinkType]] = None,
-        links_of=None,
-        on_link_followed=None,
     ) -> None:
         self.description = description
         self.root = description.root
         self.links_followed = 0
-        self._links_of = links_of if links_of is not None else _links_of_type
-        self._on_link_followed = on_link_followed
         #: Per atom type in root-first order: its child uses as
         #: ``(target type, link type, lookup in the target occurrence, far
         #: end)`` — see :func:`_far_end`.
@@ -162,8 +160,6 @@ class StructureWalk:
         graphs, not trees.
         """
         per_type: Dict[str, Dict[str, Atom]] = {self.root: {root_atom.identifier: root_atom}}
-        links_of = self._links_of
-        on_link_followed = self._on_link_followed
         followed = 0
         for type_name, children in self._down:
             parents = per_type.get(type_name)
@@ -174,8 +170,9 @@ class StructureWalk:
                 if bucket is None:
                     bucket = per_type[target] = {}
                 near = 1 - far if far is not None else None
+                incident = link_type.incident
                 for parent_id in parents:
-                    for link in links_of(link_type, parent_id):
+                    for link in incident(parent_id):
                         if far is None:
                             first, second = link.given_order
                             child_id = second if first == parent_id else first
@@ -190,8 +187,6 @@ class StructureWalk:
                             # reflexive or differently-directed use; skip it.
                             continue
                         followed += 1
-                        if on_link_followed is not None:
-                            on_link_followed(link)
                         if links is not None:
                             links.add(link)
                         bucket[child_id] = child_atom
@@ -215,7 +210,6 @@ class StructureWalk:
         DAG-shaped structures exact.  Only sound on a :attr:`plain` walk.
         """
         reached: Dict[str, Set[str]] = {type_name: set(identifiers)}
-        links_of = self._links_of
         followed = 0
         for target, parents in self._up:
             children = reached.get(target)
@@ -224,8 +218,9 @@ class StructureWalk:
             for source, link_type, lookup, far in parents:
                 bucket = reached.setdefault(source, set())
                 near = 1 - far if far is not None else None
+                incident = link_type.incident
                 for child_id in children:
-                    for link in links_of(link_type, child_id):
+                    for link in incident(child_id):
                         if far is None:
                             first, second = link.given_order
                             parent_id = second if first == child_id else first
@@ -257,25 +252,19 @@ def _far_end(link_type: LinkType, near: str, far: str) -> Optional[int]:
     return None
 
 
-def _links_of_type(link_type: LinkType, identifier: str) -> FrozenSet[Link]:
-    return link_type.links_of(identifier)
-
-
 def derive_molecule(
     database: Database,
     description: MoleculeTypeDescription,
     root_atom: Atom,
     link_types: Optional[Dict[Tuple[str, str, str], LinkType]] = None,
-    links_of=None,
-    on_link_followed=None,
 ) -> Molecule:
     """Derive the single molecule rooted at *root_atom* (hierarchical join).
 
-    One-molecule convenience over :class:`StructureWalk` (which see for the
-    hooks); callers deriving many molecules of one structure compile the walk
-    once and call :meth:`StructureWalk.molecule` per root.
+    One-molecule convenience over :class:`StructureWalk`; callers deriving
+    many molecules of one structure compile the walk once and call
+    :meth:`StructureWalk.molecule` per root.
     """
-    walk = StructureWalk(database, description, link_types, links_of, on_link_followed)
+    walk = StructureWalk(database, description, link_types)
     return walk.molecule(root_atom)
 
 

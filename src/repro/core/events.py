@@ -1,7 +1,7 @@
 """Change events over atom and link occurrences.
 
 The write pipeline needs a single source of truth about *what changed*:
-the storage engine maintains its hash indexes and atom network
+the storage engine maintains its hash indexes and other accelerators
 incrementally instead of rebuilding them, and it learns about mutations by
 subscribing to the database they happen on.  Five event kinds cover every
 occurrence-level mutation of the MAD model:

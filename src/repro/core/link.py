@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from repro.analysis.runtime import make_rlock
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.atom import Atom, AtomType
 from repro.core.events import (
@@ -513,6 +513,18 @@ class LinkType:
                 for link in self._by_atom.get(atom.identifier, ())
                 if endpoint in link.endpoints
             )
+
+    def incident(self, identifier: str) -> "Collection[Link]":
+        """The links incident to *identifier* (an endpoint of either type) —
+        the neighbour-traversal access path of molecule derivation.
+
+        The live incidence bucket itself: no lock and no copy, so the caller
+        iterates it and never mutates it, and reads at the head only from
+        the thread that owns head reads (a writer on another thread can
+        resize the bucket mid-iteration).  Snapshot readers get the same
+        method on :class:`~repro.core.versions.LinkTypeView`.
+        """
+        return self._by_atom.get(identifier, ())
 
     def partners_of(self, atom: "Atom | str") -> FrozenSet[str]:
         """Return the identifiers linked to *atom* through this link type."""

@@ -120,7 +120,7 @@ def expand_recursive(
         level += 1
         next_frontier: List[str] = []
         for identifier in frontier:
-            for link in link_type.links_of(identifier):
+            for link in link_type.incident(identifier):
                 first_id, second_id = _ordered_endpoints(link_type, link)
                 if description.direction == "down":
                     parent_id, child_id = first_id, second_id

@@ -710,6 +710,10 @@ class LinkTypeView:
             return frozenset(link for link in result if endpoint in link.endpoints)
         return frozenset(result)
 
+    #: :meth:`LinkType.incident` as of the snapshot: the visible links
+    #: incident to an identifier, resolved over copies.
+    incident = links_of
+
     def partners_of(self, atom: "Atom | str") -> FrozenSet[str]:
         identifier = getattr(atom, "identifier", atom)
         return frozenset(link.other(identifier) for link in self.links_of(identifier))

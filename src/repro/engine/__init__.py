@@ -6,7 +6,7 @@ the storage layer (the ROADMAP's "one cost-planned, iterator-style pipeline"):
 * :mod:`repro.engine.logical` — the plan IR produced by the MQL translator
   and rewritten/costed by the optimizer;
 * :mod:`repro.engine.physical` — pull-based, generator-backed operators with
-  work counters, secondary-index root access and atom-network traversal;
+  work counters, secondary-index root access and link-incidence traversal;
 * :mod:`repro.engine.executor` — compilation of logical plans onto physical
   operators, plus the :class:`Executor` that binds a database and its access
   structures.

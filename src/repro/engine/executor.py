@@ -3,7 +3,8 @@
 :func:`compile_plan` maps each logical node onto its streaming counterpart
 (α → :class:`~repro.engine.physical.MoleculeScan`, Σ →
 :class:`~repro.engine.physical.Restrict`, …).  :class:`Executor` binds a
-database plus its access structures (index pool, atom network) and runs plans,
+database plus its access structures (index pool, structure and columnar
+stores) and runs plans,
 materializing only the final result as a
 :class:`~repro.core.molecule.MoleculeType`.
 
@@ -104,7 +105,7 @@ def compile_write_plan(plan: WritePlanNode) -> WriteOperator:
     """Translate a logical write plan into its physical write operator.
 
     The qualifying-read source of δ/μ nodes is compiled through
-    :func:`compile_plan`, so index-backed root access and atom-network
+    :func:`compile_plan`, so index-backed root access and incidence
     traversal serve the write path exactly as they serve queries.
     """
     if isinstance(plan, InsertMolecule):
@@ -167,7 +168,7 @@ class Executor:
     """Runs logical plans over one database with shared access structures.
 
     The executor consults an :class:`IndexPool` for pushed-down equality
-    filters and an optional atom network for link traversal.  The default
+    filters; link traversal reads the link types' own incidence.  The default
     pool does **not** cache transient indexes — a bare :class:`Database` may
     be mutated between runs and the executor has no invalidation hook.
     Callers that keep the pool coherent (the storage engine folds every
@@ -179,7 +180,6 @@ class Executor:
         self,
         database: Database,
         indexes: Optional[IndexPool] = None,
-        network=None,
         structure=None,
         columnar=None,
     ) -> None:
@@ -187,7 +187,6 @@ class Executor:
         self.indexes = (
             indexes if indexes is not None else IndexPool(database, build_transient=False)
         )
-        self.network = network
         #: Optional :class:`~repro.storage.structure_index.StructureIndexStore`
         #: shared with the owning engine; accelerates recursive plans.
         self.structure = structure
@@ -207,9 +206,8 @@ class Executor:
         pool, as a source of candidates: the pool is maintained at the head,
         so a lookup is widened by the atoms that carry a version chain and
         every candidate is read back through the view
-        (:class:`~repro.engine.physical.ExecutionContext`).  The atom network
-        has no such widening and is left out — the view's link types answer
-        the traversal.
+        (:class:`~repro.engine.physical.ExecutionContext`).  Traversal reads
+        the view's link types, which resolve the visible links.
 
         Snapshot contexts are safe to build and run from any thread: the
         pinned views resolve lock-free over immutable version chains (copying
@@ -218,12 +216,13 @@ class Executor:
         the structure-index and columnar stores are internally locked and
         serve a pinned reader only while their encoding provably holds the
         pinned state (the fixpoint loop and the row fold otherwise).  Head
-        contexts (``snapshot=None``) share the network and the live columnar
-        arrays unlocked and belong to the engine's owning thread.
+        contexts (``snapshot=None``) read the link types' live incidence
+        buckets and the live columnar arrays unlocked and belong to the
+        engine's owning thread.
         """
         if snapshot is None:
             return ExecutionContext(
-                self.database, counters, self.indexes, self.network,
+                self.database, counters, self.indexes,
                 structure=self.structure, columnar=self.columnar,
             )
         return ExecutionContext(
@@ -317,7 +316,6 @@ def run_plan(
     database: Database,
     plan: PlanNode,
     indexes: Optional[IndexPool] = None,
-    network=None,
 ) -> ExecutionResult:
     """One-call convenience: compile and run *plan* over *database*."""
-    return Executor(database, indexes=indexes, network=network).run(plan)
+    return Executor(database, indexes=indexes).run(plan)

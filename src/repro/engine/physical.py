@@ -14,8 +14,7 @@ Operators:
   iterates the root occurrence (through a :class:`~repro.storage.index.HashIndex`
   equality lookup when the pushed-down root filter permits, or upward from
   the component atoms an equality conjunct of the Σ above it names) and
-  performs the hierarchical join by traversing atom-network neighbours link
-  type by link type;
+  performs the hierarchical join by walking each link type's incidence;
 * :class:`RecursiveScan` — recursive molecule expansion (§5 outlook);
 * :class:`MoleculeSource` — adapter yielding an already-derived molecule type
   (used by the thin molecule-algebra wrappers);
@@ -39,7 +38,6 @@ from repro.core.atom import Atom
 from repro.core.database import Database
 from repro.core.derivation import StructureWalk, resolve_description, resolve_directed_link
 from repro.core.graph import DirectedLink
-from repro.core.link import Link, LinkType
 from repro.core.molecule import Molecule, MoleculeType, MoleculeTypeDescription
 from repro.core.predicates import (
     AttributeRef,
@@ -212,10 +210,10 @@ class ExecutionContext:
 
     *indexes* is the :class:`IndexPool` equality conjuncts are answered from
     (:meth:`lookup`, :meth:`grid_lookup`) — without one the context carries a
-    pool that builds nothing and answers ``None``; *network* an optional
-    :class:`~repro.storage.network.AtomNetwork` whose typed adjacency
-    (``links_via``) replaces per-link-type lookups when present — the storage
-    engine shares its cached network across queries this way.
+    pool that builds nothing and answers ``None``.  Neighbour traversal needs
+    no structure of its own: it reads the ``incident`` links of *database*'s
+    link types, the live buckets at the head and the visible links in a
+    snapshot view.
 
     With *snapshot* the *database* is that snapshot's view and *indexes* the
     pool kept at the head of the same database.  A lookup is then the head
@@ -231,7 +229,6 @@ class ExecutionContext:
         database: Database,
         counters: Optional[ExecutionCounters] = None,
         indexes: Optional[IndexPool] = None,
-        network=None,
         snapshot=None,
         structure=None,
         columnar=None,
@@ -241,7 +238,6 @@ class ExecutionContext:
         self.indexes = (
             indexes if indexes is not None else IndexPool(database, build_transient=False)
         )
-        self.network = network
         #: The pinned :class:`~repro.core.versions.Snapshot` when *database*
         #: is a generation-stamped view, ``None`` for head execution.
         self.snapshot = snapshot
@@ -286,14 +282,6 @@ class ExecutionContext:
             return identifiers
         return identifiers | chained
 
-    def links_via(self, link_type: LinkType, identifier: str) -> "Iterable[Link]":
-        """The links of *link_type* incident to *identifier* (neighbour traversal)."""
-        if self.network is not None:
-            links = self.network.links_via(link_type.name, identifier)
-            if links is not None:
-                return links
-        return link_type.links_of(identifier)
-
 
 class PhysicalOperator:
     """Base class of the pull-based operators."""
@@ -322,8 +310,8 @@ class MoleculeScan(PhysicalOperator):
     *component* atom type seeds the roots instead: the matching component
     atoms come from the index pool and the links are walked upward to the
     roots whose molecules contain them.  The hierarchical join follows the
-    molecule structure root-first, traversing the atom network neighbour lists
-    of each link type, on a walk compiled once per scan.
+    molecule structure root-first, through each link type's incidence, on a
+    walk compiled once per scan.
     """
 
     def __init__(
@@ -355,7 +343,7 @@ class MoleculeScan(PhysicalOperator):
     ) -> Iterator[Molecule]:
         """Yield the molecules; *restriction* is the qualification the caller
         tests every one of them against (it only ever narrows the roots)."""
-        walk = StructureWalk(ctx.database, self.describe(ctx), links_of=ctx.links_via)
+        walk = StructureWalk(ctx.database, self.describe(ctx))
         counters = ctx.counters
         try:
             for root_atom in self._root_atoms(ctx, walk, restriction):
@@ -377,7 +365,7 @@ class MoleculeScan(PhysicalOperator):
         than its own (renamed or reflexive uses); callers fold the molecule
         stream then.
         """
-        walk = StructureWalk(ctx.database, self.describe(ctx), links_of=ctx.links_via)
+        walk = StructureWalk(ctx.database, self.describe(ctx))
         return self._component_rows(ctx, walk) if walk.plain else None
 
     def _component_rows(self, ctx: ExecutionContext, walk: StructureWalk):

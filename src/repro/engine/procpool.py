@@ -364,14 +364,6 @@ class ProcessPool:
             self.run_batch(index, pin_gen, cut, [], counts)
         self.counters.update(counts)
 
-    def dispatch_state(self) -> Dict[str, int]:
-        """Pool telemetry for the planner's dispatch costing."""
-        tail = self.feed.position()
-        backlog = max(
-            (tail - worker.cursor.seq for worker in self._workers), default=0
-        )
-        return {"workers": len(self._workers), "backlog": backlog}
-
     def worker_pids(self) -> List[int]:
         """The workers' process ids (crash tests kill these)."""
         return [worker.process.pid for worker in self._workers]

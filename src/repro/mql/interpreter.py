@@ -121,8 +121,8 @@ class _CachedStatement(NamedTuple):
     #: The template's AST class (``Query``, ``SetOperation`` or a DML class).
     kind: type
     #: The planner's choice for the read — the query, or the qualifying read
-    #: of DELETE/MODIFY — without its notes and dispatch, the anonymous link
-    #: uses of the plan that runs resolved; ``None`` for INSERT.
+    #: of DELETE/MODIFY — without its notes, the anonymous link uses of the
+    #: plan that runs resolved; ``None`` for INSERT.
     choice: Optional[PlanChoice]
     #: The write plan (its source is the bound choice's best); ``None`` for reads.
     write: Optional[WritePlanNode]
@@ -214,7 +214,8 @@ class MQLInterpreter:
     statistics collected once from the database) and an
     :class:`~repro.engine.executor.Executor` whose access structures are
     reused across statements.  Both can be supplied by a storage engine to
-    share its secondary indexes and cached atom network.  Statements given
+    share its secondary indexes, structure indexes and columnar projections;
+    neighbour traversal reads the link types' own incidence.  Statements given
     as text are served through the statement cache (module docstring),
     which every route through the interpreter shares: ``execute`` at the
     head, in a ``BEGIN WORK`` session and at a pinned snapshot (``at=``),
@@ -438,7 +439,7 @@ class MQLInterpreter:
             choice = self.planner.optimize(read) if read is not None else None
             if choice is not None:
                 # What describes the present moment is re-attached per use.
-                choice.notes, choice.dispatch = (), None
+                choice.notes = ()
                 # The plan that runs resolves its anonymous link uses once,
                 # here, instead of in every execution's scan operator.
                 resolved = map_plan(
@@ -475,7 +476,7 @@ class MQLInterpreter:
         self, entry: _CachedStatement, values: List[object]
     ) -> Optional[PlanChoice]:
         """The cached choice with *values* bound into both plans and the
-        notes and dispatch advice of this moment (:meth:`Planner.annotate`)."""
+        notes of this moment (:meth:`Planner.annotate`)."""
         cached = entry.choice
         if cached is None:
             return None
@@ -609,8 +610,7 @@ class MQLInterpreter:
         plan one at a time over the shared statistics (execution of the
         chosen plan runs outside the lock, fully concurrent).  Text is
         served through the statement cache, like :meth:`execute`; the
-        choice's notes and dispatch advice are those of the moment of the
-        call either way.
+        choice's notes are those of the moment of the call either way.
         """
         if isinstance(statement, str):
             tokens = tokenize(statement)

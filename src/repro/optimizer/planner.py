@@ -38,14 +38,7 @@ from repro.engine.logical import (
 )
 from repro.optimizer.plans import PlanExecution, PlanNode, describe_plan
 from repro.optimizer.rules import RewriteResult, rewrite
-from repro.optimizer.statistics import (
-    CATCHUP_RECORD_COST,
-    CostModel,
-    DatabaseStatistics,
-    PLAN_SHIP_COST,
-    REPLICA_ROUTE_COST,
-    recursion_profile_key,
-)
+from repro.optimizer.statistics import CostModel, DatabaseStatistics, recursion_profile_key
 
 
 @dataclass
@@ -60,11 +53,6 @@ class PlanChoice:
     #: Human-readable planner annotations (recursion depth/closure estimates,
     #: interval index state) rendered by :meth:`explain`.
     notes: Tuple[str, ...] = ()
-    #: Where the planner would run this plan: ``"process"`` when shipping it
-    #: to the worker-process pool is costed cheaper than serial execution,
-    #: ``"serial"`` when it is not, ``None`` when no pool telemetry was
-    #: available (no pool, or the plan short-circuited costing).
-    dispatch: Optional[str] = None
 
     @property
     def best(self) -> PlanNode:
@@ -105,7 +93,7 @@ class Planner:
     """Applies the rewrite rules and picks the cheaper plan.
 
     When an :class:`~repro.engine.executor.Executor` is supplied its access
-    structures (index pool, atom network, structure-index store) are reused
+    structures (index pool, structure-index store, columnar store) are reused
     for execution and for the ``accelerate_recursion`` rewrite; otherwise a
     transient executor over *database* is created on demand.
 
@@ -132,10 +120,6 @@ class Planner:
         self._cost_model: Optional[CostModel] = None
         self.executor = executor
         self._accelerators = accelerators
-        #: Callable returning live process-pool telemetry
-        #: (``{"workers": n, "backlog": records}``) or ``None``; the storage
-        #: engine wires this so costed plans carry a dispatch recommendation.
-        self.dispatch_advisor = None
 
     @property
     def statistics(self) -> DatabaseStatistics:
@@ -225,12 +209,11 @@ class Planner:
 
     def annotate(self, choice: PlanChoice) -> None:
         """Give a choice :meth:`optimize` returned earlier — replayed by the
-        interpreter's statement cache — the notes and dispatch advice of the
-        present moment.
+        interpreter's statement cache — the notes of the present moment.
 
         Those describe the state around the plan, not the plan: the observed
-        recursion profiles, the accelerators' state, the pool and replica
-        telemetry.  A choice :meth:`optimize` left uncosted keeps none.
+        recursion profiles and the accelerators' state.  A choice
+        :meth:`optimize` left uncosted keeps none.
         """
         if _decides(choice.applied_rules, choice.optimized):
             self._annotate(choice)
@@ -239,8 +222,6 @@ class Planner:
         choice.notes = self._recursion_notes(
             recursive_nodes(choice.optimized)
         ) + self._columnar_notes(choice.optimized)
-        choice.dispatch = None
-        self._advise_dispatch(choice)
 
     def _root_access_notes(self, plan: PlanNode) -> Tuple[str, ...]:
         """One ``root access:`` line per α of *plan*, as the cost model sees it."""
@@ -271,81 +252,6 @@ class Planner:
 
         visit(plan)
         return tuple(notes)
-
-    def _advise_dispatch(self, choice: PlanChoice) -> None:
-        """Cost dispatch targets against serial execution of *choice*.
-
-        Process shipping wins when the per-worker share of the plan's cost
-        beats the fixed serialization overhead plus catching the workers up
-        on the WAL records they have not yet applied; replica routing wins
-        when the per-follower share beats the (much smaller) routing
-        overhead plus the followers' replication lag.  Ties break toward
-        serial, then process — the declaration order below.  The telemetry
-        comes from :attr:`dispatch_advisor`; without it (no pool, no hub)
-        dispatch stays ``None`` and EXPLAIN says nothing.
-        """
-        advisor = self.dispatch_advisor
-        if advisor is None:
-            return
-        state = advisor()
-        if not state:
-            return
-        workers = state.get("workers", 0)
-        replicas = state.get("replicas", 0)
-        backlog = state.get("backlog", 0)
-        serial_cost = min(choice.original_cost, choice.optimized_cost)
-        process_cost = (
-            serial_cost / workers + PLAN_SHIP_COST + backlog * CATCHUP_RECORD_COST
-            if workers >= 2
-            else None
-        )
-        if replicas < 1:
-            if process_cost is None:
-                return
-            choice.dispatch = "process" if process_cost < serial_cost else "serial"
-            choice.notes += (
-                "dispatch: {choice} (serial {serial:.1f} vs process {process:.1f} "
-                "= {serial:.1f}/{workers} workers + {ship:.0f} ship + "
-                "{backlog} backlog records × {record:.1f})".format(
-                    choice=choice.dispatch,
-                    serial=serial_cost,
-                    process=process_cost,
-                    workers=workers,
-                    ship=PLAN_SHIP_COST,
-                    backlog=backlog,
-                    record=CATCHUP_RECORD_COST,
-                ),
-            )
-            return
-        replica_lag = state.get("replica_lag", 0)
-        replica_cost = (
-            serial_cost / replicas
-            + REPLICA_ROUTE_COST
-            + replica_lag * CATCHUP_RECORD_COST
-        )
-        candidates = [("serial", serial_cost)]
-        if process_cost is not None:
-            candidates.append(("process", process_cost))
-        candidates.append(("replica", replica_cost))
-        # min() is stable: on a tie the earlier candidate wins.
-        choice.dispatch = min(candidates, key=lambda entry: entry[1])[0]
-        versus = " vs ".join(
-            "{name} {cost:.1f}".format(name=name, cost=cost)
-            for name, cost in candidates
-        )
-        choice.notes += (
-            "dispatch: {choice} ({versus}; replica = {serial:.1f}/{replicas} "
-            "replicas + {route:.0f} route + {lag} lag generations × "
-            "{record:.1f})".format(
-                choice=choice.dispatch,
-                versus=versus,
-                serial=serial_cost,
-                replicas=replicas,
-                route=REPLICA_ROUTE_COST,
-                lag=replica_lag,
-                record=CATCHUP_RECORD_COST,
-            ),
-        )
 
     def _columnar_notes(self, plan: PlanNode) -> Tuple[str, ...]:
         """EXPLAIN annotations for a columnarized Γ: projection state and size."""

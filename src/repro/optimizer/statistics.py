@@ -57,23 +57,6 @@ GRID_PROBE_COST = 8.0
 #: Fixed cost units for one hash-index bucket lookup.
 HASH_PROBE_COST = 1.0
 
-#: Fixed cost units for shipping one compiled plan to a worker process:
-#: codec round-trip, pipe transfer, and result decode on the way back.
-#: Dispatch only pays off once the plan's execution cost dwarfs this.
-PLAN_SHIP_COST = 250.0
-
-#: Cost units per WAL record a worker must apply to catch up to the pinned
-#: generation before it may execute the shipped plan (decode + store write
-#: + cache invalidation, amortized).
-CATCHUP_RECORD_COST = 2.0
-
-#: Fixed cost units for routing one read statement to an in-process
-#: follower replica: snapshot pin + parse on the follower's interpreter.
-#: Far cheaper than PLAN_SHIP_COST (no codec, no pipe), so replica routing
-#: pays off earlier — but a lagging follower still owes one catch-up
-#: record application per feed record behind the pin.
-REPLICA_ROUTE_COST = 50.0
-
 
 class UpwardWalk(NamedTuple):
     """The cost model's picture of a scan seeding its roots from a component."""

@@ -14,8 +14,8 @@ This package reproduces that architecture in memory:
   :class:`~repro.core.database.Database`, the engine's only copy of the state,
 * :mod:`repro.storage.index` — the hash and grid indexes the engine's index
   pool serves value lookups from,
-* :mod:`repro.storage.network` — the atom-network adjacency view used for fast
-  link traversal.
+* :mod:`repro.storage.network` — the atom-network report of the Fig. 1
+  benchmark (degrees, components), built on demand from the link types.
 
 The substitution from the paper's C/mainframe prototype to pure Python is
 documented in DESIGN.md; the layering and the operation split are preserved.

@@ -10,7 +10,8 @@ The engine mirrors the architecture the paper reports for the PRIMA prototype:
   :meth:`PrimaEngine.query`) performs molecule processing and exposes an MQL
   interface: statements are translated to logical plans, optimized by the
   rule-driven planner, and run on the streaming executor — which reuses the
-  engine's secondary indexes and its cached atom network as access paths.
+  engine's secondary indexes as access paths and traverses neighbours
+  through the link types' own incidence.
   MQL DML statements (INSERT / DELETE / MODIFY) run through the same
   pipeline: the write plan mutates the database atomically.
 
@@ -23,14 +24,16 @@ DDL adds types to it, the basic interface reads and writes its
 directly, and recovery and replicas replay into it.  Its version clock, pins
 and commit log are the engine's MVCC state.
 
-**Cache maintenance.**  The atom network, the hash-index pool, the planner
-statistics, the structure indexes and the columnar projections are *derived*
-from the database and maintained in place: the engine subscribes to the
-database's change events once and folds each atom/link delta into them,
-advancing a :attr:`generation` counter the derived structures are stamped
-with (a pool whose generation matches the engine's is coherent by
-construction).  DDL drops the network, the index pool and the interpreter —
-never the database — and the next read rebuilds them.
+**Cache maintenance.**  The hash-index pool, the planner statistics, the
+structure indexes and the columnar projections are *derived* from the
+database and maintained in place: the engine subscribes to the database's
+change events once and folds each atom/link delta into them, advancing a
+:attr:`generation` counter the derived structures are stamped with (a pool
+whose generation matches the engine's is coherent by construction).  DDL
+drops the index pool and the interpreter — never the database — and the
+next read rebuilds them.  Neighbour traversal needs no derived structure:
+a link type's occurrence already is the incidence (Definition 2), and
+queries walk it in place.
 
 **Durability.**  With ``durability=DurabilityConfig(directory)`` the engine
 opens (and crash-recovers) a write-ahead log on construction: change events
@@ -67,7 +70,6 @@ from repro.core.molecule import MoleculeType, MoleculeTypeDescription
 from repro.core.molecule_algebra import molecule_type_definition
 from repro.core.versions import Snapshot
 from repro.exceptions import StorageError
-from repro.storage.network import AtomNetwork
 from repro.storage.recovery import RecoveryResult, describe_attributes, recover
 from repro.storage.columnar import ColumnarStore
 from repro.storage.structure_index import StructureIndexStore
@@ -84,8 +86,8 @@ class PrimaEngine:
 
     Every write — basic interface, MQL DML, the manipulation API on
     :meth:`to_database` — lands in the engine's one database and is folded
-    into the cached atom network, hash indexes and planner statistics in
-    place.
+    into the hash indexes, planner statistics, structure indexes and
+    columnar projections in place.
 
     *durability* (a :class:`~repro.storage.wal.DurabilityConfig`) makes the
     engine persistent: construction recovers the directory's checkpoint and
@@ -110,14 +112,13 @@ class PrimaEngine:
         #: catalog entry of :meth:`create_index`; the index itself lives in
         #: the index pool.
         self._indexed: Set[Tuple[str, str]] = set()
-        self._network: Optional[AtomNetwork] = None
         self._interpreter: Optional["MQLInterpreter"] = None
         self._index_pool: Optional["IndexPool"] = None
         #: Serializes basic-interface writes (store_atom/connect/delete_atom),
         #: DDL and checkpoints against each other.
         self._write_lock = make_rlock("PrimaEngine._write_lock")
         #: Guards lazy construction/teardown of the derived access structures
-        #: (network, interpreter, index pool).
+        #: (interpreter, index pool).
         self._cache_lock = make_rlock("PrimaEngine._cache_lock")
         #: The event path's lock: generation counter, stats, WAL routing and
         #: incremental cache maintenance fold one event at a time.  Acquired
@@ -132,7 +133,6 @@ class PrimaEngine:
         self._stats: Dict[str, int] = {
             # The database is created once, with the engine.
             "snapshot_builds": 1,
-            "network_builds": 0,
             "interpreter_builds": 0,
             "invalidations": 0,
             "events_applied": 0,
@@ -469,10 +469,10 @@ class PrimaEngine:
 
         The interpreter's executor answers pushed-down equality filters
         through hash indexes built (on demand, then cached) from the same
-        database it queries, and traverses the cached atom network during
-        the hierarchical join.  Writes are folded into those structures in
-        place; only DDL discards them, and this method rebuilds them on its
-        next call.
+        database it queries; the hierarchical join walks the link types'
+        incidence directly.  Writes are folded into the indexes in place;
+        only DDL discards them, and this method rebuilds them on its next
+        call.
         """
         with self._cache_lock:
             if self._interpreter is None:
@@ -483,17 +483,12 @@ class PrimaEngine:
                 executor = Executor(
                     database,
                     indexes=self._pool(),
-                    network=self.network(),
                     structure=self._structure_indexes,
                     columnar=self._columnar,
                 )
                 from repro.optimizer.planner import Planner
 
                 planner = Planner(database, executor=executor)
-                # EXPLAIN reports whether the costed plan is worth shipping
-                # to the process pool; the advisor reads the live pool state
-                # (None while no pool exists — dispatch stays unreported).
-                planner.dispatch_advisor = self._dispatch_state
                 self._interpreter = MQLInterpreter(
                     database,
                     executor=executor,
@@ -502,15 +497,6 @@ class PrimaEngine:
                 )
                 self._stats["interpreter_builds"] += 1
             return self._interpreter
-
-    def network(self) -> AtomNetwork:
-        """Return the (cached, incrementally maintained) atom-network view."""
-        with self._cache_lock:
-            if self._network is None:
-                self._network = AtomNetwork(self._database)
-                self._network.generation = self.generation
-                self._stats["network_builds"] += 1
-            return self._network
 
     def _pool(self) -> "IndexPool":
         """The (cached, incrementally maintained) hash-index pool — the
@@ -685,24 +671,6 @@ class PrimaEngine:
 
                 self._commit_feed = CommitFeed(self._wal)
             return self._commit_feed
-
-    def _dispatch_state(self) -> "Optional[Dict[str, int]]":
-        """Live pool + replica telemetry for the planner's dispatch costing.
-
-        Merges the process pool's ``{"workers", "backlog"}`` with the
-        replication hub's ``{"replicas", "replica_lag"}``; ``None`` while
-        neither exists (dispatch stays unreported in EXPLAIN).
-        """
-        pool = self._procpool
-        hub = self._replication
-        if pool is None and hub is None:
-            return None
-        state: Dict[str, int] = {}
-        if pool is not None:
-            state.update(pool.dispatch_state())
-        if hub is not None:
-            state.update(hub.dispatch_state())
-        return state
 
     # --------------------------------------------------------- replication
 
@@ -926,9 +894,6 @@ class PrimaEngine:
             self._writes[event.type_name] += 1
             if self._wal is not None:
                 self._wal_capture(event)
-            if self._network is not None:
-                self._network.apply_event(event)
-                self._network.generation = self.generation
             if self._index_pool is not None:
                 self._index_pool.apply_event(event, generation=self.generation)
             self._structure_indexes.apply_event(event, generation=self.generation)
@@ -947,15 +912,13 @@ class PrimaEngine:
             state.generation = max(state.generation, generation)
         with self._event_lock:
             generation = self.generation = max(self.generation, generation)
-            if self._network is not None:
-                self._network.generation = generation
             if self._index_pool is not None:
                 self._index_pool.generation = generation
             self._structure_indexes.stamp(generation)
             self._columnar.stamp(generation)
 
     def _invalidate(self) -> None:
-        """DDL: drop the derived caches (network, index pool, interpreter).
+        """DDL: drop the derived caches (index pool, interpreter).
 
         The database, its version clock and its pins are never dropped; the
         structure indexes and columnar projections describe occurrences a
@@ -968,7 +931,6 @@ class PrimaEngine:
             for name in ("plan_cache_hits", "plan_cache_misses", "plan_cache_invalidations"):
                 self._stats[name] += cache[name]
             self._stats["plan_cache_invalidations"] += cache["plan_cache_entries"]
-        self._network = None
         self._interpreter = None
         self._index_pool = None
         self._stats["invalidations"] += 1
@@ -976,10 +938,10 @@ class PrimaEngine:
     def maintenance_statistics(self) -> Dict[str, int]:
         """Build/rebuild counters plus the current write generation.
 
-        ``network_builds`` / ``interpreter_builds`` count full
-        (re)constructions — they stay at 1 while ``events_applied`` grows and
-        only DDL adds one; ``snapshot_builds`` is 1 for the engine's life
-        (its database is created once); ``index_generation`` equals
+        ``interpreter_builds`` counts full (re)constructions — it stays at 1
+        while ``events_applied`` grows and only DDL adds one;
+        ``snapshot_builds`` is 1 for the engine's life (its database is
+        created once); ``index_generation`` equals
         ``generation`` whenever the executor's index pool is coherent.
         ``plan_cache_entries`` is the interpreter's statement-cache size,
         ``plan_cache_hits`` / ``_misses`` / ``_invalidations`` count over the
@@ -995,7 +957,9 @@ class PrimaEngine:
         for name, count in cache.items():
             report[name] = report.get(name, 0) + count
         report["generation"] = self.generation
-        report["network_rebuilds"] = self._network.rebuilds if self._network is not None else 0
+        # Read by benchmarks/harness/runner.py (storage.network.rebuilds); the
+        # engine keeps no network, so it is 0 until the harness drops the key.
+        report["network_rebuilds"] = 0
         report["index_builds"] = self._index_pool.builds if self._index_pool is not None else 0
         report["index_generation"] = (
             self._index_pool.generation if self._index_pool is not None else 0
@@ -1016,8 +980,6 @@ class PrimaEngine:
           reader pins (``None`` when nothing is pinned — chains are then
           truncated on the next collection);
         * ``pins_active`` — active snapshot/transaction pins;
-        * ``network_generation`` — the write generation the cached atom
-          network was last maintained at;
         * ``wal_bytes`` / ``wal_records`` / ``wal_syncs`` — bytes and records
           currently in the write-ahead log (both reset by a checkpoint's
           truncate, so they always agree) and fsyncs issued (0 for in-memory
@@ -1035,9 +997,6 @@ class PrimaEngine:
           registry size and checked acquisitions process-wide.
         """
         report: Dict[str, object] = dict(self.maintenance_statistics())
-        report["network_generation"] = (
-            self._network.generation if self._network is not None else 0
-        )
         report.update(self._database.version_statistics())
         report["wal_bytes"] = self._wal.bytes_written if self._wal is not None else 0
         report["wal_records"] = self._wal.records_written if self._wal is not None else 0

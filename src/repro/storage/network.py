@@ -1,175 +1,62 @@
 """Atom networks: the graph view over a whole database.
 
 "In the database all atoms connected by links form meshed structures, called
-atom networks."  :class:`AtomNetwork` materializes that view for analysis and
+atom networks."  :class:`AtomNetwork` draws that view for analysis and
 reporting: per-atom degree, connected components, reachability, and the
 link-degree statistics reported by the Fig. 1 benchmark.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.database import Database
-from repro.core.events import (
-    ATOM_DELETED,
-    ATOM_INSERTED,
-    ATOM_MODIFIED,
-    LINK_CONNECTED,
-    LINK_DISCONNECTED,
-    ChangeEvent,
-)
-from repro.core.link import Link
+
+#: A node of the network: ``(atom type, identifier)`` — identifiers are
+#: unique only within an atom type.
+Node = Tuple[str, str]
 
 
 class AtomNetwork:
     """An undirected adjacency view over all atoms and links of a database.
 
-    Besides the untyped adjacency, the network keeps a per-link-type incidence
-    map (:meth:`links_via` / :meth:`neighbours_via`), which the streaming
-    executor uses as its neighbour-traversal access path during the
-    hierarchical join: the storage engine shares one cached network across all
-    queries over an unchanged database.
-
-    The view is maintainable **incrementally**: :meth:`apply_event` folds one
-    occurrence-level change event into the adjacency and incidence maps, so
-    the storage engine never rebuilds the network on writes (:attr:`rebuilds`
-    counts the full :meth:`refresh` passes that did happen).
+    Built on demand from the database's occurrences: one node per atom and
+    one edge per link, read from the link's typed endpoints.  The view is a
+    report, not an access path — it is not maintained across later writes
+    (build a new one), and molecule derivation never reads it: it walks the
+    link types' own incidence.
     """
 
     def __init__(self, database: Database) -> None:
-        self.database = database
-        self._adjacency: Dict[str, Set[str]] = {}
-        self._type_of: Dict[str, str] = {}
-        # Incidence buckets are sets — O(1) under incremental link maintenance
-        # and the same unordered semantics LinkType.links_of hands out.
-        self._links_by_type: Dict[str, Dict[str, Set[Link]]] = {}
-        self.rebuilds = 0
-        #: Write generation this view was last maintained at (stamped by the
-        #: owning engine; a network matching the engine's generation is
-        #: coherent with the head — pinned readers bypass it entirely).
-        self.generation = 0
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Rebuild the adjacency view from the current database state."""
-        self.rebuilds += 1
-        self._adjacency = {}
-        self._type_of = {}
-        self._links_by_type = {}
-        for atom_type in self.database.atom_types:
+        adjacency: Dict[Node, Set[Node]] = {}
+        for atom_type in database.atom_types:
             for atom in atom_type:
-                self._adjacency.setdefault(atom.identifier, set())
-                self._type_of[atom.identifier] = atom_type.name
-        for link_type in self.database.link_types:
-            incidence = self._links_by_type.setdefault(link_type.name, {})
+                adjacency[(atom_type.name, atom.identifier)] = set()
+        for link_type in database.link_types:
             for link in link_type:
-                ids = tuple(link.identifiers)
-                first, last = ids[0], ids[-1]
-                self._adjacency.setdefault(first, set()).add(last)
-                self._adjacency.setdefault(last, set()).add(first)
-                incidence.setdefault(first, set()).add(link)
-                if last != first:
-                    incidence.setdefault(last, set()).add(link)
-
-    # ------------------------------------------------- incremental maintenance
-
-    def apply_event(self, event: ChangeEvent) -> None:
-        """Fold one change event into the adjacency/incidence view.
-
-        Link events must arrive in mutation order (links are disconnected
-        before their endpoint atoms are deleted — every write path in the
-        system does this), which keeps the view exact without rescans.
-        Atom modifications are no-ops: identity and links are preserved.
-        """
-        if event.kind == ATOM_INSERTED:
-            self._adjacency.setdefault(event.atom.identifier, set())
-            self._type_of[event.atom.identifier] = event.type_name
-        elif event.kind == ATOM_DELETED:
-            identifier = event.atom.identifier
-            for neighbour in self._adjacency.pop(identifier, ()):
-                bucket = self._adjacency.get(neighbour)
-                if bucket is not None:
-                    bucket.discard(identifier)
-            self._type_of.pop(identifier, None)
-        elif event.kind == LINK_CONNECTED:
-            link = event.link
-            ids = tuple(link.identifiers)
-            first, last = ids[0], ids[-1]
-            self._adjacency.setdefault(first, set()).add(last)
-            self._adjacency.setdefault(last, set()).add(first)
-            incidence = self._links_by_type.setdefault(event.type_name, {})
-            for identifier in {first, last}:
-                incidence.setdefault(identifier, set()).add(link)
-        elif event.kind == LINK_DISCONNECTED:
-            link = event.link
-            ids = tuple(link.identifiers)
-            first, last = ids[0], ids[-1]
-            incidence = self._links_by_type.get(event.type_name, {})
-            for identifier in {first, last}:
-                bucket = incidence.get(identifier)
-                if bucket is not None:
-                    bucket.discard(link)
-                    if not bucket:
-                        del incidence[identifier]
-            if first != last and not self._still_connected(first, last):
-                bucket = self._adjacency.get(first)
-                if bucket is not None:
-                    bucket.discard(last)
-                bucket = self._adjacency.get(last)
-                if bucket is not None:
-                    bucket.discard(first)
-        elif event.kind != ATOM_MODIFIED:  # pragma: no cover - future kinds
-            self.refresh()
-
-    def _still_connected(self, first: str, last: str) -> bool:
-        """``True`` when any remaining link (of any type) joins *first* and *last*."""
-        for incidence in self._links_by_type.values():
-            for link in incidence.get(first, ()):
-                if link.other(first) == last:
-                    return True
-        return False
+                first, second = link.endpoints
+                adjacency.setdefault(first, set()).add(second)
+                adjacency.setdefault(second, set()).add(first)
+        self._adjacency = adjacency
 
     # ------------------------------------------------------------- structure
 
-    def neighbours(self, identifier: str) -> FrozenSet[str]:
-        """Atoms directly connected to *identifier* through any link type."""
-        return frozenset(self._adjacency.get(identifier, ()))
+    def neighbours(self, node: Node) -> FrozenSet[Node]:
+        """Atoms directly connected to *node* through any link type."""
+        return frozenset(self._adjacency.get(node, ()))
 
-    def links_via(self, link_type_name: str, identifier: str) -> "Optional[Iterable[Link]]":
-        """The links of *link_type_name* incident to *identifier* (unordered).
+    def degree(self, node: Node) -> int:
+        """Number of distinct atoms linked to *node*."""
+        return len(self._adjacency.get(node, ()))
 
-        Returns ``None`` when the link type is not part of this network (the
-        caller should fall back to the link type's own incidence lists), and
-        an empty collection when the atom simply has no such links.  The
-        returned bucket is the live one — callers iterate, never mutate.
-        """
-        incidence = self._links_by_type.get(link_type_name)
-        if incidence is None:
-            return None
-        return incidence.get(identifier, ())
-
-    def neighbours_via(self, link_type_name: str, identifier: str) -> FrozenSet[str]:
-        """Atoms connected to *identifier* through *link_type_name* links."""
-        links = self.links_via(link_type_name, identifier) or ()
-        return frozenset(link.other(identifier) for link in links)
-
-    def degree(self, identifier: str) -> int:
-        """Number of distinct atoms linked to *identifier*."""
-        return len(self._adjacency.get(identifier, ()))
-
-    def atom_type_of(self, identifier: str) -> Optional[str]:
-        """The atom type of *identifier*, or ``None`` when unknown."""
-        return self._type_of.get(identifier)
-
-    def reachable_from(self, identifier: str, max_hops: Optional[int] = None) -> FrozenSet[str]:
-        """Atoms reachable from *identifier* within *max_hops* links (all hops when None)."""
-        seen = {identifier}
-        frontier = [identifier]
+    def reachable_from(self, node: Node, max_hops: Optional[int] = None) -> FrozenSet[Node]:
+        """Atoms reachable from *node* within *max_hops* links (all hops when None)."""
+        seen = {node}
+        frontier = [node]
         hops = 0
         while frontier and (max_hops is None or hops < max_hops):
             hops += 1
-            next_frontier: List[str] = []
+            next_frontier: List[Node] = []
             for current in frontier:
                 for neighbour in self._adjacency.get(current, ()):
                     if neighbour not in seen:
@@ -178,10 +65,10 @@ class AtomNetwork:
             frontier = next_frontier
         return frozenset(seen)
 
-    def connected_components(self) -> Tuple[FrozenSet[str], ...]:
+    def connected_components(self) -> Tuple[FrozenSet[Node], ...]:
         """The connected components of the atom network (largest first)."""
         remaining = set(self._adjacency)
-        components: List[FrozenSet[str]] = []
+        components: List[FrozenSet[Node]] = []
         while remaining:
             start = next(iter(remaining))
             component = self.reachable_from(start)
@@ -194,8 +81,7 @@ class AtomNetwork:
     def degree_statistics(self) -> Dict[str, Dict[str, float]]:
         """Per atom type: min / max / mean link degree (the Fig. 1 report)."""
         per_type: Dict[str, List[int]] = {}
-        for identifier, neighbours in self._adjacency.items():
-            type_name = self._type_of.get(identifier, "?")
+        for (type_name, _identifier), neighbours in self._adjacency.items():
             per_type.setdefault(type_name, []).append(len(neighbours))
         statistics: Dict[str, Dict[str, float]] = {}
         for type_name, degrees in per_type.items():
@@ -214,8 +100,8 @@ class AtomNetwork:
         area and a net are shared between state borders and river courses.
         """
         count = 0
-        for identifier, neighbours in self._adjacency.items():
-            neighbour_types = {self._type_of.get(n) for n in neighbours}
+        for neighbours in self._adjacency.values():
+            neighbour_types = {type_name for type_name, _identifier in neighbours}
             if left_type in neighbour_types and right_type in neighbour_types:
                 count += 1
         return count

@@ -279,8 +279,8 @@ def apply_event_record(engine: "PrimaEngine", event: Dict[str, object]) -> int:
     """Replay one serialized change event against the engine's database;
     returns the highest surrogate ordinal it introduced.
 
-    The mutation travels the engine's ordinary event path, so the network,
-    the index pool and the structure encodings restored from the checkpoint
+    The mutation travels the engine's ordinary event path, so the index
+    pool and the structure encodings restored from the checkpoint
     image stay coherent across the WAL tail exactly as they do across live
     writes.  Replay is idempotent: an insert of a present atom replaces it,
     a delete or disconnect of an absent one is a no-op.

@@ -611,10 +611,7 @@ class ReplicationHub:
     def max_lag(self) -> int:
         """The largest follower lag behind the primary head, in generations.
 
-        Lock-free: reads an atomic snapshot of the follower list, so the
-        planner can call it while holding the plan lock (the hub lock sits
-        *below* the plan lock in the hierarchy and must not be acquired
-        under it).
+        Lock-free: reads an atomic snapshot of the follower list.
         """
         head = self._engine.generation
         followers = tuple(self._followers)
@@ -622,11 +619,6 @@ class ReplicationHub:
             (head - follower.applied_generation for follower in followers),
             default=0,
         )
-
-    def dispatch_state(self) -> Dict[str, int]:
-        """Hub telemetry for the planner's dispatch costing (lock-free)."""
-        replicas = len(self._followers)
-        return {"replicas": replicas, "replica_lag": self.max_lag() if replicas else 0}
 
     # ------------------------------------------------------------ promotion
 

@@ -248,9 +248,30 @@ class TestStorage:
 
     def test_atom_network_views(self, geo_db):
         network = AtomNetwork(geo_db)
-        assert network.degree("SP") >= 1
-        assert "a7" in network.neighbours("SP") or network.neighbours("SP")
-        assert network.atom_type_of("SP") == "state"
-        assert len(network.reachable_from("SP", max_hops=1)) >= 2
+        sao_paulo = ("state", "SP")
+        assert network.degree(sao_paulo) >= 1
+        assert ("area", "a7") in network.neighbours(sao_paulo)
+        assert len(network.reachable_from(sao_paulo, max_hops=1)) >= 2
         assert len(network.connected_components()) >= 1
         assert network.shared_atom_count("area", "net") >= 5
+        assert len(network) == geo_db.atom_count()
+
+    def test_atom_network_keeps_atoms_of_different_types_apart(self):
+        # Identifiers are unique only within an atom type: p:x and c:x are
+        # two atoms, and the link p:x — c:y does not touch c:x.
+        engine = PrimaEngine()
+        engine.create_atom_type("p", ["name"])
+        engine.create_atom_type("c", ["name"])
+        engine.create_link_type("pc", "p", "c")
+        for type_name in ("p", "c"):
+            for identifier in ("x", "y"):
+                engine.store_atom(type_name, identifier, name=identifier)
+        engine.connect("pc", "x", "y")
+        network = AtomNetwork(engine.to_database())
+        assert len(network) == 4
+        assert network.neighbours(("p", "x")) == {("c", "y")}
+        assert network.degree(("c", "x")) == 0
+        statistics = network.degree_statistics()
+        assert set(statistics) == {"p", "c"}
+        assert statistics["p"]["atoms"] == statistics["c"]["atoms"] == 2
+        assert statistics["p"]["max"] == statistics["c"]["max"] == 1

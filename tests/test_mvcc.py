@@ -201,10 +201,8 @@ class TestSnapshotReaders:
             "versions_collected",
             "oldest_pinned_generation",
             "pins_active",
-            "network_generation",
         ):
             assert key in report
-        assert report["network_generation"] == report["generation"]
         assert report["index_generation"] == report["generation"]
 
 

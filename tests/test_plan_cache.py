@@ -556,7 +556,7 @@ def test_explain_is_never_served_from_the_cache(engine):
     assert cache(engine) == before
 
 
-def test_recursion_notes_and_dispatch_stay_live(engine):
+def test_recursion_notes_stay_live(engine):
     """Notes describe the moment, not the plan: a hit reports the recursion
     profile observed by the runs since the template was cached."""
     text = "SELECT ALL FROM RECURSIVE part [composition] DOWN WHERE part.part_no = '{}';"
@@ -567,20 +567,6 @@ def test_recursion_notes_and_dispatch_stay_live(engine):
         note = next(n for n in engine.query(text.format(part)).plan_choice.notes if "observed" in n)
         runs.append(re.search(r"\((\d+) runs\)", note).group(1))
     assert runs[1] == str(int(runs[0]) + 1)
-
-
-def test_dispatch_advice_is_read_when_the_choice_is_served(engine):
-    """A cached choice does not replay the pool telemetry it was planned
-    under: ``engine.plan`` asks the advisor again on every hit."""
-    planner = engine.interpreter().planner
-    text = "SELECT ALL FROM RECURSIVE part [composition] DOWN WHERE part.part_no = '{}';"
-    notes = []
-    for part, backlog in (("P000001", 0), ("P000002", 10 ** 6)):
-        planner.dispatch_advisor = lambda backlog=backlog: {"workers": 4, "backlog": backlog}
-        choice = engine.plan(text.format(part))
-        notes.append(next(note for note in choice.notes if note.startswith("dispatch:")))
-    assert "+ 0 backlog records" in notes[0] and "+ 1000000 backlog records" in notes[1]
-    assert cache(engine)["hits"] == 1
 
 
 # ------------------------------------------------------------------ (d) errors

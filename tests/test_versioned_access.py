@@ -608,3 +608,112 @@ class TestReaderBuiltAccelerators:
         report = engine.maintenance_report()
         assert report["columnar_builds"] == report["structure_builds"] == 0
         assert report["columnar_snapshot_gaps"] == report["structure_snapshot_gaps"] == 2
+
+
+# ------------------------------------------------------ incidence traversal
+
+CHAIN = "SELECT ALL FROM t0 - t2 - t4;"
+
+
+class _RefusedLock:
+    def __enter__(self):
+        raise AssertionError("a head traversal took LinkType._lock")
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+class TestIncidenceTraversal:
+    """Neighbour traversal reads the link type's own incidence: the live
+    bucket at the head, the visible links in a snapshot view."""
+
+    @staticmethod
+    def chain_engine():
+        engine = PrimaEngine()
+        model = {"atoms": {}, "l02": set(), "l24": set()}
+        for type_name in ("t0", "t2", "t4"):
+            engine.create_atom_type(type_name, {"key": "string"})
+            model["atoms"][type_name] = {f"{type_name}_{i}" for i in range(6)}
+            for identifier in model["atoms"][type_name]:
+                engine.store_atom(type_name, identifier, key=identifier)
+        engine.create_link_type("l02", "t0", "t2")
+        engine.create_link_type("l24", "t2", "t4")
+        for i in range(6):
+            for link_type, pair in (
+                ("l02", (f"t0_{i}", f"t2_{(i + 1) % 6}")),
+                ("l02", (f"t0_{i}", f"t2_{(i + 2) % 6}")),
+                ("l24", (f"t2_{i}", f"t4_{(i + 1) % 6}")),
+            ):
+                engine.connect(link_type, *pair)
+                model[link_type].add(pair)
+        return engine, model
+
+    @staticmethod
+    def expected(model) -> dict:
+        """Per ``t0`` root, the ``(type, identifier)`` of every molecule atom."""
+        molecules = {}
+        for root in model["atoms"]["t0"]:
+            middle = {c for p, c in model["l02"] if p == root} & model["atoms"]["t2"]
+            leaves = {c for p, c in model["l24"] if p in middle} & model["atoms"]["t4"]
+            molecules[root] = (
+                {("t0", root)} | {("t2", i) for i in middle} | {("t4", i) for i in leaves}
+            )
+        return molecules
+
+    @staticmethod
+    def derived(result) -> dict:
+        return {
+            molecule.root_atom.identifier: {
+                (atom.type_name, atom.identifier) for atom in molecule.atoms
+            }
+            for molecule in result
+        }
+
+    def test_a_head_context_walks_the_live_bucket_without_the_lock(self, monkeypatch):
+        engine, model = self.chain_engine()
+        engine.query(CHAIN)  # warm the interpreter and the statistics
+        context = engine.interpreter().executor.context()
+        link_type = context.database.ltyp("l02")
+        assert link_type is engine.to_database().ltyp("l02")
+        assert link_type.incident("t0_0") is link_type._by_atom["t0_0"]  # not a copy
+        assert link_type.incident("nobody") == ()
+        for name in ("l02", "l24"):
+            monkeypatch.setattr(context.database.ltyp(name), "_lock", _RefusedLock())
+        assert self.derived(engine.query(CHAIN)) == self.expected(model)
+
+    def test_a_snapshot_context_reads_the_visible_links(self):
+        engine, _model = self.chain_engine()
+        head = engine.to_database().ltyp("l02")
+        at_pin = set(head.incident("t0_1"))
+        with engine.snapshot_at() as handle:
+            removed = head.link("t0_1", "t2_2")
+            head.remove(removed)
+            added = head.add(head.link("t0_1", "t2_4"))
+            context = engine.interpreter().executor.context(snapshot=handle.snapshot)
+            view = context.database.ltyp("l02")
+            assert view.incident("t0_1") == view.links_of("t0_1") == at_pin
+            assert removed in at_pin and added not in at_pin
+            assert removed not in head.incident("t0_1") and added in head.incident("t0_1")
+
+    def test_head_and_pinned_derivations_agree_with_the_model(self):
+        engine, model = self.chain_engine()
+        engine.query(CHAIN)
+        database = engine.to_database()
+        with engine.snapshot_at() as handle:
+            at_pin = self.expected(model)
+            l02, l24 = database.ltyp("l02"), database.ltyp("l24")
+            l02.add(l02.link("t0_0", "t2_3"))
+            model["l02"].add(("t0_0", "t2_3"))
+            l02.remove(l02.link("t0_1", "t2_2"))
+            model["l02"].discard(("t0_1", "t2_2"))
+            l24.add(l24.link("t2_4", "t4_4"))
+            model["l24"].add(("t2_4", "t4_4"))
+            engine.delete_atom("t2", "t2_3")
+            model["atoms"]["t2"].discard("t2_3")
+            model["l02"] = {(p, c) for p, c in model["l02"] if c != "t2_3"}
+            model["l24"] = {(p, c) for p, c in model["l24"] if p != "t2_3"}
+            engine.delete_atom("t0", "t0_5")
+            model["atoms"]["t0"].discard("t0_5")
+            model["l02"] = {(p, c) for p, c in model["l02"] if p != "t0_5"}
+            assert self.derived(engine.query(CHAIN)) == self.expected(model)
+            assert self.derived(handle.query(CHAIN)) == at_pin
