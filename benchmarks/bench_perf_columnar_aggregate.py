@@ -3,8 +3,9 @@
 Benchmarks the MQL aggregate pipeline (``COUNT``/``SUM``/``MIN``/``MAX``/
 ``AVG`` with ``GROUP BY``) on the lazily built columnar projection against the
 row-fold operators running the *same MQL* over identical data — the baseline
-engine simply has the columnar path switched off (``set_columnar(False)``),
-so the planner keeps the Γ on the hash-aggregate over the molecule scan:
+is the row reference: a plain ``MQLInterpreter`` over an engine's database,
+which has no columnar store, so its planner keeps the Γ on the
+hash-aggregate over the molecule scan:
 
 * **grouped fold across type sizes (the headline)** — a five-function
   grouped aggregate over wide occurrences at several type sizes.  The
@@ -21,7 +22,8 @@ so the planner keeps the Γ on the hash-aggregate over the molecule scan:
   the projection's maintenance telemetry (builds, gap events, snapshot
   gaps, fallbacks) is published rather than pretending coherence is free;
 * **byte-identical results** — every measured query is fingerprint-compared
-  between the two engines, and EXPLAIN must show the costed columnar choice.
+  between the engine and the row reference, and EXPLAIN must show the costed
+  columnar choice.
 
 Run standalone to emit ``BENCH_columnar_aggregate.json``::
 
@@ -31,11 +33,12 @@ Run standalone to emit ``BENCH_columnar_aggregate.json``::
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from bench_common import fingerprint, parse_benchmark_args, write_report
 
 from repro.core.atom import reset_surrogate_counter
+from repro.mql.interpreter import MQLInterpreter
 from repro.storage.engine import PrimaEngine
 
 #: The headline five-function grouped aggregate.
@@ -92,34 +95,33 @@ def build_engine(n_atoms: int) -> PrimaEngine:
     return engine
 
 
-def build_pair(n_atoms: int) -> Tuple[PrimaEngine, PrimaEngine]:
-    """Two engines over identical data: columnar on, and the row baseline."""
-    columnar = build_engine(n_atoms)
-    baseline = build_engine(n_atoms)
-    baseline.set_columnar(False)  # planner keeps Γ on the row operators
-    return columnar, baseline
+def row_reference(engine: PrimaEngine) -> MQLInterpreter:
+    """The row baseline over *engine*'s data: a plain interpreter has no
+    columnar store, so its planner keeps Γ on the row operators."""
+    return MQLInterpreter(engine.to_database())
 
 
-def run_repeats(engine: PrimaEngine, statement: str, runs: int) -> Tuple[str, float]:
+def run_repeats(query: Callable, statement: str, runs: int) -> Tuple[str, float]:
     """Fingerprint of the (warmed) result and total seconds for *runs* runs."""
-    digest = fingerprint(engine.query(statement))  # warm caches / build arrays
+    digest = fingerprint(query(statement))  # warm caches / build arrays
     started = time.perf_counter()
     for _ in range(runs):
-        engine.query(statement)
+        query(statement)
     return digest, time.perf_counter() - started
 
 
 def measure_queries(n_atoms: int, runs: int) -> Dict[str, object]:
     """Time the three aggregate shapes columnar vs. row at one type size."""
-    columnar, baseline = build_pair(n_atoms)
+    columnar = build_engine(n_atoms)
+    baseline = row_reference(columnar)
     measurements = {}
     for label, statement in (
         ("grouped", GROUPED_QUERY),
         ("filtered", FILTERED_QUERY),
         ("global", GLOBAL_QUERY),
     ):
-        col_digest, col_seconds = run_repeats(columnar, statement, runs)
-        row_digest, row_seconds = run_repeats(baseline, statement, runs)
+        col_digest, col_seconds = run_repeats(columnar.query, statement, runs)
+        row_digest, row_seconds = run_repeats(baseline.execute, statement, runs)
         measurements[label] = {
             "columnar_seconds": col_seconds,
             "row_seconds": row_seconds,
@@ -172,18 +174,18 @@ def dml_round(engine: PrimaEngine, index: int, n_atoms: int) -> None:
 def measure_scenarios(n_atoms: int, rounds: int) -> Dict[str, object]:
     """MVCC parity: transactions, pinned snapshots, and a DML burst.
 
-    Every comparison runs the same MQL on both engines; a single failed
-    fingerprint fails the whole report.
+    Two engines over identical data take the same writes; every comparison
+    runs the same MQL on the first engine and on the row reference over the
+    second.  A single failed fingerprint fails the whole report.
     """
-    columnar, baseline = build_pair(n_atoms)
+    columnar, baseline = build_engine(n_atoms), build_engine(n_atoms)
+    row = row_reference(baseline)
     parity: Dict[str, bool] = {}
 
     def check(label: str, statement: str, left=None, right=None) -> None:
-        left = left if left is not None else columnar
-        right = right if right is not None else baseline
-        parity[label] = fingerprint(left.query(statement)) == fingerprint(
-            right.query(statement)
-        )
+        left = left if left is not None else columnar.query
+        right = right if right is not None else row.execute
+        parity[label] = fingerprint(left(statement)) == fingerprint(right(statement))
 
     check("head", GROUPED_QUERY)
 
@@ -192,18 +194,22 @@ def measure_scenarios(n_atoms: int, rounds: int) -> Dict[str, object]:
         "INSERT reading VALUES {tag: 'TX', bucket: 1, cost: 3.0, mass: 1.0, "
         "q1: 1.0, q2: 2.0, q3: 3.0, q4: 4.0};"
     )
-    for engine in (columnar, baseline):
-        engine.query("BEGIN WORK;")
-        engine.query(insert)
+    for query in (columnar.query, row.execute):
+        query("BEGIN WORK;")
+        query(insert)
     check("in_transaction", GROUPED_QUERY)
-    for engine in (columnar, baseline):
-        engine.query("COMMIT WORK;")
+    for query in (columnar.query, row.execute):
+        query("COMMIT WORK;")
     check("after_commit", GROUPED_QUERY)
 
     # Pinned snapshots: coherent pins are served columnar; once the head
     # moves on, the stale pin falls back to the row path over its own view.
     col_pin, row_pin = columnar.snapshot_at(), baseline.snapshot_at()
-    check("pinned_snapshot", GROUPED_QUERY, col_pin, row_pin)
+
+    def at_row_pin(statement: str):
+        return row.execute(statement, at=row_pin.snapshot)
+
+    check("pinned_snapshot", GROUPED_QUERY, col_pin.query, at_row_pin)
     burst_started = time.perf_counter()
     for index in range(rounds):
         dml_round(columnar, index, n_atoms)
@@ -211,7 +217,7 @@ def measure_scenarios(n_atoms: int, rounds: int) -> Dict[str, object]:
         if index % max(1, rounds // 4) == 0:
             check(f"under_burst_{index}", GROUPED_QUERY)
     burst_seconds = time.perf_counter() - burst_started
-    check("stale_pin_after_burst", GROUPED_QUERY, col_pin, row_pin)
+    check("stale_pin_after_burst", GROUPED_QUERY, col_pin.query, at_row_pin)
     check("after_burst", GROUPED_QUERY)
     check("after_burst_filtered", FILTERED_QUERY)
 

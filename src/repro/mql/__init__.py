@@ -18,9 +18,9 @@ The two statements of the paper work verbatim::
 Pipeline: :func:`tokenize` → :func:`parse` → :class:`QueryTranslator` (logical
 plan) → :class:`~repro.optimizer.planner.Planner` (rewrite + cost) →
 :class:`~repro.engine.executor.Executor` (streaming evaluation), driven by
-:class:`MQLInterpreter` (or the one-call convenience :func:`execute`).  Pass
-``optimize=False`` for the literal, materializing α→Σ→Π evaluation, or prefix
-a statement with ``EXPLAIN`` to see the planner's choice without executing.
+:class:`MQLInterpreter` (or the one-call convenience :func:`execute`) — the one
+route every statement takes.  Prefix a statement with ``EXPLAIN`` to see the
+planner's choice without executing.
 """
 
 from repro.mql.ast_nodes import (

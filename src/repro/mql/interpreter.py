@@ -1,19 +1,16 @@
 """Execution of MQL statements over a MAD database.
 
-Every statement is translated into the logical plan IR (the literal α → Σ → Π
-translation of chapter 4: "the whole molecule-type definition is expressed in
-the FROM clause", "molecule restriction in MQL is expressed within the WHERE
-clause, and molecule projection is accomplished within the SELECT clause";
-set operations between query blocks map onto Ω, Δ and Ψ).  By default the
-plan is handed to the rule-driven planner and the chosen variant runs on the
-streaming executor — every MQL statement is optimized, and intermediate
-molecule sets are never materialized.
-
-The ``optimize=False`` escape hatch executes the literal translation through
-the materializing molecule-algebra operations instead (each step propagates
-its result set into an enlarged database, exactly as Definitions 8–10
-prescribe); the parity tests assert both paths return identical molecule
-sets.  ``EXPLAIN <statement>`` reports the planner's choice without
+Every statement takes one route: it is translated into the logical plan IR
+(the literal α → Σ → Π translation of chapter 4: "the whole molecule-type
+definition is expressed in the FROM clause", "molecule restriction in MQL is
+expressed within the WHERE clause, and molecule projection is accomplished
+within the SELECT clause"; set operations between query blocks map onto Ω, Δ
+and Ψ), the rule-driven planner picks a variant, and the streaming executor
+runs it — intermediate molecule sets are never materialized.  The
+materializing evaluation of Definitions 8–10 (each step propagating its
+result set into an enlarged database) is the definition this route is
+checked against; the test suite keeps it as its reference, the product does
+not run it.  ``EXPLAIN <statement>`` reports the planner's choice without
 executing.
 
 **Statement cache — compile once, run many.**  A statement given as text is
@@ -28,11 +25,10 @@ parse, translation, rewrite or costing.  Planning is literal-invariant (the
 rules treat any right-hand side that is not an attribute reference as an
 opaque constant, selectivities are distinct-count based), which is what
 makes a shared entry exact.  An entry is stamped with what planning did
-depend on — the structure-index registry version, whether the columnar path
-is enabled, the planner's statistics epoch — and re-planned when a stamp
-moves; DDL drops the cache with the interpreter.  EXPLAIN statements, the
-literal ``optimize=False`` path and statements given as an AST are planned
-fresh.
+depend on — the structure-index registry version and the planner's
+statistics epoch — and re-planned when a stamp moves; DDL drops the cache
+with the interpreter.  A statement given as an AST goes through the same
+compile step but is never stored; EXPLAIN statements are planned fresh.
 """
 
 from __future__ import annotations
@@ -42,24 +38,12 @@ from collections import OrderedDict
 
 from repro.analysis.runtime import make_lock, make_rlock
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.database import Database
 from repro.core.derivation import resolve_description
 from repro.core.molecule import Molecule, MoleculeType
-from repro.core.molecule_algebra import (
-    molecule_difference,
-    molecule_intersection,
-    molecule_projection,
-    molecule_restriction,
-    molecule_type_definition,
-    molecule_union,
-)
-from repro.core.recursion import (
-    RecursiveDescription,
-    RecursiveMolecule,
-    recursive_molecule_type,
-)
+from repro.core.recursion import RecursiveMolecule
 from repro.core.predicates import And, Comparison, Formula, Not, Or
 from repro.engine.executor import Executor, compile_plan
 from repro.engine.logical import (
@@ -99,7 +83,7 @@ from repro.mql.ast_nodes import (
 )
 from repro.mql.lexer import Token, tokenize
 from repro.mql.parser import parse, parse_template, template
-from repro.mql.translator import QueryTranslator, next_anonymous_name
+from repro.mql.translator import QueryTranslator
 from repro.optimizer.planner import PlanChoice, Planner
 from repro.optimizer.statistics import recursion_profile_key
 
@@ -116,9 +100,10 @@ _WRITES = (InsertStatement, DeleteStatement, ModifyStatement)
 
 
 class _CachedStatement(NamedTuple):
-    """One statement template in the cache; its plans hold slots."""
+    """One compiled statement: a template in the cache, whose plans hold
+    slots, or a statement given as an AST."""
 
-    #: The template's AST class (``Query``, ``SetOperation`` or a DML class).
+    #: The statement's AST class (``Query``, ``SetOperation`` or a DML class).
     kind: type
     #: The planner's choice for the read — the query, or the qualifying read
     #: of DELETE/MODIFY — without its notes, the anonymous link uses of the
@@ -126,9 +111,9 @@ class _CachedStatement(NamedTuple):
     choice: Optional[PlanChoice]
     #: The write plan (its source is the bound choice's best); ``None`` for reads.
     write: Optional[WritePlanNode]
-    #: ``(structure-index registry version, columnar enabled, statistics
-    #: epoch)`` when the template was planned.
-    stamps: Tuple[int, bool, int]
+    #: ``(structure-index registry version, statistics epoch)`` when the
+    #: statement was planned.
+    stamps: Tuple[int, int]
 
 
 @dataclass
@@ -140,18 +125,18 @@ class QueryResult:
     molecule_type:
         The result molecule type (the statement's value in the algebra).
     database:
-        The database the result is valid over.  The streaming pipeline leaves
-        the database unchanged; the literal (``optimize=False``) path returns
-        the enlarged ``DB'`` produced by result propagation.
+        The interpreter's database, which the result is valid over; reads
+        leave it unchanged.
     statement:
         The parsed AST, kept for explain-style reporting — or the statement
         text for a statement served through the statement cache (the
         cached template's AST holds slots, not this statement's literals).
     counters:
-        Work counters of the streaming execution (``None`` on the literal
-        path, which accounts no work).
+        Work counters of the streaming execution (``None`` for EXPLAIN,
+        transaction and checkpoint statements, which execute no plan).
     plan_choice:
-        The planner's costed decision (``None`` on the literal path).
+        The planner's costed decision (``None`` for INSERT, which has no
+        read to plan, and for transaction and checkpoint statements).
     explanation:
         For ``EXPLAIN`` statements: :meth:`PlanChoice.explain` output; the
         statement itself is not executed and the molecule set is empty.
@@ -210,30 +195,29 @@ class QueryResult:
 class MQLInterpreter:
     """Executes MQL statements against a database through the plan pipeline.
 
-    The interpreter owns a :class:`~repro.optimizer.planner.Planner` (with
-    statistics collected once from the database) and an
+    The interpreter owns a :class:`~repro.optimizer.planner.Planner` (its
+    statistics collected from the database on first use) and an
     :class:`~repro.engine.executor.Executor` whose access structures are
-    reused across statements.  Both can be supplied by a storage engine to
-    share its secondary indexes, structure indexes and columnar projections;
-    neighbour traversal reads the link types' own incidence.  Statements given
-    as text are served through the statement cache (module docstring),
-    which every route through the interpreter shares: ``execute`` at the
-    head, in a ``BEGIN WORK`` session and at a pinned snapshot (``at=``),
-    :meth:`plan` and :meth:`read_plan`.
+    reused across statements.  A storage engine supplies the executor to
+    share its secondary indexes, structure indexes and columnar projections
+    with the planner; neighbour traversal reads the link types' own
+    incidence.  Every statement is compiled by one step
+    (:meth:`_compile`): statements given as text through the statement
+    cache (module docstring), which every route through the interpreter
+    shares — ``execute`` at the head, in a ``BEGIN WORK`` session and at a
+    pinned snapshot (``at=``), :meth:`plan` and :meth:`read_plan` —
+    statements given as an AST without it.
     """
 
     def __init__(
         self,
         database: Database,
-        optimize: bool = True,
         executor: Optional[Executor] = None,
-        planner: Optional[Planner] = None,
         checkpoint=None,
     ) -> None:
         self.database = database
-        self.optimize = optimize
         self.executor = executor or Executor(database)
-        self._planner = planner
+        self.planner = Planner(database, executor=self.executor)
         #: Active session transaction (``BEGIN WORK`` … ``COMMIT WORK``).
         self._session: Optional[Transaction] = None  # guarded-by: MQLInterpreter._session_guard
         #: The thread that ran ``BEGIN WORK`` — sessions have thread
@@ -276,33 +260,22 @@ class MQLInterpreter:
 
         return PrimaEngine.open(directory, fsync=fsync).interpreter()
 
-    @property
-    def planner(self) -> Planner:
-        """The planner, created lazily: statistics collection is a full
-        database pass and is skipped entirely on the literal path."""
-        with self._plan_lock:
-            if self._planner is None:
-                self._planner = Planner(self.database, executor=self.executor)
-            return self._planner
-
     def apply_event(self, event) -> None:
         """Fold one database change event into the planner's statistics.
 
         The public maintenance hook the storage engine drives on every
-        write; a no-op until the planner (and its statistics) exist.
-        Serialized on the planner lock against concurrent plan optimization
-        by snapshot-reader threads.
+        write; a no-op until the statistics are first collected.  Serialized
+        on the planner lock against concurrent plan optimization by
+        snapshot-reader threads.
         """
         with self._plan_lock:
-            if self._planner is not None:
-                self._planner.apply_event(event)
+            self.planner.apply_event(event)
 
     # ---------------------------------------------------------------- public
 
     def execute(
         self,
         statement: "str | Statement | DMLStatement | ExplainStatement | TransactionStatement",
-        optimize: Optional[bool] = None,
         at=None,
     ) -> QueryResult:
         """Parse (when given text) and execute an MQL statement.
@@ -318,18 +291,14 @@ class MQLInterpreter:
         A pinned read is read-only: DML, transaction and checkpoint
         statements raise :class:`StorageError` there.  Inside a session
         transaction queries default to the snapshot pinned at ``BEGIN WORK``
-        plus the session's own writes (repeatable reads).  Two deliberate
-        boundaries: the literal ``optimize=False`` path materializes against
-        the head and is rejected while a snapshot is in play (no silently
-        inconsistent reads), and the *qualifying read* of a DML statement
-        always runs at the head — deletions must observe every
-        concurrent-committed link to never leave dangling references, and
-        any overlap with a concurrent writer's keys aborts via
-        first-committer-wins anyway.
+        plus the session's own writes (repeatable reads).  One deliberate
+        boundary: the *qualifying read* of a DML statement always runs at
+        the head — deletions must observe every concurrent-committed link to
+        never leave dangling references, and any overlap with a concurrent
+        writer's keys aborts via first-committer-wins anyway.
 
         Text is served through the statement cache (module docstring),
-        except EXPLAIN, transaction and checkpoint statements and the
-        literal path.
+        except EXPLAIN, transaction and checkpoint statements.
 
         Thread affinity: while a ``BEGIN WORK`` session is active, every
         statement that would touch the session (anything without ``at=``)
@@ -337,63 +306,55 @@ class MQLInterpreter:
         :class:`TransactionError` pointing them at snapshot handles.
         Pinned reads (``at=``) are safe from any thread.
         """
-        optimize = self.optimize if optimize is None else optimize
         if isinstance(statement, str):
             tokens = tokenize(statement)
-            if optimize and tokens[0].value not in _UNCACHED:
+            if tokens[0].value not in _UNCACHED:
                 return self._execute_cached(statement, tokens, at)
             statement = parse(tokens)
-        return self._execute_ast(statement, optimize, at)
+        return self._execute_ast(statement, at)
 
     def _execute_cached(self, text: str, tokens: List[Token], at) -> QueryResult:
         """:meth:`execute` for a statement the cache serves."""
         key, values = template(tokens)
         entry = self._lookup(key)
         ast = parse_template(tokens) if entry is None else None
-        kind = type(ast) if entry is None else entry.kind
-        if at is None:
-            self._check_session_affinity()
-        elif kind not in _READS:
-            raise StorageError(_READ_ONLY)
+        self._check_route(type(ast) if entry is None else entry.kind, at)
         if entry is None:
             entry = self._plan_template(key, ast)
-        choice = self._bind_choice(entry, values)
-        if entry.write is None:
-            snapshot = at if at is not None else self._session_snapshot()
-            return self._run_read(text, choice, snapshot)
-        return self._run_write(text, _bind_write(entry.write, values, choice), choice)
+        return self._run(text, entry, values, at)
 
-    def _execute_ast(self, ast, optimize: bool, at) -> QueryResult:
-        """:meth:`execute` for a parsed statement (planned fresh)."""
+    def _execute_ast(self, ast, at) -> QueryResult:
+        """:meth:`execute` for a parsed statement (compiled, never cached)."""
         inner = ast.statement if isinstance(ast, ExplainStatement) else ast
-        if at is None:
-            self._check_session_affinity()
-        elif not isinstance(inner, _READS):
-            raise StorageError(_READ_ONLY)
+        self._check_route(type(inner), at)
         if isinstance(ast, TransactionStatement):
             return self._execute_transaction_statement(ast)
         if isinstance(ast, CheckpointStatement):
             return self._execute_checkpoint(ast)
-        explain = inner is not ast
         if isinstance(inner, TransactionStatement):
             raise MQLSemanticError("transaction statements cannot be EXPLAINed")
         if isinstance(inner, CheckpointStatement):
             raise MQLSemanticError("CHECKPOINT cannot be EXPLAINed")
-        if isinstance(inner, _WRITES):
-            return self._execute_dml(inner, explain=explain, optimize=optimize)
-        if explain:
-            return self._explain_result(ast)
-        snapshot = at if at is not None else self._session_snapshot()
-        if optimize:
-            return self._run_read(inner, self.plan(inner), snapshot)
-        if snapshot is not None:
-            raise MQLSemanticError(
-                "the literal (optimize=False) path materializes against the "
-                "head and cannot serve a pinned snapshot; use the planned "
-                "pipeline for repeatable reads"
-            )
-        molecule_type, database = self._execute_statement(inner, self.database)
-        return QueryResult(molecule_type, database, inner)
+        if inner is not ast:
+            return self._explain(inner)
+        return self._run(ast, self._compile(ast), [], at)
+
+    def _check_route(self, kind: type, at) -> None:
+        """Thread affinity for a statement that touches the session; a
+        pinned read (*at*) must be a query."""
+        if at is None:
+            self._check_session_affinity()
+        elif not issubclass(kind, _READS):
+            raise StorageError(_READ_ONLY)
+
+    def _run(self, statement, entry: _CachedStatement, values: List[object], at) -> QueryResult:
+        """Bind *values* into a compiled statement and execute it: a read at
+        *at*, in the session or at the head; a write atomically."""
+        choice = self._bind_choice(entry, values)
+        if entry.write is None:
+            snapshot = at if at is not None else self._session_snapshot()
+            return self._run_read(statement, choice, snapshot)
+        return self._run_write(statement, _bind_write(entry.write, values, choice), choice)
 
     # ------------------------------------------------------- statement cache
 
@@ -422,20 +383,25 @@ class MQLInterpreter:
             return None
 
     def _plan_template(self, key: tuple, ast) -> _CachedStatement:
-        """Translate and plan a template's AST and cache the outcome.
+        """Compile a template's AST and cache the outcome; a statement that
+        fails here caches nothing."""
+        entry = self._compile(ast)
+        with self._plan_lock:
+            self._statements[key] = entry
+            if len(self._statements) > STATEMENT_CACHE_CAPACITY:
+                self._statements.popitem(last=False)
+        return entry
 
-        A statement that fails here caches nothing.  The stamps are read
-        before planning, so anything that moves meanwhile makes the entry
-        stale rather than wrong."""
+    def _compile(self, ast) -> _CachedStatement:
+        """Translate and plan *ast* — the one compile step behind a cache
+        miss (a template, its value positions holding slots), a statement
+        given as an AST and :meth:`plan`.
+
+        The stamps are read before planning, so anything that moves
+        meanwhile makes a cached entry stale rather than wrong."""
         with self._plan_lock:
             stamps = self._stamps()
-            translator = QueryTranslator(self.database)
-            write: Optional[WritePlanNode] = None
-            if isinstance(ast, _WRITES):
-                write = translator.translate_dml(ast)
-                read = None if isinstance(write, InsertMolecule) else write.source
-            else:
-                read = translator.translate_statement(ast)
+            write, read = self._translate(ast)
             choice = self.planner.optimize(read) if read is not None else None
             if choice is not None:
                 # What describes the present moment is re-attached per use.
@@ -452,31 +418,35 @@ class MQLInterpreter:
                     choice.optimized = resolved
                 else:
                     choice.original = resolved
-            entry = _CachedStatement(type(ast), choice, write, stamps)
-            self._statements[key] = entry
-            if len(self._statements) > STATEMENT_CACHE_CAPACITY:
-                self._statements.popitem(last=False)
-            return entry
+            return _CachedStatement(type(ast), choice, write, stamps)
+
+    def _translate(self, ast) -> Tuple[Optional[WritePlanNode], Optional[PlanNode]]:
+        """The write plan of *ast* (``None`` for a query) and the read to
+        plan: the query, or the qualifying read of DELETE/MODIFY (``None``
+        for INSERT)."""
+        translator = QueryTranslator(self.database)
+        if isinstance(ast, _WRITES):
+            write = translator.translate_dml(ast)
+            return write, None if isinstance(write, InsertMolecule) else write.source
+        return None, translator.translate_statement(ast)
 
     # requires: MQLInterpreter._plan_lock
-    def _stamps(self) -> Tuple[int, bool, int]:
+    def _stamps(self) -> Tuple[int, int]:
         """What a cached plan depends on besides its template: the
-        structure-index registry (``accelerate_recursion``), the columnar
-        switch (``columnarize_aggregate``) and the statistics epoch."""
-        planner = self.planner
-        structure = planner.accelerators
-        columnar = planner.columnar
+        structure-index registry (``accelerate_recursion``) and the
+        statistics epoch."""
+        structure = self.planner.accelerators
         return (
             structure.registry_version if structure is not None else 0,
-            bool(getattr(columnar, "enabled", False)),
-            planner.statistics_epoch,
+            self.planner.statistics_epoch,
         )
 
     def _bind_choice(
         self, entry: _CachedStatement, values: List[object]
     ) -> Optional[PlanChoice]:
-        """The cached choice with *values* bound into both plans and the
-        notes of this moment (:meth:`Planner.annotate`)."""
+        """The compiled choice with *values* bound into both plans (none for
+        a statement given as an AST) and the notes of this moment
+        (:meth:`Planner.annotate`)."""
         cached = entry.choice
         if cached is None:
             return None
@@ -609,18 +579,26 @@ class MQLInterpreter:
         Serialized on the planner lock: concurrent snapshot-reader threads
         plan one at a time over the shared statistics (execution of the
         chosen plan runs outside the lock, fully concurrent).  Text is
-        served through the statement cache, like :meth:`execute`; the
-        choice's notes are those of the moment of the call either way.
+        served through the statement cache, like :meth:`execute`; an AST is
+        compiled by the same step and not stored.  The choice's notes are
+        those of the moment of the call either way.
         """
+        entry, values = None, []
         if isinstance(statement, str):
             tokens = tokenize(statement)
             if tokens[0].value not in _UNCACHED:
                 entry, values = self._entry(tokens)
-                if entry.choice is None:
-                    raise MQLSemanticError("INSERT has no qualifying read plan to optimize")
-                return self._bind_choice(entry, values)
-            statement = parse(tokens)
-        return self._plan(statement, explain=False)
+            else:
+                statement = parse(tokens)
+        if entry is None:
+            if isinstance(statement, ExplainStatement):
+                statement = statement.statement
+            if isinstance(statement, (TransactionStatement, CheckpointStatement)):
+                raise MQLSemanticError("transaction and checkpoint statements have no plan")
+            entry = self._compile(statement)
+        if entry.choice is None:
+            raise MQLSemanticError("INSERT has no qualifying read plan to optimize")
+        return self._bind_choice(entry, values)
 
     def read_plan(self, statement: str) -> Optional[PlanChoice]:
         """The planner's choice for *statement* when it is a query — a query
@@ -638,24 +616,6 @@ class MQLInterpreter:
             return None
         return self._bind_choice(entry, values)
 
-    def _plan(self, statement, explain: bool) -> PlanChoice:
-        """:meth:`plan`; with *explain* the choice is always costed and says
-        how each α finds its roots (:meth:`Planner.explain`)."""
-        ast = parse(statement) if isinstance(statement, str) else statement
-        if isinstance(ast, ExplainStatement):
-            ast = ast.statement
-        if isinstance(ast, (TransactionStatement, CheckpointStatement)):
-            raise MQLSemanticError("transaction and checkpoint statements have no plan")
-        with self._plan_lock:
-            choose = self.planner.explain if explain else self.planner.optimize
-            if isinstance(ast, (InsertStatement, DeleteStatement, ModifyStatement)):
-                write_plan = QueryTranslator(self.database).translate_dml(ast)
-                if isinstance(write_plan, InsertMolecule):
-                    raise MQLSemanticError("INSERT has no qualifying read plan to optimize")
-                return choose(write_plan.source)
-            logical = QueryTranslator(self.database).translate_statement(ast)
-            return choose(logical)
-
     def explain(self, statement: "str | Statement | DMLStatement") -> List[str]:
         """Return the algebra-operation plan for *statement* without executing it.
 
@@ -667,11 +627,8 @@ class MQLInterpreter:
         ast = parse(statement) if isinstance(statement, str) else statement
         if isinstance(ast, ExplainStatement):
             ast = ast.statement
-        translator = QueryTranslator(self.database)
-        if isinstance(ast, (InsertStatement, DeleteStatement, ModifyStatement)):
-            return describe_plan(translator.translate_dml(ast)).splitlines()
-        logical = translator.translate_statement(ast)
-        return describe_plan(logical).splitlines()
+        write, read = self._translate(ast)
+        return describe_plan(read if write is None else write).splitlines()
 
     # ------------------------------------------------------ planned pipeline
 
@@ -729,21 +686,6 @@ class MQLInterpreter:
                 )
 
     # --------------------------------------------------------- write pipeline
-
-    def _execute_dml(
-        self, statement: DMLStatement, explain: bool, optimize: bool
-    ) -> QueryResult:
-        """Plan (and unless *explain*, execute) one DML statement atomically."""
-        plan = QueryTranslator(self.database).translate_dml(statement)
-        choice: Optional[PlanChoice] = None
-        if optimize and isinstance(plan, (DeleteMolecules, ModifyAtoms)):
-            with self._plan_lock:
-                choose = self.planner.explain if explain else self.planner.optimize
-                choice = choose(plan.source)
-            plan = replace(plan, source=choice.best)
-        if explain:
-            return self._explain_write(statement, plan, choice)
-        return self._run_write(statement, plan, choice)
 
     def _run_write(
         self, statement, plan: WritePlanNode, choice: Optional[PlanChoice]
@@ -835,7 +777,6 @@ class MQLInterpreter:
         elif isinstance(plan, ModifyAtoms):
             target = plan.atom_type_name.split("@", 1)[0]
             if self.database.has_atom_type(target):
-                description = self.database.atyp(target).description
                 for attribute, value in plan.updates:
                     lines.append(f"domain check {target}.{attribute} = {value!r}")
                 lines.append(f"identity preserved: links of {target} atoms stay valid")
@@ -856,8 +797,16 @@ class MQLInterpreter:
                 found.extend(MQLInterpreter._shared_subobject_references(item))
         return found
 
-    def _explain_result(self, ast: ExplainStatement) -> QueryResult:
-        choice = self._plan(ast.statement, explain=True)
+    def _explain(self, ast) -> QueryResult:
+        """``EXPLAIN``: the planner's choice, always costed and saying how
+        each α finds its roots (:meth:`Planner.explain`); nothing runs."""
+        with self._plan_lock:
+            write, read = self._translate(ast)
+            choice = self.planner.explain(read) if read is not None else None
+        if write is not None:
+            if choice is not None:
+                write = replace(write, source=choice.best)
+            return self._explain_write(ast, write, choice)
         # The empty result carries the plan's *output* schema (post-projection),
         # which the compiled operator reports — not the defining α structure.
         operator = compile_plan(choice.best)
@@ -866,60 +815,11 @@ class MQLInterpreter:
         return QueryResult(
             empty,
             self.database,
-            ast.statement,
+            ast,
             plan_choice=choice,
             explanation=choice.explain(),
         )
 
-    # ------------------------------------------------- literal algebra path
-
-    def _execute_statement(
-        self, statement: Statement, database: Database
-    ) -> Tuple[MoleculeType, Database]:
-        if isinstance(statement, SetOperation):
-            left_type, database = self._execute_statement(statement.left, database)
-            right_type, database = self._execute_statement(statement.right, database)
-            if statement.operator == "UNION":
-                result = molecule_union(database, left_type, right_type)
-            elif statement.operator == "DIFFERENCE":
-                result = molecule_difference(database, left_type, right_type)
-            else:
-                result = molecule_intersection(database, left_type, right_type)
-            return result.molecule_type, result.database
-        if not isinstance(statement, Query):
-            raise MQLSemanticError(f"cannot execute {statement!r}")
-        return self._execute_query(statement, database)
-
-    def _execute_query(self, query: Query, database: Database) -> Tuple[MoleculeType, Database]:
-        if query.aggregates or query.group_by:
-            raise MQLSemanticError(
-                "aggregation runs only through the planned pipeline; the "
-                "literal (optimize=False) path has no Γ materialization"
-            )
-        translator = QueryTranslator(database)
-        description = translator.translate_from(query.from_clause)
-        name = query.from_clause.molecule_name or next_anonymous_name()
-
-        if isinstance(description, RecursiveDescription):
-            molecule_type = recursive_molecule_type(database, name, description)
-            if query.where is not None:
-                formula = translator.translate_condition(query.where, description)
-                kept = tuple(m for m in molecule_type if formula.evaluate_molecule(m))
-                molecule_type = MoleculeType(name, molecule_type.description, kept)
-            if not query.select_all:
-                raise MQLSemanticError("projection over a RECURSIVE structure is not supported")
-            return molecule_type, database
-
-        molecule_type = molecule_type_definition(database, name, description)
-        if query.where is not None:
-            formula = translator.translate_condition(query.where, description)
-            restricted = molecule_restriction(database, molecule_type, formula)
-            molecule_type, database = restricted.molecule_type, restricted.database
-        projection = translator.translate_projection(query, description)
-        if projection is not None:
-            projected = molecule_projection(database, molecule_type, projection)
-            molecule_type, database = projected.molecule_type, projected.database
-        return molecule_type, database
 
 _READ_ONLY = "snapshot handles are read-only; run DML through the engine"
 
@@ -966,10 +866,6 @@ def _bind_data(node: object, values: Sequence[object]) -> object:
     return node
 
 
-def execute(
-    database: Database,
-    statement: "str | Statement | ExplainStatement",
-    optimize: bool = True,
-) -> QueryResult:
+def execute(database: Database, statement: "str | Statement | ExplainStatement") -> QueryResult:
     """One-call convenience: execute *statement* against *database*."""
-    return MQLInterpreter(database, optimize=optimize).execute(statement)
+    return MQLInterpreter(database).execute(statement)

@@ -374,7 +374,7 @@ def columnarize_aggregate(plan: PlanNode, columnar, statistics=None) -> RewriteR
     always result-preserving.
     """
     applied: List[str] = []
-    if columnar is None or not getattr(columnar, "enabled", True):
+    if columnar is None:
         return RewriteResult(plan, ())
     cost_model = _lazy_cost_model(statistics)
 

@@ -163,9 +163,6 @@ class ColumnarStore:
 
     def __init__(self) -> None:
         self._lock = make_rlock("ColumnarStore._lock")
-        #: Planner/executor switch — ``False`` keeps every aggregate on the
-        #: row operators (the benchmark baseline and an escape hatch).
-        self.enabled = True
         self._projections: Dict[str, ColumnarProjection] = {}  # guarded-by: ColumnarStore._lock
         #: Engine write generation (stamped on every fold and fast-forward).
         self.generation = 0
@@ -197,8 +194,6 @@ class ColumnarStore:
         if not ctx.database.has_atom_type(bare):
             return None
         with self._lock:
-            if not self.enabled:
-                return None
             projection = self._projections.get(bare)
             if snapshot is None:
                 if projection is None:

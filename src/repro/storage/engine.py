@@ -310,15 +310,6 @@ class PrimaEngine:
                 }
             )
 
-    def set_columnar(self, enabled: bool) -> None:
-        """Switch the columnar aggregation path on or off.
-
-        Disabled, every aggregate runs on the row operators (hash/sorted-group
-        over the molecule scan) — the benchmark baseline and an escape hatch;
-        the projections and their counters are kept, not dropped.
-        """
-        self._columnar.enabled = bool(enabled)
-
     # --------------------------------------------- atom-oriented interface
 
     def store_atom(self, atom_type_name: str, identifier: Optional[str] = None, **values) -> Atom:
@@ -441,12 +432,11 @@ class PrimaEngine:
         """Molecule-type definition (α) over the engine's current contents."""
         return molecule_type_definition(self.to_database(), name, atom_type_names, directed_links)
 
-    def query(self, statement: str, optimize: bool = True) -> "QueryResult":
+    def query(self, statement: str) -> "QueryResult":
         """Execute an MQL statement over the engine's current contents.
 
-        Statements run through the planner → streaming-executor pipeline by
-        default; ``optimize=False`` executes the literal α→Σ→Π translation
-        through the materializing molecule algebra instead.  DML statements
+        Statements run through the planner → streaming-executor pipeline of
+        the engine's interpreter (:meth:`interpreter`).  DML statements
         (INSERT / DELETE / MODIFY) execute atomically against the database;
         every change is folded into the cached access structures.
         ``BEGIN WORK`` / ``COMMIT WORK`` / ``ROLLBACK
@@ -454,7 +444,7 @@ class PrimaEngine:
         repeatable reads and first-committer-wins conflict detection; for
         pinned read-only views see :meth:`snapshot_at`.
         """
-        return self.interpreter().execute(statement, optimize=optimize)
+        return self.interpreter().execute(statement)
 
     def plan(self, statement: str) -> "PlanChoice":
         """Return the planner's costed plan choice for *statement*.
@@ -486,13 +476,9 @@ class PrimaEngine:
                     structure=self._structure_indexes,
                     columnar=self._columnar,
                 )
-                from repro.optimizer.planner import Planner
-
-                planner = Planner(database, executor=executor)
                 self._interpreter = MQLInterpreter(
                     database,
                     executor=executor,
-                    planner=planner,
                     checkpoint=self.checkpoint if self._durability is not None else None,
                 )
                 self._stats["interpreter_builds"] += 1

@@ -5,8 +5,9 @@
 bare α folds the component atoms without assembling molecules.  Both are pure
 access-path choices, so everything here is a parity check: the head (index
 pool, seeded), a pinned ``snapshot_at()`` handle (the same pool, widened by
-the version chains) and the literal ``optimize=False`` algebra must return
-identical fingerprints, and the work counters must show which path ran.
+the version chains) and the literal α → Σ → Π algebra (``reference.literal``)
+must return identical fingerprints, and the work counters must show which
+path ran.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.core.atom import reset_surrogate_counter
 from repro.engine.physical import MAX_ENUMERATION_CANDIDATES
 from repro.storage.engine import PrimaEngine
 from repro.storage.wal import DurabilityConfig
+
+from reference import literal, row
 
 #: A diamond: ``d`` is reached through two parent uses (``b - d`` and ``c - d``).
 DIAMOND = "a - (b - d, c - d)"
@@ -61,8 +64,8 @@ def assert_same_everywhere(engine: PrimaEngine, statement: str):
     head = engine.query(statement)
     with engine.snapshot_at() as handle:
         pinned = handle.query(statement)
-    literal = engine.query(statement, optimize=False)
-    assert fingerprint(head) == fingerprint(pinned) == fingerprint(literal)
+    reference = literal(engine.to_database(), statement)
+    assert fingerprint(head) == fingerprint(pinned) == fingerprint(reference)
     return head, pinned
 
 
@@ -368,14 +371,15 @@ class TestComponentFold:
 
     def test_walks_only_the_referenced_branch(self):
         engine = build_engine(*numeric_mesh())
-        # The row walk: with the columnar path on, the pruned one-hop
-        # ``a - b`` count is a pass over ``ab`` (tests/test_component_count.py).
-        engine.set_columnar(False)
-        result = engine.query(f"SELECT a.g, COUNT(b) FROM {DIAMOND} GROUP BY a.g;")
+        # The row walk: on the engine, the pruned one-hop ``a - b`` count
+        # is a pass over ``ab`` (tests/test_component_count.py).
+        statement = f"SELECT a.g, COUNT(b) FROM {DIAMOND} GROUP BY a.g;"
+        result = row(engine, statement)
         assert "prune_structure" in result.plan_choice.applied_rules
         # One b per root: the c and d branches are never entered.
         assert result.counters.atoms_touched == 24
         assert result.counters.links_followed == 12
+        assert result.rows == engine.query(statement).rows
 
     def test_sort_strategy_matches_hash(self):
         from repro.engine.executor import Executor

@@ -14,11 +14,12 @@ keys, a link type defined the other way round and connected both ways,
 identifiers shared between the root and the component type, a root filter,
 ``COUNT(*)`` beside the count); the counters; a hypothesis sweep of random
 graphs (``p`` and ``c`` share identifiers) and interleaved writes in which
-every answer equals the row path's — at the head, on pins taken before later
-writes, inside ``BEGIN WORK``, on a follower and over process partitions; the
-plan codec; the statement cache; the shapes that keep the row Γ; endpoint
-types settled on every write path and in recovery; and the row walk telling
-a link's sides apart by type.
+every answer equals the row Γ's (``reference.row``: a plain interpreter over
+the engine's database, at the same state) — at the head, on pins taken before
+later writes, inside ``BEGIN WORK``, on a follower and over process
+partitions; the plan codec; the statement cache; the shapes that keep the row
+Γ; endpoint types settled on every write path and in recovery; and the row
+walk telling a link's sides apart by type.
 
 ``REPRO_STRESS`` multiplies the number of sweep examples (CI's stress step
 runs this file with ``REPRO_STRESS=10 REPRO_DEBUG_LOCKS=1``).
@@ -41,6 +42,8 @@ from repro.storage.engine import PrimaEngine
 from repro.storage.shipping import plan_from_json, plan_to_json
 from repro.storage.wal import DurabilityConfig, WriteAheadLog
 
+from reference import row
+
 STRESS = max(1, int(os.environ.get("REPRO_STRESS", "1")))
 
 COUNT = "SELECT p.grp, COUNT(c) FROM p - c GROUP BY p.grp;"
@@ -52,13 +55,9 @@ FILTERED = "SELECT p.grp, COUNT(c), COUNT(*) FROM p - c WHERE p.grp = 'v' GROUP 
 GLOBAL = "SELECT COUNT(c) FROM p - c;"
 
 
-def rows(engine, statement, columnar=True, query=None):
-    """The answer rows of *statement* with the columnar path on or off."""
-    engine.set_columnar(columnar)
-    try:
-        return (query or engine.query)(statement).rows
-    finally:
-        engine.set_columnar(True)
+def row_rows(engine, statement, at=None):
+    """The row Γ's answer rows of *statement* at the engine's state."""
+    return row(engine, statement, at).rows
 
 
 def route(engine, statement):
@@ -111,14 +110,14 @@ class TestLiteralShapes:
         plan = route(engine, statement)
         assert isinstance(plan, ColumnarAggregatePlan) and plan.hop is not None, statement
         assert engine.query(statement).rows == EXPECTED[statement]
-        assert rows(engine, statement, columnar=False) == EXPECTED[statement]
+        assert row_rows(engine, statement) == EXPECTED[statement]
 
     def test_range_filter(self):
         engine = build_literal()
         statement = "SELECT p.grp, COUNT(c) FROM p - c WHERE p.n > 2 GROUP BY p.grp;"
         assert isinstance(route(engine, statement), ColumnarAggregatePlan)
         assert engine.query(statement).rows == (("v", 2), (None, 1))
-        assert rows(engine, statement, columnar=False) == (("v", 2), (None, 1))
+        assert row_rows(engine, statement) == (("v", 2), (None, 1))
 
     def test_counters(self):
         engine = build_literal()
@@ -216,7 +215,7 @@ class TestIneligibleShapes:
     )
     def test_keeps_the_row_aggregate(self, engine, statement):
         assert isinstance(route(engine, statement), AggregatePlan), statement
-        assert engine.query(statement).rows == rows(engine, statement, columnar=False)
+        assert engine.query(statement).rows == row_rows(engine, statement)
 
     def test_a_root_index_beats_the_link_pass(self, engine):
         """The route reads every link whatever the root filter keeps, so a
@@ -378,7 +377,7 @@ class Sweep(Writer):
         if len(self.handles) >= 2:
             return
         handle = self.engine.snapshot_at()
-        expected = {s: rows(self.engine, s, False, handle.query) for s in STATEMENTS}
+        expected = {s: row_rows(self.engine, s, handle.snapshot) for s in STATEMENTS}
         self.handles.append((handle, expected))
 
     def release(self, position: int) -> None:
@@ -401,7 +400,7 @@ class Sweep(Writer):
         # At the head, or the session's snapshot with its private writes.
         for statement in STATEMENTS:
             result = self.engine.query(statement)
-            assert result.rows == rows(self.engine, statement, False), statement
+            assert result.rows == row_rows(self.engine, statement), statement
             if isinstance(result.plan_choice.best, ColumnarAggregatePlan):
                 assert result.counters.molecules_derived == 0, statement
         for handle, expected in self.handles:
@@ -507,7 +506,7 @@ def check_replicas(replicated, sequence) -> None:
             writer.apply(step)
     engine.replication_hub().catch_up_all()
     for statement in STATEMENTS:
-        expected = rows(engine, statement, columnar=False)
+        expected = row_rows(engine, statement)
         assert follower.query(statement).rows == expected, statement
         (shipped,) = engine.parallel_query([statement], mode="process")
         assert shipped.rows == expected, statement
@@ -600,13 +599,13 @@ def assert_lone_links_typed(engine, expected) -> None:
     lone = engine.get_atom("p", "lone")
     assert {link.endpoints for link in database.ltyp("cp").links_of(lone)} == expected
     database.validate()
-    assert engine.query(COUNT).rows == rows(engine, COUNT, columnar=False) == WITH_LONE
+    assert engine.query(COUNT).rows == row_rows(engine, COUNT) == WITH_LONE
     links = len(database.ltyp("cp"))
     result = engine.query("DELETE FROM p WHERE p.name = 'Plone';")
     assert result.write_summary.links_removed == len(expected)
     assert len(database.ltyp("cp")) == links - len(expected)
     database.validate()  # no dangling link left behind
-    assert engine.query(COUNT).rows == rows(engine, COUNT, columnar=False) == WITHOUT_LONE
+    assert engine.query(COUNT).rows == row_rows(engine, COUNT) == WITHOUT_LONE
 
 
 class TestIdentifiersEitherWayRound:
@@ -688,7 +687,7 @@ def test_walk_tells_sides_by_type():
     engine.connect("pc", "y", "x")
     count = "SELECT p.name, COUNT(c) FROM p - c GROUP BY p.name;"
     assert isinstance(route(engine, count), ColumnarAggregatePlan)
-    assert engine.query(count).rows == rows(engine, count, columnar=False) == (("px", 0), ("py", 1))
+    assert engine.query(count).rows == row_rows(engine, count) == (("px", 0), ("py", 1))
     molecules = {
         molecule["_id"]: [child["_id"] for child in molecule.get("c", ())]
         for molecule in engine.query("SELECT ALL FROM p - c;").to_dicts()

@@ -95,6 +95,16 @@ class TestReadme:
         unnumbered = lambda report: re.sub(r"mql_result\d+", "mql_result", report)  # noqa: E731
         assert unnumbered(explanation) == unnumbered(printed.group(1))
 
+    def test_readme_lint_transcript_matches_the_linter(self, capsys):
+        """The transcript under "Development: concurrency lint" is what
+        ``python -m repro.analysis`` prints for this tree."""
+        from repro.analysis.__main__ import main
+
+        printed = re.search(r"^repro-lint: clean — .*$", read("README.md"), flags=re.M)
+        assert printed
+        assert main([]) == 0
+        assert capsys.readouterr().out.strip() == printed.group(0)
+
     def test_readme_examples_table_matches_directory(self):
         text = read("README.md")
         referenced = set(re.findall(r"`examples/([a-z_]+\.py)`", text))

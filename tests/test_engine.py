@@ -36,6 +36,8 @@ from repro.mql.ast_nodes import ExplainStatement
 from repro.mql.translator import to_logical_plan
 from repro.storage import PrimaEngine
 
+from reference import literal
+
 
 @pytest.fixture()
 def state_area_desc():
@@ -275,8 +277,10 @@ class TestPrimaEngineRouting:
     def test_explain_and_escape_hatch(self, prima):
         choice = prima.plan("SELECT state, area FROM mt_state(state-area-edge-point);")
         assert "α" in choice.explain()
-        literal = prima.query("SELECT ALL FROM state-area;", optimize=False)
-        assert len(literal) == 10
+        # The literal algebra is the reference the one route is checked against.
+        statement = "SELECT ALL FROM state-area;"
+        reference = literal(prima.to_database(), statement)
+        assert len(reference) == len(prima.query(statement)) == 10
 
     def test_held_interpreter_sees_writes_coherently(self, prima):
         """A held interpreter observes writes: one coherent, maintained view.

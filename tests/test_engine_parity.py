@@ -1,8 +1,8 @@
-"""Executor/algebra parity: the planned streaming pipeline and the legacy
-direct-algebra path must return identical molecule sets.
+"""Executor/algebra parity: the planned streaming pipeline must return the
+molecule sets of the literal α → Σ → Π algebra (``reference.literal``).
 
 The streaming executor never materializes intermediate results, while the
-literal path propagates every operation's result set into an enlarged
+literal algebra propagates every operation's result set into an enlarged
 database (Definitions 8–10).  Propagation renames atom types, so molecules
 are compared by *value*: root-atom identifier plus the set of component atom
 identifiers — exactly the molecule identity the set operations use.
@@ -21,6 +21,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.datasets.bill_of_materials import build_bill_of_materials
 from repro.datasets.geography import load_geography
 from repro.mql import execute
+
+from reference import literal
 
 GEOGRAPHY_STATEMENTS = [
     "SELECT ALL FROM mt_state(state-area-edge-point);",
@@ -63,16 +65,16 @@ def bom_db():
 
 @pytest.mark.parametrize("statement", GEOGRAPHY_STATEMENTS)
 def test_geography_parity(geo_db_module, statement):
-    planned = execute(geo_db_module, statement, optimize=True)
-    literal = execute(geo_db_module, statement, optimize=False)
-    assert molecule_set(planned) == molecule_set(literal)
+    planned = execute(geo_db_module, statement)
+    reference = literal(geo_db_module, statement)
+    assert molecule_set(planned) == molecule_set(reference)
 
 
 @pytest.mark.parametrize("statement", BOM_STATEMENTS)
 def test_bom_recursive_parity(bom_db, statement):
-    planned = execute(bom_db, statement, optimize=True)
-    literal = execute(bom_db, statement, optimize=False)
-    assert molecule_set(planned) == molecule_set(literal)
+    planned = execute(bom_db, statement)
+    reference = literal(bom_db, statement)
+    assert molecule_set(planned) == molecule_set(reference)
 
 
 @settings(
@@ -83,9 +85,9 @@ def test_bom_recursive_parity(bom_db, statement):
 @given(threshold=st.integers(min_value=0, max_value=1200))
 def test_root_restriction_parity_for_all_thresholds(geo_db_module, threshold):
     statement = f"SELECT ALL FROM state-area-edge-point WHERE state.hectare > {threshold};"
-    planned = execute(geo_db_module, statement, optimize=True)
-    literal = execute(geo_db_module, statement, optimize=False)
-    assert molecule_set(planned) == molecule_set(literal)
+    planned = execute(geo_db_module, statement)
+    reference = literal(geo_db_module, statement)
+    assert molecule_set(planned) == molecule_set(reference)
 
 
 @settings(
@@ -99,29 +101,23 @@ def test_recursive_level_restriction_parity(bom_db, threshold, direction):
         f"SELECT ALL FROM RECURSIVE part [composition] {direction} "
         f"WHERE part.level < {threshold};"
     )
-    planned = execute(bom_db, statement, optimize=True)
-    literal = execute(bom_db, statement, optimize=False)
-    assert molecule_set(planned) == molecule_set(literal)
+    planned = execute(bom_db, statement)
+    reference = literal(bom_db, statement)
+    assert molecule_set(planned) == molecule_set(reference)
 
 
 def test_projection_parity_projects_identically(geo_db_module):
     statement = "SELECT state, area FROM mt_state(state-area-edge-point) WHERE state.hectare > 700;"
-    planned = execute(geo_db_module, statement, optimize=True)
-    literal = execute(geo_db_module, statement, optimize=False)
-    # Besides identical molecule sets, both paths must cut molecules to the
-    # same per-molecule size (one state plus one area).
-    assert sorted(len(m) for m in planned) == sorted(len(m) for m in literal)
+    planned = execute(geo_db_module, statement)
+    reference = literal(geo_db_module, statement)
+    # Besides identical molecule sets, both must cut molecules to the same
+    # per-molecule size (one state plus one area).
+    assert sorted(len(m) for m in planned) == sorted(len(m) for m in reference)
     assert all(len(m) == 2 for m in planned)
 
 
 def test_planned_path_reports_work_and_plan(geo_db_module):
-    result = execute(
-        geo_db_module, "SELECT ALL FROM state-area WHERE state.hectare > 800;", optimize=True
-    )
+    result = execute(geo_db_module, "SELECT ALL FROM state-area WHERE state.hectare > 800;")
     assert result.counters is not None
     assert result.counters.molecules_derived >= len(result)
     assert result.plan_choice is not None
-    literal = execute(
-        geo_db_module, "SELECT ALL FROM state-area WHERE state.hectare > 800;", optimize=False
-    )
-    assert literal.counters is None and literal.plan_choice is None

@@ -2,11 +2,13 @@
 
 The Γ pipeline has two executions of every eligible aggregate — the columnar
 fold over the projection arrays and the row fold over the occurrence — and
-the whole design rests on them being byte-identical.  These tests pin the
-semantic corners (empty inputs, all-NULL targets, missing attributes, group
-keys absent from some atoms, rolled-back transactions), the translator's
-rejection surface, and close with a hypothesis sweep driving random datasets
-and interleaved DML through both paths.
+the whole design rests on them being byte-identical.  The row answer comes
+from ``reference.row``: a plain interpreter over the engine's database, which
+has no columnar store.  These tests pin the semantic corners (empty inputs,
+all-NULL targets, missing attributes, group keys absent from some atoms,
+rolled-back transactions), the translator's rejection surface, and close with
+a hypothesis sweep driving random datasets and interleaved DML through both
+paths.
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.atom import reset_surrogate_counter
+from repro.engine.logical import AggregatePlan
 from repro.exceptions import MQLSemanticError, MQLSyntaxError
 from repro.storage.engine import PrimaEngine
 
+from reference import row
 
-def build_engine(columnar: bool = True) -> PrimaEngine:
+
+def build_engine() -> PrimaEngine:
     reset_surrogate_counter()
     engine = PrimaEngine()
     engine.create_atom_type(
         "item", {"name": "string", "grp": "string", "val": "real", "qty": "integer"}
     )
-    engine.set_columnar(columnar)
     return engine
 
 
@@ -130,7 +134,8 @@ class TestEdgeCases:
             "INSERT item VALUES {name: 'TX', grp: 'even', val: 999.0, qty: 1};"
         )
         inside = rows_of(engine.query(GROUPED))
-        even = next(row for row in inside if row["item.grp"] == "even")
+        assert inside == rows_of(row(engine, GROUPED))
+        even = next(entry for entry in inside if entry["item.grp"] == "even")
         assert even["count(*)"] == 7  # the private write is visible in-tx
         assert even["max(item.val)"] == 999.0
         engine.query("ROLLBACK WORK;")
@@ -149,15 +154,13 @@ class TestParity:
         )
 
     def test_columnar_and_row_paths_agree(self):
-        columnar, row = build_engine(), build_engine(columnar=False)
-        seed(columnar)
-        seed(row)
+        engine = build_engine()
+        seed(engine)
         for statement in self.queries():
-            assert fingerprint(columnar.query(statement)) == fingerprint(
-                row.query(statement)
-            ), statement
-        assert columnar.maintenance_report()["columnar_builds"] >= 1
-        assert row.maintenance_report()["columnar_builds"] == 0
+            reference = row(engine, statement)
+            assert isinstance(reference.plan_choice.best, AggregatePlan), statement
+            assert fingerprint(engine.query(statement)) == fingerprint(reference), statement
+        assert engine.maintenance_report()["columnar_builds"] >= 1
 
     def test_explain_shows_the_columnar_choice(self):
         engine = build_engine()
@@ -166,12 +169,6 @@ class TestParity:
         explanation = engine.query("EXPLAIN " + GROUPED).explanation
         assert "columnarize_aggregate" in explanation
         assert "columnar projection item" in explanation
-
-    def test_disabled_columnar_keeps_the_row_operators(self):
-        engine = build_engine(columnar=False)
-        seed(engine)
-        explanation = engine.query("EXPLAIN " + GROUPED).explanation
-        assert "columnarize_aggregate" not in explanation
 
 
 class TestErrors:
@@ -212,12 +209,6 @@ class TestErrors:
                 "SELECT COUNT(*) FROM RECURSIVE item [contains] DOWN;"
             )
 
-    def test_literal_unoptimized_path_rejects_aggregates(self):
-        engine = build_engine()
-        seed(engine)
-        with pytest.raises(MQLSemanticError, match="planned pipeline"):
-            engine.query(GLOBAL, optimize=False)
-
 
 # ------------------------------------------------------------- random sweeps
 
@@ -255,11 +246,9 @@ def workloads(draw):
 @given(workload=workloads())
 def test_random_dml_keeps_columnar_row_parity(workload):
     """Interleaved DML: after every write both paths return identical bytes."""
-    columnar, row = build_engine(), build_engine(columnar=False)
-    live = set()
-    for engine in (columnar, row):
-        seed(engine)
-    live.update(f"i{i}" for i in range(12))
+    engine = build_engine()
+    seed(engine)
+    live = {f"i{i}" for i in range(12)}
     statements = (
         GROUPED,
         "SELECT COUNT(*), COUNT(item.val), SUM(item.val) FROM item "
@@ -272,8 +261,7 @@ def test_random_dml_keeps_columnar_row_parity(workload):
             if identifier not in live:
                 continue
             live.discard(identifier)
-            for engine in (columnar, row):
-                engine.delete_atom("item", identifier)
+            engine.delete_atom("item", identifier)
         else:
             live.add(identifier)
             values = {"name": f"H{slot}"}
@@ -281,12 +269,13 @@ def test_random_dml_keeps_columnar_row_parity(workload):
                 values["val"] = value
             if group is not None:
                 values["grp"] = group
-            for engine in (columnar, row):
-                engine.store_atom("item", identifier=identifier, **values)
+            engine.store_atom("item", identifier=identifier, **values)
         for statement in statements:
-            assert fingerprint(columnar.query(statement)) == fingerprint(
-                row.query(statement)
+            assert fingerprint(engine.query(statement)) == fingerprint(
+                row(engine, statement)
             ), (op, slot, statement)
     # A pinned snapshot of the final state agrees too.
-    col_pin, row_pin = columnar.snapshot_at(), row.snapshot_at()
-    assert fingerprint(col_pin.query(GROUPED)) == fingerprint(row_pin.query(GROUPED))
+    with engine.snapshot_at() as pin:
+        assert fingerprint(pin.query(GROUPED)) == fingerprint(
+            row(engine, GROUPED, at=pin.snapshot)
+        )

@@ -425,18 +425,6 @@ class TestMQLTransactions:
         assert view.atyp("state").get("s1")["hectare"] == 100
         db.release_pin(snapshot.generation)
 
-    def test_literal_path_is_rejected_under_a_snapshot(self):
-        """Regression: optimize=False must not silently read the head while a
-        snapshot (session or handle) is in play."""
-        from repro.exceptions import MQLSemanticError
-
-        engine = small_engine()
-        engine.query("BEGIN WORK;")
-        with pytest.raises(MQLSemanticError):
-            engine.query("SELECT ALL FROM state-area;", optimize=False)
-        engine.query("COMMIT WORK;")
-        assert len(engine.query("SELECT ALL FROM state-area;", optimize=False)) > 0
-
     def test_transaction_statement_misuse(self):
         engine = small_engine()
         with pytest.raises(TransactionError):

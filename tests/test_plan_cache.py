@@ -8,8 +8,9 @@ planning did depend on.  The tests below check the premise (a), the
 outcome against a reference that never hits (b), every invalidation (c),
 the error surface (d) and concurrent use (e).
 
-The reference is the interpreter's own statement-as-AST entry point, which
-plans every statement fresh: the product has no switch to turn the cache
+The reference is the interpreter's own statement-as-AST entry point: the
+same compile step as a cache miss, run on every statement with its own
+literals and never stored.  The product has no switch to turn the cache
 off, and needs none.  ``REPRO_STRESS`` multiplies the sweep's examples and
 the concurrent rounds (CI's stress step runs this file with
 ``REPRO_STRESS=10 REPRO_DEBUG_LOCKS=1``).
@@ -33,8 +34,6 @@ from repro.core.database import Database
 from repro.datasets.bill_of_materials import define_bom_schema
 from repro.datasets.geography import load_geography
 from repro.engine.logical import (
-    AggregatePlan,
-    ColumnarAggregatePlan,
     IntervalScanPlan,
     RecursivePlan,
     describe_plan,
@@ -361,10 +360,17 @@ def streams(draw):
     return ops
 
 
+def planned(result):
+    """The plan a statement ran: the chosen plan's kind and the rules that fired."""
+    choice = result.plan_choice
+    return None if choice is None else (type(choice.best).__name__, choice.applied_rules)
+
+
 def run_stream(ops, cached: bool):
-    """Run *ops* on a fresh engine and record every outcome.  With *cached*
-    statements are sent as text (the statement cache), otherwise parsed —
-    the reference, planned fresh every time."""
+    """Run *ops* on a fresh engine and record every outcome, the plan beside
+    each result.  With *cached* statements are sent as text (the statement
+    cache: a hit binds the literals into a plan compiled earlier), otherwise
+    parsed — the reference, compiled with its own literals every time."""
     reset_surrogate_counter()
     engine = PrimaEngine.from_database(build_mesh())
 
@@ -395,11 +401,12 @@ def run_stream(ops, cached: bool):
             elif kind == "pinned":
                 if not handles:
                     continue
-                outcome = fingerprint(send(handles[-1], text))
+                result = send(handles[-1], text)
+                outcome = (fingerprint(result), planned(result))
             else:
                 result = send(engine, text)
                 summary = result.write_summary
-                outcome = (fingerprint(result), None if summary is None else vars(summary))
+                outcome = (fingerprint(result), None if summary is None else vars(summary), planned(result))
         except MADError as error:
             outcome = (type(error).__name__, str(error))
         outcomes.append((kind, text, outcome))
@@ -501,19 +508,6 @@ def test_a_new_structure_index_replans_a_cached_closure(engine):
     assert fingerprint(accelerated) == fingerprint(first)
     assert cache(engine)["invalidations"] >= 1
     assert isinstance(engine.query(text.format("P000013")).plan_choice.best, IntervalScanPlan)
-
-
-def test_the_columnar_switch_replans_a_cached_aggregate(engine):
-    text = "SELECT t0.grp, COUNT(*), SUM(t0.value) FROM t0 WHERE t0.value > {} GROUP BY t0.grp;"
-    columnar = engine.query(text.format(2))
-    assert isinstance(columnar.plan_choice.best, ColumnarAggregatePlan)
-    engine.set_columnar(False)
-    rows = engine.query(text.format(2))
-    assert isinstance(rows.plan_choice.best, AggregatePlan)
-    assert rows.to_dicts() == columnar.to_dicts()
-    engine.set_columnar(True)
-    assert isinstance(engine.query(text.format(5)).plan_choice.best, ColumnarAggregatePlan)
-    assert cache(engine)["invalidations"] == 2
 
 
 def test_the_statistics_epoch(engine):
