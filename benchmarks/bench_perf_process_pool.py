@@ -84,12 +84,8 @@ def build_engine(directory: str, parts: int) -> PrimaEngine:
     return engine
 
 
-def run_mode(
-    engine: PrimaEngine, requests: List[str], mode: str, workers=None
-) -> Dict[str, object]:
-    results, seconds = timed(
-        engine.parallel_query, requests, mode=mode, workers=workers
-    )
+def run_mode(engine: PrimaEngine, requests: List[str], **options) -> Dict[str, object]:
+    results, seconds = timed(engine.parallel_query, requests, **options)
     return {
         "seconds": seconds,
         "requests_per_second": len(requests) / max(seconds, 1e-9),
@@ -114,7 +110,7 @@ def measure_catchup(engine: PrimaEngine, parts: int) -> Dict[str, object]:
         )
     _, seconds = timed(pool.catch_up_all, engine.generation, pool.feed.position())
     shipped = pool.counters["catchup_records"] - before
-    serial = [fingerprint(r) for r in engine.parallel_query(STATEMENTS, mode="serial")]
+    serial = [fingerprint(r) for r in engine.parallel_query(STATEMENTS, threads=1)]
     process = [
         fingerprint(r) for r in engine.parallel_query(STATEMENTS, mode="process")
     ]
@@ -145,11 +141,11 @@ def compare(parts: int, request_rounds: int) -> Dict[str, object]:
             engine = build_engine(directory, parts)
             engines.append(engine)
             if workers is None:
-                serial_run = run_mode(engine, requests, "serial")
+                serial_run = run_mode(engine, requests, threads=1)
                 continue
             engine.process_pool(workers=workers)
             engine.parallel_query(STATEMENTS, mode="process")  # warm the pool
-            run = run_mode(engine, requests, "process", workers=workers)
+            run = run_mode(engine, requests, mode="process", workers=workers)
             run["workers"] = workers
             run["speedup"] = run["requests_per_second"] / max(
                 serial_run["requests_per_second"], 1e-9

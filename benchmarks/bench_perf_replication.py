@@ -206,7 +206,7 @@ def compare(parts: int, request_rounds: int, io_stall_ms: float) -> Dict[str, ob
         scaling.pop("followers")
         # The replica router itself: one dispatch over the caught-up fleet.
         serial_router = [
-            fingerprint(r) for r in engine.parallel_query(STATEMENTS, mode="serial")
+            fingerprint(r) for r in engine.parallel_query(STATEMENTS, threads=1)
         ]
         routed = [
             fingerprint(r) for r in engine.parallel_query(STATEMENTS, mode="replica")

@@ -29,10 +29,11 @@ ones are:
 * The WAL observer contract (observers fire *inside* the log mutex, after
   the bytes reach the OS) forces the commit feed's lock **above**
   ``WriteAheadLog._lock``.
-* ``StructureIndexStore._lock`` / ``ColumnarStore._lock`` are acquired by
-  the engine's event path while it holds the event lock, so they sit above
-  level 40; their refresh paths read atomic ``.occurrence`` copies and
-  never take a head lock underneath.
+* ``AcceleratorStore._lock`` is acquired by the engine's event path while
+  it holds the event lock, so it sits above level 40; a build never runs
+  under it (a pinned reader builds from its view outside the lock, a head
+  build reads atomic ``.occurrence`` copies), so it never takes a head lock
+  underneath.
 """
 
 from dataclasses import dataclass
@@ -206,26 +207,18 @@ LOCKS: Tuple[LockSpec, ...] = (
         rationale="the event path folds statistics into it while holding "
         "the event lock (so it sits above 40); the optimizer consults the "
         "structure-index registry while planning, so it sits below "
-        "StructureIndexStore._lock",
+        "AcceleratorStore._lock",
     ),
     LockSpec(
-        name="StructureIndexStore._lock",
+        name="AcceleratorStore._lock",
         level=44,
         kind=KIND_RLOCK,
-        module="repro.storage.structure_index",
-        guards="structure-index registration, lookup, encoding refresh and "
-        "event folds; readers never touch occurrence state while holding "
-        "it (refresh reads atomic .occurrence copies)",
-        rationale="the event path folds into it while holding the event "
-        "lock",
-    ),
-    LockSpec(
-        name="ColumnarStore._lock",
-        level=46,
-        kind=KIND_RLOCK,
-        module="repro.storage.columnar",
-        guards="columnar projection registration, lazy (re)build and event "
-        "folds; same leaf contract as the structure-index store",
+        module="repro.storage.accelerators",
+        guards="structure-index registration, admission of structure indexes "
+        "and columnar projections (head builds, reader-built installs), "
+        "per-call coherence checks, the one event fold and the stamp; "
+        "readers never touch occurrence state while holding it (head "
+        "builds read atomic .occurrence copies)",
         rationale="the event path folds into it while holding the event "
         "lock",
     ),

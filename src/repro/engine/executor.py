@@ -3,9 +3,8 @@
 :func:`compile_plan` maps each logical node onto its streaming counterpart
 (α → :class:`~repro.engine.physical.MoleculeScan`, Σ →
 :class:`~repro.engine.physical.Restrict`, …).  :class:`Executor` binds a
-database plus its access structures (index pool, structure and columnar
-stores) and runs plans,
-materializing only the final result as a
+database plus its access structures (index pool, accelerator store) and runs
+plans, materializing only the final result as a
 :class:`~repro.core.molecule.MoleculeType`.
 
 The executor itself applies **no** rewrites — optimization is the planner's
@@ -51,7 +50,6 @@ from repro.engine.physical import (
     Project,
     RecursiveScan,
     Restrict,
-    SortedGroupAggregate,
     Union,
 )
 from repro.engine.write import (
@@ -71,8 +69,6 @@ def compile_plan(plan: PlanNode) -> PhysicalOperator:
         )
     if isinstance(plan, AggregatePlan):
         child = compile_plan(plan.child)
-        if plan.strategy == "sort":
-            return SortedGroupAggregate(child, plan.group_by, plan.aggregates)
         return HashAggregate(child, plan.group_by, plan.aggregates)
     if isinstance(plan, ColumnarAggregatePlan):
         return ColumnarAggregate(
@@ -180,19 +176,16 @@ class Executor:
         self,
         database: Database,
         indexes: Optional[IndexPool] = None,
-        structure=None,
-        columnar=None,
+        accelerators=None,
     ) -> None:
         self.database = database
         self.indexes = (
             indexes if indexes is not None else IndexPool(database, build_transient=False)
         )
-        #: Optional :class:`~repro.storage.structure_index.StructureIndexStore`
-        #: shared with the owning engine; accelerates recursive plans.
-        self.structure = structure
-        #: Optional :class:`~repro.storage.columnar.ColumnarStore` shared with
-        #: the owning engine; accelerates single-type aggregate scans.
-        self.columnar = columnar
+        #: Optional :class:`~repro.storage.accelerators.AcceleratorStore`
+        #: shared with the owning engine: structure indexes for recursive
+        #: plans, columnar projections for aggregate scans.
+        self.accelerators = accelerators
 
     def context(
         self,
@@ -213,21 +206,20 @@ class Executor:
         pinned views resolve lock-free over immutable version chains (copying
         mutable head collections briefly under the per-type head locks), the
         pool is read under the lock its owner folds change events under, and
-        the structure-index and columnar stores are internally locked and
-        serve a pinned reader only while their encoding provably holds the
-        pinned state (the fixpoint loop and the row fold otherwise).  Head
-        contexts (``snapshot=None``) read the link types' live incidence
-        buckets and the live columnar arrays unlocked and belong to the
-        engine's owning thread.
+        the accelerator store is internally locked and serves a pinned
+        reader only while an accelerator provably holds the pinned state
+        (the fixpoint loop and the row fold otherwise).  Head contexts
+        (``snapshot=None``) read the link types' live incidence buckets and
+        the live columnar arrays unlocked and belong to the engine's owning
+        thread.
         """
         if snapshot is None:
             return ExecutionContext(
-                self.database, counters, self.indexes,
-                structure=self.structure, columnar=self.columnar,
+                self.database, counters, self.indexes, accelerators=self.accelerators
             )
         return ExecutionContext(
             self.database.at(snapshot), counters, self.indexes, snapshot=snapshot,
-            structure=self.structure, columnar=self.columnar,
+            accelerators=self.accelerators,
         )
 
     def stream(

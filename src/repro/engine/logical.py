@@ -139,14 +139,11 @@ class AggregatePlan:
 
     *group_by* keys always reference the root atom type (one molecule = one
     root atom, so root attributes partition the stream unambiguously).
-    *strategy* names the physical choice (``"hash"`` or ``"sort"``) the
-    planner costed; both produce canonically-ordered, byte-identical rows.
     """
 
     child: "PlanNode"
     group_by: Tuple[AttributeRef, ...]
     aggregates: Tuple[AggregateSpec, ...]
-    strategy: str = "hash"
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,6 @@ def describe_plan(plan: PlanNode, indent: str = "") -> str:
         header = f"{indent}Γ [{aggs}]"
         if keys:
             header += f" group by [{keys}]"
-        header += f" ({plan.strategy})"
         return header + "\n" + describe_plan(plan.child, indent + "  ")
     if isinstance(plan, ColumnarAggregatePlan):
         keys = ", ".join(repr(key) for key in plan.group_by)
@@ -415,7 +411,6 @@ def map_plan(
             map_plan(plan.child, formula, description),
             plan.group_by,
             plan.aggregates,
-            plan.strategy,
         )
     if isinstance(plan, ColumnarAggregatePlan):
         if plan.root_filter is None:

@@ -230,8 +230,7 @@ class ExecutionContext:
         counters: Optional[ExecutionCounters] = None,
         indexes: Optional[IndexPool] = None,
         snapshot=None,
-        structure=None,
-        columnar=None,
+        accelerators=None,
     ) -> None:
         self.database = database
         self.counters = counters or ExecutionCounters()
@@ -241,12 +240,10 @@ class ExecutionContext:
         #: The pinned :class:`~repro.core.versions.Snapshot` when *database*
         #: is a generation-stamped view, ``None`` for head execution.
         self.snapshot = snapshot
-        #: Optional :class:`~repro.storage.structure_index.StructureIndexStore`
-        #: — the interval-encoded accelerator for recursive definitions.
-        self.structure = structure
-        #: Optional :class:`~repro.storage.columnar.ColumnarStore` — the
-        #: read-optimized per-type attribute arrays for aggregate scans.
-        self.columnar = columnar
+        #: Optional :class:`~repro.storage.accelerators.AcceleratorStore` —
+        #: the structure indexes for recursive definitions and the columnar
+        #: projections for aggregate scans.
+        self.accelerators = accelerators
 
     def lookup(
         self, atom_type_name: str, attribute: str, value: object
@@ -534,7 +531,7 @@ class IntervalScan(PhysicalOperator):
     Result-equivalent to :class:`RecursiveScan`: one recursively expanded
     molecule per root atom, restricted by the optional formula.  The closure
     of each root comes from the context's
-    :class:`~repro.storage.structure_index.StructureIndexStore` — a pre/post
+    :class:`~repro.storage.accelerators.AcceleratorStore` — a pre/post
     interval range scan on forest-shaped data, a compact-adjacency BFS
     otherwise — and the fixpoint loop remains the per-root fallback whenever
     the index cannot answer coherently (pinned snapshot ahead/behind the
@@ -567,8 +564,8 @@ class IntervalScan(PhysicalOperator):
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Molecule]:
         base_description = self.describe(ctx)
-        store = getattr(ctx, "structure", None)
-        index = store.for_execution(self.description, ctx) if store is not None else None
+        store = getattr(ctx, "accelerators", None)
+        index = store.index_for(self.description, ctx) if store is not None else None
         # A pinned reader names its generation on every store call: the head
         # may fold a write into the shared encoding between two of them.
         generation = ctx.snapshot.generation if ctx.snapshot is not None else None
@@ -952,7 +949,7 @@ def finalize_groups(
 ) -> List[Tuple]:
     """Turn accumulated groups into canonically ordered result rows.
 
-    Shared by every Γ operator — the row, sorted and columnar folds all
+    Shared by every Γ operator — the row and columnar folds both
     finalize through this one function, which is what makes their outputs
     byte-identical.  A global aggregate (no GROUP BY) over empty input yields
     its one row with zero counts and NULL value aggregates; a grouped
@@ -1042,8 +1039,9 @@ def _component_lookup(per_type: "Dict[str, Dict[str, Atom]]"):
     return atoms_of_type
 
 
-class _MoleculeAggregate(AggregationOperator):
-    """Γ over a child operator's molecules, one fold per molecule.
+class HashAggregate(AggregationOperator):
+    """Streaming Γ: fold the child's molecules into a group hash table, one
+    fold per molecule.
 
     A bare α is folded component-wise: the group key comes from the root
     atom and the aggregate targets from :meth:`MoleculeScan.components`, so no
@@ -1075,45 +1073,12 @@ class _MoleculeAggregate(AggregationOperator):
             key = tuple(ref.value_from_atom(molecule.root_atom) for ref in group_by)
             yield key, molecule.atoms_of_type
 
-
-class HashAggregate(_MoleculeAggregate):
-    """Streaming Γ: fold the child's molecules into a group hash table."""
-
     def rows(self, ctx: ExecutionContext) -> List[Tuple]:
         groups: Dict[Tuple, _GroupAccumulator] = {}
         for key, atoms_of_type in self._keyed_inputs(ctx):
             accumulator = groups.get(key)
             if accumulator is None:
                 accumulator = groups[key] = _GroupAccumulator(self.aggregates)
-            accumulator.fold_components(self.aggregates, atoms_of_type)
-        ctx.counters.groups_aggregated += len(groups)
-        return finalize_groups(self.group_by, self.aggregates, groups)
-
-
-class SortedGroupAggregate(_MoleculeAggregate):
-    """Γ by sorting: materialize keyed molecules, sort, fold adjacent runs.
-
-    Result-identical to :class:`HashAggregate` (the planner's cost model
-    picks between them): equal keys are adjacent after the canonical sort, so
-    one accumulator is live at a time; a final merge pass guards the
-    pathological case of ``==``-equal keys with distinct canonical forms
-    (e.g. ``1`` vs ``1.0``).
-    """
-
-    def rows(self, ctx: ExecutionContext) -> List[Tuple]:
-        keyed = list(self._keyed_inputs(ctx))
-        keyed.sort(key=lambda pair: _canonical_key(pair[0]))
-        groups: Dict[Tuple, _GroupAccumulator] = {}
-        run_key: Optional[Tuple] = None
-        accumulator: Optional[_GroupAccumulator] = None
-        for key, atoms_of_type in keyed:
-            if accumulator is None or key != run_key:
-                run_key = key
-                previous = groups.get(key)
-                if previous is None:
-                    accumulator = groups[key] = _GroupAccumulator(self.aggregates)
-                else:  # an ==-equal key seen under another canonical form
-                    accumulator = previous
             accumulator.fold_components(self.aggregates, atoms_of_type)
         ctx.counters.groups_aggregated += len(groups)
         return finalize_groups(self.group_by, self.aggregates, groups)
@@ -1132,7 +1097,7 @@ class ColumnarAggregate(AggregationOperator):
     chosen by endpoint type, never by identifier, because identifiers are
     unique only within a type.  No molecule is derived.
 
-    When the context's columnar store refuses to serve the executing
+    When the context's accelerator store refuses to serve the executing
     snapshot (stale arrays, private transaction writes) the qualifying root
     atoms come from the (pinned) occurrence instead and go through the same
     fold and link pass — same accumulators, same finalize, byte-identical
@@ -1191,9 +1156,9 @@ class ColumnarAggregate(AggregationOperator):
         through :func:`merge_group_accumulators` before one shared
         :func:`finalize_groups` pass.
         """
-        store = getattr(ctx, "columnar", None)
+        store = getattr(ctx, "accelerators", None)
         projection = (
-            store.for_execution(self.atom_type_name, ctx) if store is not None else None
+            store.projection_for(self.atom_type_name, ctx) if store is not None else None
         )
         conjuncts = self._filter_conjuncts()
         if projection is not None and conjuncts is not None:

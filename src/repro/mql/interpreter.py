@@ -199,9 +199,9 @@ class MQLInterpreter:
     statistics collected from the database on first use) and an
     :class:`~repro.engine.executor.Executor` whose access structures are
     reused across statements.  A storage engine supplies the executor to
-    share its secondary indexes, structure indexes and columnar projections
-    with the planner; neighbour traversal reads the link types' own
-    incidence.  Every statement is compiled by one step
+    share its secondary indexes and its accelerator store (structure indexes,
+    columnar projections) with the planner; neighbour traversal reads the
+    link types' own incidence.  Every statement is compiled by one step
     (:meth:`_compile`): statements given as text through the statement
     cache (module docstring), which every route through the interpreter
     shares — ``execute`` at the head, in a ``BEGIN WORK`` session and at a
@@ -435,9 +435,9 @@ class MQLInterpreter:
         """What a cached plan depends on besides its template: the
         structure-index registry (``accelerate_recursion``) and the
         statistics epoch."""
-        structure = self.planner.accelerators
+        accelerators = self.planner.accelerators
         return (
-            structure.registry_version if structure is not None else 0,
+            accelerators.registry_version if accelerators is not None else 0,
             self.planner.statistics_epoch,
         )
 

@@ -9,7 +9,7 @@ executes both variants and compares the estimated ranking against the measured
 work counters.
 
 Recursive plans get extra treatment: the planner consults the executor's
-structure-index store (when one is attached) for the ``accelerate_recursion``
+accelerator store (when one is attached) for the ``accelerate_recursion``
 rewrite, costs the fixpoint-vs-interval choice from the observed recursion
 profiles in :class:`~repro.optimizer.statistics.DatabaseStatistics`, and
 annotates the :class:`PlanChoice` with per-recursion notes — traversal depth,
@@ -93,9 +93,9 @@ class Planner:
     """Applies the rewrite rules and picks the cheaper plan.
 
     When an :class:`~repro.engine.executor.Executor` is supplied its access
-    structures (index pool, structure-index store, columnar store) are reused
-    for execution and for the ``accelerate_recursion`` rewrite; otherwise a
-    transient executor over *database* is created on demand.
+    structures (index pool, accelerator store) are reused for execution and
+    for the ``accelerate_recursion`` and ``columnarize_aggregate`` rewrites;
+    otherwise a transient executor over *database* is created on demand.
 
     Statistics are collected lazily, on the first optimization where a
     rewrite rule actually fired or a recursive node needs costing (costing
@@ -108,18 +108,11 @@ class Planner:
     change what a plan returns.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        statistics: Optional[DatabaseStatistics] = None,
-        executor: Optional[Executor] = None,
-        accelerators=None,
-    ) -> None:
+    def __init__(self, database: Database, executor: Optional[Executor] = None) -> None:
         self.database = database
-        self._statistics = statistics
+        self._statistics: Optional[DatabaseStatistics] = None
         self._cost_model: Optional[CostModel] = None
         self.executor = executor
-        self._accelerators = accelerators
 
     @property
     def statistics(self) -> DatabaseStatistics:
@@ -137,15 +130,9 @@ class Planner:
 
     @property
     def accelerators(self):
-        """The structure-index store consulted by ``accelerate_recursion``."""
-        if self._accelerators is not None:
-            return self._accelerators
-        return getattr(self.executor, "structure", None)
-
-    @property
-    def columnar(self):
-        """The columnar projection store consulted by ``columnarize_aggregate``."""
-        return getattr(self.executor, "columnar", None)
+        """The executor's accelerator store, consulted by
+        ``accelerate_recursion`` and ``columnarize_aggregate``."""
+        return getattr(self.executor, "accelerators", None)
 
     @property
     def statistics_epoch(self) -> int:
@@ -189,12 +176,7 @@ class Planner:
         return choice
 
     def _rewrite(self, plan: PlanNode) -> RewriteResult:
-        return rewrite(
-            plan,
-            self.accelerators,
-            columnar=self.columnar,
-            statistics=lambda: self.statistics,
-        )
+        return rewrite(plan, self.accelerators, statistics=lambda: self.statistics)
 
     def _costed(self, plan: PlanNode, rewritten: RewriteResult) -> PlanChoice:
         choice = PlanChoice(
@@ -257,10 +239,10 @@ class Planner:
         """EXPLAIN annotations for a columnarized Γ: projection state and size."""
         if not isinstance(plan, ColumnarAggregatePlan):
             return ()
-        columnar = self.columnar
-        if columnar is None:
+        accelerators = self.accelerators
+        if accelerators is None:
             return ()
-        return tuple(columnar.describe(plan.atom_type_name))
+        return tuple(accelerators.describe_projection(plan.atom_type_name))
 
     def _recursion_notes(self, nodes) -> Tuple[str, ...]:
         """EXPLAIN annotations for every recursive node of the chosen plan:
@@ -320,7 +302,7 @@ class Planner:
                     notes.append("  root access: all roots")
                 accelerators = self.accelerators
                 if accelerators is not None:
-                    notes.extend(accelerators.describe(description))
+                    notes.extend(accelerators.describe_index(description))
         return tuple(notes)
 
     def execute_best(self, plan: PlanNode) -> PlanExecution:

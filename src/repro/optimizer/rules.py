@@ -86,7 +86,7 @@ def merge_restrictions(plan: PlanNode) -> RewriteResult:
         if isinstance(node, ProjectPlan):
             return ProjectPlan(walk(node.child), node.atom_type_names)
         if isinstance(node, AggregatePlan):
-            return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
+            return AggregatePlan(walk(node.child), node.group_by, node.aggregates)
         if isinstance(node, SetOpPlan):
             return SetOpPlan(node.operator, walk(node.left), walk(node.right), node.name)
         return node
@@ -126,7 +126,7 @@ def push_down_restriction(plan: PlanNode) -> RewriteResult:
         if isinstance(node, ProjectPlan):
             return ProjectPlan(walk(node.child), node.atom_type_names)
         if isinstance(node, AggregatePlan):
-            return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
+            return AggregatePlan(walk(node.child), node.group_by, node.aggregates)
         if isinstance(node, SetOpPlan):
             return SetOpPlan(node.operator, walk(node.left), walk(node.right), node.name)
         return node
@@ -197,7 +197,7 @@ def prune_structure(plan: PlanNode) -> RewriteResult:
         if isinstance(node, ProjectPlan):
             return ProjectPlan(walk(node.child), node.atom_type_names)
         if isinstance(node, AggregatePlan):
-            return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
+            return AggregatePlan(walk(node.child), node.group_by, node.aggregates)
         return node
 
     return RewriteResult(walk(plan), tuple(applied))
@@ -207,7 +207,7 @@ def accelerate_recursion(plan: PlanNode, accelerators) -> RewriteResult:
     """Replace fixpoint recursion with an interval scan where an index exists.
 
     *accelerators* is the engine's
-    :class:`~repro.storage.structure_index.StructureIndexStore` (or ``None``
+    :class:`~repro.storage.accelerators.AcceleratorStore` (or ``None``
     outside an engine).  The rule fires only for descriptions whose
     ``(atom type, link type, direction)`` key has been registered via
     ``CREATE STRUCTURE INDEX`` — the physical operator still falls back to
@@ -227,7 +227,7 @@ def accelerate_recursion(plan: PlanNode, accelerators) -> RewriteResult:
         if isinstance(node, ProjectPlan):
             return ProjectPlan(walk(node.child), node.atom_type_names)
         if isinstance(node, AggregatePlan):
-            return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
+            return AggregatePlan(walk(node.child), node.group_by, node.aggregates)
         if isinstance(node, SetOpPlan):
             return SetOpPlan(node.operator, walk(node.left), walk(node.right), node.name)
         return node
@@ -311,7 +311,7 @@ def choose_root_access(plan: PlanNode, statistics=None) -> RewriteResult:
         if isinstance(node, ProjectPlan):
             return ProjectPlan(walk(node.child), node.atom_type_names)
         if isinstance(node, AggregatePlan):
-            return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
+            return AggregatePlan(walk(node.child), node.group_by, node.aggregates)
         if isinstance(node, SetOpPlan):
             return SetOpPlan(node.operator, walk(node.left), walk(node.right), node.name)
         return node
@@ -357,12 +357,12 @@ def _one_hop(node: AggregatePlan, statistics) -> Optional[Tuple[str, str]]:
     return (link_type_name, component) if link_type_name else None
 
 
-def columnarize_aggregate(plan: PlanNode, columnar, statistics=None) -> RewriteResult:
+def columnarize_aggregate(plan: PlanNode, accelerators, statistics=None) -> RewriteResult:
     """Route an eligible Γ onto the columnar projection scan.
 
-    *columnar* is the engine's
-    :class:`~repro.storage.columnar.ColumnarStore` (or ``None`` outside an
-    engine).  Eligible means: the Γ input is a bare α whose root filter is
+    *accelerators* is the engine's
+    :class:`~repro.storage.accelerators.AcceleratorStore` (or ``None``
+    outside an engine).  Eligible means: the Γ input is a bare α whose root filter is
     absent or a conjunction of literal comparisons — exactly what the
     columnar operator can evaluate column-wise — over either the root type
     alone or one hop to a component type (:func:`_one_hop`).  The hop needs
@@ -374,7 +374,7 @@ def columnarize_aggregate(plan: PlanNode, columnar, statistics=None) -> RewriteR
     always result-preserving.
     """
     applied: List[str] = []
-    if columnar is None:
+    if accelerators is None:
         return RewriteResult(plan, ())
     cost_model = _lazy_cost_model(statistics)
 
@@ -410,7 +410,7 @@ def columnarize_aggregate(plan: PlanNode, columnar, statistics=None) -> RewriteR
             if columnar_node is not None:
                 applied.append("columnarize_aggregate")
                 return columnar_node
-            return AggregatePlan(walk(node.child), node.group_by, node.aggregates, node.strategy)
+            return AggregatePlan(walk(node.child), node.group_by, node.aggregates)
         if isinstance(node, RestrictPlan):
             return RestrictPlan(walk(node.child), node.formula)
         if isinstance(node, ProjectPlan):
@@ -422,7 +422,7 @@ def columnarize_aggregate(plan: PlanNode, columnar, statistics=None) -> RewriteR
     return RewriteResult(walk(plan), tuple(applied))
 
 
-def rewrite(plan: PlanNode, accelerators=None, columnar=None, statistics=None) -> RewriteResult:
+def rewrite(plan: PlanNode, accelerators=None, statistics=None) -> RewriteResult:
     """Apply all rules in their canonical order: merge, push down, choose the
     root access method, prune, accelerate recursion, columnarize aggregates.
 
@@ -434,7 +434,7 @@ def rewrite(plan: PlanNode, accelerators=None, columnar=None, statistics=None) -
     access = choose_root_access(pushed.plan, statistics)
     pruned = prune_structure(access.plan)
     accelerated = accelerate_recursion(pruned.plan, accelerators)
-    columnarized = columnarize_aggregate(accelerated.plan, columnar, statistics)
+    columnarized = columnarize_aggregate(accelerated.plan, accelerators, statistics)
     applied = (
         merged.applied_rules
         + pushed.applied_rules

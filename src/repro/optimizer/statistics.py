@@ -11,7 +11,6 @@ benchmark runs — which is all a rule-driven planner needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
@@ -295,13 +294,8 @@ class CostModel:
         if isinstance(plan, AggregatePlan):
             child_cost, child_cardinality = self._estimate(plan.child)
             groups = self._group_cardinality(plan.group_by, child_cardinality)
-            # One fold per input molecule, plus the grouping structure: hash
-            # probes are linear, sorted grouping pays the comparison sort.
-            if plan.strategy == "sort":
-                grouping = child_cardinality * max(1.0, math.log2(child_cardinality + 1.0))
-            else:
-                grouping = child_cardinality
-            return child_cost + child_cardinality + grouping, groups
+            # One fold and one hash probe per input molecule.
+            return child_cost + 2 * child_cardinality, groups
         if isinstance(plan, ColumnarAggregatePlan):
             atoms = self._atom_count(plan.atom_type_name)
             cardinality = atoms

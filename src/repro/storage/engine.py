@@ -71,8 +71,7 @@ from repro.core.molecule_algebra import molecule_type_definition
 from repro.core.versions import Snapshot
 from repro.exceptions import StorageError
 from repro.storage.recovery import RecoveryResult, describe_attributes, recover
-from repro.storage.columnar import ColumnarStore
-from repro.storage.structure_index import StructureIndexStore
+from repro.storage.accelerators import AcceleratorStore
 from repro.storage.wal import DurabilityConfig, WriteAheadLog, encode_event
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -144,12 +143,11 @@ class PrimaEngine:
         #: Basic-interface reads and occurrence writes per type name.
         self._reads: Dict[str, int] = collections.Counter()
         self._writes: Dict[str, int] = collections.Counter()
-        #: Interval-encoded structure indexes over recursive link closures
-        #: (``CREATE STRUCTURE INDEX``).  Created before recovery runs, which
-        #: may replay ``structure_index`` DDL records into it.
-        self._structure_indexes = StructureIndexStore()
-        #: Columnar attribute projections backing MQL aggregate scans.
-        self._columnar = ColumnarStore()
+        #: The structure indexes over recursive link closures (``CREATE
+        #: STRUCTURE INDEX``) and the columnar projections backing aggregate
+        #: scans.  Created before recovery runs, which may replay
+        #: ``structure_index`` DDL records into it.
+        self._accelerators = AcceleratorStore()
         # -- durability state (all inert when durability is None) -----------
         self._durability = durability
         self._wal: Optional[WriteAheadLog] = None
@@ -299,7 +297,7 @@ class PrimaEngine:
                 f"link type {link_type_name!r} does not connect atom type "
                 f"{atom_type_name!r}"
             )
-        self._structure_indexes.register(atom_type_name, link_type_name, direction)
+        self._accelerators.register(atom_type_name, link_type_name, direction)
         if self._wal is not None:
             self._wal.append_ddl(
                 {
@@ -473,8 +471,7 @@ class PrimaEngine:
                 executor = Executor(
                     database,
                     indexes=self._pool(),
-                    structure=self._structure_indexes,
-                    columnar=self._columnar,
+                    accelerators=self._accelerators,
                 )
                 self._interpreter = MQLInterpreter(
                     database,
@@ -560,9 +557,9 @@ class PrimaEngine:
         snapshot, no matter how much committed DML races at the head.
         Readers derive lock-free over the immutable version chains; the
         plan step serializes briefly on the interpreter's planner lock and
-        an index lookup on the looked-up type's head lock (the index pool,
-        the structure indexes and the columnar projections are the head's,
-        shared by every reader — see DESIGN.md "Versioned access paths").
+        an index lookup on the looked-up type's head lock (the index pool
+        and the accelerator store are the head's, shared by every reader —
+        see DESIGN.md "Versioned access paths").
 
         *threads* defaults to ``min(len(statements), 4)``; ``threads=1``
         degrades to a serial loop over the same pinned handle (the E-PERF7
@@ -590,7 +587,6 @@ class PrimaEngine:
         (:meth:`create_follower`); a follower lagging at most *max_lag*
         generations serves at its own applied generation, so with the
         default 0 every follower answers exactly at the pin.
-        ``mode="serial"`` is the explicit one-thread baseline.
         """
         statements = list(statements)
         if not statements:
@@ -609,12 +605,10 @@ class PrimaEngine:
                 followers = hub.followers() if hub is not None else []
                 targets = [FollowerTarget(hub, follower) for follower in followers]
             return ReadRouter(self).run(statements, generation, targets, counters, max_lag)
-        if mode == "serial":
-            threads = 1
-        elif mode != "thread":
+        if mode != "thread":
             raise StorageError(
                 f"unknown parallel_query mode {mode!r}; use 'thread', "
-                "'process', 'replica' or 'serial'"
+                "'process' or 'replica'"
             )
         if threads is None:
             threads = min(len(statements), 4)
@@ -882,8 +876,7 @@ class PrimaEngine:
                 self._wal_capture(event)
             if self._index_pool is not None:
                 self._index_pool.apply_event(event, generation=self.generation)
-            self._structure_indexes.apply_event(event, generation=self.generation)
-            self._columnar.apply_event(event, generation=self.generation)
+            self._accelerators.apply_event(event, self.generation)
             if self._interpreter is not None:
                 self._interpreter.apply_event(event)
 
@@ -900,8 +893,7 @@ class PrimaEngine:
             generation = self.generation = max(self.generation, generation)
             if self._index_pool is not None:
                 self._index_pool.generation = generation
-            self._structure_indexes.stamp(generation)
-            self._columnar.stamp(generation)
+            self._accelerators.stamp(generation)
 
     def _invalidate(self) -> None:
         """DDL: drop the derived caches (index pool, interpreter).
@@ -950,8 +942,7 @@ class PrimaEngine:
         report["index_generation"] = (
             self._index_pool.generation if self._index_pool is not None else 0
         )
-        report.update(self._structure_indexes.statistics())
-        report.update(self._columnar.statistics())
+        report.update(self._accelerators.statistics())
         return report
 
     def maintenance_report(self) -> Dict[str, object]:

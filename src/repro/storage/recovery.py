@@ -5,7 +5,9 @@ durability directory in two phases:
 
 1. **Checkpoint load** — ``checkpoint.json`` is a compact catalog + occurrence
    image (atom types with their attribute descriptions and atoms, link types
-   with cardinalities and links, secondary indexes, the write generation).
+   with cardinalities and links, secondary indexes, structure-index
+   registrations, the write generation).  Nothing derived is written: the
+   indexes and accelerators are rebuilt from the occurrence on first use.
    Checkpoints are written atomically: the image goes to a temporary file,
    is fsynced, and replaces the previous image via :func:`os.replace` — a
    crash mid-checkpoint leaves the old image intact.
@@ -148,12 +150,7 @@ def checkpoint_image(engine: "PrimaEngine") -> Dict[str, object]:
         "generation": engine.generation,
         "atom_types": atom_types,
         "link_types": link_types,
-        "structure_indexes": sorted(engine._structure_indexes.registered()),
-        # Built, non-stale interval encodings travel with the image so
-        # recovery restores them directly instead of re-deriving each from a
-        # full occurrence pass on first use (absent in older images — those
-        # simply keep the lazy-rebuild behaviour).
-        "structure_encodings": engine._structure_indexes.encoded_states(),
+        "structure_indexes": sorted(engine._accelerators.registered()),
     }
 
 
@@ -237,7 +234,6 @@ def apply_checkpoint(engine: "PrimaEngine", image: Dict[str, object]) -> int:
         engine._add_link_type(link_type)
     for atom_type, link_type, direction in image.get("structure_indexes", ()):
         engine.create_structure_index(atom_type, link_type, direction)
-    engine._structure_indexes.restore_states(image.get("structure_encodings", ()))
     engine._advance_generation(int(image.get("generation", 0)))
     return highest
 
@@ -280,10 +276,10 @@ def apply_event_record(engine: "PrimaEngine", event: Dict[str, object]) -> int:
     returns the highest surrogate ordinal it introduced.
 
     The mutation travels the engine's ordinary event path, so the index
-    pool and the structure encodings restored from the checkpoint
-    image stay coherent across the WAL tail exactly as they do across live
-    writes.  Replay is idempotent: an insert of a present atom replaces it,
-    a delete or disconnect of an absent one is a no-op.
+    pool and the accelerators stay coherent across the WAL tail exactly
+    as they do across live writes.  Replay is idempotent: an insert of a
+    present atom replaces it, a delete or disconnect of an absent one is a
+    no-op.
     """
     tag = event.get("e")
     type_name = event["t"]

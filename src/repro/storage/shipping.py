@@ -230,7 +230,6 @@ def encode_plan(plan: PlanNode) -> Dict[str, object]:
             "c": encode_plan(plan.child),
             "by": [_encode_ref(ref) for ref in plan.group_by],
             "specs": [_encode_spec(spec) for spec in plan.aggregates],
-            "strategy": plan.strategy,
         }
     if isinstance(plan, ColumnarAggregatePlan):
         return {
@@ -281,7 +280,6 @@ def decode_plan(payload: Dict[str, object]) -> PlanNode:
             decode_plan(payload["c"]),
             tuple(_decode_ref(ref) for ref in payload["by"]),
             tuple(_decode_spec(spec) for spec in payload["specs"]),
-            strategy=payload["strategy"],
         )
     if kind == "columnar":
         hop = payload["hop"]

@@ -33,27 +33,17 @@ equality conjunct are the ancestor-or-self chains of the atoms matching it
 (:meth:`StructureIndex.qualifying_roots`) — the executor materializes those
 and nothing else.
 
-MVCC interaction: indexes are generation-stamped by the owning engine.  A
-pinned snapshot may use an index only when it carries no private or excluded
-writes and the stamp lies in its window ``[newest mutation the snapshot sees,
-pinned generation]`` (:meth:`~repro.core.versions.Snapshot.covers`: a commit
-ticks the clock without an event, so the stamp trails a pin taken at the head
-and still holds its state) — checked when the scan starts, and on every call
-it makes the store verifies again, under its lock, that nothing newer than
-the pin has been folded in, because the head keeps folding writes into the
-shared encoding while the pin reads.  A registered index nobody has built yet
-(or a stale one) is built by such a reader itself, from its own pinned view
-and outside the store lock, and installed only if the stamp has not moved
-meanwhile — a replica is read through pins alone and would otherwise stay on
-the fixpoint loop for ever.  Otherwise the store counts a ``snapshot_gap``
-and the executor falls back to the fixpoint loop over the pinned view,
-preserving byte parity.  All counters surface through
-``maintenance_report()``.
+Indexes live in the engine's :class:`~repro.storage.accelerators.AcceleratorStore`,
+which registers them, builds them on first use, folds every change event into
+them, stamps them with the engine's write generation and admits them to
+pinned-snapshot readers (its module docstring); an index is derived from the
+occurrence and never persisted.  A pinned reader shares the head's index
+(:meth:`StructureIndex.for_pin`), so every call it makes is re-checked by the
+store against the pin.
 """
 
 from __future__ import annotations
 
-from repro.analysis.runtime import make_rlock
 from bisect import bisect_left, bisect_right, insort
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -66,7 +56,6 @@ from repro.core.events import (
     ChangeEvent,
 )
 from repro.core.link import Link
-from repro.exceptions import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import Database
@@ -94,8 +83,9 @@ def structure_key(description: "RecursiveDescription") -> StructureKey:
 class StructureIndex:
     """Pre/post interval encoding + compact adjacency for one structure key.
 
-    Not internally synchronized — the owning :class:`StructureIndexStore`
-    wraps every entry point in its lock.  Methods never touch atom or link
+    Not internally synchronized — the owning
+    :class:`~repro.storage.accelerators.AcceleratorStore` wraps every entry
+    point in its lock.  Methods never touch atom or link
     type occurrences (no lock-order hazard against the per-type head locks);
     callers resolve identifiers to atoms outside the store lock.
     """
@@ -533,85 +523,11 @@ class StructureIndex:
                 break
         return roots
 
-    # ------------------------------------------------------------ persistence
-
-    def encode_state(self) -> Optional[Dict[str, object]]:
-        """Serialize the built encoding for a checkpoint image.
-
-        Returns ``None`` while stale — a suspect encoding must never be made
-        durable (recovery would otherwise trust it).  Links are stored as
-        their ``given_order`` pairs; everything else is plain JSON-safe data.
-        """
-        if self.stale:
-            return None
-        return {
-            "key": list(self.key),
-            "reflexive": self._reflexive,
-            "first_type": self._first_type,
-            "second_type": self._second_type,
-            "cycle": self._cycle,
-            "nodes": sorted(self._nodes),
-            "edges": sorted(
-                [parent, child, list(link.given_order)]
-                for parent, bucket in self._children.items()
-                for child, link in bucket.items()
-            ),
-            "pre": dict(self._pre),
-            "post": dict(self._post),
-            "depth": dict(self._depth),
-            "parent_link": {
-                child: list(link.given_order)
-                for child, link in self._parent_link.items()
-            },
-            "max_coord": self._max_coord,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Invert :func:`encode_state`: rebuild the index without an
-        occurrence pass (``builds`` stays untouched).  Raises ``KeyError`` /
-        ``TypeError`` / ``ValueError`` on malformed state — the caller then
-        falls back to the lazy rebuild path.
-        """
-        self._reflexive = bool(state["reflexive"])
-        self._first_type = str(state["first_type"])
-        self._second_type = str(state["second_type"])
-        self._cycle = bool(state["cycle"])
-        self._nodes = set(state["nodes"])
-        self._children = {}
-        self._indegree = {}
-        self._multi_parent = 0
-        self._self_loops = 0
-        links: Dict[Tuple[str, str], Link] = {}
-        for parent, child, order in state["edges"]:
-            first, second = order
-            link = Link(
-                self.link_type_name, first, second, self._first_type, self._second_type
-            )
-            links[(first, second)] = link
-            self._children.setdefault(parent, {})[child] = link
-            self._nodes.add(parent)
-            self._nodes.add(child)
-            if parent == child:
-                self._self_loops += 1
-                continue
-            degree = self._indegree.get(child, 0) + 1
-            self._indegree[child] = degree
-            if degree == 2:
-                self._multi_parent += 1
-        self._pre = {key: float(value) for key, value in state["pre"].items()}
-        self._post = {key: float(value) for key, value in state["post"].items()}
-        self._depth = {key: int(value) for key, value in state["depth"].items()}
-        self._parent_link = {}
-        for child, order in state["parent_link"].items():
-            first, second = order
-            self._parent_link[child] = links.get((first, second)) or Link(
-                self.link_type_name, first, second, self._first_type, self._second_type
-            )
-        self._order = sorted(
-            (pre, identifier) for identifier, pre in self._pre.items()
-        )
-        self._max_coord = float(state["max_coord"])
-        self.stale = False
+    def for_pin(self) -> "StructureIndex":
+        """What a pinned reader is handed: the shared index itself — the
+        store re-checks on every call that nothing newer than the pin has
+        been folded in."""
+        return self
 
     # ------------------------------------------------------------- reporting
 
@@ -650,229 +566,3 @@ class StructureIndex:
             return self._second_type
         return self._first_type
 
-
-class StructureIndexStore:
-    """Registry of structure indexes, shared by the engine and all executors.
-
-    The store's lock is a *leaf* lock: the engine's event path acquires it
-    after the per-type head locks and the event lock; readers acquire it
-    alone and never touch occurrence state while holding it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = make_rlock("StructureIndexStore._lock")
-        self._indexes: Dict[StructureKey, Optional[StructureIndex]] = {}  # guarded-by: StructureIndexStore._lock
-        #: Bumped by every new registration — the stamp a cached plan that
-        #: ``accelerate_recursion`` saw (or did not see) the registry by.
-        self.registry_version = 0  # guarded-by: StructureIndexStore._lock
-        #: Engine write generation (stamped on every fold and fast-forward).
-        self.generation = 0
-        #: Pinned-snapshot reads that could not use an index coherently.
-        self.snapshot_gaps = 0
-
-    # ---------------------------------------------------------- registration
-
-    def register(self, atom_type_name: str, link_type_name: str, direction: str = "down") -> StructureKey:
-        """Declare an accelerated recursive description; built on first use."""
-        if direction not in ("down", "up"):
-            raise StorageError(
-                f"structure index direction must be 'down' or 'up', got {direction!r}"
-            )
-        key: StructureKey = (atom_type_name, link_type_name, direction)
-        with self._lock:
-            if key not in self._indexes:
-                self._indexes[key] = None
-                self.registry_version += 1
-        return key
-
-    def registered(self) -> Tuple[StructureKey, ...]:
-        with self._lock:
-            return tuple(self._indexes)
-
-    def is_registered(self, description: "RecursiveDescription") -> bool:
-        with self._lock:
-            return structure_key(description) in self._indexes
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._indexes)
-
-    # ------------------------------------------------------------- execution
-
-    def for_execution(self, description: "RecursiveDescription", ctx) -> Optional[StructureIndex]:
-        """The index to answer *description* in *ctx*, or ``None`` (fallback).
-
-        Head contexts rebuild a stale index in place.  A pinned-snapshot
-        context is served only inside its window and without private or
-        excluded writes, and builds a missing or stale index from its own
-        view (module docstring).
-        """
-        key = structure_key(description)
-        snapshot = getattr(ctx, "snapshot", None)
-        with self._lock:
-            if key not in self._indexes:
-                return None
-            index = self._indexes[key]
-            if snapshot is None:
-                if index is None:
-                    index = StructureIndex(key)
-                    self._indexes[key] = index
-                if index.stale:
-                    index.refresh(ctx.database)
-                    index.generation = self.generation
-                return index
-            built = index is not None and not index.stale
-            stamp = index.generation if built else self.generation
-            if not snapshot.covers(stamp):
-                self.snapshot_gaps += 1
-                return None
-            if built:
-                return index
-        # Never under the leaf lock: iterating a view takes the types' head
-        # locks, which a writer holds while it waits to fold in here.
-        fresh = StructureIndex(key)
-        fresh.refresh(ctx.database)
-        with self._lock:
-            if self.generation != stamp or self._indexes.get(key) is not index:
-                self.snapshot_gaps += 1
-                return None
-            if index is not None:
-                fresh.builds += index.builds
-                fresh.gap_events = index.gap_events
-            fresh.generation = stamp
-            self._indexes[key] = fresh
-            return fresh
-
-    def closure(
-        self,
-        index: StructureIndex,
-        root: str,
-        max_depth: Optional[int] = None,
-        generation: Optional[int] = None,
-    ):
-        """``index.closure`` under the store lock.  A pinned reader passes its
-        *generation*: :meth:`for_execution` admitted the index once, but the
-        head keeps folding writes into it, so every later call verifies that
-        nothing newer than the pin has been folded in and answers ``None``
-        (fixpoint fallback over the pinned view) once the encoding has moved
-        on."""
-        with self._lock:
-            if not self._coherent(index, generation):
-                return None
-            return index.closure(root, max_depth)
-
-    def qualifying_roots(
-        self,
-        index: StructureIndex,
-        candidate_sets: Sequence[Iterable[str]],
-        max_depth: Optional[int] = None,
-        generation: Optional[int] = None,
-    ) -> Optional[Set[str]]:
-        """``index.qualifying_roots`` under the store lock; *generation* as in
-        :meth:`closure`."""
-        with self._lock:
-            if not self._coherent(index, generation):
-                return None
-            return index.qualifying_roots(candidate_sets, max_depth)
-
-    def _coherent(self, index: StructureIndex, generation: Optional[int]) -> bool:
-        """Whether *index*, admitted by :meth:`for_execution`, still holds the
-        state pinned at *generation* (head callers pass ``None``): stamps
-        only grow, so it does until an event past the pin is folded in.  A
-        refusal counts as a snapshot gap."""
-        if generation is None or (not index.stale and index.generation <= generation):
-            return True
-        self.snapshot_gaps += 1
-        return False
-
-    def supports_pruning(self, index: StructureIndex) -> bool:
-        with self._lock:
-            return not index.stale and index.tree
-
-    # ----------------------------------------------------------- maintenance
-
-    def apply_event(self, event: ChangeEvent, generation: Optional[int] = None) -> None:
-        """Fold one change event into every built index."""
-        with self._lock:
-            if generation is not None:
-                self.generation = generation
-            for index in self._indexes.values():
-                if index is None:
-                    continue
-                index.apply_event(event)
-                if generation is not None:
-                    index.generation = generation
-
-    def stamp(self, generation: int) -> None:
-        """Record the engine generation the built indexes are coherent with."""
-        with self._lock:
-            self.generation = generation
-            for index in self._indexes.values():
-                if index is not None and not index.stale:
-                    index.generation = generation
-
-    # ------------------------------------------------------------ persistence
-
-    def encoded_states(self) -> List[Dict[str, object]]:
-        """Serialized encodings of every built, non-stale index (checkpointing)."""
-        with self._lock:
-            states = []
-            for index in self._indexes.values():
-                if index is None:
-                    continue
-                state = index.encode_state()
-                if state is not None:
-                    states.append(state)
-            return states
-
-    def restore_states(self, states: Iterable[Dict[str, object]]) -> int:
-        """Restore checkpointed encodings onto registered keys; returns how
-        many were restored.  Unregistered keys and malformed entries are
-        skipped — those indexes simply rebuild lazily, exactly as before
-        encodings were persisted.
-        """
-        restored = 0
-        with self._lock:
-            for state in states:
-                try:
-                    key: StructureKey = tuple(state["key"])  # type: ignore[assignment]
-                except (KeyError, TypeError):
-                    continue
-                if key not in self._indexes:
-                    continue
-                index = StructureIndex(key)
-                try:
-                    index.restore_state(state)
-                except (KeyError, TypeError, ValueError):
-                    continue
-                index.generation = self.generation
-                self._indexes[key] = index
-                restored += 1
-        return restored
-
-    # ------------------------------------------------------------- reporting
-
-    def describe(self, description: "RecursiveDescription") -> List[str]:
-        key = structure_key(description)
-        with self._lock:
-            if key not in self._indexes:
-                return []
-            index = self._indexes[key]
-            if index is None:
-                return [
-                    f"interval index {key[0]} via {key[1]} {key[2]}: registered, "
-                    "built on first use"
-                ]
-            return index.describe()
-
-    def statistics(self) -> Dict[str, int]:
-        with self._lock:
-            builds = sum(i.builds for i in self._indexes.values() if i is not None)
-            gaps = sum(i.gap_events for i in self._indexes.values() if i is not None)
-            return {
-                "structure_indexes": len(self._indexes),
-                "structure_builds": builds,
-                "structure_gap_events": gaps,
-                "structure_snapshot_gaps": self.snapshot_gaps,
-                "structure_generation": self.generation,
-            }

@@ -381,23 +381,6 @@ class TestComponentFold:
         assert result.counters.links_followed == 12
         assert result.rows == engine.query(statement).rows
 
-    def test_sort_strategy_matches_hash(self):
-        from repro.engine.executor import Executor
-        from repro.engine.logical import AggregatePlan
-
-        engine = build_engine(*numeric_mesh())
-        interpreter = engine.interpreter()
-        for statement in GAMMA:
-            plan = interpreter.plan(statement).best
-            assert isinstance(plan, AggregatePlan)
-            sorted_plan = AggregatePlan(plan.child, plan.group_by, plan.aggregates, "sort")
-            executor: Executor = interpreter.executor
-            assert (
-                executor.run_aggregate(sorted_plan).rows
-                == executor.run_aggregate(plan).rows
-                == engine.query(statement).rows
-            )
-
     def test_process_pool_and_follower(self, tmp_path):
         engine = build_engine(*numeric_mesh(), durability=DurabilityConfig(tmp_path))
         engine.checkpoint()

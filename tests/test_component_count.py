@@ -240,7 +240,7 @@ class TestIneligibleShapes:
             (AggregateSpec("COUNT", component="part@sub", output="count(sub)"),),
         )
         planner = engine.interpreter().planner
-        rewritten = columnarize_aggregate(plan, planner.columnar, planner.statistics)
+        rewritten = columnarize_aggregate(plan, planner.accelerators, planner.statistics)
         assert rewritten.applied_rules == () and rewritten.plan == plan
 
 

@@ -170,7 +170,7 @@ class TestRouteContract:
     """What ``parallel_query`` promises on every replica route."""
 
     def test_fanout_matches_serial(self, shared_engine, mode):
-        serial = shared_engine.parallel_query(STATEMENTS, mode="serial")
+        serial = shared_engine.parallel_query(STATEMENTS, threads=1)
         routed = shared_engine.parallel_query(STATEMENTS, mode=mode)
         assert len(routed) == len(serial)
         for expected, got in zip(serial, routed):
@@ -178,7 +178,7 @@ class TestRouteContract:
 
     def test_results_keep_statement_order(self, shared_engine, mode):
         statements = list(reversed(STATEMENTS))
-        serial = shared_engine.parallel_query(statements, mode="serial")
+        serial = shared_engine.parallel_query(statements, threads=1)
         routed = shared_engine.parallel_query(statements, mode=mode)
         for expected, got in zip(serial, routed):
             assert fingerprint(got) == fingerprint(expected)
@@ -268,7 +268,7 @@ class TestRouteContract:
                 raise StorageError("process-pool worker failed to seed: injected")
 
             monkeypatch.setattr(pool, "_spawn", no_spawn)
-        serial = fresh_engine.parallel_query(STATEMENTS[:2], mode="serial")
+        serial = fresh_engine.parallel_query(STATEMENTS[:2], threads=1)
         routed = fresh_engine.parallel_query(STATEMENTS[:2], mode=mode)
         for expected, got in zip(serial, routed):
             assert fingerprint(got) == fingerprint(expected)
@@ -310,7 +310,7 @@ class TestProcessModeParity:
 class TestWorkerLifecycle:
     def test_crash_mid_sequence_restarts_transparently(self, fresh_engine):
         pool = fresh_engine.process_pool(workers=2)
-        baseline = fresh_engine.parallel_query(STATEMENTS, mode="serial")
+        baseline = fresh_engine.parallel_query(STATEMENTS, threads=1)
         victim = pool.worker_pids()[0]
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 10
@@ -338,7 +338,7 @@ class TestWorkerLifecycle:
                 val=float(i),
                 qty=i % 5,
             )
-        serial = fresh_engine.parallel_query(STATEMENTS, mode="serial")
+        serial = fresh_engine.parallel_query(STATEMENTS, threads=1)
         proc = fresh_engine.parallel_query(STATEMENTS, mode="process")
         for expected, got in zip(serial, proc):
             assert fingerprint(got) == fingerprint(expected)
@@ -358,7 +358,7 @@ class TestWorkerLifecycle:
             fresh_engine.store_atom(
                 "item", identifier=f"i{i}", name=f"n{i}", grp="post", val=2.0, qty=2
             )
-        serial = fresh_engine.parallel_query(STATEMENTS, mode="serial")
+        serial = fresh_engine.parallel_query(STATEMENTS, threads=1)
         proc = fresh_engine.parallel_query(STATEMENTS, mode="process")
         for expected, got in zip(serial, proc):
             assert fingerprint(got) == fingerprint(expected)
@@ -368,7 +368,7 @@ class TestWorkerLifecycle:
         """A respawn that fails is a crash the pool absorbs, like an
         exhausted crash budget: the slot's statements run on the primary."""
         pool = fresh_engine.process_pool(workers=2)
-        baseline = fresh_engine.parallel_query(STATEMENTS, mode="serial")
+        baseline = fresh_engine.parallel_query(STATEMENTS, threads=1)
         pids = pool.worker_pids()
         kill_and_wait(pids[0])
 
@@ -535,7 +535,7 @@ class TestInterleavedDMLSweep:
                 shared_engine.query(
                     f"DELETE FROM item WHERE item.name = 'n{index}';"
                 )
-        serial = shared_engine.parallel_query(STATEMENTS[:3], mode="serial")
+        serial = shared_engine.parallel_query(STATEMENTS[:3], threads=1)
         proc = shared_engine.parallel_query(STATEMENTS[:3], mode="process")
         for expected, got in zip(serial, proc):
             assert fingerprint(got) == fingerprint(expected)

@@ -739,54 +739,87 @@ def canonical_closures(engine: PrimaEngine):
     return sorted(entries)
 
 
-def test_checkpoint_persists_structure_encodings(tmp_path):
-    """A built interval encoding travels with the checkpoint image: the
-    reopened engine answers recursive queries without a single rebuild."""
+def parent_encoding(engine: PrimaEngine):
+    """The ``structure_encodings`` entry the image format once carried for the
+    BOM's built index (accelerators have not been persisted since)."""
+    index = engine._accelerators._indexes[("part", "composition", "down")]
+    return {
+        "key": list(index.key),
+        "reflexive": True,
+        "first_type": "part",
+        "second_type": "part",
+        "cycle": False,
+        "nodes": sorted(index._nodes),
+        "edges": sorted(
+            [parent, child, list(link.given_order)]
+            for parent, bucket in index._children.items()
+            for child, link in bucket.items()
+        ),
+        "pre": dict(index._pre),
+        "post": dict(index._post),
+        "depth": dict(index._depth),
+        "parent_link": {
+            child: list(link.given_order) for child, link in index._parent_link.items()
+        },
+        "max_coord": index._max_coord,
+    }
+
+
+def test_checkpoint_image_carries_no_derived_state(tmp_path):
+    """Accelerators are derived: the image of an engine with a built structure
+    index and a built projection holds the catalog, the occurrence and the
+    registration, nothing else."""
     engine = build_bom_engine(tmp_path / "dir")
-    before = canonical_closures(engine)  # builds the encoding
-    assert engine.maintenance_report()["structure_builds"] == 1
-    engine.checkpoint()
-    engine.close()
-
-    reset_surrogate_counter()
-    reopened = PrimaEngine("bombox", durability=DurabilityConfig(tmp_path / "dir"))
-    assert canonical_closures(reopened) == before
-    report = reopened.maintenance_report()
-    assert report["structure_indexes"] == 1
-    assert report["structure_builds"] == 0, "restored encoding must not be rebuilt"
-    reopened.close()
-
-
-def test_restored_encodings_stay_coherent_across_the_wal_tail(tmp_path):
-    """Commits after the checkpoint are folded into the restored encoding
-    during replay, exactly as live writes are folded into the built one."""
-    engine = build_bom_engine(tmp_path / "dir")
-    canonical_closures(engine)  # build + make durable
-    engine.checkpoint()
-    engine.store_atom("part", identifier="p9", part_no="P9", cost=9)
-    engine.connect("composition", "p6", "p9")  # leaf graft: in-place fold
-    before = canonical_closures(engine)
-    engine.close()
-
-    reset_surrogate_counter()
-    reopened = PrimaEngine("bombox", durability=DurabilityConfig(tmp_path / "dir"))
-    assert canonical_closures(reopened) == before
-    assert reopened.maintenance_report()["structure_builds"] == 0
-    reopened.close()
-
-
-def test_checkpoint_image_without_encodings_rebuilds_lazily(tmp_path):
-    """Older images (no ``structure_encodings`` key) keep the pre-existing
-    behaviour: registration survives, the encoding rebuilds on first use."""
-    engine = build_bom_engine(tmp_path / "dir")
-    before = canonical_closures(engine)
+    canonical_closures(engine)  # builds the encoding
+    engine.query("SELECT COUNT(*), SUM(part.cost) FROM part;")  # builds the projection
+    report = engine.maintenance_report()
+    assert report["structure_builds"] == report["columnar_builds"] == 1
     engine.checkpoint()
     engine.close()
 
     path = DurabilityConfig(tmp_path / "dir").checkpoint_path
     image = json.loads(path.read_text(encoding="utf-8"))
-    image.pop("structure_encodings", None)
-    path.write_text(json.dumps(image, separators=(",", ":")), encoding="utf-8")
+    assert set(image) == {
+        "format", "name", "generation", "atom_types", "link_types", "structure_indexes",
+    }
+    assert image["structure_indexes"] == [["part", "composition", "down"]]
+
+
+def test_image_with_parent_encodings_rebuilds_lazily(tmp_path):
+    """An image that still carries a ``structure_encodings`` block opens: the
+    block is ignored, the registration survives, and the first closure
+    rebuilds the index from the occurrence."""
+    engine = build_bom_engine(tmp_path / "dir")
+    before = canonical_closures(engine)
+    encoding = parent_encoding(engine)
+    engine.checkpoint()
+    engine.close()
+
+    path = DurabilityConfig(tmp_path / "dir").checkpoint_path
+    image = json.loads(path.read_text(encoding="utf-8"))
+    image["structure_encodings"] = [encoding]
+    path.write_text(json.dumps(image, separators=(",", ":"), sort_keys=True), encoding="utf-8")
+
+    reset_surrogate_counter()
+    reopened = PrimaEngine("bombox", durability=DurabilityConfig(tmp_path / "dir"))
+    report = reopened.maintenance_report()
+    assert report["structure_indexes"] == 1
+    assert report["structure_builds"] == 0
+    assert canonical_closures(reopened) == before
+    assert reopened.maintenance_report()["structure_builds"] == 1
+    reopened.close()
+
+
+def test_restored_encodings_stay_coherent_across_the_wal_tail(tmp_path):
+    """Commits after the checkpoint replay through the ordinary event path;
+    the index rebuilt on first use answers with them."""
+    engine = build_bom_engine(tmp_path / "dir")
+    canonical_closures(engine)
+    engine.checkpoint()
+    engine.store_atom("part", identifier="p9", part_no="P9", cost=9)
+    engine.connect("composition", "p6", "p9")  # leaf graft: in-place fold
+    before = canonical_closures(engine)
+    engine.close()
 
     reset_surrogate_counter()
     reopened = PrimaEngine("bombox", durability=DurabilityConfig(tmp_path / "dir"))

@@ -191,7 +191,7 @@ class TestCommitFeed:
         fresh_engine._replication = None  # close out-of-band, engine keeps pool
         hub.close()
         burst(fresh_engine, 105, 110)
-        serial = fresh_engine.parallel_query(STATEMENTS[:3], mode="serial")
+        serial = fresh_engine.parallel_query(STATEMENTS[:3], threads=1)
         shipped = fresh_engine.parallel_query(STATEMENTS[:3], mode="process")
         for expected, got in zip(serial, shipped):
             assert fingerprint(got) == fingerprint(expected)
@@ -534,7 +534,7 @@ class TestReplicaRouter:
         hub = replica_engine.replication_hub()
         burst(replica_engine, 500, 520, grp="lagged")
         waits_before = hub.counters["waits"]
-        serial = replica_engine.parallel_query(STATEMENTS, mode="serial")
+        serial = replica_engine.parallel_query(STATEMENTS, threads=1)
         routed = replica_engine.parallel_query(STATEMENTS, mode="replica")
         for expected, got in zip(serial, routed):
             assert fingerprint(got) == fingerprint(expected)

@@ -20,7 +20,8 @@ from repro.engine.executor import compile_plan
 from repro.exceptions import StorageError, UnknownNameError
 from repro.storage.engine import PrimaEngine
 from repro.storage.index import GridIndex
-from repro.storage.structure_index import StructureIndex, StructureIndexStore
+from repro.storage.accelerators import AcceleratorStore
+from repro.storage.structure_index import StructureIndex
 
 RECURSIVE_ALL = "SELECT ALL FROM RECURSIVE part [composition] DOWN;"
 RECURSIVE_UP = "SELECT ALL FROM RECURSIVE part [composition] UP;"
@@ -189,7 +190,7 @@ class TestStructureIndexUnit:
         assert index.closure("p0") is None  # stale indexes refuse to answer
 
     def test_store_registration_validation(self):
-        store = StructureIndexStore()
+        store = AcceleratorStore()
         with pytest.raises(StorageError):
             store.register("part", "composition", "sideways")
         store.register("part", "composition", "down")
@@ -290,7 +291,7 @@ class TestAcceleratedQueries:
         leak into the roots the pinned reader expands afterwards."""
         engine = build_engine()
         engine.query(RECURSIVE_ALL)
-        store = engine._structure_indexes
+        store = engine._accelerators
         original = store.closure
         calls = []
 
@@ -505,7 +506,7 @@ class TestDurability:
         durable.create_link_type("composition", "part", "part")
         durable.create_structure_index("part", "composition")
         reopened = PrimaEngine(durability=DurabilityConfig(tmp_path))
-        assert reopened._structure_indexes.registered() == (
+        assert reopened._accelerators.registered() == (
             ("part", "composition", "down"),
         )
 
@@ -518,7 +519,7 @@ class TestDurability:
         durable.create_structure_index("part", "composition", "up")
         durable.checkpoint()
         reopened = PrimaEngine(durability=DurabilityConfig(tmp_path))
-        assert reopened._structure_indexes.registered() == (
+        assert reopened._accelerators.registered() == (
             ("part", "composition", "up"),
         )
 
@@ -681,7 +682,7 @@ def test_root_enumeration_is_exact(shape, direction, max_depth, grafts, in_trans
 
     # The head index after the DML, against exhaustive containment testing.
     # Picks past the last part (p14 at most) are atoms the encoding never saw.
-    index = accelerated._structure_indexes._indexes[("part", "composition", direction)]
+    index = accelerated._accelerators._indexes[("part", "composition", direction)]
     candidate_sets = [frozenset(f"p{i}" for i in pick) for pick in picks]
     enumerated = index.qualifying_roots(candidate_sets, max_depth)
     if index.stale or not index.tree:

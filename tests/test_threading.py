@@ -466,8 +466,8 @@ class TestColumnarFoldRace:
         engine.query(aggregate)  # builds the projection
         counts = {"x": rows // 2, "y": rows // 2}
         victims = iter(range(rows))
-        store = engine._columnar
-        admit = store.for_execution
+        store = engine._accelerators
+        admit = store.projection_for
         admitted = threading.Event()
 
         def admit_and_tell(type_name, ctx):
@@ -476,7 +476,7 @@ class TestColumnarFoldRace:
                 admitted.set()
             return projection
 
-        store.for_execution = admit_and_tell
+        store.projection_for = admit_and_tell
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
@@ -510,7 +510,7 @@ class TestColumnarFoldRace:
                 assert seen == [expected]
         finally:
             sys.setswitchinterval(interval)
-            del store.for_execution
+            del store.projection_for
         report = engine.maintenance_report()
         assert report["columnar_fallbacks"] == report["columnar_snapshot_gaps"] == 0
         assert [tuple(row) for row in engine.query(aggregate).rows] == [

@@ -469,10 +469,10 @@ class TestStampWindow:
         something newer than its pin is folded into the encoding."""
         engine = build_engine()
         engine.query(INTERVAL)
-        store = engine._structure_indexes
+        store = engine._accelerators
         with engine.snapshot_at() as handle:
             context = engine.interpreter().executor.context(snapshot=handle.snapshot)
-            index = store.for_execution(engine.plan(INTERVAL).best.description, context)
+            index = store.index_for(engine.plan(INTERVAL).best.description, context)
             pinned = handle.generation
             assert store.qualifying_roots(index, [{"p7"}], None, pinned) == {
                 "p0", "p1", "p3", "p6", "p7",
@@ -490,13 +490,13 @@ class TestStampWindow:
 
 
 def test_event_folded_between_admission_and_scan_does_not_reach_the_fold():
-    """``ColumnarStore.for_execution`` admits the pin, then the head folds a
+    """``AcceleratorStore.projection_for`` admits the pin, then the head folds a
     modification and a delete into the projection's live arrays: the pinned
     fold must still count the pinned state."""
     engine = build_engine()
     expected = fingerprint(engine.query(GAMMA))
-    store = engine._columnar
-    admit = store.for_execution
+    store = engine._accelerators
+    admit = store.projection_for
 
     def admit_then_write(type_name, ctx):
         projection = admit(type_name, ctx)
@@ -506,11 +506,11 @@ def test_event_folded_between_admission_and_scan_does_not_reach_the_fold():
         return projection
 
     with engine.snapshot_at() as handle:
-        store.for_execution = admit_then_write
+        store.projection_for = admit_then_write
         try:
             pinned = handle.query(GAMMA)
         finally:
-            del store.for_execution
+            del store.projection_for
         assert pinned.counters.columnar_rows_scanned == PARTS
         assert fingerprint(pinned) == expected
     assert fingerprint(engine.query(GAMMA)) != expected
@@ -576,7 +576,7 @@ class TestReaderBuiltAccelerators:
         """The stamp moves while the reader builds outside the store lock:
         its projection describes an older state and is dropped."""
         engine = build_engine()
-        store = engine._columnar
+        store = engine._accelerators
         with engine.snapshot_at() as handle:
             expected = all_roots(engine, GAMMA, handle.snapshot)
             view = handle.database_view()
@@ -590,7 +590,7 @@ class TestReaderBuiltAccelerators:
                     return view.atyp(name)
 
             context = SimpleNamespace(snapshot=handle.snapshot, database=RacingView())
-            assert store.for_execution("part", context) is None
+            assert store.projection_for("part", context) is None
             assert store.statistics()["columnar_types"] == 0
             assert store.statistics()["columnar_snapshot_gaps"] == 1
             assert fingerprint(handle.query(GAMMA)) == expected  # row path
