@@ -8,7 +8,7 @@ scaled geography, comparing the engine's cache maintenance with a baseline:
 * ``rebuild`` — the historical invalidate-everything behaviour, rebuilt here
   (:func:`rebuild_everything`; the engine no longer has such a mode): each
   write discards every derived structure, so the next query re-exports the
-  state, rebuilds the index pool and re-creates the interpreter.
+  state, rebuilds the equality indexes and re-creates the interpreter.
 
 Shape checks: both return identical query results; in steady state the
 engine performs **zero** full rebuilds (build counters stay at 1 after
@@ -40,7 +40,7 @@ def rebuild_everything(engine: PrimaEngine) -> PrimaEngine:
     """The invalidate-everything baseline: throw the engine away after a write.
 
     What continues is a fresh engine bulk-loaded from the written state — a
-    full re-export, and on its first query a new index pool, interpreter and
+    full re-export, and on its first query new equality indexes, interpreter and
     statistics pass.
     """
     return PrimaEngine.from_database(engine.to_database())

@@ -19,7 +19,7 @@ from bench_common import report
 
 from repro import attr
 from repro.core.molecule import MoleculeTypeDescription
-from repro.engine.executor import Executor, IndexPool
+from repro.engine.executor import Executor
 from repro.engine.logical import AggregatePlan, AggregateSpec
 from repro.datasets.geography import build_geography, mt_state_description
 from repro.mql import MQLInterpreter
@@ -31,6 +31,7 @@ from repro.optimizer import (
     execute_plan,
 )
 from repro.optimizer.rules import merge_restrictions, prune_structure, push_down_restriction
+from repro.storage.accelerators import AcceleratorStore
 
 
 def _naive_plan() -> ProjectPlan:
@@ -165,13 +166,13 @@ def test_perf3_seeded_scan(optimizer_db, benchmark):
     """A component equality conjunct seeds the roots: only the answer is derived.
 
     Same plan, two executors: the default one has no index to name the
-    matching ``point`` atoms and visits every state; one with an index pool
-    walks up from the single matching point.
+    matching ``point`` atoms and visits every state; one with an accelerator
+    store walks up from the single matching point.
     """
     atom_types, directed_links = mt_state_description()
     description = MoleculeTypeDescription(atom_types, directed_links)
     plan = RestrictPlan(DefinePlan("mt_state", description), attr("name", "point") == "corner-7")
-    seeded_executor = Executor(optimizer_db, indexes=IndexPool(optimizer_db))
+    seeded_executor = Executor(optimizer_db, accelerators=AcceleratorStore())
 
     seeded = benchmark(seeded_executor.run, plan)
 

@@ -30,10 +30,12 @@ ones are:
   the bytes reach the OS) forces the commit feed's lock **above**
   ``WriteAheadLog._lock``.
 * ``AcceleratorStore._lock`` is acquired by the engine's event path while
-  it holds the event lock, so it sits above level 40; a build never runs
-  under it (a pinned reader builds from its view outside the lock, a head
-  build reads atomic ``.occurrence`` copies), so it never takes a head lock
-  underneath.
+  it holds the event lock, so it sits above level 40, and by a pinned
+  equality lookup while it holds the looked-up type's head lock, which is
+  why readers never need the event lock.  It never takes a head lock
+  underneath: a pinned reader builds a structure index or projection from
+  its view outside the lock, and every build under it reads atomic
+  ``.occurrence`` copies of the head.
 """
 
 from dataclasses import dataclass
@@ -123,8 +125,8 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=15,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="lazy construction/teardown of the derived access structures "
-        "(interpreter, index pool, pool/hub references)",
+        guards="lazy construction/teardown of the interpreter and the "
+        "process-pool/commit-feed/hub references",
         rationale="type DDL holds it across the versioning lock (the "
         "no-active-transaction check and the registration), so it sits "
         "below 30; shutdown hands pool/hub references out of the lock "
@@ -147,7 +149,8 @@ LOCKS: Tuple[LockSpec, ...] = (
         module="repro.core.atom",
         guards="per-type head lock: head swap + chain record + event "
         "emission are one atomic unit per mutation; GC truncation; "
-        "snapshot views copy key sets under it",
+        "snapshot views copy key sets under it; a pinned equality lookup "
+        "reads the head index under it (settled)",
         per_instance=True,
     ),
     LockSpec(
@@ -190,11 +193,10 @@ LOCKS: Tuple[LockSpec, ...] = (
         kind=KIND_RLOCK,
         module="repro.storage.engine",
         guards="one change event at a time: generation counter, "
-        "incremental cache maintenance, WAL routing; also every lookup and "
-        "lazy build in the index pool, which readers on any thread share",
+        "incremental cache maintenance, WAL routing; taken only on the "
+        "write path (fold and stamp), never by a reader",
         rationale="acquired inside head locks and the versioning lock "
-        "(event emission; a pinned lookup holds its type's head lock); only "
-        "acquires the leaves above level 40",
+        "(event emission); only acquires the leaves above level 40",
     ),
     LockSpec(
         name="MQLInterpreter._plan_lock",
@@ -214,13 +216,16 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=44,
         kind=KIND_RLOCK,
         module="repro.storage.accelerators",
-        guards="structure-index registration, admission of structure indexes "
-        "and columnar projections (head builds, reader-built installs), "
-        "per-call coherence checks, the one event fold and the stamp; "
-        "readers never touch occurrence state while holding it (head "
-        "builds read atomic .occurrence copies)",
+        guards="index registrations; the equality indexes (every lookup "
+        "and lazy build, readers on any thread share them); admission of "
+        "structure indexes and columnar projections (head builds, "
+        "reader-built installs), per-call coherence checks, the one event "
+        "fold and the stamp; readers never touch occurrence state while "
+        "holding it (builds read atomic .occurrence copies of the head)",
         rationale="the event path folds into it while holding the event "
-        "lock",
+        "lock; a pinned equality lookup takes it while holding its type's "
+        "head lock (head lock -> leaf, as the writer's head -> event -> "
+        "leaf)",
     ),
     LockSpec(
         name="WriteAheadLog._lock",

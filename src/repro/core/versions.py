@@ -770,6 +770,11 @@ class DatabaseView:
     def snapshot(self) -> Snapshot:
         return self._snapshot
 
+    @property
+    def head(self) -> "Database":
+        """The database this view reads as of its snapshot."""
+        return self._database
+
     # ---------------------------------------------------------------- lookup
 
     def atyp(self, name: "str | Iterable[str]"):

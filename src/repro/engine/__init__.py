@@ -45,7 +45,6 @@ from repro.engine.physical import (
     Difference,
     ExecutionContext,
     ExecutionCounters,
-    IndexPool,
     Intersection,
     MoleculeScan,
     MoleculeSource,
@@ -77,7 +76,6 @@ __all__ = [
     "ExecutionCounters",
     "ExecutionResult",
     "Executor",
-    "IndexPool",
     "Intersection",
     "MoleculeScan",
     "MoleculeSource",

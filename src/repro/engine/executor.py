@@ -3,7 +3,7 @@
 :func:`compile_plan` maps each logical node onto its streaming counterpart
 (α → :class:`~repro.engine.physical.MoleculeScan`, Σ →
 :class:`~repro.engine.physical.Restrict`, …).  :class:`Executor` binds a
-database plus its access structures (index pool, accelerator store) and runs
+database plus its access structures (an accelerator store) and runs
 plans, materializing only the final result as a
 :class:`~repro.core.molecule.MoleculeType`.
 
@@ -42,7 +42,6 @@ from repro.engine.physical import (
     ExecutionContext,
     ExecutionCounters,
     HashAggregate,
-    IndexPool,
     Intersection,
     IntervalScan,
     MoleculeScan,
@@ -163,28 +162,21 @@ class WriteExecutionResult:
 class Executor:
     """Runs logical plans over one database with shared access structures.
 
-    The executor consults an :class:`IndexPool` for pushed-down equality
-    filters; link traversal reads the link types' own incidence.  The default
-    pool does **not** cache transient indexes — a bare :class:`Database` may
-    be mutated between runs and the executor has no invalidation hook.
-    Callers that keep the pool coherent (the storage engine folds every
-    change event of its database into its one pool) pass a pool with
-    transient builds enabled.
+    *accelerators* is the
+    :class:`~repro.storage.accelerators.AcceleratorStore` that answers
+    pushed-down equality filters, recursive plans and aggregate scans; link
+    traversal reads the link types' own incidence.  Without one (the
+    default) every operator scans: a bare :class:`Database` may be mutated
+    between runs and the executor has no hook to keep an index coherent.
+    Callers that keep the store coherent (the storage engine folds every
+    change event of its database into its one store), or whose database
+    never changes, pass one.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        indexes: Optional[IndexPool] = None,
-        accelerators=None,
-    ) -> None:
+    def __init__(self, database: Database, accelerators=None) -> None:
         self.database = database
-        self.indexes = (
-            indexes if indexes is not None else IndexPool(database, build_transient=False)
-        )
         #: Optional :class:`~repro.storage.accelerators.AcceleratorStore`
-        #: shared with the owning engine: structure indexes for recursive
-        #: plans, columnar projections for aggregate scans.
+        #: shared with the owning engine.
         self.accelerators = accelerators
 
     def context(
@@ -195,30 +187,28 @@ class Executor:
         """A fresh execution context sharing the executor's access structures.
 
         With *snapshot* (a :class:`~repro.core.versions.Snapshot`) the context
-        reads through a pinned :meth:`Database.at` view.  It keeps the index
-        pool, as a source of candidates: the pool is maintained at the head,
-        so a lookup is widened by the atoms that carry a version chain and
-        every candidate is read back through the view
+        reads through a pinned :meth:`Database.at` view.  Equality lookups
+        still read the store's head indexes, as a source of candidates: a
+        lookup is widened by the atoms that carry a version chain and every
+        candidate is read back through the view
         (:class:`~repro.engine.physical.ExecutionContext`).  Traversal reads
         the view's link types, which resolve the visible links.
 
         Snapshot contexts are safe to build and run from any thread: the
         pinned views resolve lock-free over immutable version chains (copying
-        mutable head collections briefly under the per-type head locks), the
-        pool is read under the lock its owner folds change events under, and
-        the accelerator store is internally locked and serves a pinned
-        reader only while an accelerator provably holds the pinned state
-        (the fixpoint loop and the row fold otherwise).  Head contexts
-        (``snapshot=None``) read the link types' live incidence buckets and
-        the live columnar arrays unlocked and belong to the engine's owning
-        thread.
+        mutable head collections briefly under the per-type head locks), and
+        the accelerator store is internally locked — an equality lookup runs
+        under its lock and the looked-up type's head lock, and the other
+        accelerators serve a pinned reader only while they provably hold the
+        pinned state (the fixpoint loop and the row fold otherwise).  Head
+        contexts (``snapshot=None``) read the link types' live incidence
+        buckets and the live columnar arrays unlocked and belong to the
+        engine's owning thread.
         """
         if snapshot is None:
-            return ExecutionContext(
-                self.database, counters, self.indexes, accelerators=self.accelerators
-            )
+            return ExecutionContext(self.database, counters, accelerators=self.accelerators)
         return ExecutionContext(
-            self.database.at(snapshot), counters, self.indexes, snapshot=snapshot,
+            self.database.at(snapshot), counters, snapshot=snapshot,
             accelerators=self.accelerators,
         )
 
@@ -304,10 +294,6 @@ class Executor:
         return WriteExecutionResult(molecule_type, self.database, summary, ctx.counters)
 
 
-def run_plan(
-    database: Database,
-    plan: PlanNode,
-    indexes: Optional[IndexPool] = None,
-) -> ExecutionResult:
+def run_plan(database: Database, plan: PlanNode) -> ExecutionResult:
     """One-call convenience: compile and run *plan* over *database*."""
-    return Executor(database, indexes=indexes).run(plan)
+    return Executor(database).run(plan)

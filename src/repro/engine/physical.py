@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -78,203 +77,64 @@ def molecule_value_key(molecule: Molecule) -> Tuple:
     )
 
 
-class IndexPool:
-    """Secondary-index access for the executor, lazily built over a database.
-
-    The pool answers equality lookups ``(atom type, attribute, value) -> atom
-    identifiers``.  When *build_transient* is set, missing indexes are built
-    on first use from the database occurrence and **cached for the pool's
-    lifetime** — which is only sound when the database cannot change under
-    the pool, or when every change is folded in through :meth:`apply_event`
-    (the storage engine does the latter: it subscribes to its database's
-    change events and keeps the pool's :attr:`generation` in lock-step with
-    its own, so a coherent pool never needs rebuilding on writes).  Ephemeral
-    executors over a live, unobserved :class:`~repro.core.database.Database`
-    must leave *build_transient* off, falling back to filtered scans.
-
-    *lock* is the lock the owner holds while it calls :meth:`apply_event`
-    (the storage engine's event lock).  Every lookup and lazy build runs
-    under it, so readers on any thread — the head, pinned handles, sessions
-    — share one pool with the writers folding into it; a pool nobody folds
-    into needs none.
-    """
-
-    def __init__(self, database: Database, build_transient: bool = True, lock=None) -> None:
-        self.database = database
-        self.build_transient = build_transient
-        # Named after the lock it is in an engine: the lock-order analysis
-        # resolves ``with self._event_lock`` by that name.
-        self._event_lock = lock if lock is not None else nullcontext()
-        self._indexes: Dict[Tuple[str, str], object] = {}
-        self._grids: Dict[Tuple[str, Tuple[str, ...]], object] = {}
-        #: Write generation this pool is coherent with (stamped by the owner).
-        self.generation = 0
-        #: Number of full index builds performed (a full occurrence pass each).
-        self.builds = 0
-
-    def lookup(
-        self,
-        atom_type_name: str,
-        attribute: str,
-        value: object,
-        counters: Optional[ExecutionCounters] = None,
-    ) -> Optional[FrozenSet[str]]:
-        """Return matching atom identifiers, or ``None`` when no index is usable.
-
-        Building a transient index is a full pass over the type's occurrence;
-        it is charged to ``counters.atoms_indexed`` so moved work stays
-        visible in plan comparisons.
-        """
-        from repro.storage.index import HashIndex  # deferred: avoids a package cycle
-
-        key = (atom_type_name, attribute)
-        with self._event_lock:
-            index = self._indexes.get(key)
-            if index is None:
-                index = self._build(HashIndex, self._indexes, key, counters)
-            return index.lookup(value) if index is not None else None
-
-    def grid_lookup(
-        self,
-        atom_type_name: str,
-        attributes: Tuple[str, ...],
-        values: Dict[str, object],
-        counters: Optional[ExecutionCounters] = None,
-    ) -> Optional[FrozenSet[str]]:
-        """The atoms matching every bound attribute of *values* in the
-        composite :class:`~repro.storage.index.GridIndex` over *attributes*
-        (all of them bound: one cell; a subset: a partial-match scan), or
-        ``None`` when no grid is usable.
-
-        Like :meth:`lookup`, a missing grid is built transiently (one full
-        occurrence pass, charged to ``counters.atoms_indexed``) and then
-        maintained through :meth:`apply_event`.
-        """
-        from repro.storage.index import GridIndex  # deferred: avoids a package cycle
-
-        key = (atom_type_name, tuple(attributes))
-        with self._event_lock:
-            grid = self._grids.get(key)
-            if grid is None:
-                grid = self._build(GridIndex, self._grids, key, counters)
-            return grid.lookup(values) if grid is not None else None
-
-    def _build(self, kind, registry, key, counters: Optional[ExecutionCounters]):
-        """Build the *kind* index for *key* from the head and register it, or
-        ``None`` when this pool does not build.  Runs under the event lock: no
-        change event is folded half-way through the pass, and one whose
-        mutation the copied occurrence already shows is folded again
-        afterwards, harmlessly."""
-        atom_type_name = key[0]
-        if not self.build_transient or not self.database.has_atom_type(atom_type_name):
-            return None
-        index = kind(*key)
-        atoms = self.database.atyp(atom_type_name).occurrence
-        for atom in atoms:
-            index.insert(atom)
-        if counters is not None:
-            counters.atoms_indexed += len(atoms)
-        registry[key] = index
-        self.builds += 1
-        return index
-
-    def apply_event(self, event, generation: Optional[int] = None) -> None:
-        """Fold one atom-level change event into every matching cached index.
-
-        ``HashIndex.insert`` replaces a previous entry for the same
-        identifier, so insertions and modifications share one path.  Link
-        events carry no indexed values and are ignored.  When *generation* is
-        given the pool is stamped coherent with that write generation.
-        """
-        if event.atom is not None:
-            for (type_name, _attribute), index in self._indexes.items():
-                if type_name.split("@", 1)[0] != event.type_name:
-                    continue
-                if event.kind == "atom_deleted":
-                    index.remove(event.atom.identifier)
-                else:  # atom_inserted / atom_modified
-                    index.insert(event.atom)
-            for (type_name, _attributes), grid in self._grids.items():
-                if type_name.split("@", 1)[0] != event.type_name:
-                    continue
-                if event.kind == "atom_deleted":
-                    grid.remove(event.atom.identifier)
-                else:  # atom_inserted / atom_modified
-                    grid.insert(event.atom)
-        if generation is not None:
-            self.generation = generation
-
-
 class ExecutionContext:
     """Per-execution state: the database, work counters and access structures.
 
-    *indexes* is the :class:`IndexPool` equality conjuncts are answered from
-    (:meth:`lookup`, :meth:`grid_lookup`) — without one the context carries a
-    pool that builds nothing and answers ``None``.  Neighbour traversal needs
-    no structure of its own: it reads the ``incident`` links of *database*'s
-    link types, the live buckets at the head and the visible links in a
-    snapshot view.
+    *accelerators* is the
+    :class:`~repro.storage.accelerators.AcceleratorStore` equality conjuncts
+    (:meth:`lookup`), recursive definitions and aggregate scans are answered
+    from; without one every lookup answers ``None`` and operators scan.
+    Neighbour traversal needs no structure of its own: it reads the
+    ``incident`` links of *database*'s link types, the live buckets at the
+    head and the visible links in a snapshot view.
 
-    With *snapshot* the *database* is that snapshot's view and *indexes* the
-    pool kept at the head of the same database.  A lookup is then the head
-    answer united with the identifiers of the type that carry a version
-    chain (:meth:`~repro.core.atom.AtomType.settled`): a superset of the
-    atoms matching at the pin, whoever wrote since — the head, this reader's
-    own transaction or an uncommitted peer.  Callers read every candidate
-    back through the view and test it again, so the superset is exact.
+    With *snapshot* the *database* is that snapshot's view, and an equality
+    lookup reads the store's head index.  It is then the head answer united
+    with the identifiers of the type that carry a version chain
+    (:meth:`~repro.core.atom.AtomType.settled`): a superset of the atoms
+    matching at the pin, whoever wrote since — the head, this reader's own
+    transaction or an uncommitted peer.  Callers read every candidate back
+    through the view and test it again, so the superset is exact.
     """
 
     def __init__(
         self,
         database: Database,
         counters: Optional[ExecutionCounters] = None,
-        indexes: Optional[IndexPool] = None,
         snapshot=None,
         accelerators=None,
     ) -> None:
         self.database = database
         self.counters = counters or ExecutionCounters()
-        self.indexes = (
-            indexes if indexes is not None else IndexPool(database, build_transient=False)
-        )
         #: The pinned :class:`~repro.core.versions.Snapshot` when *database*
         #: is a generation-stamped view, ``None`` for head execution.
         self.snapshot = snapshot
         #: Optional :class:`~repro.storage.accelerators.AcceleratorStore` —
-        #: the structure indexes for recursive definitions and the columnar
-        #: projections for aggregate scans.
+        #: the equality indexes, the structure indexes for recursive
+        #: definitions and the columnar projections for aggregate scans.
         self.accelerators = accelerators
 
     def lookup(
-        self, atom_type_name: str, attribute: str, value: object
+        self, atom_type_name: str, attributes: "str | Tuple[str, ...]", value: object
     ) -> Optional[FrozenSet[str]]:
-        """The atoms of *atom_type_name* that can have ``attribute = value``
-        in this context's database, or ``None`` when no index is usable."""
-        return self._candidates(
-            atom_type_name,
-            lambda: self.indexes.lookup(atom_type_name, attribute, value, self.counters),
-        )
+        """The atoms of *atom_type_name* that can have ``attributes = value``
+        in this context's database, or ``None`` when no index is usable.  A
+        tuple of *attributes* reads their composite grid, *value* binding
+        any subset of them in a dict.
 
-    def grid_lookup(
-        self, atom_type_name: str, attributes: Tuple[str, ...], values: Dict[str, object]
-    ) -> Optional[FrozenSet[str]]:
-        """:meth:`lookup` through the composite grid over *attributes*, with
-        any subset of them bound in *values*."""
-        return self._candidates(
-            atom_type_name,
-            lambda: self.indexes.grid_lookup(atom_type_name, attributes, values, self.counters),
-        )
-
-    def _candidates(self, atom_type_name: str, read) -> Optional[FrozenSet[str]]:
-        """``read()`` at the head; for a pinned reader widened by the chained
+        A pinned reader gets the store's head answer widened by the chained
         identifiers, both taken while the type's head lock holds it still."""
-        if self.snapshot is None:
-            return read()
-        head = self.indexes.database
-        if not head.has_atom_type(atom_type_name):
+        store = self.accelerators
+        if store is None:
             return None
-        with head.atyp(atom_type_name).settled() as chained:
-            identifiers = read()
+        if self.snapshot is None:
+            return store.lookup(self.database, atom_type_name, attributes, value, self.counters)
+        head = self.database.head
+        bare = atom_type_name.split("@", 1)[0]
+        if not head.has_atom_type(bare):
+            return None
+        with head.atyp(bare).settled() as chained:
+            identifiers = store.lookup(head, bare, attributes, value, self.counters)
         if identifiers is None or not chained:
             return identifiers
         return identifiers | chained
@@ -301,11 +161,11 @@ class MoleculeScan(PhysicalOperator):
     """α as an access path: derive one molecule per qualifying root atom.
 
     When a root filter is present, its equality conjuncts are answered through
-    the context's index pool where possible, so only the matching root atoms
-    are visited; the remaining conjuncts are evaluated per candidate.  When
-    the Σ directly above hands down its formula, an equality conjunct on a
-    *component* atom type seeds the roots instead: the matching component
-    atoms come from the index pool and the links are walked upward to the
+    the context's equality indexes where possible, so only the matching root
+    atoms are visited; the remaining conjuncts are evaluated per candidate.
+    When the Σ directly above hands down its formula, an equality conjunct on
+    a *component* atom type seeds the roots instead: the matching component
+    atoms come from an equality index and the links are walked upward to the
     roots whose molecules contain them.  The hierarchical join follows the
     molecule structure root-first, through each link type's incidence, on a
     walk compiled once per scan.
@@ -465,9 +325,7 @@ class MoleculeScan(PhysicalOperator):
         )
         if use_grid:
             attributes = tuple(sorted(equalities))
-            identifiers = ctx.grid_lookup(description.root, attributes, equalities)
-            if identifiers is None:
-                identifiers = ctx.grid_lookup(root_bare, attributes, equalities)
+            identifiers = ctx.lookup(description.root, attributes, equalities)
             if identifiers is not None:
                 ctx.counters.index_lookups += 1
                 atoms = [root_type.get(identifier) for identifier in sorted(identifiers)]
@@ -480,8 +338,6 @@ class MoleculeScan(PhysicalOperator):
             equalities = {attribute: equalities[attribute] for attribute in ordered}
         for attribute, value in equalities.items():
             identifiers = ctx.lookup(description.root, attribute, value)
-            if identifiers is None:
-                identifiers = ctx.lookup(root_bare, attribute, value)
             if identifiers is None:
                 continue
             ctx.counters.index_lookups += 1
@@ -665,7 +521,7 @@ class IntervalScan(PhysicalOperator):
         sets: List[FrozenSet[str]] = []
         for attribute, value in wanted:
             identifiers = (
-                ctx.grid_lookup(type_name, attributes, {attribute: value})
+                ctx.lookup(type_name, attributes, {attribute: value})
                 if len(attributes) >= 2
                 else None
             )

@@ -199,7 +199,7 @@ class MQLInterpreter:
     statistics collected from the database on first use) and an
     :class:`~repro.engine.executor.Executor` whose access structures are
     reused across statements.  A storage engine supplies the executor to
-    share its secondary indexes and its accelerator store (structure indexes,
+    share its accelerator store (equality indexes, structure indexes,
     columnar projections) with the planner; neighbour traversal reads the
     link types' own incidence.  Every statement is compiled by one step
     (:meth:`_compile`): statements given as text through the statement

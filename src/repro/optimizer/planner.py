@@ -93,7 +93,7 @@ class Planner:
     """Applies the rewrite rules and picks the cheaper plan.
 
     When an :class:`~repro.engine.executor.Executor` is supplied its access
-    structures (index pool, accelerator store) are reused for execution and
+    structures (the accelerator store) are reused for execution and
     for the ``accelerate_recursion`` and ``columnarize_aggregate`` rewrites;
     otherwise a transient executor over *database* is created on demand.
 

@@ -30,6 +30,7 @@ from repro.engine.logical import (
     plan_description,
 )
 from repro.engine.physical import MAX_ENUMERATION_CANDIDATES
+from repro.storage.index import hashable
 
 #: Default selectivity assumed for a predicate whose selectivity cannot be estimated.
 DEFAULT_SELECTIVITY = 0.25
@@ -120,7 +121,7 @@ class DatabaseStatistics:
             atoms = atom_type.occurrence
             statistics.atom_counts[atom_type.name] = len(atoms)
             for attribute in atom_type.description.names:
-                values = {atom.get(attribute) for atom in atoms}
+                values = {hashable(atom.get(attribute)) for atom in atoms}
                 statistics.distinct_values[(atom_type.name, attribute)] = max(1, len(values))
         for link_type in database.link_types:
             statistics.link_counts[link_type.name] = len(link_type)

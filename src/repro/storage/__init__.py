@@ -12,8 +12,9 @@ This package reproduces that architecture in memory:
   atom-oriented interface below, a molecule-processing interface (backed by
   the molecule algebra and MQL) above — two interfaces over one versioned
   :class:`~repro.core.database.Database`, the engine's only copy of the state,
-* :mod:`repro.storage.index` — the hash and grid indexes the engine's index
-  pool serves value lookups from,
+* :mod:`repro.storage.index` — the hash and grid indexes the engine's
+  accelerator store (:mod:`repro.storage.accelerators`) serves value
+  lookups from,
 * :mod:`repro.storage.network` — the atom-network report of the Fig. 1
   benchmark (degrees, components), built on demand from the link types.
 

@@ -1,23 +1,36 @@
-"""One store for the derived accelerators: structure indexes and columnar
-projections.
+"""One store for the derived access paths: equality indexes, structure
+indexes and columnar projections.
 
 In the MAD model only atoms and links are stored; molecules, and every
-structure that speeds up deriving them, are derived.  The engine keeps two
+structure that speeds up deriving them, are derived.  The engine keeps three
 kinds of such structure here:
 
+* a :class:`~repro.storage.index.HashIndex` per ``(atom type, attribute)``
+  and a :class:`~repro.storage.index.GridIndex` per ``(atom type,
+  attributes)``, created on first use, which answer equality conjuncts and
+  :meth:`~repro.storage.engine.PrimaEngine.lookup`;
 * a :class:`~repro.storage.structure_index.StructureIndex` per registered
   ``(atom type, link type, direction)`` (``CREATE STRUCTURE INDEX``), which
   answers recursive closures by interval range scans;
 * a :class:`~repro.storage.columnar.ColumnarProjection` per atom type,
   created on first use, which answers aggregate scans from attribute arrays.
 
-Both are built lazily, maintained from the engine's change-event stream by
+All are built lazily, maintained from the engine's change-event stream by
 one fold (:meth:`AcceleratorStore.apply_event`), stamped with the engine's
 write generation, and never persisted: a checkpoint image carries the
 registrations (catalog DDL), and the first use after recovery rebuilds the
-rest from the occurrence.
+rest from the occurrence.  Entries are keyed by bare atom type names.
 
-MVCC: one admission rule serves both kinds (:meth:`AcceleratorStore._admit`).
+Equality indexes are always read at the head, built from the head's atomic
+``.occurrence`` copy under the store lock.  A pinned reader does not go
+through the admission rule below: it asks for the head answer while it holds
+the looked-up type's head lock, widens it by the identifiers carrying a
+version chain and reads every candidate back through its view
+(:class:`~repro.engine.physical.ExecutionContext`), which is exact at every
+pin.
+
+MVCC for the other two kinds: one admission rule serves both
+(:meth:`AcceleratorStore._admit`).
 A head context builds a missing or stale entry in place and reads it live.
 A pinned-snapshot context is served only when it carries no private or
 excluded writes and the stamp lies in its window ``[newest mutation the
@@ -38,31 +51,40 @@ pinned view, preserving byte parity.  All counters surface through
 ``maintenance_report()``.
 
 The store's lock is a *leaf* lock: the engine's event path acquires it after
-the per-type head locks and the event lock; readers acquire it alone and
-never touch occurrence state while holding it.
+the per-type head locks and the event lock, and a pinned equality lookup
+after its type's head lock; nothing is acquired under it, and what is read
+of the occurrence under it is an atomic ``.occurrence`` copy of the head.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.runtime import make_rlock
 from repro.core.events import ChangeEvent
 from repro.exceptions import StorageError
 from repro.storage.columnar import ColumnarProjection
+from repro.storage.index import GridIndex, HashIndex
 from repro.storage.structure_index import StructureIndex, StructureKey, structure_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.database import Database
     from repro.core.recursion import RecursiveDescription
 
 
 class AcceleratorStore:
-    """The engine's structure indexes and columnar projections, shared by
-    every executor (module docstring)."""
+    """The engine's equality indexes, structure indexes and columnar
+    projections, shared by every executor (module docstring)."""
 
     def __init__(self) -> None:
         self._lock = make_rlock("AcceleratorStore._lock")
+        #: Equality indexes by atom type, then by attribute (a hash index)
+        #: or attribute tuple (a grid index); created on first use.
+        self._equality: Dict[str, Dict[object, "HashIndex | GridIndex"]] = {}  # guarded-by: AcceleratorStore._lock
+        #: Declared equality indexes (``create_index``), ``(atom type,
+        #: attribute)``: catalog state, checkpointed and logged.
+        self._declared: Set[Tuple[str, str]] = set()  # guarded-by: AcceleratorStore._lock
         #: Registered structure keys; ``None`` until first built.
         self._indexes: Dict[StructureKey, Optional[StructureIndex]] = {}  # guarded-by: AcceleratorStore._lock
         #: Columnar projections by atom type, created on first use.
@@ -101,7 +123,47 @@ class AcceleratorStore:
         with self._lock:
             return structure_key(description) in self._indexes
 
+    def declare_index(self, atom_type_name: str, attribute: str) -> None:
+        """Declare an equality index (``create_index``); built on first use."""
+        with self._lock:
+            self._declared.add((atom_type_name, attribute))
+
+    def is_declared(self, atom_type_name: str, attribute: str) -> bool:
+        with self._lock:
+            return (atom_type_name, attribute) in self._declared
+
     # ------------------------------------------------------------- execution
+
+    def lookup(
+        self,
+        head: "Database",
+        atom_type_name: str,
+        attributes: "str | Tuple[str, ...]",
+        value: object,
+        counters=None,
+    ) -> Optional[FrozenSet[str]]:
+        """The atoms of *atom_type_name* in *head* that may match *value* (a
+        superset, see :mod:`repro.storage.index`), or ``None`` when the type
+        does not exist.  One attribute name reads its hash index; a tuple of
+        them reads their grid, *value* binding any subset of them in a dict.
+
+        A missing index is built from *head*'s ``.occurrence`` copy (one
+        pass, charged to ``counters.atoms_indexed``)."""
+        bare = atom_type_name.split("@", 1)[0]
+        with self._lock:
+            index = self._equality.get(bare, {}).get(attributes)
+            if index is None:
+                if not head.has_atom_type(bare):
+                    return None
+                kind = HashIndex if isinstance(attributes, str) else GridIndex
+                index = kind(bare, attributes)
+                atoms = head.atyp(bare).occurrence
+                for atom in atoms:
+                    index.insert(atom)
+                if counters is not None:
+                    counters.atoms_indexed += len(atoms)
+                self._equality.setdefault(bare, {})[attributes] = index
+            return index.lookup(value)
 
     def index_for(self, description: "RecursiveDescription", ctx) -> Optional[StructureIndex]:
         """The structure index answering *description* in *ctx*, or ``None``
@@ -208,9 +270,20 @@ class AcceleratorStore:
     # ----------------------------------------------------------- maintenance
 
     def apply_event(self, event: ChangeEvent, generation: int) -> None:
-        """Fold one change event into every built accelerator and stamp it."""
+        """Fold one change event into every built accelerator and stamp it.
+
+        An equality index takes an atom event of its own type only: an
+        insertion replaces the atom's previous entry, so insertions and
+        modifications share one path.
+        """
         with self._lock:
             self.generation = generation
+            if event.atom is not None and event.type_name in self._equality:
+                for index in self._equality[event.type_name].values():
+                    if event.kind == "atom_deleted":
+                        index.remove(event.atom.identifier)
+                    else:
+                        index.insert(event.atom)
             for entry in self._entries():
                 entry.apply_event(event)
                 entry.generation = generation
@@ -226,7 +299,7 @@ class AcceleratorStore:
 
     # requires: AcceleratorStore._lock
     def _entries(self):
-        """Every accelerator built so far, of both kinds."""
+        """Every structure index and columnar projection built so far."""
         for entry in chain(self._indexes.values(), self._projections.values()):
             if entry is not None:
                 yield entry
@@ -265,6 +338,8 @@ class AcceleratorStore:
             indexes = [index for index in self._indexes.values() if index is not None]
             projections = list(self._projections.values())
             return {
+                "index_builds": sum(map(len, self._equality.values())),
+                "index_generation": self.generation,
                 "structure_indexes": len(self._indexes),
                 "structure_builds": sum(index.builds for index in indexes),
                 "structure_gap_events": sum(index.gap_events for index in indexes),

@@ -24,14 +24,14 @@ DDL adds types to it, the basic interface reads and writes its
 directly, and recovery and replicas replay into it.  Its version clock, pins
 and commit log are the engine's MVCC state.
 
-**Cache maintenance.**  The hash-index pool, the planner statistics, the
-structure indexes and the columnar projections are *derived* from the
-database and maintained in place: the engine subscribes to the database's
-change events once and folds each atom/link delta into them, advancing a
-:attr:`generation` counter the derived structures are stamped with (a pool
+**Cache maintenance.**  The accelerator store (equality indexes, structure
+indexes, columnar projections) and the planner statistics are *derived*
+from the database and maintained in place: the engine subscribes to the
+database's change events once and folds each atom/link delta into them,
+advancing a :attr:`generation` counter the store is stamped with (a store
 whose generation matches the engine's is coherent by construction).  DDL
-drops the index pool and the interpreter — never the database — and the
-next read rebuilds them.  Neighbour traversal needs no derived structure:
+drops only the interpreter — never the database or the store — and the next
+read rebuilds it.  Neighbour traversal needs no derived structure:
 a link type's occurrence already is the incidence (Definition 2), and
 queries walk it in place.
 
@@ -60,7 +60,7 @@ import os
 from repro.analysis.runtime import make_lock, make_rlock
 from repro.analysis.runtime import checker_report as runtime_lock_report
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.atom import Atom, AtomType
 from repro.core.database import Database
@@ -75,7 +75,6 @@ from repro.storage.accelerators import AcceleratorStore
 from repro.storage.wal import DurabilityConfig, WriteAheadLog, encode_event
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.engine.physical import IndexPool
     from repro.mql.interpreter import MQLInterpreter, QueryResult
     from repro.optimizer.planner import PlanChoice
 
@@ -85,8 +84,8 @@ class PrimaEngine:
 
     Every write — basic interface, MQL DML, the manipulation API on
     :meth:`to_database` — lands in the engine's one database and is folded
-    into the hash indexes, planner statistics, structure indexes and
-    columnar projections in place.
+    into the accelerator store (equality indexes, structure indexes,
+    columnar projections) and the planner statistics in place.
 
     *durability* (a :class:`~repro.storage.wal.DurabilityConfig`) makes the
     engine persistent: construction recovers the directory's checkpoint and
@@ -107,23 +106,19 @@ class PrimaEngine:
         self._database = Database(name)
         self._database.subscribe(self._on_change)
         state = self._database.enable_versioning()
-        #: Declared secondary indexes, ``(atom type, attribute)`` — the
-        #: catalog entry of :meth:`create_index`; the index itself lives in
-        #: the index pool.
-        self._indexed: Set[Tuple[str, str]] = set()
         self._interpreter: Optional["MQLInterpreter"] = None
-        self._index_pool: Optional["IndexPool"] = None
         #: Serializes basic-interface writes (store_atom/connect/delete_atom),
         #: DDL and checkpoints against each other.
         self._write_lock = make_rlock("PrimaEngine._write_lock")
-        #: Guards lazy construction/teardown of the derived access structures
-        #: (interpreter, index pool).
+        #: Guards lazy construction/teardown of the interpreter and the
+        #: replica machinery (process pool, commit feed, replication hub).
         self._cache_lock = make_rlock("PrimaEngine._cache_lock")
         #: The event path's lock: generation counter, stats, WAL routing and
         #: incremental cache maintenance fold one event at a time.  Acquired
         #: *inside* the per-type head locks; only ever acquires the true
-        #: leaves below it — the interpreter's plan lock and the WAL's lock
-        #: (see DESIGN.md "Threading model").
+        #: leaves above it — the interpreter's plan lock, the accelerator
+        #: store's lock and the WAL's lock (see DESIGN.md "Threading
+        #: model").  Readers never take it.
         self._event_lock = make_rlock("PrimaEngine._event_lock")
         #: Monotonic write generation — the newest change event folded into
         #: the derived structures, which are stamped with the generation they
@@ -143,10 +138,12 @@ class PrimaEngine:
         #: Basic-interface reads and occurrence writes per type name.
         self._reads: Dict[str, int] = collections.Counter()
         self._writes: Dict[str, int] = collections.Counter()
-        #: The structure indexes over recursive link closures (``CREATE
-        #: STRUCTURE INDEX``) and the columnar projections backing aggregate
-        #: scans.  Created before recovery runs, which may replay
-        #: ``structure_index`` DDL records into it.
+        #: Every derived access path: the equality indexes (declared by
+        #: :meth:`create_index` or built for a query), the structure indexes
+        #: over recursive link closures (``CREATE STRUCTURE INDEX``) and the
+        #: columnar projections backing aggregate scans.  Created before
+        #: recovery runs, which may replay ``index`` and ``structure_index``
+        #: DDL records into it.
         self._accelerators = AcceleratorStore()
         # -- durability state (all inert when durability is None) -----------
         self._durability = durability
@@ -263,16 +260,16 @@ class PrimaEngine:
     def create_index(self, atom_type_name: str, attribute: str) -> None:
         """Create a secondary index on ``atom_type_name.attribute``.
 
-        The declaration is catalog state (logged, checkpointed); the index
-        itself is built on first :meth:`lookup` in the engine's index pool
-        and maintained there like every index the executor uses.
+        The declaration is catalog state (logged, checkpointed) registered
+        in the accelerator store; the index itself is built there on first
+        use and maintained like every index the executor uses.
         """
         self._require_unfenced()
         if attribute not in self._database.atyp(atom_type_name).description:
             raise StorageError(
                 f"cannot index unknown attribute {attribute!r} of {atom_type_name!r}"
             )
-        self._indexed.add((atom_type_name, attribute))
+        self._accelerators.declare_index(atom_type_name, attribute)
         if self._wal is not None:
             self._wal.append_ddl(
                 {"op": "index", "type": atom_type_name, "attribute": attribute}
@@ -334,16 +331,20 @@ class PrimaEngine:
     def lookup(self, atom_type_name: str, attribute: str, value: object) -> Tuple[Atom, ...]:
         """Value lookup (indexed when possible) — basic-component read operation.
 
-        A declared index (:meth:`create_index`) answers from the engine's
-        index pool; any other attribute is a filtered scan.
+        A declared index (:meth:`create_index`) answers from the accelerator
+        store; any other attribute is a filtered scan.
         """
-        if (atom_type_name, attribute) not in self._indexed:
+        if not self._accelerators.is_declared(atom_type_name, attribute):
             return tuple(
                 atom for atom in self.scan(atom_type_name) if atom.get(attribute) == value
             )
         atom_type = self._database.atyp(atom_type_name)
-        identifiers = self._pool().lookup(atom_type_name, attribute, value)
-        atoms = tuple(atom for atom in map(atom_type.get, identifiers) if atom is not None)
+        identifiers = self._accelerators.lookup(self._database, atom_type_name, attribute, value)
+        atoms = tuple(
+            atom
+            for atom in map(atom_type.get, identifiers)
+            if atom is not None and atom.get(attribute) == value
+        )
         self._reads[atom_type_name] += len(atoms)
         return atoms
 
@@ -455,12 +456,12 @@ class PrimaEngine:
     def interpreter(self) -> "MQLInterpreter":
         """The cached MQL interpreter bound to the engine's access structures.
 
-        The interpreter's executor answers pushed-down equality filters
-        through hash indexes built (on demand, then cached) from the same
-        database it queries; the hierarchical join walks the link types'
-        incidence directly.  Writes are folded into the indexes in place;
-        only DDL discards them, and this method rebuilds them on its next
-        call.
+        The interpreter's executor answers pushed-down equality filters,
+        recursive closures and aggregate scans from the engine's accelerator
+        store; the hierarchical join walks the link types' incidence
+        directly.  Writes are folded into the store in place; DDL discards
+        only the interpreter (its statement cache), and this method rebuilds
+        it on its next call.
         """
         with self._cache_lock:
             if self._interpreter is None:
@@ -468,11 +469,7 @@ class PrimaEngine:
                 from repro.mql.interpreter import MQLInterpreter
 
                 database = self._database
-                executor = Executor(
-                    database,
-                    indexes=self._pool(),
-                    accelerators=self._accelerators,
-                )
+                executor = Executor(database, accelerators=self._accelerators)
                 self._interpreter = MQLInterpreter(
                     database,
                     executor=executor,
@@ -480,19 +477,6 @@ class PrimaEngine:
                 )
                 self._stats["interpreter_builds"] += 1
             return self._interpreter
-
-    def _pool(self) -> "IndexPool":
-        """The (cached, incrementally maintained) hash-index pool — the
-        executor's access path and the home of every declared index."""
-        with self._cache_lock:
-            if self._index_pool is None:
-                from repro.engine.physical import IndexPool
-
-                # The pool reads and builds under the lock its events are
-                # folded under (_on_change), whichever thread asks.
-                self._index_pool = IndexPool(self._database, lock=self._event_lock)
-                self._index_pool.generation = self.generation
-            return self._index_pool
 
     # --------------------------------------------------- snapshots and MVCC
 
@@ -557,9 +541,9 @@ class PrimaEngine:
         snapshot, no matter how much committed DML races at the head.
         Readers derive lock-free over the immutable version chains; the
         plan step serializes briefly on the interpreter's planner lock and
-        an index lookup on the looked-up type's head lock (the index pool
-        and the accelerator store are the head's, shared by every reader —
-        see DESIGN.md "Versioned access paths").
+        an index lookup on the looked-up type's head lock and the
+        accelerator store's lock (the store is the head's, shared by every
+        reader — see DESIGN.md "Versioned access paths").
 
         *threads* defaults to ``min(len(statements), 4)``; ``threads=1``
         degrades to a serial loop over the same pinned handle (the E-PERF7
@@ -874,8 +858,6 @@ class PrimaEngine:
             self._writes[event.type_name] += 1
             if self._wal is not None:
                 self._wal_capture(event)
-            if self._index_pool is not None:
-                self._index_pool.apply_event(event, generation=self.generation)
             self._accelerators.apply_event(event, self.generation)
             if self._interpreter is not None:
                 self._interpreter.apply_event(event)
@@ -891,16 +873,14 @@ class PrimaEngine:
             state.generation = max(state.generation, generation)
         with self._event_lock:
             generation = self.generation = max(self.generation, generation)
-            if self._index_pool is not None:
-                self._index_pool.generation = generation
             self._accelerators.stamp(generation)
 
     def _invalidate(self) -> None:
-        """DDL: drop the derived caches (index pool, interpreter).
+        """DDL: drop the interpreter (its planner and statement cache).
 
         The database, its version clock and its pins are never dropped; the
-        structure indexes and columnar projections describe occurrences a
-        new type does not change, so they stay as they are.  The dropped
+        accelerator store describes occurrences a new type does not change,
+        so it stays as it is.  The dropped
         interpreter's statement-cache counters carry over, its entries
         counted as invalidated.
         """
@@ -910,7 +890,6 @@ class PrimaEngine:
                 self._stats[name] += cache[name]
             self._stats["plan_cache_invalidations"] += cache["plan_cache_entries"]
         self._interpreter = None
-        self._index_pool = None
         self._stats["invalidations"] += 1
 
     def maintenance_statistics(self) -> Dict[str, int]:
@@ -919,8 +898,10 @@ class PrimaEngine:
         ``interpreter_builds`` counts full (re)constructions — it stays at 1
         while ``events_applied`` grows and only DDL adds one;
         ``snapshot_builds`` is 1 for the engine's life (its database is
-        created once); ``index_generation`` equals
-        ``generation`` whenever the executor's index pool is coherent.
+        created once); ``index_generation`` (like the ``structure_`` and
+        ``columnar_generation``) equals ``generation`` whenever the
+        accelerator store is coherent; ``index_builds`` counts the equality
+        indexes built, each once for the engine's life.
         ``plan_cache_entries`` is the interpreter's statement-cache size,
         ``plan_cache_hits`` / ``_misses`` / ``_invalidations`` count over the
         engine's life (the entries DDL drops count as invalidated).
@@ -938,10 +919,6 @@ class PrimaEngine:
         # Read by benchmarks/harness/runner.py (storage.network.rebuilds); the
         # engine keeps no network, so it is 0 until the harness drops the key.
         report["network_rebuilds"] = 0
-        report["index_builds"] = self._index_pool.builds if self._index_pool is not None else 0
-        report["index_generation"] = (
-            self._index_pool.generation if self._index_pool is not None else 0
-        )
         report.update(self._accelerators.statistics())
         return report
 

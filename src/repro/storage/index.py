@@ -2,8 +2,15 @@
 
 A :class:`HashIndex` maps attribute values to atom identifiers within one atom
 type; it accelerates the atom-oriented interface's value lookups (the
-selective restrictions the optimizer pushes down).  Indexes are maintained
-incrementally by the index pool that owns them.
+selective restrictions the optimizer pushes down).  A :class:`GridIndex` does
+the same for a conjunction over several attributes.  The engine's
+:class:`~repro.storage.accelerators.AcceleratorStore` owns them: it builds
+them on first use and folds every change event into them.
+
+Attribute values of the ``any`` domain may be unhashable (lists, sets,
+dicts); :func:`hashable` maps every value to a hashable key such that equal
+values get equal keys.  Different values may share a key, so an index answer
+is a superset of the exact one — callers test every candidate again.
 """
 
 from __future__ import annotations
@@ -12,6 +19,24 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.core.atom import Atom
 from repro.exceptions import StorageError
+
+
+def hashable(value: object) -> object:
+    """A hashable key for *value*; equal values always get equal keys.
+
+    Lists and tuples become tuples, sets frozensets and dicts frozensets of
+    their items (equal whatever the insertion order), all recursively; any
+    other unhashable value falls back to its ``repr``.
+    """
+    if isinstance(value, (list, tuple)):  # a tuple may hold lists
+        return tuple(map(hashable, value))
+    if type(value).__hash__ is not None:
+        return value
+    if isinstance(value, set):
+        return frozenset(map(hashable, value))
+    if isinstance(value, dict):
+        return frozenset((hashable(key), hashable(item)) for key, item in value.items())
+    return repr(value)
 
 
 class HashIndex:
@@ -29,7 +54,7 @@ class HashIndex:
         """Index *atom* (replacing any previous entry for its identifier)."""
         if atom.identifier in self._entries:
             self.remove(atom.identifier)
-        value = self._hashable(atom.get(self.attribute))
+        value = hashable(atom.get(self.attribute))
         self._buckets.setdefault(value, set()).add(atom.identifier)
         self._entries[atom.identifier] = value
 
@@ -46,7 +71,7 @@ class HashIndex:
 
     def lookup(self, value: object) -> FrozenSet[str]:
         """Return the identifiers whose indexed attribute equals *value*."""
-        return frozenset(self._buckets.get(self._hashable(value), ()))
+        return frozenset(self._buckets.get(hashable(value), ()))
 
     def distinct_values(self) -> int:
         """Number of distinct indexed values (used by the optimizer's statistics)."""
@@ -57,14 +82,6 @@ class HashIndex:
 
     def __contains__(self, identifier: object) -> bool:
         return identifier in self._entries
-
-    @staticmethod
-    def _hashable(value: object) -> object:
-        if isinstance(value, list):
-            return tuple(value)
-        if isinstance(value, dict):
-            return tuple(sorted(value.items()))
-        return value
 
     def __repr__(self) -> str:
         return (
@@ -106,9 +123,7 @@ class GridIndex:
         """Index *atom* (replacing any previous entry for its identifier)."""
         if atom.identifier in self._entries:
             self.remove(atom.identifier)
-        values = tuple(
-            HashIndex._hashable(atom.get(attribute)) for attribute in self.attributes
-        )
+        values = tuple(hashable(atom.get(attribute)) for attribute in self.attributes)
         coordinate = tuple(self._coordinate(value) for value in values)
         self._cells.setdefault(coordinate, {})[atom.identifier] = values
         self._entries[atom.identifier] = coordinate
@@ -136,9 +151,7 @@ class GridIndex:
             raise StorageError(
                 f"grid index over {self.attributes!r} cannot bind {sorted(unknown)!r}"
             )
-        bound = {
-            name: HashIndex._hashable(value) for name, value in values.items()
-        }
+        bound = {name: hashable(value) for name, value in values.items()}
         wanted = tuple(
             (position, bound[name], self._coordinate(bound[name]))
             for position, name in enumerate(self.attributes)
@@ -161,10 +174,7 @@ class GridIndex:
         return frozenset(matches)
 
     def _coordinate(self, hashable_value: object) -> int:
-        try:
-            return hash(hashable_value) % self.partitions
-        except TypeError:
-            return hash(repr(hashable_value)) % self.partitions
+        return hash(hashable_value) % self.partitions
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -128,7 +128,7 @@ def checkpoint_image(engine: "PrimaEngine") -> Dict[str, object]:
                 "indexes": sorted(
                     name
                     for name in atom_type.description.names
-                    if (atom_type.name, name) in engine._indexed
+                    if engine._accelerators.is_declared(atom_type.name, name)
                 ),
             }
         )

@@ -261,7 +261,7 @@ class TestSeededReadsSeeWrites:
         def step(statement, expected):
             engine.query(statement)
             # Inside BEGIN WORK the read runs on the session's snapshot plus its
-            # own writes (the pool widened by its chains); outside it is the
+            # own writes (the head index widened by its chains); outside it is the
             # seeded head read.
             assert roots_of(engine.query(LEAF)) == expected
             if not in_transaction:

@@ -13,7 +13,6 @@ from repro.engine import (
     Difference,
     ExecutionContext,
     Executor,
-    IndexPool,
     Intersection,
     MoleculeScan,
     MoleculeSource,
@@ -35,6 +34,7 @@ from repro.mql import execute, parse
 from repro.mql.ast_nodes import ExplainStatement
 from repro.mql.translator import to_logical_plan
 from repro.storage import PrimaEngine
+from repro.storage.accelerators import AcceleratorStore
 
 from reference import literal
 
@@ -141,12 +141,12 @@ class TestStreaming:
 
 
 class TestIndexedScan:
-    def test_equality_root_filter_uses_index_pool(self, geo_db):
+    def test_equality_root_filter_uses_accelerator_store(self, geo_db):
         description = MoleculeTypeDescription(
             ["point", "edge"], [("edge-point", "point", "edge")]
         )
         plan = DefinePlan("pn", description, attr("name", "point") == "pn")
-        executor = Executor(geo_db, indexes=IndexPool(geo_db))  # immutable-db caller
+        executor = Executor(geo_db, accelerators=AcceleratorStore())  # immutable-db caller
         result = executor.run(plan)
         assert len(result) == 1
         assert result.counters.index_lookups == 1
@@ -254,7 +254,7 @@ class TestPrimaEngineRouting:
         assert result.plan_choice is not None
 
     def test_snapshot_pool_backs_pushed_down_filters(self, prima):
-        """The engine's snapshot-bound pool answers equality filters via index."""
+        """The engine's accelerator store answers equality filters via index."""
         result = prima.query("SELECT ALL FROM state-area WHERE state.code = 'SP';")
         assert len(result) == 1
         assert result.counters.index_lookups == 1
@@ -287,8 +287,8 @@ class TestPrimaEngineRouting:
 
         Incremental cache maintenance folds every write into the snapshot,
         the hash indexes and the atom network in place, so a held
-        interpreter and a fresh query answer identically — and the index
-        pool's generation proves it kept up with the write stream.  (True
+        interpreter and a fresh query answer identically — and the store's
+        index generation proves it kept up with the write stream.  (True
         snapshot isolation for held readers is the MVCC follow-on tracked in
         the ROADMAP.)
         """

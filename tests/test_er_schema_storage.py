@@ -169,7 +169,7 @@ class TestStorage:
         assert engine.get_atom("state", "SP")["hectare"] == 750
         engine.create_index("state", "code")
         assert len(engine.lookup("state", "code", "MG")) == 1
-        assert engine.maintenance_statistics()["index_builds"] == 1  # served by the pool
+        assert engine.maintenance_statistics()["index_builds"] == 1  # served by the store
         assert len(engine.lookup("state", "hectare", 750)) == 1  # unindexed scan path
         assert engine.maintenance_statistics()["index_builds"] == 1
         engine.store_atom("state", identifier="MG", code="GM", hectare=900)  # replace

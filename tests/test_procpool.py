@@ -184,7 +184,7 @@ class TestRouteContract:
             assert fingerprint(got) == fingerprint(expected)
 
     def test_selective_reads_derive_only_the_answer(self, shared_engine, mode):
-        """Every replica reads through an index pool — a worker at the head
+        """Every replica reads through an equality index — a worker at the head
         of its own copy, a follower through its pin — so a point read costs
         its answer on either route, not the atom type."""
         statements = [f"SELECT item FROM item WHERE item.name = 'n{i}';" for i in (7, 8, 9, 10)]

@@ -1,12 +1,12 @@
 """Incremental cache maintenance: change events, deltas, and coherence.
 
 The storage engine holds one database, subscribes to its change events and
-folds every write into the hash-index pool and the planner statistics —
+folds every write into the accelerator store and the planner statistics —
 instead of invalidating and rebuilding them.  These tests assert:
 
 * the core emits the five event kinds in mutation order;
 * the atom-network report, built on demand, follows the link types;
-* the executor's index pool answers correctly across writes without being
+* the store's equality indexes answer correctly across writes without being
   rebuilt, and its generation stamp tracks the engine's;
 * build counters stay at 1 in steady state;
 * every write route — basic interface, MQL DML, the manipulation API on
@@ -45,6 +45,42 @@ def build_tiny() -> Database:
     db.define_atom_type("book", {"title": "string", "year": "integer"})
     db.define_link_type("wrote", "author", "book")
     return db
+
+
+class TestUnhashableValues:
+    """An ``any`` attribute may hold sets and dicts of lists: statistics and
+    equality indexes key them through ``hashable`` and stay exact."""
+
+    @pytest.fixture()
+    def engine(self):
+        engine = PrimaEngine("any")
+        engine.create_atom_type("t", {"k": "string", "x": "any"})
+        engine.store_atom("t", identifier="s", k="a", x={1, 2})
+        engine.store_atom("t", identifier="d", k="b", x={"m": [1, 2]})
+        engine.store_atom("t", identifier="l", k="c", x=[1, 2])
+        engine.store_atom("t", identifier="p", k="d", x=(1, 2))
+        engine.create_index("t", "x")
+        return engine
+
+    def test_queries_plan_and_answer(self, engine):
+        for key, identifier in (("a", "s"), ("b", "d"), ("c", "l")):
+            result = engine.query(f"SELECT ALL FROM t WHERE t.k = '{key}';")
+            assert [m.root_atom.identifier for m in result.molecules] == [identifier]
+        grid = engine.query("SELECT ALL FROM t WHERE t.k = 'a' AND t.x = 'zz';")
+        assert len(grid) == 0
+
+    def test_lookup_is_exact(self, engine):
+        def ids(value):
+            return sorted(atom.identifier for atom in engine.lookup("t", "x", value))
+
+        assert ids({2, 1}) == ["s"]
+        assert ids(frozenset({1, 2})) == ["s"]
+        assert ids({"m": [1, 2]}) == ["d"]
+        # A list and a tuple share an index key; the lookup filters them apart.
+        assert ids([1, 2]) == ["l"]
+        assert ids((1, 2)) == ["p"]
+        assert ids({"m": [2, 1]}) == []
+        assert engine.maintenance_statistics()["index_builds"] == 1
 
 
 class TestChangeEvents:
@@ -124,19 +160,40 @@ class TestEngineMaintenance:
         assert report["events_applied"] == 10
         assert report["index_generation"] == report["generation"]
 
-    def test_index_pool_maintained_across_writes(self, prima):
+    def test_equality_indexes_maintained_across_writes(self, prima):
         prima.query("SELECT ALL FROM state-area WHERE state.code = 'SP';")  # builds index
-        builds_before = prima.maintenance_statistics()["index_builds"]
+        store, head = prima._accelerators, prima.to_database()
+        assert store.statistics()["index_builds"] == 1
         prima.store_atom("state", identifier="ZZ", name="Z", code="ZZ", hectare=1)
         prima.store_atom("area", identifier="a_zz", area_id="a_zz", kind="state-border")
         prima.connect("state-area", "ZZ", "a_zz")
+        assert store.lookup(head, "state", "code", "ZZ") == frozenset({"ZZ"})
         hit = prima.query("SELECT ALL FROM state-area WHERE state.code = 'ZZ';")
         assert len(hit) == 1
         assert hit.counters.index_lookups == 1
         prima.delete_atom("state", "ZZ")
+        assert store.lookup(head, "state", "code", "ZZ") == frozenset()
         miss = prima.query("SELECT ALL FROM state-area WHERE state.code = 'ZZ';")
         assert len(miss) == 0
-        assert prima.maintenance_statistics()["index_builds"] == builds_before
+        assert store.statistics()["index_builds"] == 1
+        assert prima.maintenance_statistics()["index_builds"] == 1
+
+    def test_ddl_keeps_equality_indexes(self):
+        """Creating an unrelated type leaves the built indexes alone: the
+        next indexed query reads the same index, built once."""
+        engine = PrimaEngine("ddl")
+        engine.create_atom_type("t", {"k": "string"})
+        for i in range(100):
+            engine.store_atom("t", identifier=f"t{i}", k=f"a{i}")
+        statement = "SELECT ALL FROM t WHERE t.k = 'a7';"
+        first = engine.query(statement)
+        assert first.counters.atoms_indexed == 100
+        engine.create_atom_type("u", {"k": "string"})
+        again = engine.query(statement)
+        assert [m.root_atom.identifier for m in again.molecules] == ["t7"]
+        assert again.counters.index_lookups == 1
+        assert again.counters.atoms_indexed == 0
+        assert engine.maintenance_statistics()["index_builds"] == 1
 
     def test_dml_mirrors_into_stores_and_network(self, prima):
         """MQL DML is visible through the basic interface and the network."""

@@ -338,7 +338,7 @@ class TestRootEnumerationCounters:
     """A selective closure does work proportional to its answer, whoever
     reads: the six qualifying roots are derived and restricted, nothing else
     — at the head, through a pinned snapshot and on a follower, which take
-    their candidates from the head's index pool and the version chains."""
+    their candidates from the head's equality indexes and the version chains."""
 
     @staticmethod
     def assert_answer_sized(result):

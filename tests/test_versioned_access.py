@@ -1,5 +1,5 @@
 """Versioned access paths: a pinned view, a session and a follower read
-through the index pool kept at the head.
+through the equality indexes the accelerator store keeps at the head.
 
 A lookup in a snapshot context answers ``head index ∪ identifiers that carry a
 version chain`` and every candidate is read back through the pinned view, so
@@ -105,7 +105,7 @@ def fingerprint(result) -> str:
 
 def all_roots(engine: PrimaEngine, statement: str, snapshot) -> str:
     """The statement's plan at *snapshot* with no access path at all: an
-    executor of its own, whose pool builds nothing and answers ``None``."""
+    executor of its own, with no accelerator store."""
     plan = engine.plan(statement).best
     executor = Executor(engine.to_database())
     context = executor.context(snapshot=snapshot)
@@ -608,6 +608,41 @@ class TestReaderBuiltAccelerators:
         report = engine.maintenance_report()
         assert report["columnar_builds"] == report["structure_builds"] == 0
         assert report["columnar_snapshot_gaps"] == report["structure_snapshot_gaps"] == 2
+
+
+# -------------------------------------------- pinned lookups and the writers
+
+
+def test_pinned_indexed_reads_never_wait_on_the_event_lock():
+    """A pinned equality lookup (the index build included) takes its type's
+    head lock and the store's leaf lock, never the lock writers fold their
+    change events under."""
+    engine = build_engine()
+    expected = fingerprint(engine.query(HASH))
+    engine.store_atom("part", identifier="p0", part_no="P0", kind="z", cost=1)
+    statements = (HASH, GRID, SEEDED, LATE)
+    with engine.snapshot_at() as handle:
+        # Chained after the pin: the reader widens by it and reads it back.
+        engine.store_atom("part", identifier="p1", part_no="P1", kind="x", cost=2)
+        results = {}
+
+        def read():
+            for _ in range(2):  # the first round builds GRID's, SEEDED's and LATE's
+                for statement in statements:
+                    results[statement] = handle.query(statement)
+
+        with engine._event_lock:
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            reader.join(timeout=10)
+            finished = not reader.is_alive()
+        reader.join(timeout=30)
+        assert finished, "a pinned indexed read waited on the event lock"
+        for statement in statements:
+            result = results[statement]
+            assert result.counters.index_lookups >= 1
+            assert fingerprint(result) == all_roots(engine, statement, handle.snapshot)
+        assert fingerprint(results[HASH]) != expected  # p0 left 'x' before the pin
 
 
 # ------------------------------------------------------ incidence traversal
