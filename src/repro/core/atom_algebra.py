@@ -101,28 +101,22 @@ def _inherit_link_types(
                 new_link_type = LinkType(new_name, result.name, result.name,
                                          cardinality=link_type.cardinality)
                 for link in link_type:
-                    ids = tuple(link.identifiers)
-                    first_id = ids[0]
-                    second_id = ids[-1]
-                    for new_first in origin_map.get(first_id, ()):
-                        for new_second in origin_map.get(second_id, ()):
+                    # The given order keeps the two roles (e.g. super/sub-part).
+                    for new_first in origin_map.get(link.first, ()):
+                        for new_second in origin_map.get(link.second, ()):
                             new_link_type.add(Link(new_name, new_first, new_second,
                                                    result.name, result.name))
                 inherited.append(new_link_type)
                 continue
             new_link_type = LinkType(new_name, result.name, other_type,
                                      cardinality=link_type.cardinality)
+            # A stored non-reflexive link is in definition order.
+            operand_first = link_type.atom_type_names[0] == operand.name
             for link in link_type:
-                operand_id = link.endpoint_of_type(operand.name)
-                other_id = link.endpoint_of_type(other_type)
-                if operand_id is None or other_id is None:
-                    # Links created from bare identifiers: resolve by membership.
-                    ids = tuple(link.identifiers)
-                    if len(ids) == 1:
-                        operand_id = other_id = ids[0]
-                    else:
-                        operand_id = ids[0] if ids[0] in origin_map else ids[1]
-                        other_id = ids[1] if operand_id == ids[0] else ids[0]
+                if operand_first:
+                    operand_id, other_id = link.first, link.second
+                else:
+                    operand_id, other_id = link.second, link.first
                 for new_id in origin_map.get(operand_id, ()):
                     new_link_type.add(Link(new_name, new_id, other_id, result.name, other_type))
             inherited.append(new_link_type)

@@ -384,13 +384,21 @@ class Database:
                 raise UnknownNameError(
                     f"link type {link_type.name!r} references undefined atom types"
                 )
+            first_atoms = self._atom_types[first_name]
+            second_atoms = self._atom_types[second_name]
+            # A stored link is in definition order: its first endpoint is
+            # typed with the first atom type, its second with the second.
             for link in link_type:
-                for endpoint_type, identifier in link.endpoints:
-                    if identifier not in self._atom_types[endpoint_type]:
-                        raise DanglingLinkError(
-                            f"link {link!r} of type {link_type.name!r} references "
-                            f"unknown {endpoint_type!r} atom {identifier!r}"
-                        )
+                if link.first not in first_atoms:
+                    endpoint_type, identifier = first_name, link.first
+                elif link.second not in second_atoms:
+                    endpoint_type, identifier = second_name, link.second
+                else:
+                    continue
+                raise DanglingLinkError(
+                    f"link {link!r} of type {link_type.name!r} references "
+                    f"unknown {endpoint_type!r} atom {identifier!r}"
+                )
 
     def is_valid(self) -> bool:
         """Return ``True`` when :meth:`validate` succeeds."""

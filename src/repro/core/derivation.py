@@ -169,18 +169,20 @@ class StructureWalk:
                 bucket = per_type.get(target)
                 if bucket is None:
                     bucket = per_type[target] = {}
-                near = 1 - far if far is not None else None
                 incident = link_type.incident
                 for parent_id in parents:
                     for link in incident(parent_id):
                         if far is None:
-                            first, second = link.given_order
-                            child_id = second if first == parent_id else first
-                        else:
-                            endpoints = link.endpoints
-                            if endpoints[near][1] != parent_id:
+                            first = link.first
+                            child_id = link.second if first == parent_id else first
+                        elif far:
+                            if link.first != parent_id:
                                 continue  # another type's atom with this identifier
-                            child_id = endpoints[far][1]
+                            child_id = link.second
+                        else:
+                            if link.second != parent_id:
+                                continue  # another type's atom with this identifier
+                            child_id = link.first
                         child_atom = lookup(child_id)
                         if child_atom is None:
                             # The partner belongs to the other endpoint type of a
@@ -217,18 +219,20 @@ class StructureWalk:
                 continue
             for source, link_type, lookup, far in parents:
                 bucket = reached.setdefault(source, set())
-                near = 1 - far if far is not None else None
                 incident = link_type.incident
                 for child_id in children:
                     for link in incident(child_id):
                         if far is None:
-                            first, second = link.given_order
-                            parent_id = second if first == child_id else first
-                        else:
-                            endpoints = link.endpoints
-                            if endpoints[near][1] != child_id:
+                            first = link.first
+                            parent_id = link.second if first == child_id else first
+                        elif far:
+                            if link.first != child_id:
                                 continue  # another type's atom with this identifier
-                            parent_id = endpoints[far][1]
+                            parent_id = link.second
+                        else:
+                            if link.second != child_id:
+                                continue  # another type's atom with this identifier
+                            parent_id = link.first
                         if parent_id not in bucket and lookup(parent_id) is not None:
                             bucket.add(parent_id)
                         followed += 1
@@ -237,18 +241,19 @@ class StructureWalk:
 
 
 def _far_end(link_type: LinkType, near: str, far: str) -> Optional[int]:
-    """Where in :attr:`Link.endpoints` a use's walk from a *near* atom finds
-    the *far* atom: the index of the far type's endpoint when the link type
-    joins exactly these two distinct types, else ``None``.
+    """Where a use's walk from a *near* atom finds the *far* atom: the far
+    type's position in definition order (0 for :attr:`Link.first`, 1 for
+    :attr:`Link.second`) when the link type joins exactly these two distinct
+    types, else ``None``.
 
     Identifiers are unique only within an atom type, so the walk tells a
-    link's sides apart by endpoint type wherever the types differ; with
-    ``None`` (a reflexive link type) it goes by identifier.
+    link's sides apart by endpoint type wherever the types differ — a stored
+    non-reflexive link is in definition order, so by position; with ``None``
+    (a reflexive link type) it goes by identifier.
     """
     first, second = link_type.atom_type_names
     if near != far and (near, far) in ((first, second), (second, first)):
-        # Link.endpoints is sorted by type, and the two types differ.
-        return 0 if far < near else 1
+        return 0 if far == first else 1
     return None
 
 
@@ -359,7 +364,7 @@ def mv_graph(
             name.split("~", 1)[0] for name in allowed_link_names
         }:
             return False, f"link {link!r} uses a link type outside the description"
-        if not all(identifier in component_ids for identifier in link.identifiers):
+        if link.first not in component_ids or link.second not in component_ids:
             return False, f"link {link!r} references atoms outside the molecule"
     root = molecule.root_atom
     if root.type_name != description.root and root.type_name.split("@", 1)[0] != description.root.split("@", 1)[0]:
@@ -378,8 +383,7 @@ def _is_connected(molecule: Molecule) -> bool:
         return True
     adjacency: Dict[str, Set[str]] = {identifier: set() for identifier in identifiers}
     for link in molecule.links:
-        ids = tuple(link.identifiers)
-        first, last = ids[0], ids[-1]
+        first, last = link.first, link.second
         if first in adjacency and last in adjacency:
             adjacency[first].add(last)
             adjacency[last].add(first)

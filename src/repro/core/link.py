@@ -52,14 +52,18 @@ class Link:
     the same type; a self-loop (both endpoints the same atom) is permitted but
     rarely useful.
 
-    :attr:`endpoints` is the canonically ordered (sorted by type, then
-    identifier) ``((type, id), (type, id))`` view of the endpoints, for
-    display and for telling the endpoints apart by type; the semantics remain
-    unsorted.  It is a plain attribute — a fold over a whole link type reads
-    it once per link.
+    A link is four slots: its type name, the two identifiers :attr:`first`
+    and :attr:`second` in the order given, and :attr:`types`, the
+    ``(first type, second type)`` pair — one tuple shared by every link its
+    :class:`LinkType` builds.  A stored non-reflexive link is given in
+    definition order, so a walk tells its sides apart by position.  The
+    views :attr:`identifiers`, :attr:`given_order` and :attr:`endpoints`
+    (sorted by type, then identifier, for display and for telling the
+    endpoints apart by type) are computed on each read — a loop over many
+    links reads :attr:`first` and :attr:`second` instead.
     """
 
-    __slots__ = ("link_type_name", "_pair", "endpoints", "_given")
+    __slots__ = ("link_type_name", "first", "second", "types")
 
     def __init__(
         self,
@@ -69,25 +73,36 @@ class Link:
         first_type: Optional[str] = None,
         second_type: Optional[str] = None,
     ) -> None:
-        first_id = first.identifier if isinstance(first, Atom) else first
-        second_id = second.identifier if isinstance(second, Atom) else second
-        first_tn = first.type_name if isinstance(first, Atom) else first_type
-        second_tn = second.type_name if isinstance(second, Atom) else second_type
+        if isinstance(first, Atom):
+            first_type, first = first.type_name, first.identifier
+        if isinstance(second, Atom):
+            second_type, second = second.type_name, second.identifier
         self.link_type_name = link_type_name
-        self._pair: FrozenSet[str] = frozenset((first_id, second_id))
         # The construction order is preserved: for reflexive link types it is
         # the only way to tell the two roles apart (e.g. super-component vs.
         # sub-component on a 'composition' link).  Equality stays unordered,
         # matching the paper's "unsorted pair".
-        self._given: Tuple[str, str] = (first_id, second_id)
-        self.endpoints: Tuple[Tuple[Optional[str], str], ...] = tuple(
-            sorted(((first_tn, first_id), (second_tn, second_id)), key=lambda pair: (pair[0] or "", pair[1]))
-        )
+        self.first: str = first
+        self.second: str = second
+        self.types: Tuple[Optional[str], Optional[str]] = (first_type, second_type)
+
+    @classmethod
+    def _typed(
+        cls, link_type_name: str, first: str, second: str, types: Tuple[str, str]
+    ) -> "Link":
+        """A link of two identifiers typed by an existing *types* pair (a
+        link type's own, so its links share one tuple)."""
+        link = cls.__new__(cls)
+        link.link_type_name = link_type_name
+        link.first = first
+        link.second = second
+        link.types = types
+        return link
 
     @property
     def identifiers(self) -> FrozenSet[str]:
         """The unsorted pair of atom identifiers this link connects."""
-        return self._pair
+        return frozenset((self.first, self.second))
 
     @property
     def given_order(self) -> Tuple[str, str]:
@@ -96,23 +111,32 @@ class Link:
         Needed to recover the two roles of a reflexive link type; for
         non-reflexive link types the endpoint atom types already disambiguate.
         """
-        return self._given
+        return (self.first, self.second)
+
+    @property
+    def endpoints(self) -> Tuple[Tuple[Optional[str], str], Tuple[Optional[str], str]]:
+        """``((type, id), (type, id))`` sorted by type, then identifier."""
+        first_type, second_type = self.types
+        first = (first_type, self.first)
+        second = (second_type, self.second)
+        if (second_type or "", self.second) < (first_type or "", self.first):
+            return (second, first)
+        return (first, second)
 
     def connects(self, identifier: str) -> bool:
         """Return ``True`` when *identifier* is one of the two endpoints."""
-        return identifier in self._pair
+        return identifier == self.first or identifier == self.second
 
     def other(self, identifier: str) -> str:
         """Return the endpoint opposite to *identifier*.
 
         For self-loops the same identifier is returned.
         """
-        if identifier not in self._pair:
-            raise DanglingLinkError(f"atom {identifier!r} is not an endpoint of {self!r}")
-        if len(self._pair) == 1:
-            return identifier
-        (first, second) = tuple(self._pair)
-        return second if first == identifier else first
+        if identifier == self.first:
+            return self.second
+        if identifier == self.second:
+            return self.first
+        raise DanglingLinkError(f"atom {identifier!r} is not an endpoint of {self!r}")
 
     def endpoint_of_type(self, type_name: str) -> Optional[str]:
         """Return the endpoint identifier whose atom type is *type_name*, if any."""
@@ -124,10 +148,17 @@ class Link:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Link):
             return NotImplemented
-        return self.link_type_name == other.link_type_name and self._pair == other._pair
+        first, second = self.first, self.second
+        return self.link_type_name == other.link_type_name and (
+            (first == other.first and second == other.second)
+            or (first == other.second and second == other.first)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.link_type_name, self._pair))
+        first, second = self.first, self.second
+        if second < first:
+            return hash((self.link_type_name, second, first))
+        return hash((self.link_type_name, first, second))
 
     def __repr__(self) -> str:
         ids = " -- ".join(identifier for _, identifier in self.endpoints)
@@ -153,7 +184,7 @@ class LinkType:
         "_name",
         "_first_type",
         "_second_type",
-        "_endpoint_types",
+        "_types",
         "_links",
         "_by_atom",
         "cardinality",
@@ -177,9 +208,9 @@ class LinkType:
         self._name = name
         self._first_type = first_type.name if isinstance(first_type, AtomType) else first_type
         self._second_type = second_type.name if isinstance(second_type, AtomType) else second_type
-        #: The endpoint types as a typed link of this type lists them
-        #: (:attr:`Link.endpoints` sorts by type).
-        self._endpoint_types = tuple(sorted((self._first_type, self._second_type)))
+        #: The ``(first, second)`` type pair every link this type builds
+        #: shares as its :attr:`Link.types`.
+        self._types = (self._first_type, self._second_type)
         self.cardinality = cardinality
         self._links: Set[Link] = set()  # guarded-by: LinkType._lock
         self._by_atom: Dict[str, Set[Link]] = {}  # guarded-by: LinkType._lock
@@ -245,8 +276,9 @@ class LinkType:
                     chain = VersionChain(base)
                     self._versions[link] = chain
                 chain.record(generation, payload)
-                for identifier in link.identifiers:
-                    self._historic_by_atom.setdefault(identifier, set()).add(link)
+                historic = self._historic_by_atom
+                historic.setdefault(link.first, set()).add(link)
+                historic.setdefault(link.second, set()).add(link)
             swap()
         return generation
 
@@ -273,7 +305,7 @@ class LinkType:
                 live += len(chain)
             for link in dead:
                 del self._versions[link]
-                for identifier in link.identifiers:
+                for identifier in (link.first, link.second):
                     bucket = self._historic_by_atom.get(identifier)
                     if bucket is not None:
                         bucket.discard(link)
@@ -370,15 +402,8 @@ class LinkType:
         """
         if not isinstance(link, Link):
             link = self.link(link, second) if second is not None else self.link(*link)
-        elif (
-            link.link_type_name != self._name
-            or (link.endpoints[0][0], link.endpoints[1][0]) != self._endpoint_types
-            or (
-                not self.is_reflexive
-                and link.given_order[0] != link.endpoint_of_type(self._first_type)
-            )
-        ):
-            link = Link(self._name, *self._ordered_ids(link), self._first_type, self._second_type)
+        elif link.link_type_name != self._name or link.types != self._types:
+            link = Link._typed(self._name, *self._ordered_ids(link), self._types)
         return self._insert(link, check=True)
 
     def link(self, first: "Atom | str", second: "Atom | str") -> Link:
@@ -395,12 +420,11 @@ class LinkType:
             or getattr(second, "type_name", None) == self._first_type
         ):
             first, second = second, first
-        return Link(
+        return Link._typed(
             self._name,
             first.identifier if isinstance(first, Atom) else first,
             second.identifier if isinstance(second, Atom) else second,
-            self._first_type,
-            self._second_type,
+            self._types,
         )
 
     def placed(
@@ -426,9 +450,7 @@ class LinkType:
         produced (a re-applied prefix over a newer image; interleaved
         transactions), and the replayed end state is the validated one.
         """
-        return self._insert(
-            Link(self._name, first, second, self._first_type, self._second_type), check=False
-        )
+        return self._insert(Link._typed(self._name, first, second, self._types), check=False)
 
     def _insert(self, link: Link, check: bool) -> Link:
         with self._lock:
@@ -439,8 +461,9 @@ class LinkType:
 
             def connect_head(link: Link = link) -> None:
                 self._links.add(link)
-                for identifier in link.identifiers:
-                    self._by_atom.setdefault(identifier, set()).add(link)
+                by_atom = self._by_atom
+                by_atom.setdefault(link.first, set()).add(link)
+                by_atom.setdefault(link.second, set()).add(link)
 
             generation = self._version_mutation(link, PRESENT, ABSENT, connect_head)
             self._emit(LINK_CONNECTED, link, generation=generation)
@@ -453,10 +476,19 @@ class LinkType:
     def _check_cardinality(self, link: Link) -> None:
         if self.cardinality is Cardinality.MANY_TO_MANY:
             return
-        for endpoint in link.endpoints:
-            endpoint_type, identifier = endpoint
-            # Only this atom's links: another type's atom may share the identifier.
-            if not any(endpoint in other.endpoints for other in self._by_atom.get(identifier, ())):
+        reflexive = self.is_reflexive
+        for endpoint_type, identifier in link.endpoints:
+            bucket = self._by_atom.get(identifier, ())
+            # Only this atom's links: another type's atom may share the
+            # identifier.  A stored non-reflexive link is in definition
+            # order, so the side of this atom's type is a position.
+            if reflexive:
+                taken = bool(bucket)
+            elif endpoint_type == self._first_type:
+                taken = any(other.first == identifier for other in bucket)
+            else:
+                taken = any(other.second == identifier for other in bucket)
+            if not taken:
                 continue
             if self.cardinality is Cardinality.ONE_TO_ONE:
                 raise CardinalityError(
@@ -473,10 +505,13 @@ class LinkType:
         with self._lock:
             if link not in self._links:
                 return
+            if link.types != self._types:
+                # Chained and emitted as stored: in definition order.
+                link = Link._typed(self._name, *self._ordered_ids(link), self._types)
 
             def disconnect_head(link: Link = link) -> None:
                 self._links.discard(link)
-                for identifier in link.identifiers:
+                for identifier in (link.first, link.second):
                     bucket = self._by_atom.get(identifier)
                     if bucket is not None:
                         bucket.discard(link)
@@ -578,15 +613,15 @@ class LinkType:
         for link in self._links:
             first_id, second_id = self._ordered_ids(link)
             if first_id in allowed_first and second_id in allowed_second:
-                clone.add(Link(name, first_id, second_id, clone._first_type, clone._second_type))
+                clone.add(clone.link(first_id, second_id))
             elif self.is_reflexive and second_id in allowed_first and first_id in allowed_second:
-                clone.add(Link(name, second_id, first_id, clone._first_type, clone._second_type))
+                clone.add(clone.link(second_id, first_id))
         return clone
 
     def _ordered_ids(self, link: Link) -> Tuple[str, str]:
         """Return the link's endpoint identifiers ordered as (first_type, second_type)."""
-        if self.is_reflexive:
-            return link.given_order
+        if self.is_reflexive or link.types == self._types:
+            return link.first, link.second
         first_id = link.endpoint_of_type(self._first_type)
         second_id = link.endpoint_of_type(self._second_type)
         if first_id is None or second_id is None:

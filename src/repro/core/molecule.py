@@ -304,7 +304,8 @@ class Molecule:
             link
             for link in self._links
             if (link.link_type_name in link_names or link.link_type_name.split("~", 1)[0] in link_names_bare)
-            and all(identifier in kept_ids for identifier in link.identifiers)
+            and link.first in kept_ids
+            and link.second in kept_ids
         ]
         return Molecule(self.root_atom, kept_atoms, kept_links, description)
 
@@ -343,9 +344,7 @@ class Molecule:
             }
         adjacency: Dict[str, Set[str]] = {}
         for link in self._links:
-            ids = tuple(link.identifiers)
-            first = ids[0]
-            second = ids[-1]
+            first, second = link.first, link.second
             adjacency.setdefault(first, set()).add(second)
             adjacency.setdefault(second, set()).add(first)
 

@@ -1160,16 +1160,30 @@ class ColumnarAggregate(AggregationOperator):
         # A head context reads the live occurrence: one copy, which no
         # writer can interrupt half-way; a pinned view yields its links.
         links = tuple(link_type)
-        for link in links:
-            (first_type, first), (second_type, second) = link.endpoints
-            if first_type == root:
+        # Every stored link carries its link type's (first, second) type
+        # pair and, unless reflexive, is in that order: the root's side is
+        # one position for the whole pass.
+        first_type, second_type = links[0].types if links else (None, None)
+        if first_type == root and second_type != root:
+            for link in links:
+                target = member(link.first)
+                if target is not None:
+                    target.add(link.second)
+        elif second_type == root and first_type != root:
+            for link in links:
+                target = member(link.second)
+                if target is not None:
+                    target.add(link.first)
+        elif first_type == root:
+            # Reflexive (never planned — a hop joins two distinct types):
+            # the smaller identifier is the root's side.
+            for link in links:
+                first, second = link.first, link.second
+                if second < first:
+                    first, second = second, first
                 target = member(first)
                 if target is not None:
                     target.add(second)
-            elif second_type == root:
-                target = member(second)
-                if target is not None:
-                    target.add(first)
         ctx.counters.links_followed += len(links)
         for accumulator in groups.values():
             for index in counted[1:]:

@@ -71,8 +71,7 @@ def molecule_type_to_nested(
         if key not in adjacency_cache:
             adj: Dict[str, set] = {}
             for link in molecule.links:
-                ids = tuple(link.identifiers)
-                first, last = ids[0], ids[-1]
+                first, last = link.first, link.second
                 adj.setdefault(first, set()).add(last)
                 adj.setdefault(last, set()).add(first)
             adjacency_cache[key] = adj

@@ -95,21 +95,10 @@ def map_database(database: Database, name: Optional[str] = None) -> RelationalMa
             foreign_keys=((first_col, first, "_id"), (second_col, second, "_id")),
         )
         relation = Relation(link_type.name, schema)
-        first_ids = set(database.atyp(first).identifiers())
+        # A stored link is in definition order: (first-type endpoint,
+        # second-type endpoint), or a reflexive link's two roles as given.
         for link in link_type:
-            ids = tuple(link.identifiers)
-            if len(ids) == 1:
-                first_id = second_id = ids[0]
-            else:
-                # Order the pair as (first-type endpoint, second-type endpoint).
-                if ids[0] in first_ids:
-                    first_id, second_id = ids[0], ids[1]
-                else:
-                    first_id, second_id = ids[1], ids[0]
-                if link_type.is_reflexive:
-                    ordered = link_type._ordered_ids(link)  # noqa: SLF001 - canonical order
-                    first_id, second_id = ordered
-            relation.insert({first_col: first_id, second_col: second_id})
+            relation.insert({first_col: link.first, second_col: link.second})
         relation.build_index(first_col)
         relation.build_index(second_col)
         mapping.auxiliary_relations[link_type.name] = relation

@@ -79,14 +79,13 @@ def validate_database(database: Database) -> ValidationReport:
         degree_second: Dict[str, int] = {}
         for link in link_type:
             report.checked_links += 1
-            for identifier in link.identifiers:
+            # A stored link is in definition order.
+            first_id, second_id = link.first, link.second
+            for identifier in {first_id, second_id}:
                 if identifier not in known:
                     report.add(
                         f"dangling link in {link_type.name!r}: atom {identifier!r} does not exist"
                     )
-            ids = tuple(link.identifiers)
-            first_id = ids[0] if ids[0] in first else ids[-1]
-            second_id = ids[-1] if first_id == ids[0] else ids[0]
             degree_first[first_id] = degree_first.get(first_id, 0) + 1
             degree_second[second_id] = degree_second.get(second_id, 0) + 1
         if link_type.cardinality is Cardinality.ONE_TO_ONE:

@@ -1012,7 +1012,7 @@ class PrimaEngine:
                 LinkType(
                     link_type.name,
                     *link_type.atom_type_names,
-                    (link.given_order for link in link_type),
+                    ((link.first, link.second) for link in link_type),
                     cardinality=link_type.cardinality,
                 )
             )

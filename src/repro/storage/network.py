@@ -33,8 +33,9 @@ class AtomNetwork:
             for atom in atom_type:
                 adjacency[(atom_type.name, atom.identifier)] = set()
         for link_type in database.link_types:
+            first_type, second_type = link_type.atom_type_names
             for link in link_type:
-                first, second = link.endpoints
+                first, second = (first_type, link.first), (second_type, link.second)
                 adjacency.setdefault(first, set()).add(second)
                 adjacency.setdefault(second, set()).add(first)
         self._adjacency = adjacency

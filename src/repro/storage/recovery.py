@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.atom import Atom, AtomType, ensure_surrogate_counter
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
-from repro.core.link import Cardinality, Link, LinkType
+from repro.core.link import Cardinality, LinkType
 from repro.storage.wal import (
     DurabilityConfig,
     WalError,
@@ -303,7 +303,7 @@ def apply_event_record(engine: "PrimaEngine", event: Dict[str, object]) -> int:
         return 0
     if tag == "ld":
         link_type = database.ltyp(type_name)
-        link_type.remove(Link(type_name, event["f"], event["s"], *link_type.atom_type_names))
+        link_type.remove(link_type.link(event["f"], event["s"]))
         return 0
     raise WalError(f"unknown event tag {tag!r} in commit record")
 

@@ -102,9 +102,7 @@ class StructureIndex:
         self.builds = 0
         #: Incremental maintenance gave up (graft/gap/shape transition).
         self.gap_events = 0
-        # Link-type shape captured at build time (used to orient event links
-        # without touching the live catalog).
-        self._reflexive = True
+        # The link type's endpoint types, captured at build time.
         self._first_type = self.atom_type_name
         self._second_type = self.atom_type_name
         # Exact adjacency: parent -> {child -> connecting link}.
@@ -145,7 +143,6 @@ class StructureIndex:
     def refresh(self, database: "Database") -> None:
         """Rebuild adjacency and encoding from the current database state."""
         link_type = database.ltyp(self.link_type_name)
-        self._reflexive = link_type.is_reflexive
         self._first_type, self._second_type = link_type.atom_type_names
         atom_type = database.atyp(self.atom_type_name)
         other_name = self._other_type_name()
@@ -551,15 +548,10 @@ class StructureIndex:
 
     def _orient(self, link: Link) -> Tuple[str, str]:
         """Order the link endpoints as (parent, child) for this direction."""
-        if self._reflexive:
-            first, second = link.given_order
-        else:
-            first = link.endpoint_of_type(self._first_type)
-            second = link.endpoint_of_type(self._second_type)
-            if first is None or second is None:
-                pair = tuple(link.identifiers)
-                first, second = (pair[0], pair[-1])
-        return (first, second) if self.direction == "down" else (second, first)
+        # A stored link is in definition order (a reflexive one as given).
+        if self.direction == "down":
+            return link.first, link.second
+        return link.second, link.first
 
     def _other_type_name(self) -> str:
         if self.atom_type_name == self._first_type:

@@ -50,3 +50,22 @@ def tiny_db() -> Database:
     db.connect("wrote", a1, b3)
     db.connect("wrote", a2, b3)  # shared subobject
     return db
+
+
+@pytest.fixture()
+def shared_ids_db() -> Database:
+    """A valid 1:n database whose two atom types share identifiers: ``p``
+    and ``c`` both hold ``x0..x39``, and ``pc`` links ``p:xi`` to
+    ``c:x(i+1)`` — only a link's position tells its two sides apart."""
+    from repro.core.link import Cardinality
+
+    db = Database("shared_ids")
+    db.define_atom_type("p", {"n": "integer"})
+    db.define_atom_type("c", {"n": "integer"})
+    db.define_link_type("pc", "p", "c", cardinality=Cardinality.ONE_TO_MANY)
+    for i in range(40):
+        db.insert_atom("p", identifier=f"x{i}", n=i)
+        db.insert_atom("c", identifier=f"x{i}", n=i)
+    for i in range(39):
+        db.connect("pc", db.atyp("p").get(f"x{i}"), db.atyp("c").get(f"x{i + 1}"))
+    return db

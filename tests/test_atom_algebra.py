@@ -57,6 +57,21 @@ class TestRestriction:
         result = restrict(tiny_db, "book", lambda atom: atom["year"] == 1970)
         assert len(result.atom_type) == 1
 
+    def test_inherited_reflexive_links_keep_their_roles(self):
+        from repro import Database
+
+        db = Database("chain")
+        db.define_atom_type("part", {"n": "integer"})
+        db.define_link_type("comp", "part", "part")
+        for i in range(30):
+            db.insert_atom("part", identifier=f"q{i}", n=i)
+        for i in range(29):
+            db.connect("comp", f"q{i}", f"q{i + 1}")  # super-part first
+        (inherited,) = restrict(db, "part", lambda atom: True).inherited_link_types
+        assert {link.given_order for link in inherited} == {
+            (f"q{i}", f"q{i + 1}") for i in range(29)
+        }
+
     def test_non_formula_rejected(self, tiny_db):
         with pytest.raises(RestrictionError):
             restrict(tiny_db, "book", "year > 1975")

@@ -138,6 +138,13 @@ class TestSchemaLayer:
         assert not report.is_valid
         assert any("cardinality" in violation for violation in report.violations)
 
+    def test_validation_orients_links_with_shared_identifiers(self, shared_ids_db):
+        """Every ``c`` atom has one parent even though ``p`` holds the same
+        identifiers: no false 1:n violation."""
+        report = validate_database(shared_ids_db)
+        assert report.is_valid, report.violations
+        assert report.checked_links == 39
+
     def test_validation_ok_for_geo(self, geo_db):
         report = validate_database(geo_db)
         assert report.is_valid

@@ -1,5 +1,7 @@
 """Unit tests for links and link types (Definition 2)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.atom import Atom
@@ -38,6 +40,85 @@ class TestLink:
         assert link.endpoint_of_type("author") == "a1"
         assert link.endpoint_of_type("book") == "b1"
         assert link.endpoint_of_type("missing") is None
+
+
+class TestLinkViews:
+    """A link stores two identifiers and a type pair; identity and the
+    derived views keep the unsorted-pair semantics."""
+
+    def test_typed_links_equal_either_way_round(self):
+        forward = Link("wrote", "a1", "b1", "author", "book")
+        backward = Link("wrote", "b1", "a1", "book", "author")
+        assert forward == backward and hash(forward) == hash(backward)
+        assert forward == Link("wrote", "b1", "a1")  # types take no part
+        assert forward != Link("wrote", "a1", "b2", "author", "book")
+
+    def test_endpoints_sorted_by_type_then_identifier(self):
+        link = Link("wrote", "b1", "a1", "book", "author")
+        assert link.endpoints == (("author", "a1"), ("book", "b1"))
+        assert link.given_order == ("b1", "a1")
+        assert link.identifiers == frozenset({"a1", "b1"})
+        reflexive = Link("composition", "p2", "p1", "part", "part")
+        assert reflexive.endpoints == (("part", "p1"), ("part", "p2"))
+        assert Link("l", "b", "a").endpoints == ((None, "a"), (None, "b"))
+
+    def test_reflexive_type_keeps_construction_order(self):
+        link_type = LinkType("composition", "part", "part")
+        link_type.connect("p2", "p1")
+        (stored,) = link_type
+        assert stored.given_order == ("p2", "p1")
+        assert (stored.first, stored.second) == ("p2", "p1")
+        link_type.connect("p1", "p2")  # the same unsorted pair
+        assert len(link_type) == 1
+
+    def test_self_loop_on_a_reflexive_type(self):
+        link_type = LinkType("composition", "part", "part")
+        link = link_type.connect("p1", "p1")
+        assert link.other("p1") == "p1" and link.connects("p1")
+        assert link_type.partners_of("p1") == frozenset({"p1"})
+        link_type.remove(link)
+        assert len(link_type) == 0 and not link_type.links_of("p1")
+
+    def test_links_of_one_type_share_one_type_pair(self):
+        link_type = LinkType("wrote", "author", "book", [("a1", "b1"), ("a2", "b2")])
+        first, second = link_type
+        assert first.types == ("author", "book")
+        assert first.types is second.types
+        assert link_type.link("a3", "b3").types is first.types
+
+    def test_remove_given_the_other_way_round_emits_definition_order(self):
+        link_type = LinkType("wrote", "author", "book", [("a1", "b1")])
+        events = []
+        link_type.events.subscribe(events.append)
+        link_type.remove(Link("wrote", "b1", "a1", "book", "author"))
+        assert len(link_type) == 0
+        (event,) = events
+        assert event.link.given_order == ("a1", "b1")
+
+
+class TestLinkMemory:
+    def test_link_has_no_instance_dict(self):
+        assert not hasattr(Link("l", "a", "b"), "__dict__")
+        assert not hasattr(LinkType("l", "a", "b").link("a1", "b1"), "__dict__")
+
+    def test_bytes_per_link_with_incidence(self):
+        """20k links of one non-reflexive type over a ring-like mesh (every
+        atom in two links), identifiers built beforehand: the links, the
+        occurrence set and the incidence buckets stay within 450 B a link."""
+        count = 20_000
+        half = count // 2
+        authors = [f"a{i}" for i in range(half)]
+        books = [f"b{i}" for i in range(half)]
+        pairs = [(authors[i % half], books[(i // half + i) % half]) for i in range(count)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            link_type = LinkType("wrote", "author", "book", pairs)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(link_type) == count
+        assert grown / count <= 450
 
 
 class TestLinkType:

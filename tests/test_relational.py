@@ -180,6 +180,12 @@ class TestMapping:
         mapping = map_database(tiny_db)
         assert mapping.relation("wrote").schema.attributes == ("author_id", "book_id")
 
+    def test_junction_rows_oriented_by_position(self, shared_ids_db):
+        """Both endpoint types hold ``x0..x39``: a row is oriented by the
+        link's definition order, not by looking an identifier up."""
+        rows = {(row["p_id"], row["c_id"]) for row in map_database(shared_ids_db).relation("pc")}
+        assert rows == {(f"x{i}", f"x{i + 1}") for i in range(39)}
+
     def test_reflexive_junction_columns(self):
         from repro.datasets.bill_of_materials import build_bill_of_materials
 
