@@ -51,9 +51,16 @@ class Atom:
         Optional explicit identifier.  When omitted a surrogate of the form
         ``"<type>#<n>"`` is generated.  Identifiers must be unique within the
         atom type's occurrence.
+
+    An atom holds its values as one tuple plus a name → position map.  An
+    atom stored in an :class:`AtomType` holds them in definition order and
+    shares its description's :attr:`~AtomTypeDescription.positions`, so
+    it carries no per-atom dictionary; :attr:`values` builds one on each
+    read.  Atoms are never changed once built, so one atom object may sit in
+    several occurrences (copies, bulk loads, rolled-back writes).
     """
 
-    __slots__ = ("identifier", "type_name", "_values")
+    __slots__ = ("identifier", "type_name", "_values", "_positions")
 
     def __init__(
         self,
@@ -63,23 +70,43 @@ class Atom:
     ) -> None:
         self.type_name = type_name
         self.identifier = identifier if identifier is not None else _next_surrogate(type_name)
-        self._values: Dict[str, object] = dict(values or {})
+        if not isinstance(values, dict):
+            values = dict(values or {})
+        self._positions: Dict[str, int] = {
+            name: position for position, name in enumerate(values)
+        }
+        self._values: Tuple[object, ...] = tuple(values.values())
+
+    @classmethod
+    def _stored(
+        cls, type_name: str, identifier: str, row: Tuple[object, ...], positions: Dict[str, int]
+    ) -> "Atom":
+        """An atom of a validated *row* in the order of *positions* (its
+        atom type's shared map)."""
+        atom = cls.__new__(cls)
+        atom.type_name = type_name
+        atom.identifier = identifier
+        atom._values = row
+        atom._positions = positions
+        return atom
 
     @property
     def values(self) -> Dict[str, object]:
         """A copy of the atom's attribute values."""
-        return dict(self._values)
+        return dict(zip(self._positions, self._values))
 
     def __getitem__(self, attribute: str) -> object:
-        return self._values.get(attribute)
+        position = self._positions.get(attribute)
+        return None if position is None else self._values[position]
 
     def get(self, attribute: str, default: object = None) -> object:
         """Return the value of *attribute*, or *default* when absent."""
-        return self._values.get(attribute, default)
+        position = self._positions.get(attribute)
+        return default if position is None else self._values[position]
 
     def with_values(self, **updates: object) -> "Atom":
         """Return a copy of this atom (same identity) with updated values."""
-        merged = dict(self._values)
+        merged = self.values
         merged.update(updates)
         return Atom(self.type_name, merged, identifier=self.identifier)
 
@@ -92,7 +119,7 @@ class Atom:
         """
         return Atom(
             type_name or self.type_name,
-            {name: self._values.get(name) for name in names},
+            {name: self.get(name) for name in names},
             identifier=self.identifier,
         )
 
@@ -103,8 +130,8 @@ class Atom:
         provenance to both operand atoms is preserved.
         """
         combined: Dict[str, object] = {}
-        pool = dict(self._values)
-        pool_other = dict(other._values)
+        pool = self.values
+        pool_other = other.values
         for name in names:
             if name in pool:
                 combined[name] = pool.pop(name)
@@ -137,7 +164,7 @@ class Atom:
         return hash((self.type_name, self.identifier))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={v!r}" for k, v in list(self._values.items())[:3])
+        shown = ", ".join(f"{k}={v!r}" for k, v in list(self.values.items())[:3])
         return f"Atom({self.identifier}, {shown})"
 
 
@@ -152,7 +179,6 @@ class AtomType:
         "_name",
         "_description",
         "_atoms",
-        "_by_identifier",
         "_emitter",
         "_versioning",
         "_versions",
@@ -170,7 +196,6 @@ class AtomType:
         self._name = name
         self._description = make_description(description)
         self._atoms: Dict[str, Atom] = {}  # guarded-by: AtomType._lock
-        self._by_identifier = self._atoms  # alias, kept for readability
         self._emitter: Optional[ChangeEmitter] = None
         self._versioning: Optional[VersioningState] = None
         self._versions: Dict[str, VersionChain] = {}  # guarded-by: AtomType._lock
@@ -346,22 +371,20 @@ class AtomType:
         (in which case a new atom is created).  Returns the stored atom.
         """
         if isinstance(atom, Atom):
-            if atom.type_name != self._name:
-                atom = Atom(self._name, atom.values, identifier=atom.identifier)
-        else:
-            atom = Atom(self._name, dict(atom), identifier=identifier)
+            identifier = atom.identifier
+        elif identifier is None:
+            identifier = _next_surrogate(self._name)
         with self._lock:
-            if atom.identifier in self._atoms:
+            if identifier in self._atoms:
                 raise IntegrityError(
-                    f"atom identifier {atom.identifier!r} already present in atom type {self._name!r}"
+                    f"atom identifier {identifier!r} already present in atom type {self._name!r}"
                 )
-            validated = self._description.validate_values(atom.values)
-            stored = Atom(self._name, validated, identifier=atom.identifier)
+            stored = self._stored_form(identifier, atom)
             generation = self._version_mutation(
-                stored.identifier,
+                identifier,
                 stored,
                 ABSENT,
-                lambda: self._atoms.__setitem__(stored.identifier, stored),
+                lambda: self._atoms.__setitem__(identifier, stored),
             )
             self._emit(ATOM_INSERTED, stored, generation=generation)
         return stored
@@ -377,22 +400,47 @@ class AtomType:
         ``atom_modified`` event is emitted, which is what lets subscribers
         maintain derived structures without touching the atom's links.
         """
+        identifier = atom.identifier
         with self._lock:
-            previous = self._atoms.get(atom.identifier)
+            previous = self._atoms.get(identifier)
             if previous is None:
                 raise IntegrityError(
-                    f"atom {atom.identifier!r} is not part of atom type {self._name!r}"
+                    f"atom {identifier!r} is not part of atom type {self._name!r}"
                 )
-            validated = self._description.validate_values(atom.values)
-            stored = Atom(self._name, validated, identifier=atom.identifier)
+            stored = self._stored_form(identifier, atom)
             generation = self._version_mutation(
-                stored.identifier,
+                identifier,
                 stored,
                 previous,
-                lambda: self._atoms.__setitem__(stored.identifier, stored),
+                lambda: self._atoms.__setitem__(identifier, stored),
             )
             self._emit(ATOM_MODIFIED, stored, previous=previous, generation=generation)
         return stored
+
+    def _stored_form(self, identifier: str, atom: "Atom | Mapping[str, object]") -> Atom:
+        """The form of *atom* (an atom or a mapping of values) this type
+        stores under *identifier*: its values validated into one row in
+        definition order, sharing the description's position map.
+
+        An atom of this type already in that form, which validation keeps
+        as it is, is stored itself — atoms never change, so occurrences
+        (the source and the engine of a bulk load) share it.
+        """
+        description = self._description
+        positions = description.positions
+        if not isinstance(atom, Atom):
+            row = description.validate_row(atom)
+        elif atom._positions == positions:  # already a row in definition order
+            row = description.revalidate_row(atom._values)
+            if (
+                row is atom._values
+                and atom._positions is positions
+                and atom.type_name == self._name
+            ):
+                return atom
+        else:
+            row = description.validate_row(atom.values)
+        return Atom._stored(self._name, identifier, row, positions)
 
     def remove(self, atom: "Atom | str") -> Atom:
         """Remove an atom (by object or identifier) from the occurrence."""

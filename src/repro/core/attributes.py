@@ -18,6 +18,7 @@ executable form of "belongs to the attribute domain".
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import AttributeError_, DomainError, DuplicateNameError
@@ -167,11 +168,12 @@ class AtomTypeDescription:
     """The ``ad`` component of an atom type: an ordered set of attribute descriptions.
 
     Attribute order is preserved (it defines the column order of formatted
-    output and of the relational mapping) but equality is order-insensitive,
-    matching the paper's set-based formulation.
+    output and of the relational mapping, and the positions of a stored
+    atom's values) but equality is order-insensitive, matching the paper's
+    set-based formulation.
     """
 
-    __slots__ = ("_attributes", "_by_name")
+    __slots__ = ("_attributes", "_by_name", "positions")
 
     def __init__(self, attributes: Sequence["AttributeDescription | str"] = ()) -> None:
         self._attributes: Tuple[AttributeDescription, ...] = ()
@@ -189,6 +191,12 @@ class AtomTypeDescription:
             self._by_name[attribute.name] = attribute
             normalized.append(attribute)
         self._attributes = tuple(normalized)
+        #: Attribute name → position in definition order.  Every atom stored
+        #: under this description holds its values as a row in that order
+        #: and shares this one map to find them by name.
+        self.positions: "dict[str, int]" = {
+            attribute.name: position for position, attribute in enumerate(normalized)
+        }
 
     @property
     def attributes(self) -> Tuple[AttributeDescription, ...]:
@@ -226,15 +234,26 @@ class AtomTypeDescription:
         attributes default to ``None`` (subject to ``required``).  The return
         value is a complete, canonicalized mapping covering every attribute.
         """
-        unknown = set(values) - set(self._by_name)
+        return dict(zip(self.positions, self.validate_row(values)))
+
+    def validate_row(self, values: Mapping[str, object]) -> Tuple[object, ...]:
+        """:meth:`validate_values` as a row: the canonicalized values in
+        definition order (the form a stored atom holds)."""
+        unknown = set(values) - self._by_name.keys()
         if unknown:
             raise AttributeError_(
                 f"unknown attributes {sorted(unknown)!r}; description has {list(self.names)!r}"
             )
-        validated = {}
-        for attribute in self._attributes:
-            validated[attribute.name] = attribute.validate(values.get(attribute.name))
-        return validated
+        get = values.get
+        return tuple([attribute.validate(get(attribute.name)) for attribute in self._attributes])
+
+    def revalidate_row(self, row: Tuple[object, ...]) -> Tuple[object, ...]:
+        """Validate a row already in definition order; *row* itself when
+        validation keeps every value as it is (coerces none)."""
+        validated = tuple(
+            [attribute.validate(value) for attribute, value in zip(self._attributes, row)]
+        )
+        return row if all(map(operator.is_, validated, row)) else validated
 
     def project(self, names: Sequence[str]) -> "AtomTypeDescription":
         """Return a new description containing only the attributes in *names*.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from repro.analysis.runtime import make_rlock
-from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.atom import Atom, AtomType
 from repro.core.events import (
@@ -213,16 +213,22 @@ class LinkType:
         self._types = (self._first_type, self._second_type)
         self.cardinality = cardinality
         self._links: Set[Link] = set()  # guarded-by: LinkType._lock
-        self._by_atom: Dict[str, Set[Link]] = {}  # guarded-by: LinkType._lock
+        #: Identifier → the links incident to it (an endpoint of either
+        #: type), each link entered once.  A write replaces a bucket and
+        #: never mutates one, so a reader holding a bucket holds a fixed
+        #: value.
+        self._by_atom: Dict[str, Tuple[Link, ...]] = {}  # guarded-by: LinkType._lock
         self._emitter: Optional[ChangeEmitter] = None
         self._versioning: Optional[VersioningState] = None
         self._versions: Dict[Link, VersionChain] = {}  # guarded-by: LinkType._lock
         self._historic_by_atom: Dict[str, Set[Link]] = {}  # guarded-by: LinkType._lock
         #: Head lock: mutations hold it so cardinality check, occurrence
         #: swap, chain record and event emission are one atomic unit per
-        #: type; snapshot views take it briefly to copy link collections
-        #: (links hash through Python code — unguarded iteration over the
-        #: occurrence set can observe a concurrent resize).
+        #: type; snapshot views take it briefly to copy the occurrence and
+        #: historic sets (links hash through Python code — unguarded
+        #: iteration over a set can observe a concurrent resize).  An
+        #: incidence bucket is an immutable tuple, replaced whole by a
+        #: write, so reading one needs no lock.
         self._lock = make_rlock("LinkType._lock")
         for link in links:
             self.add(link)
@@ -337,12 +343,15 @@ class LinkType:
         with self._lock:
             return list(self._links), list(self._versions)
 
-    def _incident_links(self, identifier: str) -> "Tuple[List[Link], List[Link]]":
-        """Copies of the head and historic links incident to one atom."""
+    def _incident_links(
+        self, identifier: str
+    ) -> "Tuple[Tuple[Link, ...], Tuple[Link, ...]]":
+        """The head bucket (itself: it is never mutated) and a copy of the
+        historic links incident to one atom."""
         with self._lock:
             return (
-                list(self._by_atom.get(identifier, ())),
-                list(self._historic_by_atom.get(identifier, ())),
+                self._by_atom.get(identifier, ()),
+                tuple(self._historic_by_atom.get(identifier, ())),
             )
 
     # -- accessor functions of Definition 2 --------------------------------
@@ -462,8 +471,10 @@ class LinkType:
             def connect_head(link: Link = link) -> None:
                 self._links.add(link)
                 by_atom = self._by_atom
-                by_atom.setdefault(link.first, set()).add(link)
-                by_atom.setdefault(link.second, set()).add(link)
+                first, second = link.first, link.second
+                by_atom[first] = by_atom.get(first, ()) + (link,)
+                if second != first:
+                    by_atom[second] = by_atom.get(second, ()) + (link,)
 
             generation = self._version_mutation(link, PRESENT, ABSENT, connect_head)
             self._emit(LINK_CONNECTED, link, generation=generation)
@@ -505,18 +516,22 @@ class LinkType:
         with self._lock:
             if link not in self._links:
                 return
-            if link.types != self._types:
-                # Chained and emitted as stored: in definition order.
-                link = Link._typed(self._name, *self._ordered_ids(link), self._types)
+            # The stored object — chained and emitted as stored, in
+            # definition order — from the smaller of its two buckets; both
+            # buckets then drop it by identity.
+            by_atom = self._by_atom
+            smaller = min(by_atom[link.first], by_atom[link.second], key=len)
+            link = next(other for other in smaller if other == link)
 
             def disconnect_head(link: Link = link) -> None:
                 self._links.discard(link)
-                for identifier in (link.first, link.second):
-                    bucket = self._by_atom.get(identifier)
-                    if bucket is not None:
-                        bucket.discard(link)
-                        if not bucket:
-                            del self._by_atom[identifier]
+                by_atom = self._by_atom
+                for identifier in {link.first, link.second}:
+                    kept = tuple([other for other in by_atom[identifier] if other is not link])
+                    if kept:
+                        by_atom[identifier] = kept
+                    else:
+                        del by_atom[identifier]
 
             generation = self._version_mutation(link, ABSENT, PRESENT, disconnect_head)
             self._emit(LINK_DISCONNECTED, link, generation=generation)
@@ -536,38 +551,32 @@ class LinkType:
         An identifier matches an endpoint of either type.  An :class:`Atom`
         matches only the endpoint of its own type: identifiers are unique
         within a type, so a link of another type's atom with the same
-        identifier is not this atom's.
+        identifier is not this atom's.  Like :meth:`incident`, it reads the
+        bucket without the lock: a bucket is never mutated.
         """
         if not isinstance(atom, Atom):
-            with self._lock:
-                return frozenset(self._by_atom.get(atom, ()))
+            return frozenset(self._by_atom.get(atom, ()))
         endpoint = (atom.type_name, atom.identifier)
-        with self._lock:
-            return frozenset(
-                link
-                for link in self._by_atom.get(atom.identifier, ())
-                if endpoint in link.endpoints
-            )
+        return frozenset(
+            link for link in self._by_atom.get(atom.identifier, ()) if endpoint in link.endpoints
+        )
 
-    def incident(self, identifier: str) -> "Collection[Link]":
+    def incident(self, identifier: str) -> "Tuple[Link, ...]":
         """The links incident to *identifier* (an endpoint of either type) —
         the neighbour-traversal access path of molecule derivation.
 
-        The live incidence bucket itself: no lock and no copy, so the caller
-        iterates it and never mutates it, and reads at the head only from
-        the thread that owns head reads (a writer on another thread can
-        resize the bucket mid-iteration).  Snapshot readers get the same
-        method on :class:`~repro.core.versions.LinkTypeView`.
+        The incidence bucket itself, with no lock and no copy: a tuple, each
+        link once, that a write replaces and never mutates — so it stays
+        as it was handed out, whatever a writer on another thread does
+        meanwhile.  It is the head as of the read; snapshot readers get the
+        same method on :class:`~repro.core.versions.LinkTypeView`.
         """
         return self._by_atom.get(identifier, ())
 
     def partners_of(self, atom: "Atom | str") -> FrozenSet[str]:
         """Return the identifiers linked to *atom* through this link type."""
         identifier = atom.identifier if isinstance(atom, Atom) else atom
-        with self._lock:
-            return frozenset(
-                link.other(identifier) for link in self._by_atom.get(identifier, set())
-            )
+        return frozenset(link.other(identifier) for link in self._by_atom.get(identifier, ()))
 
     def __contains__(self, link: object) -> bool:
         return link in self._links

@@ -349,7 +349,7 @@ class Molecule:
             adjacency.setdefault(second, set()).add(first)
 
         def build(atom: Atom, type_name: str, visited: FrozenSet[str]) -> Dict[str, object]:
-            node: Dict[str, object] = dict(atom.values)
+            node: Dict[str, object] = atom.values
             node["_id"] = atom.identifier
             for directed in self.description.children_of(type_name):
                 child_atoms = sorted(

@@ -60,6 +60,7 @@ the full lock order.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 from repro.analysis.runtime import make_rlock
@@ -646,9 +647,10 @@ class LinkTypeView:
     """A read-only, snapshot-consistent facade over one :class:`LinkType`.
 
     Thread safety: occurrence iteration and incident-link lookups copy the
-    head/historic containers under the type's head lock (links hash through
-    Python code, so even building a set from them is interruptible by a
-    concurrent writer); visibility resolution over the copies is lock-free.
+    head/historic sets under the type's head lock (links hash through Python
+    code, so even building a set from them is interruptible by a concurrent
+    writer) and take the head incidence bucket as it is — an immutable
+    tuple; visibility resolution over them is lock-free.
     """
 
     __slots__ = ("_type", "_snapshot")
@@ -700,15 +702,15 @@ class LinkTypeView:
         """:meth:`LinkType.links_of` as of the snapshot."""
         identifier = getattr(atom, "identifier", atom)
         head, historic = self._type._incident_links(identifier)
-        result = [link for link in head if self._link_visible(link)]
-        head_set = set(head)
-        for link in historic:
-            if link not in head_set and self._link_visible(link):
-                result.append(link)
+        # A link both in the head bucket and historic is checked twice and
+        # kept once: visibility depends on the link alone.
+        visible = frozenset(
+            link for link in itertools.chain(head, historic) if self._link_visible(link)
+        )
         if identifier is not atom:  # an Atom: only its own type's endpoint
             endpoint = (atom.type_name, identifier)  # type: ignore[union-attr]
-            return frozenset(link for link in result if endpoint in link.endpoints)
-        return frozenset(result)
+            return frozenset(link for link in visible if endpoint in link.endpoints)
+        return visible
 
     #: :meth:`LinkType.incident` as of the snapshot: the visible links
     #: incident to an identifier, resolved over copies.

@@ -999,10 +999,13 @@ class PrimaEngine:
     ) -> "PrimaEngine":
         """Bulk-load an engine from an existing database.
 
-        Every type is copied (and its occurrence validated) once, whole —
-        no per-atom change event, no log record.  With *durability* (expects
-        a fresh directory) the load is persisted as the first checkpoint
-        instead — the cheap way to make a dataset durable.
+        Every type is copied (its occurrence validated and its cardinality
+        checked) once, whole — no per-atom change event, no log record.
+        The copy shares the source's atoms and links: both are immutable,
+        and an atom or link is rebuilt only where validation or typing
+        changes it.  With *durability* (expects a fresh directory) the load
+        is persisted as the first checkpoint instead — the cheap way to make
+        a dataset durable.
         """
         engine = cls(name or database.name, durability=durability)
         for atom_type in database.atom_types:
@@ -1012,7 +1015,7 @@ class PrimaEngine:
                 LinkType(
                     link_type.name,
                     *link_type.atom_type_names,
-                    ((link.first, link.second) for link in link_type),
+                    link_type,
                     cardinality=link_type.cardinality,
                 )
             )

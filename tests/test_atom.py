@@ -1,5 +1,7 @@
 """Unit tests for atoms and atom types (Definition 1)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.atom import Atom, AtomType, reset_surrogate_counter
@@ -145,3 +147,77 @@ class TestAtomType:
         assert a == b
         b.add({"name": "MG"}, identifier="MG")
         assert a != b
+
+
+class TestStoredAtoms:
+    """A stored atom holds one row in definition order and shares its
+    description's name → position map."""
+
+    def test_stored_row_follows_the_description(self):
+        atom_type = AtomType("state", {"name": "string", "hectare": "real"})
+        stored = atom_type.add({"hectare": 5, "name": "SP"}, identifier="SP")
+        assert stored.values == {"name": "SP", "hectare": 5.0}
+        assert list(stored.values) == ["name", "hectare"]
+        assert stored["hectare"] == 5.0 and stored["missing"] is None
+        assert stored.get("missing", 7) == 7
+        assert stored._positions is atom_type.description.positions
+        given = Atom("state", {"hectare": 5.0, "name": "SP"}, identifier="SP")
+        assert list(given.values) == ["hectare", "name"]  # as given until stored
+
+    def test_an_atom_of_this_type_is_stored_itself(self):
+        atom_type = AtomType("state", {"name": "string", "hectare": "real"})
+        stored = atom_type.add({"name": "SP", "hectare": 1.5}, identifier="SP")
+        clone = atom_type.empty_copy()
+        assert clone.add(stored) is stored
+        renamed = atom_type.empty_copy("province")
+        retyped = renamed.add(stored)
+        assert retyped is not stored and retyped.type_name == "province"
+        assert retyped._values is stored._values  # validation kept every value
+
+    def test_a_value_validation_changes_is_rebuilt(self):
+        atom_type = AtomType("state", {"name": "string", "hectare": "real"})
+        raw = Atom._stored("state", "SP", ("SP", 5), atom_type.description.positions)
+        stored = atom_type.add(raw)
+        assert stored is not raw
+        assert stored.values == {"name": "SP", "hectare": 5.0}
+        assert isinstance(stored["hectare"], float)
+        in_order = atom_type.add(Atom("state", {"name": "MG", "hectare": 7}, identifier="MG"))
+        assert isinstance(in_order["hectare"], float)
+        assert in_order._positions is atom_type.description.positions
+
+    def test_replace_keeps_identity_and_rolls_back_to_the_same_object(self):
+        atom_type = AtomType("state", {"name": "string", "hectare": "integer"})
+        old = atom_type.add({"name": "SP", "hectare": 1}, identifier="SP")
+        new = atom_type.replace(old.with_values(hectare=2))
+        assert new["hectare"] == 2 and new._positions is old._positions
+        assert atom_type.replace(old) is old
+
+
+class TestAtomMemory:
+    def test_atom_has_no_instance_dict(self):
+        atom_type = AtomType("state", {"name": "string"})
+        assert not hasattr(atom_type.add({"name": "SP"}), "__dict__")
+        assert not hasattr(Atom("state", {"name": "SP"}), "__dict__")
+
+    def test_bytes_per_stored_atom(self):
+        """20k atoms of three attributes added from mappings built
+        beforehand: the atoms, their rows and the occurrence dict stay
+        within 190 B an atom (≈ 149 B on CPython 3.11 and 3.12, ≈ 158 B
+        on 3.9)."""
+        count = 20_000
+        atom_type = AtomType("part", {"key": "string", "value": "integer", "grp": "string"})
+        identifiers = [f"p{i}" for i in range(count)]
+        rows = [
+            {"key": identifier, "value": i % 101, "grp": ("alpha", "beta", "gamma")[i % 3]}
+            for i, identifier in enumerate(identifiers)
+        ]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for identifier, values in zip(identifiers, rows):
+                atom_type.add(values, identifier=identifier)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(atom_type) == count
+        assert grown / count <= 190

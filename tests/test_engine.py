@@ -243,6 +243,25 @@ class TestMQLPipeline:
         assert canonical_structure(plain) == canonical_structure(renamed)
 
 
+class TestBulkLoad:
+    def test_from_database_shares_the_source_atoms_and_links(self, geo_db):
+        engine = PrimaEngine.from_database(geo_db)
+        loaded = engine.to_database()
+        for atom_type in geo_db.atom_types:
+            copy = loaded.atyp(atom_type.name)
+            assert copy is not atom_type and len(copy) == len(atom_type)
+            assert all(copy.get(atom.identifier) is atom for atom in atom_type)
+        for link_type in geo_db.link_types:
+            copy = loaded.ltyp(link_type.name)
+            assert copy is not link_type and len(copy) == len(link_type)
+            stored = {link: link for link in copy}
+            assert all(stored[link] is link for link in link_type)
+        # The containers are the engine's own: a write leaves the source alone.
+        before = len(geo_db.atyp("state"))
+        engine.store_atom("state", name="Acre", code="AC", hectare=1600)
+        assert len(geo_db.atyp("state")) == before
+
+
 class TestPrimaEngineRouting:
     @pytest.fixture()
     def prima(self, geo_db):

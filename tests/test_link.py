@@ -1,5 +1,6 @@
 """Unit tests for links and link types (Definition 2)."""
 
+import threading
 import tracemalloc
 
 import pytest
@@ -104,7 +105,8 @@ class TestLinkMemory:
     def test_bytes_per_link_with_incidence(self):
         """20k links of one non-reflexive type over a ring-like mesh (every
         atom in two links), identifiers built beforehand: the links, the
-        occurrence set and the incidence buckets stay within 450 B a link."""
+        occurrence set and the incidence buckets stay within 300 B a link
+        (≈ 250 B on CPython 3.11 and 3.12, ≈ 260 B on 3.9)."""
         count = 20_000
         half = count // 2
         authors = [f"a{i}" for i in range(half)]
@@ -118,7 +120,85 @@ class TestLinkMemory:
         finally:
             tracemalloc.stop()
         assert len(link_type) == count
-        assert grown / count <= 450
+        assert grown / count <= 300
+
+
+class TestIncidenceBuckets:
+    """An incidence bucket is a tuple holding each incident link once; a
+    write replaces it and never mutates it."""
+
+    def test_shared_identifier_link_is_entered_once(self):
+        link_type = LinkType("pc", "p", "c")
+        link = link_type.connect("x", "x")  # p:x — c:x
+        assert link_type.incident("x") == (link,)
+        assert link_type.links_of("x") == {link}
+        assert link_type.partners_of("x") == {"x"}
+        link_type.remove(link)
+        assert "x" not in link_type._by_atom
+        assert link_type.incident("x") == ()
+
+    def test_reflexive_self_loop_is_entered_once(self):
+        link_type = LinkType("composition", "part", "part")
+        loop = link_type.connect("p1", "p1")
+        other = link_type.connect("p1", "p2")
+        assert link_type.incident("p1") == (loop, other)
+        link_type.remove(loop)
+        assert link_type.incident("p1") == (other,)
+        link_type.remove(other)
+        assert link_type._by_atom == {}
+
+    def test_removal_filters_by_link_equality(self):
+        link_type = LinkType("wrote", "author", "book")
+        kept = link_type.connect("a1", "b1")
+        link_type.connect("a1", "b2")
+        link_type.remove(Link("wrote", "b2", "a1"))  # the other way round, untyped
+        assert link_type.incident("a1") == (kept,)
+        assert "b2" not in link_type._by_atom
+
+    def test_removal_emits_the_stored_link_on_a_reflexive_type(self):
+        link_type = LinkType("composition", "part", "part", [("super", "sub")])
+        events = []
+        link_type.events.subscribe(events.append)
+        link_type.remove(link_type.link("sub", "super"))  # roles given the other way round
+        (event,) = events
+        assert event.link.given_order == ("super", "sub")
+        assert link_type._by_atom == {}
+
+    def test_a_bucket_handed_out_never_changes(self):
+        link_type = LinkType("wrote", "author", "book")
+        first = link_type.connect("a1", "b1")
+        taken = link_type.incident("a1")
+
+        def write():
+            link_type.connect("a1", "b2")
+            link_type.remove(first)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert taken == (first,)
+        assert link_type.incident("a1") == (link_type.link("a1", "b2"),)
+        assert link_type.incident("a1") is link_type._by_atom["a1"]
+
+    def test_one_to_one_over_a_shared_identifier(self):
+        link_type = LinkType("pc", "p", "c", cardinality=Cardinality.ONE_TO_ONE)
+        link = link_type.connect("x", "x")
+        with pytest.raises(CardinalityError):
+            link_type.connect("x", "y")  # p:x already participates
+        with pytest.raises(CardinalityError):
+            link_type.connect("z", "x")  # c:x already participates
+        link_type.remove(link)
+        link_type.connect("x", "y")
+        assert len(link_type) == 1
+
+    def test_one_to_many_over_a_shared_identifier(self):
+        link_type = LinkType("pc", "p", "c", cardinality=Cardinality.ONE_TO_MANY)
+        link_type.connect("x", "x")
+        link_type.connect("x", "y")  # p:x may have many children
+        with pytest.raises(CardinalityError):
+            link_type.connect("z", "x")  # c:x already has a parent
+        assert len(link_type.incident("x")) == 2
 
 
 class TestLinkType:
