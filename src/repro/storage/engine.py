@@ -739,6 +739,14 @@ class PrimaEngine:
         while any transaction is active: the head then carries uncommitted
         writes that must not enter an image.  Holds the engine's write lock
         so no basic-interface write can interleave with the image.
+
+        The write lock and the versioning lock are held for the whole
+        image write, so the call stops the world: about 1.0 s on a durable
+        100k-atom mesh and 1.2–1.3 s on a 104k-part forest (Python 3.11, 2
+        cores; 3.5–4.9 s while the image was built whole and written by
+        ``json.dump``).  The image is streamed in batches
+        (:func:`~repro.storage.recovery.write_checkpoint`); a failed write
+        leaves the previous image and the log as they were.
         """
         with self._write_lock:
             return self._checkpoint_locked()
@@ -1020,7 +1028,11 @@ class PrimaEngine:
                 )
             )
         if durability is not None:
-            engine.checkpoint()
+            try:
+                engine.checkpoint()
+            except BaseException:
+                engine.close()  # the caller never gets the engine: release its log
+                raise
         return engine
 
     # ------------------------------------------------------------ statistics

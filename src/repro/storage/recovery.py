@@ -10,7 +10,13 @@ durability directory in two phases:
    indexes and accelerators are rebuilt from the occurrence on first use.
    Checkpoints are written atomically: the image goes to a temporary file,
    is fsynced, and replaces the previous image via :func:`os.replace` — a
-   crash mid-checkpoint leaves the old image intact.
+   crash mid-checkpoint leaves the old image intact, and a failed one
+   removes its temporary file.  The image is streamed: it is never held
+   in memory whole, only one batch of atoms or links at a time, each
+   batch encoded by one ``json.dumps`` call (the C encoder).  The bytes
+   are those of ``json.dumps(image, separators=(",", ":"),
+   sort_keys=True)`` — the format is unchanged.  The image is still read
+   back whole (:func:`load_checkpoint`).
 2. **WAL replay** — every valid record after the checkpoint is applied in
    append order: DDL records re-create types and indexes, commit records
    replay their change events against the engine's database — whose
@@ -27,17 +33,20 @@ identifier so new inserts cannot collide with recovered atoms.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.atom import Atom, AtomType, ensure_surrogate_counter
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
 from repro.core.link import Cardinality, LinkType
 from repro.storage.wal import (
+    _SENTINEL_KEYS,
     DurabilityConfig,
     WalError,
     WalScan,
@@ -112,73 +121,161 @@ def restore_attributes(serialized: Iterable[Dict[str, object]]) -> AtomTypeDescr
 # --------------------------------------------------------------- checkpoints
 
 
-def checkpoint_image(engine: "PrimaEngine") -> Dict[str, object]:
-    """A compact catalog + occurrence image of the engine's database."""
-    database = engine.to_database()
-    atom_types = []
-    for atom_type in database.atom_types:
-        atom_types.append(
-            {
-                "name": atom_type.name,
-                "attributes": describe_attributes(atom_type.description),
-                "atoms": [
-                    {"id": atom.identifier, "v": encode_value(atom.values)}
-                    for atom in sorted(atom_type, key=lambda a: a.identifier)
-                ],
-                "indexes": sorted(
-                    name
-                    for name in atom_type.description.names
-                    if engine._accelerators.is_declared(atom_type.name, name)
-                ),
-            }
-        )
-    link_types = []
-    for link_type in database.link_types:
-        first_type, second_type = link_type.atom_type_names
-        link_types.append(
-            {
-                "name": link_type.name,
-                "first": first_type,
-                "second": second_type,
-                "cardinality": link_type.cardinality.value,
-                "links": sorted(link.given_order for link in link_type),
-            }
-        )
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "name": engine.name,
-        "generation": engine.generation,
-        "atom_types": atom_types,
-        "link_types": link_types,
-        "structure_indexes": sorted(engine._accelerators.registered()),
-    }
+#: Atoms, or links, encoded per ``json.dumps`` call while an image is
+#: streamed (:func:`write_checkpoint`).
+CHECKPOINT_BATCH = 1024
+
+#: Value types :func:`~repro.storage.wal.encode_value` returns unchanged.
+_SCALARS = frozenset((type(None), bool, int, float, str))
+
+_IDENTIFIER = attrgetter("identifier")
+_FIRST = attrgetter("first")
+_SECOND = attrgetter("second")
+
+
+def _dumps(value: object) -> str:
+    """The image's JSON form of *value* (compact, sorted keys, C encoder)."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
 def write_checkpoint(engine: "PrimaEngine", config: DurabilityConfig) -> Path:
-    """Write the checkpoint image atomically (tmp file + fsync + rename)."""
+    """Write the checkpoint image atomically (tmp file + fsync + rename).
+
+    The image is streamed into the tmp file: the text is byte for byte what
+    ``json.dumps(image, separators=(",", ":"), sort_keys=True)`` gives for
+    the whole image (format :data:`CHECKPOINT_FORMAT`, unchanged), but no
+    whole image is ever built.  Beyond the occurrence, the writer holds one
+    batch of :data:`CHECKPOINT_BATCH` records with its text, and a sorted
+    list of references to one type's atoms or links; each batch goes
+    through the C encoder.  On any failure (a value with no JSON form, a
+    failed write, fsync or rename) the tmp file is removed and the error
+    re-raised: the previous image stays in place, and the caller has not
+    truncated the log.
+    """
     path = config.checkpoint_path
     path.parent.mkdir(parents=True, exist_ok=True)
-    image = checkpoint_image(engine)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(image, handle, separators=(",", ":"), sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            _stream_image(engine, handle.write)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
     _fsync_directory(path.parent)
     return path
 
 
+def _stream_image(engine: "PrimaEngine", write: Callable[[str], object]) -> None:
+    """Write the image of the engine's database as JSON text to *write*.
+
+    The image is a catalog + occurrence: atom types with their attribute
+    descriptions, atoms and declared indexes, link types with cardinalities
+    and links, the structure-index registrations and the write generation.
+    Objects of a fixed shape are written by hand, their keys in sorted order;
+    atoms (sorted by identifier) and links (sorted pairs) go batch by batch.
+    """
+    database = engine.to_database()
+    accelerators = engine._accelerators
+    write('{"atom_types":[')
+    for position, atom_type in enumerate(database.atom_types):
+        description = atom_type.description
+        indexes = sorted(
+            name for name in description.names if accelerators.is_declared(atom_type.name, name)
+        )
+        write(',{"atoms":' if position else '{"atoms":')
+        _stream_array(write, _atom_batches(atom_type))
+        write(
+            f',"attributes":{_dumps(describe_attributes(description))}'
+            f',"indexes":{_dumps(indexes)},"name":{_dumps(atom_type.name)}}}'
+        )
+    write(
+        f'],"format":{_dumps(CHECKPOINT_FORMAT)},"generation":{_dumps(engine.generation)}'
+        ',"link_types":['
+    )
+    for position, link_type in enumerate(database.link_types):
+        first_type, second_type = link_type.atom_type_names
+        write(
+            (',{"cardinality":' if position else '{"cardinality":')
+            + f'{_dumps(link_type.cardinality.value)},"first":{_dumps(first_type)},"links":'
+        )
+        _stream_array(write, _link_batches(link_type))
+        write(f',"name":{_dumps(link_type.name)},"second":{_dumps(second_type)}}}')
+    write(
+        f'],"name":{_dumps(engine.name)}'
+        f',"structure_indexes":{_dumps(sorted(accelerators.registered()))}}}'
+    )
+
+
+def _stream_array(write: Callable[[str], object], batches: Iterable[list]) -> None:
+    """Write one JSON array whose elements come in non-empty *batches*."""
+    write("[")
+    separator = ""
+    for batch in batches:
+        write(separator)
+        write(_dumps(batch)[1:-1])
+        separator = ","
+    write("]")
+
+
+def _atom_batches(atom_type: AtomType) -> Iterator[List[Dict[str, object]]]:
+    """The type's ``{"id", "v"}`` atom records, sorted by identifier.
+
+    A row of JSON scalars is its own encoding, unless an attribute name is
+    one of the encoder's sentinel keys (the dict is then escaped); every
+    other row goes through :func:`encode_value`.
+    """
+    escaped = any(name in _SENTINEL_KEYS for name in atom_type.description.names)
+    atoms = sorted(atom_type, key=_IDENTIFIER)
+    for start in range(0, len(atoms), CHECKPOINT_BATCH):
+        batch = []
+        for atom in atoms[start : start + CHECKPOINT_BATCH]:
+            values = atom.values
+            if escaped or not _SCALARS.issuperset(map(type, values.values())):
+                values = encode_value(values)
+            batch.append({"id": atom.identifier, "v": values})
+        yield batch
+
+
+def _link_batches(link_type: LinkType) -> Iterator[List[Tuple[str, str]]]:
+    """The type's links as sorted ``(first, second)`` pairs.
+
+    Two stable sorts give the pairs' order without a key tuple per link.
+    """
+    links = sorted(link_type, key=_SECOND)
+    links.sort(key=_FIRST)
+    for start in range(0, len(links), CHECKPOINT_BATCH):
+        yield [(link.first, link.second) for link in links[start : start + CHECKPOINT_BATCH]]
+
+
 def load_checkpoint(config: DurabilityConfig) -> Optional[Dict[str, object]]:
-    """Read the checkpoint image, or ``None`` when none has been written."""
+    """Read the checkpoint image, or ``None`` when none has been written.
+
+    An image that is not UTF-8 JSON, or whose top level is not an object of
+    the image's shape, raises :class:`WalError` naming the file.
+    """
     path = config.checkpoint_path
     if not path.exists():
         return None
-    image = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        image = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as error:  # UnicodeDecodeError and JSONDecodeError
+        raise WalError(f"unreadable checkpoint image {path}: {error}") from error
+    if not isinstance(image, dict):
+        raise WalError(f"checkpoint image {path} is not a JSON object")
     if image.get("format") != CHECKPOINT_FORMAT:
         raise WalError(
             f"unsupported checkpoint format {image.get('format')!r} in {path}"
         )
+    for key in ("atom_types", "link_types", "structure_indexes"):
+        section = image.get(key, [])
+        if not isinstance(section, list) or (
+            key != "structure_indexes" and not all(isinstance(entry, dict) for entry in section)
+        ):
+            raise WalError(f"checkpoint image {path} has a malformed {key!r} section")
     return image
 
 

@@ -826,3 +826,361 @@ def test_restored_encodings_stay_coherent_across_the_wal_tail(tmp_path):
     assert canonical_closures(reopened) == before
     assert reopened.maintenance_report()["structure_builds"] == 1
     reopened.close()
+
+
+# ------------------------------------------------- streamed checkpoint images
+
+DATA = Path(__file__).resolve().parent / "data"
+
+#: Every shape ``encode_value`` knows, plus the scalars it passes through.
+EXOTIC_PAYLOADS = {
+    "tuple": (1, "a", (2.5,)),
+    "list": [1, [2, 3], "x"],
+    "set": {3, 1, 2},
+    "frozenset": frozenset({"b", "a"}),
+    "bytes": b"\x00\xff raw",
+    "items": {1: "a", (2, 3): "b"},
+    "sentinel": {"__tuple__": [9], "plain": 1},
+    "nested": {"inner": [{4, 5}, b"x", {6: (7,)}]},
+    "negzero": -0.0,
+    "nan": float("nan"),
+    "unicode": "São Paulo — 東京 \U0001f600",
+    "none": None,
+    "true": True,
+    "false": False,
+    "int": 7,
+}
+
+
+def oracle_image(engine: PrimaEngine) -> dict:
+    """The checkpoint image built whole as Python objects — the form the
+    writer had before it streamed; the streamed file must be its
+    ``json.dumps(..., separators=(",", ":"), sort_keys=True)``."""
+    from repro.storage.recovery import CHECKPOINT_FORMAT, describe_attributes
+    from repro.storage.wal import encode_value
+
+    database = engine.to_database()
+    atom_types = [
+        {
+            "name": atom_type.name,
+            "attributes": describe_attributes(atom_type.description),
+            "atoms": [
+                {"id": atom.identifier, "v": encode_value(atom.values)}
+                for atom in sorted(atom_type, key=lambda a: a.identifier)
+            ],
+            "indexes": sorted(
+                name
+                for name in atom_type.description.names
+                if engine._accelerators.is_declared(atom_type.name, name)
+            ),
+        }
+        for atom_type in database.atom_types
+    ]
+    link_types = [
+        {
+            "name": link_type.name,
+            "first": link_type.atom_type_names[0],
+            "second": link_type.atom_type_names[1],
+            "cardinality": link_type.cardinality.value,
+            "links": sorted(link.given_order for link in link_type),
+        }
+        for link_type in database.link_types
+    ]
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "name": engine.name,
+        "generation": engine.generation,
+        "atom_types": atom_types,
+        "link_types": link_types,
+        "structure_indexes": sorted(engine._accelerators.registered()),
+    }
+
+
+def oracle_bytes(engine: PrimaEngine) -> bytes:
+    return json.dumps(oracle_image(engine), separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
+def build_exotic_engine(directory) -> PrimaEngine:
+    """A durable engine holding every value shape: a checkpoint of the first
+    half, a WAL tail with the rest, a modify, a delete and a disconnect."""
+    reset_surrogate_counter()
+    engine = PrimaEngine("exotic", durability=DurabilityConfig(directory, fsync=FSYNC_ALWAYS))
+    engine.create_atom_type("blob", {"payload": "any", "label": "string"})
+    engine.create_atom_type("odd", {"__tuple__": "string", "n": "integer"})
+    engine.create_atom_type("void", {"x": "real"})
+    engine.create_link_type("holds", "odd", "blob")
+    engine.create_link_type("nests", "blob", "blob")
+    engine.create_link_type("never", "void", "blob")
+    engine.create_index("odd", "n")
+    engine.create_structure_index("blob", "nests", "down")
+    names = sorted(EXOTIC_PAYLOADS)
+    half = len(names) // 2
+    for position, name in enumerate(names[:half]):
+        engine.store_atom("blob", identifier=name, payload=EXOTIC_PAYLOADS[name], label=name)
+        engine.store_atom("odd", identifier=f"o{position}", n=position, **{"__tuple__": name})
+        engine.connect("holds", f"o{position}", name)
+    engine.connect("nests", names[0], names[1])
+    engine.connect("nests", names[1], names[2])
+    engine.checkpoint()
+    for position, name in enumerate(names[half:], start=half):
+        engine.store_atom("blob", identifier=name, payload=EXOTIC_PAYLOADS[name], label=name)
+        engine.store_atom("odd", identifier=f"o{position}", n=position, **{"__tuple__": name})
+        engine.connect("holds", f"o{position}", name)
+    engine.connect("nests", names[2], names[half])
+    engine.store_atom("blob", identifier=names[0], payload=("modified", -0.0), label="ü")
+    engine.delete_atom("odd", "o1")
+    engine.query("DELETE FROM blob WHERE blob.label = 'int';")
+    return engine
+
+
+def exotic_reads(engine: PrimaEngine) -> str:
+    """What the exotic engine answers, in a form that tells every value
+    shape apart (tuple from list, set from frozenset, ``-0.0``, NaN)."""
+    from repro.storage.wal import encode_value
+
+    reads = {
+        "atoms": {
+            name: [
+                [atom.identifier, encode_value(atom.values)]
+                for atom in sorted(engine.scan(name), key=lambda a: a.identifier)
+            ]
+            for name in ("blob", "odd", "void")
+        },
+        "links": {
+            name: sorted(link.given_order for link in engine.to_database().ltyp(name))
+            for name in ("holds", "nests", "never")
+        },
+        "lookup": [atom.identifier for atom in engine.lookup("odd", "n", 3)],
+        "closure": sorted(
+            sorted(molecule.atom_identifiers)
+            for molecule in engine.query("SELECT ALL FROM RECURSIVE blob [nests] DOWN;").molecules
+        ),
+        "generation": engine.generation,
+    }
+    return json.dumps(reads, sort_keys=True)
+
+
+def build_counts_engine(directory) -> PrimaEngine:
+    """Empty and populated atom and link types side by side (comma placement)."""
+    reset_surrogate_counter()
+    engine = PrimaEngine("counts", durability=DurabilityConfig(directory))
+    for name in ("a0", "a1", "a2", "a3"):
+        engine.create_atom_type(name, {"k": "string"})
+    for i in range(3):
+        engine.store_atom("a1", identifier=f"x{i}", k=str(i))
+        engine.store_atom("a3", identifier=f"y{i}", k=None)
+    engine.create_link_type("l0", "a0", "a1")
+    engine.create_link_type("l1", "a1", "a3")
+    engine.create_link_type("l2", "a2", "a3")
+    engine.create_link_type("l3", "a1", "a3")
+    for i in range(3):
+        engine.connect("l1", f"x{i}", f"y{(i + 1) % 3}")
+    engine.connect("l3", "x0", "y0")
+    return engine
+
+
+def build_batch_edge_engine(directory) -> PrimaEngine:
+    """One type of exactly one batch of atoms and links, one of a batch + 1,
+    with a reflexive link type over the larger one; loaded in bulk."""
+    from repro import Database
+    from repro.storage.recovery import CHECKPOINT_BATCH
+
+    size = {"one": CHECKPOINT_BATCH, "over": CHECKPOINT_BATCH + 1}
+    db = Database("batches")
+    for name, count in size.items():
+        db.define_atom_type(name, {"n": "integer", "tag": "any"})
+        for i in range(count):
+            db.insert_atom(name, identifier=f"{name}{i:05d}", n=i, tag=(i,) if i % 97 == 0 else i)
+    db.define_link_type("pairs", "one", "over")
+    db.define_link_type("chain", "over", "over")
+    one, over = db.atyp("one"), db.atyp("over")
+    for i in range(size["one"]):
+        db.connect("pairs", one.get(f"one{i:05d}"), over.get(f"over{(i * 7) % size['over']:05d}"))
+    for i in range(size["over"]):
+        db.connect("chain", over.get(f"over{(i + 1) % size['over']:05d}"), over.get(f"over{i:05d}"))
+    return PrimaEngine.from_database(db, durability=DurabilityConfig(directory))
+
+
+def build_bom_indexed_engine(directory) -> PrimaEngine:
+    engine = build_bom_engine(directory)
+    engine.create_index("part", "part_no")
+    engine.create_index("part", "cost")
+    canonical_closures(engine)  # the built index is derived: it must not show
+    return engine
+
+
+def build_empty_engine(directory) -> PrimaEngine:
+    return PrimaEngine("empty", durability=DurabilityConfig(directory))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_bom_indexed_engine,
+        build_empty_engine,
+        build_counts_engine,
+        build_batch_edge_engine,
+        build_exotic_engine,
+    ],
+    ids=lambda build: build.__name__[len("build_"):-len("_engine")],
+)
+def test_streamed_image_equals_the_dumped_image(tmp_path, build):
+    engine = build(tmp_path / "dir")
+    engine.checkpoint()
+    assert engine.durability.checkpoint_path.read_bytes() == oracle_bytes(engine)
+    assert not (tmp_path / "dir" / "checkpoint.json.tmp").exists()
+    engine.close()
+
+
+def test_streamed_image_of_shared_identifiers_equals_the_dumped_image(tmp_path, shared_ids_db):
+    engine = PrimaEngine.from_database(shared_ids_db, durability=DurabilityConfig(tmp_path / "dir"))
+    assert engine.durability.checkpoint_path.read_bytes() == oracle_bytes(engine)
+    engine.close()
+
+
+def test_directory_written_before_streaming_reopens_and_rewrites_the_same_bytes(tmp_path):
+    """``tests/data/exotic_durable`` (checkpoint + WAL tail of
+    :func:`build_exotic_engine`) and ``exotic_recheckpoint.json`` (its image
+    after a reopen and a checkpoint) were written by the writer that dumped
+    a whole image.  The streaming writer reads the same state from them and
+    writes the same bytes."""
+    committed = DATA / "exotic_durable"
+    directory = tmp_path / "copy"
+    shutil.copytree(committed, directory)
+    reopened = PrimaEngine("exotic", durability=DurabilityConfig(directory))
+    assert reopened.recovery.checkpoint_loaded and reopened.recovery.records_replayed > 0
+    expected = build_exotic_engine(tmp_path / "fresh")
+    assert exotic_reads(reopened) == exotic_reads(expected)
+    reopened.checkpoint()
+    assert (directory / "checkpoint.json").read_bytes() == (
+        DATA / "exotic_recheckpoint.json"
+    ).read_bytes()
+    expected.checkpoint()
+    assert expected.durability.checkpoint_path.read_bytes() == (
+        DATA / "exotic_recheckpoint.json"
+    ).read_bytes()
+    reopened.close()
+    expected.close()
+
+
+# ------------------------------------------------ failed checkpoints fail closed
+
+
+def checkpointed_engine_with_tail(directory) -> PrimaEngine:
+    """An engine with a checkpoint image and two commits in the log after it."""
+    engine = build_engine(directory)
+    op_insert_p1(engine)
+    engine.checkpoint()
+    op_insert_p2(engine)
+    op_store_supplier(engine)
+    return engine
+
+
+def durable_files(directory) -> Tuple[bytes, bytes]:
+    return (directory / "checkpoint.json").read_bytes(), (directory / "wal.log").read_bytes()
+
+
+def test_checkpoint_failing_to_encode_a_value_leaves_image_and_log(tmp_path):
+    """A bulk-loaded ``any`` value with no JSON form fails the checkpoint
+    part-way through the image: the tmp file goes, the previous image and
+    the log stay, and a reopen reads the committed state."""
+    from repro import Database
+    from repro.storage.wal import WalError
+
+    directory = tmp_path / "dir"
+    engine = checkpointed_engine_with_tail(directory)
+    expected = store_state(engine)
+    engine.close()
+    before = durable_files(directory)
+    db = Database("loaded")
+    db.define_atom_type("blob", {"payload": "any"})
+    db.insert_atom("blob", identifier="b", payload=object())
+    with pytest.raises(WalError, match="no faithful JSON"):
+        PrimaEngine.from_database(db, name="crashbox", durability=DurabilityConfig(directory))
+    assert not (directory / "checkpoint.json.tmp").exists()
+    image, log = durable_files(directory)
+    assert image == before[0]
+    assert log.startswith(before[1]), "the log must not be truncated"
+    reset_surrogate_counter()
+    reopened = PrimaEngine("crashbox", durability=DurabilityConfig(directory))
+    state = json.loads(store_state(reopened))
+    # The load logged the type's DDL before its image failed; no atom of it.
+    assert state["atoms"].pop("blob") == {}
+    assert json.dumps(state, sort_keys=True) == expected
+    op_connect(reopened)
+    reopened.close()
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_checkpoint_failing_at_fsync_or_replace_leaves_image_and_log(tmp_path, monkeypatch, step):
+    directory = tmp_path / "dir"
+    engine = checkpointed_engine_with_tail(directory)
+    before = durable_files(directory)
+
+    def fail(*args):
+        raise OSError(f"injected {step} failure")
+
+    monkeypatch.setattr(f"repro.storage.recovery.os.{step}", fail)
+    with pytest.raises(OSError, match="injected"):
+        engine.checkpoint()
+    monkeypatch.undo()
+    assert not (directory / "checkpoint.json.tmp").exists()
+    assert durable_files(directory) == before
+    op_connect(engine)  # the engine still takes writes, and logs them
+    expected = store_state(engine)
+    engine.close()
+    reset_surrogate_counter()
+    reopened = PrimaEngine("crashbox", durability=DurabilityConfig(directory))
+    assert store_state(reopened) == expected
+    reopened.checkpoint()
+    reopened.close()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"format":1,"atom_types":[{"name":"pa',
+        b"\xff\xfe{}",
+        b"[1, 2]",
+        b'{"format":1,"atom_types":5}',
+        b'{"format":1,"link_types":[3]}',
+    ],
+    ids=["truncated", "not-utf8", "array", "atom-types-not-a-list", "link-type-not-an-object"],
+)
+def test_unreadable_checkpoint_image_raises_a_typed_error(tmp_path, content):
+    from repro.storage.replication import seed_engine
+    from repro.storage.wal import WalError
+
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    (directory / "checkpoint.json").write_bytes(content)
+    with pytest.raises(WalError, match="checkpoint.json"):
+        PrimaEngine.open(directory)
+    with pytest.raises(WalError, match="checkpoint.json"):
+        seed_engine(directory)
+
+
+def test_checkpoint_memory_grows_by_a_sorted_list_not_by_the_image(tmp_path, monkeypatch):
+    """The writer's traced peak grows by well under 50 B per added atom
+    (the whole-image writer took ≈ 480 B per atom)."""
+    import tracemalloc
+
+    from repro.storage.recovery import write_checkpoint
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from benchmarks.harness.datasets import build_mesh
+
+    peaks = {}
+    for per_type in (4000, 8000):
+        database, _ = build_mesh(1, per_type)
+        engine = PrimaEngine.from_database(database)
+        config = DurabilityConfig(tmp_path / str(per_type))
+        write_checkpoint(engine, config)
+        tracemalloc.start()
+        try:
+            write_checkpoint(engine, config)
+            peaks[database.atom_count()] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    (small, small_peak), (large, large_peak) = sorted(peaks.items())
+    assert (large_peak - small_peak) / (large - small) <= 50, peaks
