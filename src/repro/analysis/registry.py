@@ -125,12 +125,12 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=15,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="lazy construction/teardown of the interpreter and the "
-        "process-pool/commit-feed/hub references",
+        guards="lazy construction/teardown of the interpreter and of the "
+        "read fan-out (the engine's Replicas reference and its process pool)",
         rationale="type DDL holds it across the versioning lock (the "
         "no-active-transaction check and the registration), so it sits "
-        "below 30; shutdown hands pool/hub references out of the lock "
-        "before closing them",
+        "below 30; close hands the Replicas reference out of the lock "
+        "before closing it",
     ),
     LockSpec(
         name="Database._versioning_guard",
@@ -192,9 +192,9 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=40,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="one change event at a time: generation counter, "
-        "incremental cache maintenance, WAL routing; taken only on the "
-        "write path (fold and stamp), never by a reader",
+        guards="one change event at a time: generation counter and "
+        "incremental cache maintenance; taken only on the write path (fold "
+        "and stamp), never by a reader",
         rationale="acquired inside head locks and the versioning lock "
         "(event emission); only acquires the leaves above level 40",
     ),
@@ -235,9 +235,9 @@ LOCKS: Tuple[LockSpec, ...] = (
         guards="record append + counters + fsync policy (no torn or "
         "interleaved records under group commit); observers fire inside it "
         "after the bytes reach the OS",
-        rationale="acquired under the write, versioning and event locks "
-        "(direct logging, commit hook, event capture); observers only "
-        "acquire the commit feed's lock above",
+        rationale="acquired under the write and versioning locks (DDL "
+        "logging, the commit hook) and a head lock (event capture); "
+        "observers only acquire the commit feed's lock above",
     ),
     LockSpec(
         name="CommitFeed._lock",

@@ -1,26 +1,32 @@
-"""The read router: one pinned batch of statements fanned over replicas.
+"""Read fan-out: a durable engine's replicas and the router over them.
+
+:class:`Replicas` owns what a :class:`~repro.storage.engine.PrimaEngine`
+fans reads out to — its one commit feed, the worker-process pool and the
+replication hub — and tears them down in that order's reverse at close.
 
 ``PrimaEngine.parallel_query`` with ``mode="process"`` or ``mode="replica"``
-runs here.  Both modes are the same steps — the replicas differ only in what
-they are sent, which the two target classes below hide: pin and feed cut in
-one versioning-lock section; every target **prepares** for ``(pin, cut)``
-(catches up from the commit feed, or cannot serve this pin); each statement
-is **classified** once (only queries and set operations are routable, and a
-plan is built only for targets that are sent one); the routable ones **fan
-out** round-robin over the prepared targets, one thread each — or, a single
-recursive or columnar-aggregate plan over plan-shipping targets, one
-partition each; whatever is left unserved **falls back** to the primary at
-the same pin (DML and transaction statements raise there, as in thread
-mode); the targets' counts, kept in a dict of their own while they run on
-fan-out threads, are **tallied** into the shared counters on the calling
-thread; the pin is released.  Classification goes through the primary
-interpreter's statement cache (:meth:`MQLInterpreter.read_plan`), so a
-template the batch repeats is parsed and planned once.
+runs here (:meth:`Replicas.route`).  Both modes are the same steps — the
+replicas differ only in what they are sent, which the two target classes
+below hide: pin and feed cut in one versioning-lock section; every target
+**prepares** for ``(pin, cut)`` (catches up from the commit feed, or cannot
+serve this pin); each statement is **classified** once (only queries and set
+operations are routable, and a plan is built only for targets that are sent
+one); the routable ones **fan out** round-robin over the prepared targets,
+one thread each — or, a single recursive or columnar-aggregate plan over
+plan-shipping targets, one partition each; whatever is left unserved **falls
+back** to the primary at the same pin (DML and transaction statements raise
+there, as in thread mode); the targets' counts, kept in a dict of their own
+while they run on fan-out threads, are **tallied** into the shared counters
+on the calling thread; the pin is released.  Classification goes through
+the primary interpreter's statement cache
+(:meth:`MQLInterpreter.read_plan`), so a template the batch repeats is
+parsed and planned once.
 """
 
 from __future__ import annotations
 
 import collections
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -30,8 +36,10 @@ from repro.engine.logical import (
     IntervalScanPlan,
     RecursivePlan,
 )
+from repro.engine.procpool import COUNTERS as POOL_COUNTERS
+from repro.engine.procpool import ProcessPool
 from repro.exceptions import StorageError
-from repro.storage.replication import ReplicationError
+from repro.storage.replication import HUB_COUNTERS, CommitFeed, ReplicationError, ReplicationHub
 from repro.storage.shipping import ShippedQueryResult, merge_partitions, plan_to_json
 
 #: Plans a set of plan-shipping targets can execute as disjoint partitions.
@@ -120,8 +128,9 @@ class FollowerTarget:
 class ReadRouter:
     """Routes one batch of read statements for a :class:`PrimaEngine`."""
 
-    def __init__(self, engine) -> None:
+    def __init__(self, engine, feed: CommitFeed) -> None:
         self._engine = engine
+        self._feed = feed
 
     def run(
         self,
@@ -134,7 +143,7 @@ class ReadRouter:
         """Execute *statements* at one pin over *targets*; results come back
         in statement order.  *counters* is the targets' shared tally (the
         pool's or the hub's ``counters``, a :class:`collections.Counter`)."""
-        handle, cut = self._engine._pin(generation)  # noqa: SLF001
+        handle, cut = self._engine._pin(generation, self._feed.position)  # noqa: SLF001
         try:
             pin_gen = handle.generation
             ready = [t for t in targets if t.prepare(pin_gen, cut, max_lag)]
@@ -220,3 +229,98 @@ class ReadRouter:
         return merge_partitions(
             routed.statement, routed.plan, [reply[1] for reply in replies]
         )
+
+
+#: ``maintenance_report()``'s fan-out keys, all 0 while an engine has no
+#: replicas: the pool's size and counters, the follower count, the worst
+#: follower lag (in generations) and the hub's counters.
+REPORT_ZEROS: Dict[str, int] = {
+    "procpool_workers": 0,
+    **{f"procpool_{key}": 0 for key in POOL_COUNTERS},
+    "replication_followers": 0,
+    "replication_lag": 0,
+    **{f"replication_{key}": 0 for key in HUB_COUNTERS},
+}
+
+
+class Replicas:
+    """A durable engine's read fan-out: commit feed, process pool, hub.
+
+    Created on the engine's first replica request.  The feed taps the WAL
+    (``wal``) once for both kinds of replica; the hub is cheap and made with
+    it, the pool — worker processes — on first use (:meth:`pool`).
+    """
+
+    def __init__(self, engine, wal) -> None:
+        self._engine = engine
+        self.feed = CommitFeed(wal)
+        self.hub = ReplicationHub(engine, self.feed)
+        self._pool: Optional[ProcessPool] = None  # guarded-by: PrimaEngine._cache_lock
+
+    def pool(self, workers: Optional[int] = None) -> ProcessPool:
+        """The pool of checkpoint-seeded worker processes; *workers* sizes
+        it on first use (default ``min(4, cpu count)``)."""
+        with self._engine._cache_lock:  # noqa: SLF001
+            if self._pool is None:
+                size = workers or max(1, min(4, os.cpu_count() or 1))
+                self._pool = ProcessPool(self._engine, self.feed, size)
+            return self._pool
+
+    def route(
+        self,
+        statements: List[str],
+        generation: Optional[int],
+        mode: str,
+        workers: Optional[int],
+        max_lag: int,
+    ) -> List[object]:
+        """``parallel_query``'s ``mode="process"`` and ``mode="replica"``.
+
+        Every replica is caught up to the pin first — or left out when it
+        cannot serve it (a replica cannot rewind) — the statements go
+        round-robin over the rest, and whatever no replica served (EXPLAIN,
+        DML — which still raises —, anything unparseable or unshippable,
+        refusals, crashes) runs on the primary at the same pinned
+        generation.  Results keep statement order and render byte-identical
+        ``to_dicts()`` content.  ``mode="process"`` ships compiled plans to
+        *workers* worker processes (:meth:`pool`), off-GIL, and partitions
+        a single recursive or columnar-aggregate statement over all of them.
+        ``mode="replica"`` sends statement text to the hub's followers; one
+        lagging at most *max_lag* generations serves at its own applied
+        generation, so with the default 0 every follower answers exactly at
+        the pin.
+        """
+        if mode == "process":
+            pool = self.pool(workers)
+            pool.counters["dispatches"] += 1
+            counters = pool.counters
+            targets = [WorkerSlot(pool, slot) for slot in range(pool.size)]
+        else:
+            counters = self.hub.counters
+            targets = [FollowerTarget(self.hub, follower) for follower in self.hub.followers()]
+        return ReadRouter(self._engine, self.feed).run(
+            statements, generation, targets, counters, max_lag
+        )
+
+    def report(self) -> Dict[str, int]:
+        """The :data:`REPORT_ZEROS` keys, counted."""
+        report = dict(REPORT_ZEROS)
+        pool = self._pool
+        if pool is not None:
+            report["procpool_workers"] = pool.size
+            for key in POOL_COUNTERS:
+                report[f"procpool_{key}"] = pool.counters[key]
+        hub = self.hub
+        report["replication_followers"] = len(hub.followers())
+        report["replication_lag"] = hub.max_lag()
+        for key in HUB_COUNTERS:
+            report[f"replication_{key}"] = hub.counters[key]
+        return report
+
+    def close(self) -> None:
+        """Stop the workers, detach the followers (they keep serving at
+        their applied generations), then remove the WAL tap."""
+        if self._pool is not None:
+            self._pool.shutdown()
+        self.hub.close()
+        self.feed.close()

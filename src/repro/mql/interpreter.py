@@ -243,22 +243,9 @@ class MQLInterpreter:
         #: sight, or a re-plan) and entries dropped because a stamp moved.
         self._cache_counts = {"hits": 0, "misses": 0, "invalidations": 0}  # guarded-by: MQLInterpreter._plan_lock
         #: Callable serving MQL ``CHECKPOINT`` — a durable storage engine
-        #: passes its ``PrimaEngine.checkpoint``; ``None`` rejects the
-        #: statement (nothing durable to checkpoint).
+        #: passes its durability owner's ``checkpoint``; ``None`` rejects
+        #: the statement (nothing durable to checkpoint).
         self._checkpoint_hook = checkpoint
-
-    @classmethod
-    def from_directory(cls, directory, fsync: str = "batch") -> "MQLInterpreter":
-        """Reopen a durable engine's directory and return its interpreter.
-
-        Recovery (checkpoint load + redo-only WAL replay) happens during the
-        engine construction; the returned interpreter serves MQL — including
-        ``CHECKPOINT`` — over the recovered state, and its engine keeps
-        logging subsequent commits to the same directory.
-        """
-        from repro.storage.engine import PrimaEngine  # deferred: package cycle
-
-        return PrimaEngine.open(directory, fsync=fsync).interpreter()
 
     def apply_event(self, event) -> None:
         """Fold one database change event into the planner's statistics.

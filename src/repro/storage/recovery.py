@@ -29,6 +29,10 @@ durability directory in two phases:
 After replay the engine's write generation continues from the highest stamp
 seen, and the atom surrogate counter is bumped past every replayed surrogate
 identifier so new inserts cannot collide with recovered atoms.
+
+:class:`Durability`, at the end of the module, is a durable engine's one
+owner of all this: it recovers the directory, then keeps the log, the
+per-writer buffers and the checkpoints.
 """
 
 from __future__ import annotations
@@ -44,13 +48,17 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Opti
 
 from repro.core.atom import Atom, AtomType, ensure_surrogate_counter
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
+from repro.core.events import ChangeEvent
 from repro.core.link import Cardinality, LinkType
+from repro.exceptions import StorageError
 from repro.storage.wal import (
     _SENTINEL_KEYS,
     DurabilityConfig,
     WalError,
     WalScan,
+    WriteAheadLog,
     decode_value,
+    encode_event,
     encode_value,
     read_wal,
 )
@@ -294,44 +302,55 @@ def _fsync_directory(directory: Path) -> None:
 # -------------------------------------------------------------------- replay
 
 
-def apply_checkpoint(engine: "PrimaEngine", image: Dict[str, object]) -> int:
-    """Recreate catalog and occurrences from a checkpoint image; returns the
-    highest surrogate ordinal seen.
+def apply_checkpoint(engine: "PrimaEngine", config: DurabilityConfig) -> Optional[int]:
+    """Recreate catalog and occurrences from the directory's checkpoint image;
+    returns the highest surrogate ordinal seen, or ``None`` without an image.
 
     Every type is built whole and then registered — one validation pass, no
-    per-atom change event — and the engine resumes at the image's generation.
+    per-atom change event, no log record — and the engine resumes at the
+    image's generation.  An entry of the wrong shape (a missing key, a pair
+    of one element, a generation that is no integer) raises
+    :class:`WalError` naming the file.
     """
+    image = load_checkpoint(config)
+    if image is None:
+        return None
     highest = 0
-    for entry in image.get("atom_types", ()):
-        name = entry["name"]
-        records = entry.get("atoms", ())
-        highest = max([highest, *(_surrogate_ordinal(record["id"]) for record in records)])
-        engine._add_atom_type(
-            AtomType(
-                name,
-                restore_attributes(entry["attributes"]),
-                (
-                    Atom(name, decode_value(record["v"]), identifier=record["id"])
-                    for record in records
-                ),
+    try:
+        for entry in image.get("atom_types", ()):
+            name = entry["name"]
+            records = entry.get("atoms", ())
+            highest = max([highest, *(_surrogate_ordinal(record["id"]) for record in records)])
+            engine._add_type(
+                AtomType(
+                    name,
+                    restore_attributes(entry["attributes"]),
+                    (
+                        Atom(name, decode_value(record["v"]), identifier=record["id"])
+                        for record in records
+                    ),
+                )
             )
-        )
-        for attribute in entry.get("indexes", ()):
-            engine.create_index(name, attribute)
-    database = engine.to_database()
-    for entry in image.get("link_types", ()):
-        link_type = LinkType(
-            entry["name"],
-            entry["first"],
-            entry["second"],
-            cardinality=Cardinality(entry.get("cardinality", Cardinality.MANY_TO_MANY.value)),
-        )
-        for first, second in entry.get("links", ()):  # (first, second) identifier pairs
-            link_type.add(_placed(database, link_type, first, second))
-        engine._add_link_type(link_type)
-    for atom_type, link_type, direction in image.get("structure_indexes", ()):
-        engine.create_structure_index(atom_type, link_type, direction)
-    engine._advance_generation(int(image.get("generation", 0)))
+            for attribute in entry.get("indexes", ()):
+                engine.create_index(name, attribute)
+        database = engine.to_database()
+        for entry in image.get("link_types", ()):
+            link_type = LinkType(
+                entry["name"],
+                entry["first"],
+                entry["second"],
+                cardinality=Cardinality(entry.get("cardinality", Cardinality.MANY_TO_MANY.value)),
+            )
+            for first, second in entry.get("links", ()):  # (first, second) identifier pairs
+                link_type.add(_placed(database, link_type, first, second))
+            engine._add_type(link_type)
+        for atom_type, link_type, direction in image.get("structure_indexes", ()):
+            engine.create_structure_index(atom_type, link_type, direction)
+        engine._advance_generation(int(image.get("generation", 0)))
+    except (KeyError, TypeError, ValueError) as error:
+        raise WalError(
+            f"malformed checkpoint image {config.checkpoint_path}: {error!r}"
+        ) from error
     return highest
 
 
@@ -424,6 +443,33 @@ def _surrogate_ordinal(identifier: object) -> int:
     return int(match.group(1)) if match else 0
 
 
+def replay_records(
+    engine: "PrimaEngine", records: Iterable[Dict[str, object]], result: RecoveryResult
+) -> int:
+    """Replay WAL (or commit-feed) records on *engine* in log order, counted
+    into *result*, whose ``generation`` ends at the highest commit's; returns
+    the highest surrogate ordinal the events introduced.
+
+    The one replay routine of recovery, replica seeding and follower
+    catch-up — always the primitives above, always idempotent.
+    """
+    highest = 0
+    for record in records:
+        kind = record.get("r")
+        if kind == "ddl":
+            apply_ddl_record(engine, record)
+            result.ddl_replayed += 1
+        elif kind == "commit":
+            for event in record.get("events", ()):
+                highest = max(highest, apply_event_record(engine, event))
+                result.events_replayed += 1
+            result.generation = max(result.generation, int(record.get("gen", 0)))
+        else:
+            raise WalError(f"unknown WAL record kind {kind!r}")
+        result.records_replayed += 1
+    return highest
+
+
 def recover(engine: "PrimaEngine", config: DurabilityConfig) -> RecoveryResult:
     """Rebuild *engine* from its durability directory (checkpoint + WAL).
 
@@ -433,12 +479,9 @@ def recover(engine: "PrimaEngine", config: DurabilityConfig) -> RecoveryResult:
     """
     Path(config.directory).mkdir(parents=True, exist_ok=True)
     result = RecoveryResult()
-    highest_surrogate = 0
-    image = load_checkpoint(config)
-    if image is not None:
-        highest_surrogate = apply_checkpoint(engine, image)
-        result.checkpoint_loaded = True
-        result.generation = engine.generation
+    highest = apply_checkpoint(engine, config)
+    result.checkpoint_loaded = highest is not None
+    result.generation = engine.generation
     scan: WalScan = read_wal(config.wal_path)
     result.discarded_bytes = scan.discarded_bytes
     if scan.discarded_bytes:
@@ -450,21 +493,190 @@ def recover(engine: "PrimaEngine", config: DurabilityConfig) -> RecoveryResult:
             handle.truncate(scan.valid_bytes)
             handle.flush()
             os.fsync(handle.fileno())
-    for record in scan.records:
-        kind = record.get("r")
-        if kind == "ddl":
-            apply_ddl_record(engine, record)
-            result.ddl_replayed += 1
-        elif kind == "commit":
-            for event in record.get("events", ()):
-                highest_surrogate = max(
-                    highest_surrogate, apply_event_record(engine, event)
-                )
-                result.events_replayed += 1
-            result.generation = max(result.generation, int(record.get("gen", 0)))
-        else:
-            raise WalError(f"unknown WAL record kind {kind!r}")
-        result.records_replayed += 1
-    ensure_surrogate_counter(highest_surrogate)
+    ensure_surrogate_counter(max(highest or 0, replay_records(engine, scan.records, result)))
     engine._advance_generation(result.generation)
     return result
+
+
+# ---------------------------------------------------------------- the owner
+
+
+#: ``maintenance_report()``'s durability keys, in report order:
+#: ``wal_bytes`` / ``wal_records`` — bytes and records currently in the log
+#: (both reset by a checkpoint's truncate, so they always agree),
+#: ``wal_syncs`` — fsyncs issued, ``wal_lifetime_bytes`` /
+#: ``wal_lifetime_records`` — totals over the log handle's lifetime,
+#: ``checkpoints`` — images written, ``recovery_replayed`` — records replayed
+#: at construction.
+REPORT_KEYS = (
+    "wal_bytes",
+    "wal_records",
+    "wal_syncs",
+    "wal_lifetime_bytes",
+    "wal_lifetime_records",
+    "checkpoints",
+    "recovery_replayed",
+)
+
+
+class Durability:
+    """A durable engine's log and images: everything that outlives the process.
+
+    Construction recovers the directory into *engine* (:func:`recover`),
+    then opens the write-ahead log for appending and starts logging — in
+    that order, so nothing replayed is ever logged again.  From then on it
+    buffers the engine's change events per writer — a transaction, or one
+    basic-interface operation — and appends them as one checksummed commit
+    record when the writer commits, atomically with the MVCC commit-log
+    entry (the versioning state's transaction hook), or drops them when it
+    rolls back; an event outside any writer commits on its own.  DDL is
+    logged as it happens (:meth:`log_ddl`, replayed by
+    :func:`apply_ddl_record`).  :meth:`checkpoint` writes an image and
+    truncates the log.
+    """
+
+    def __init__(self, engine: "PrimaEngine", config: DurabilityConfig) -> None:
+        self._engine = engine
+        self.config = config
+        #: Change events buffered per active writer (keyed by ``id``); each
+        #: entry is appended and flushed by the one thread driving that writer.
+        self._pending: Dict[int, List[Dict[str, object]]] = {}
+        self.checkpoints = 0
+        #: What construction-time recovery replayed.
+        self.recovery = recover(engine, config)
+        factory = config.wal_factory or WriteAheadLog
+        self.wal = factory(config.wal_path, fsync=config.fsync, group_commit=config.group_commit)
+        database = engine.to_database()
+        self._state = database.versioning
+        self._state.transaction_hooks.append(self.finish)
+        database.subscribe(self.capture)
+
+    def capture(self, event: ChangeEvent) -> None:
+        """Route one change event: buffered under this thread's writer, or
+        committed at once when no writer is tracking (a direct database
+        mutation outside any transaction).  Writer attribution is
+        thread-local, so concurrent writers never share a record."""
+        writer = self._state.current_writer
+        record = encode_event(event)
+        if writer is not None:
+            self._pending.setdefault(id(writer), []).append(record)
+        else:
+            self.wal.commit_events([record])
+
+    def finish(self, writer: object, committed: bool) -> None:
+        """Transaction hook: log the writer's buffered events on commit,
+        drop them on rollback — the log only carries committed writers."""
+        events = self._pending.get(id(writer))
+        if committed and events:
+            # May raise (closed log, full disk): the buffer is kept so a
+            # retried commit logs the events after all — the pop below is
+            # only reached once the record is safely appended.
+            self.wal.commit_events(events)
+        self._pending.pop(id(writer), None)
+
+    def log_ddl(self, op: str, *subject) -> None:
+        """Append the record of one DDL statement.
+
+        *subject* is the new :class:`AtomType` or :class:`LinkType`, an
+        index's ``(atom type, attribute)`` names, or a structure index's
+        ``(atom type, link type, direction)``.
+        """
+        if op == "atom_type":
+            (atom_type,) = subject
+            record = {
+                "op": op,
+                "name": atom_type.name,
+                "attributes": describe_attributes(atom_type.description),
+            }
+        elif op == "link_type":
+            (link_type,) = subject
+            first_type, second_type = link_type.atom_type_names
+            record = {
+                "op": op,
+                "name": link_type.name,
+                "first": first_type,
+                "second": second_type,
+                "cardinality": link_type.cardinality.value,
+            }
+        elif op == "index":
+            atom_type_name, attribute = subject
+            record = {"op": op, "type": atom_type_name, "attribute": attribute}
+        else:
+            atom_type_name, link_type_name, direction = subject
+            record = {
+                "op": op,
+                "type": atom_type_name,
+                "link": link_type_name,
+                "direction": direction,
+            }
+        self.wal.append_ddl(record)
+
+    def checkpoint(self) -> Dict[str, object]:
+        """Write a snapshot image and truncate the log (quiescent points only).
+
+        The protocol is: image to a temporary file, fsync, atomic rename
+        over the previous image, fsync the directory, *then* truncate the
+        log — a crash between any two steps leaves old image + full log or
+        new image + full log, both of which replay to the committed head
+        because replay is idempotent.  Refused while any transaction is
+        active: the head then carries uncommitted writes that must not
+        enter an image.
+
+        The engine's write lock and the versioning lock are held for the
+        whole image write, so the call stops the world: about 1.0 s on a
+        durable 100k-atom mesh and 1.2–1.3 s on a 104k-part forest
+        (Python 3.11, 2 cores; 3.5–4.9 s while the image was built whole
+        and written by ``json.dump``).  The image is streamed in batches
+        (:func:`write_checkpoint`); a failed write leaves the previous image
+        and the log as they were.
+        """
+        engine = self._engine
+        with engine._write_lock:
+            if self.wal.closed:
+                # Fail before the image write: replacing the image and then
+                # failing to truncate would leave a half-finished checkpoint
+                # behind a closed engine.
+                raise StorageError("cannot checkpoint a closed engine; reopen the directory")
+            # The quiescence check, the image and the truncate form one
+            # critical section of the versioning lock: a transaction
+            # beginning (or any mutation ticking) after the check would
+            # otherwise put uncommitted state into the head mid-image.
+            with self._state.lock:
+                if self._state.active_transactions or self._pending:
+                    raise StorageError(
+                        "cannot checkpoint while transactions are active; "
+                        "COMMIT WORK or ROLLBACK WORK first"
+                    )
+                path = write_checkpoint(engine, self.config)
+                self.wal.truncate()
+            self.checkpoints += 1
+        database = engine.to_database()
+        return {
+            "path": str(path),
+            "checkpoints": self.checkpoints,
+            "generation": engine.generation,
+            "atoms": database.atom_count(),
+            "links": database.link_count(),
+        }
+
+    def report(self) -> Dict[str, int]:
+        """The :data:`REPORT_KEYS` of ``maintenance_report()``."""
+        wal = self.wal
+        return dict(
+            zip(
+                REPORT_KEYS,
+                (
+                    wal.bytes_written,
+                    wal.records_written,
+                    wal.syncs,
+                    wal.lifetime_bytes,
+                    wal.lifetime_records,
+                    self.checkpoints,
+                    self.recovery.records_replayed,
+                ),
+            )
+        )
+
+    def close(self) -> None:
+        """Flush and close the log (idempotent)."""
+        self.wal.close()

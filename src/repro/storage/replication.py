@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import StorageError
+from repro.storage.recovery import RecoveryResult, apply_checkpoint, replay_records
 
 
 #: The hub's counters, ``maintenance_report()``'s ``replication_*`` keys.
@@ -198,29 +199,6 @@ class CommitFeed:
         self._wal.remove_observer(self._observe)
 
 
-# ------------------------------------------------------------ shared replay
-
-
-def apply_record(engine, record: Dict[str, object]) -> int:
-    """Replay one WAL/feed record on *engine*'s database; returns the record's
-    highest generation (0 for DDL records).
-
-    The single replay routine of seeding and :meth:`FollowerEngine.apply_records`
-    — always the recovery primitives, always idempotent.
-    """
-    from repro.storage.recovery import apply_ddl_record, apply_event_record
-
-    kind = record.get("r")
-    if kind == "ddl":
-        apply_ddl_record(engine, record)
-        return 0
-    if kind == "commit":
-        for event in record.get("events", ()):
-            apply_event_record(engine, event)
-        return int(record.get("gen", 0))
-    raise ReplicationError(f"unknown record kind {kind!r} in replication feed")
-
-
 def checkpoint_stamp(path) -> Optional[Tuple[int, int, int]]:
     """Identity stamp of a checkpoint image: ``(mtime_ns, size, inode)``.
 
@@ -259,23 +237,18 @@ def seed_engine(directory, name: str = "prima-replica") -> SeedResult:
     """
     from repro.core.atom import ensure_surrogate_counter
     from repro.storage.engine import PrimaEngine
-    from repro.storage.recovery import apply_checkpoint, load_checkpoint
     from repro.storage.wal import DurabilityConfig, read_wal
 
     config = DurabilityConfig(directory)
     stamp = checkpoint_stamp(config.checkpoint_path)
     engine = PrimaEngine(name=name)
-    highest_surrogate = 0
-    image = load_checkpoint(config)
-    if image is not None:
-        highest_surrogate = apply_checkpoint(engine, image)
-    generation = engine.generation
+    highest = apply_checkpoint(engine, config) or 0
+    replayed = RecoveryResult(generation=engine.generation)
     scan = read_wal(config.wal_path)
-    for record in scan.records:
-        generation = max(generation, apply_record(engine, record))
-    ensure_surrogate_counter(highest_surrogate)
-    engine._advance_generation(generation)  # noqa: SLF001 - the replay primitives' companion
-    return SeedResult(engine, generation, len(scan.records), scan.valid_bytes, stamp)
+    ensure_surrogate_counter(max(highest, replay_records(engine, scan.records, replayed)))
+    # Private on purpose: the replay primitives' companion.
+    engine._advance_generation(replayed.generation)  # noqa: SLF001
+    return SeedResult(engine, replayed.generation, len(scan.records), scan.valid_bytes, stamp)
 
 
 # ------------------------------------------------------------- the follower
@@ -363,12 +336,13 @@ class FollowerEngine:
         """
         with self._lock:
             self._require_live()
-            generation = max(self.applied_generation, int(target_generation))
-            for record in records:
-                generation = max(generation, apply_record(self._engine, record))
+            replayed = RecoveryResult(
+                generation=max(self.applied_generation, int(target_generation))
+            )
+            replay_records(self._engine, records, replayed)
             self.counters["records_applied"] += len(records)
-            self.applied_generation = generation
-            self._engine._advance_generation(generation)  # noqa: SLF001
+            self.applied_generation = replayed.generation
+            self._engine._advance_generation(replayed.generation)  # noqa: SLF001
 
     def poll(self) -> int:
         """Apply newly durable records from the primary's files; returns the
@@ -509,8 +483,8 @@ class FollowerEngine:
 class ReplicationHub:
     """Primary-side replication state: the in-process followers of one engine.
 
-    Created lazily by :meth:`PrimaEngine.replication_hub` (durable engines
-    only).  The hub ships from the engine's :class:`CommitFeed` (shared with
+    Made with the engine's read fan-out (:class:`repro.engine.router.Replicas`,
+    durable engines only).  The hub ships from the engine's :class:`CommitFeed` (shared with
     the process pool): every record appended after a follower subscribed is
     shippable incrementally, anything earlier is covered by the follower's
     file-based seeding.

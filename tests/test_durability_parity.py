@@ -136,12 +136,10 @@ def test_recursive_bom_explosion_identical_after_recovery(tmp_path):
 
 
 def test_interpreter_reopens_from_directory(geo_engine, tmp_path):
-    from repro.mql.interpreter import MQLInterpreter
-
     geo_engine.query(DML_BURST[0])
     expected = fingerprint(geo_engine.query(BENCH_MQL_STATEMENTS[0]))
     geo_engine.close()
-    interpreter = MQLInterpreter.from_directory(tmp_path / "geo")
+    interpreter = PrimaEngine.open(tmp_path / "geo").interpreter()
     assert fingerprint(interpreter.execute(BENCH_MQL_STATEMENTS[0])) == expected
     # The reopened interpreter serves CHECKPOINT (it is bound to a durable
     # engine) and keeps the session machinery intact.

@@ -390,6 +390,10 @@ class TestSelfTest:
         }
         assert constructed == {spec.name for spec in LOCKS}
 
+    def test_registry_holds_at_most_sixteen_locks(self):
+        """The hierarchy stays small: a new lock has to replace one."""
+        assert len(LOCKS) <= 16
+
     def test_seeded_inversion_in_engine_copy_is_caught(self):
         """Append an event-lock→write-lock nesting to a scratch copy of
         ``repro.storage.engine``: the analyzer must name both locks and

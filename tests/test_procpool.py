@@ -306,6 +306,10 @@ class TestProcessModeParity:
         with pytest.raises(StorageError):
             shared_engine.parallel_query(["SELECT item FROM item;"], mode="fiber")
 
+    def test_unknown_mode_rejected_for_an_empty_batch(self):
+        with pytest.raises(StorageError, match="unknown parallel_query mode"):
+            PrimaEngine().parallel_query([], mode="bogus")
+
 
 class TestWorkerLifecycle:
     def test_crash_mid_sequence_restarts_transparently(self, fresh_engine):
@@ -409,7 +413,7 @@ class TestWorkerLifecycle:
         fresh_engine.store_atom(
             "item", identifier="after", name="after", grp="x", val=0.0, qty=0
         )
-        assert len(fresh_engine._open_feed()) == 0  # nobody subscribed
+        assert len(fresh_engine.replication_hub().feed) == 0  # nobody subscribed
         monkeypatch.undo()
         assert fresh_engine.process_pool(workers=2).size == 2  # and it can be retried
 

@@ -1100,13 +1100,12 @@ def test_checkpoint_failing_to_encode_a_value_leaves_image_and_log(tmp_path):
     assert not (directory / "checkpoint.json.tmp").exists()
     image, log = durable_files(directory)
     assert image == before[0]
-    assert log.startswith(before[1]), "the log must not be truncated"
+    # The load persists only through its checkpoint: it logged nothing.
+    assert log == before[1]
     reset_surrogate_counter()
     reopened = PrimaEngine("crashbox", durability=DurabilityConfig(directory))
-    state = json.loads(store_state(reopened))
-    # The load logged the type's DDL before its image failed; no atom of it.
-    assert state["atoms"].pop("blob") == {}
-    assert json.dumps(state, sort_keys=True) == expected
+    assert not reopened.to_database().has_atom_type("blob")
+    assert store_state(reopened) == expected
     op_connect(reopened)
     reopened.close()
 
@@ -1154,6 +1153,67 @@ def test_unreadable_checkpoint_image_raises_a_typed_error(tmp_path, content):
     directory = tmp_path / "dir"
     directory.mkdir()
     (directory / "checkpoint.json").write_bytes(content)
+    with pytest.raises(WalError, match="checkpoint.json"):
+        PrimaEngine.open(directory)
+    with pytest.raises(WalError, match="checkpoint.json"):
+        seed_engine(directory)
+
+
+def well_formed_image() -> dict:
+    """A small image of every section: two atom types, a link, a structure index."""
+    attributes = [{"name": "k", "type": "string"}]
+    return {
+        "format": 1,
+        "name": "shapes",
+        "generation": 3,
+        "atom_types": [
+            {"name": "p", "attributes": attributes, "indexes": [], "atoms": [{"id": "p1", "v": {"k": "a"}}]},
+            {"name": "c", "attributes": attributes, "indexes": [], "atoms": [{"id": "c1", "v": {"k": "b"}}]},
+        ],
+        "link_types": [
+            {"name": "pc", "first": "p", "second": "c", "cardinality": "n:m", "links": [["p1", "c1"]]}
+        ],
+        "structure_indexes": [["p", "pc", "down"]],
+    }
+
+
+def drop_attributes(image):
+    del image["atom_types"][0]["attributes"]
+
+
+def drop_atom_id(image):
+    del image["atom_types"][0]["atoms"][0]["id"]
+
+
+def one_element_link(image):
+    image["link_types"][0]["links"] = [["p1"]]
+
+
+def one_element_structure_index(image):
+    image["structure_indexes"] = [["p"]]
+
+
+def text_generation(image):
+    image["generation"] = "three"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [drop_attributes, drop_atom_id, one_element_link, one_element_structure_index, text_generation],
+)
+def test_malformed_checkpoint_entry_raises_a_typed_error(tmp_path, damage):
+    from repro.storage.replication import seed_engine
+    from repro.storage.wal import WalError
+
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    image = well_formed_image()
+    (directory / "checkpoint.json").write_text(json.dumps(image))
+    engine = PrimaEngine.open(directory)  # the undamaged image loads
+    assert engine.generation == 3 and len(engine.to_database().ltyp("pc")) == 1
+    engine.close()
+    damage(image)
+    (directory / "checkpoint.json").write_text(json.dumps(image))
     with pytest.raises(WalError, match="checkpoint.json"):
         PrimaEngine.open(directory)
     with pytest.raises(WalError, match="checkpoint.json"):

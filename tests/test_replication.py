@@ -188,8 +188,7 @@ class TestCommitFeed:
         fresh_engine.create_follower()
         hub = fresh_engine.replication_hub()
         burst(fresh_engine, 100, 105)
-        fresh_engine._replication = None  # close out-of-band, engine keeps pool
-        hub.close()
+        hub.close()  # the engine keeps its pool
         burst(fresh_engine, 105, 110)
         serial = fresh_engine.parallel_query(STATEMENTS[:3], threads=1)
         shipped = fresh_engine.parallel_query(STATEMENTS[:3], mode="process")

@@ -513,3 +513,52 @@ class TestOneStateRegressions:
                 assert len(recovered.query("SELECT ALL FROM a - b;")) == 1
             finally:
                 recovered.close()
+
+
+#: Report keys benchmarks/harness/runner.py reads from every engine.
+HARNESS_KEYS = (
+    "wal_syncs",
+    "wal_lifetime_bytes",
+    "wal_lifetime_records",
+    "procpool_catchup_records",
+    "procpool_refusals",
+    "procpool_fallbacks",
+    "procpool_restarts",
+    "replication_records_shipped",
+    "replication_refusals",
+    "replication_fallbacks",
+    "replication_waits",
+    "replication_routed",
+)
+
+
+def test_maintenance_report_has_one_key_set_whatever_the_engine_owns(tmp_path, monkeypatch):
+    """In memory, durable, durable with a pool, durable with a follower: a
+    missing durability or fan-out owner reports zeros under the same keys."""
+    monkeypatch.delenv("REPRO_DEBUG_LOCKS", raising=False)
+
+    def durable(name: str) -> PrimaEngine:
+        config = DurabilityConfig(tmp_path / name, fsync="off")
+        return PrimaEngine.from_database(build_tiny(), durability=config)
+
+    in_memory, plain, pooled, replicated = (
+        PrimaEngine.from_database(build_tiny()),
+        durable("plain"),
+        durable("pooled"),
+        durable("replicated"),
+    )
+    try:
+        pooled.process_pool(workers=1)
+        replicated.create_follower()
+        reports = [
+            engine.maintenance_report() for engine in (in_memory, plain, pooled, replicated)
+        ]
+        assert all(set(report) == set(reports[0]) for report in reports)
+        assert set(HARNESS_KEYS) <= set(reports[0])
+        assert reports[0]["wal_lifetime_records"] == reports[0]["checkpoints"] == 0
+        assert reports[1]["checkpoints"] == 1
+        assert reports[2]["procpool_workers"] == 1
+        assert reports[3]["replication_followers"] == 1
+    finally:
+        for engine in (in_memory, plain, pooled, replicated):
+            engine.close()
