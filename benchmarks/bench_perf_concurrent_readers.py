@@ -10,7 +10,8 @@ MVCC contract end to end:
   head in between, while a fresh head query observes the writers' state;
 * **writer throughput** — writers pay only the version-chain recording while
   the reader is pinned; wall-clock must stay within ~1.3× of the no-reader
-  baseline;
+  baseline (the median ratio over :data:`PAIRS` baseline/pinned pairs on
+  fresh engines, run in alternating order);
 * **garbage collection** — releasing the reader lets the collector truncate
   the version chains: ``versions_live`` drops to 0 and ``versions_collected``
   accounts every entry the pinned reader kept alive.
@@ -32,6 +33,9 @@ from repro.storage.engine import PrimaEngine
 
 #: The long reader: the full parts explosion of every part (recursive plan).
 READER_STATEMENT = "SELECT ALL FROM RECURSIVE part [composition] DOWN;"
+
+#: Baseline/pinned pairs per comparison (odd, so the median is one pair's).
+PAIRS = 5
 
 
 def build_engine(depth: int, fan_out: int) -> PrimaEngine:
@@ -98,25 +102,42 @@ def run_interleaved(
 
 
 def compare(rounds: int, depth: int, fan_out: int, read_every: int) -> Dict[str, object]:
-    """Baseline writers vs. writers under a pinned reader, on equal engines."""
-    baseline_engine = build_engine(depth, fan_out)
-    baseline_seconds = run_writers(baseline_engine, rounds)
-    interleaved_engine = build_engine(depth, fan_out)
-    interleaved = run_interleaved(interleaved_engine, rounds, read_every)
-    ratio = interleaved["writer_seconds"] / max(baseline_seconds, 1e-9)
+    """Baseline writers vs. writers under a pinned reader, on equal engines.
+
+    Runs :data:`PAIRS` pairs, each on two fresh engines, and alternates
+    which side of a pair runs first, so a slow spell on the host lands on
+    both sides across the pairs instead of on one side of a single pair.
+    The slowdown is the median of the per-pair ratios; the reported
+    seconds and interleaved run are the median pair's.
+    """
+    pairs = []
+    for pair in range(PAIRS):
+        baseline_engine = build_engine(depth, fan_out)
+        interleaved_engine = build_engine(depth, fan_out)
+        if pair % 2 == 0:
+            baseline_seconds = run_writers(baseline_engine, rounds)
+            interleaved = run_interleaved(interleaved_engine, rounds, read_every)
+        else:
+            interleaved = run_interleaved(interleaved_engine, rounds, read_every)
+            baseline_seconds = run_writers(baseline_engine, rounds)
+        ratio = interleaved["writer_seconds"] / max(baseline_seconds, 1e-9)
+        pairs.append((ratio, baseline_seconds, interleaved))
+    ratio, baseline_seconds, interleaved = sorted(pairs, key=lambda p: p[0])[PAIRS // 2]
     return {
         "experiment": "E-PERF5 concurrent readers (snapshot-pinned MVCC)",
         "rounds": rounds,
         "depth": depth,
         "fan_out": fan_out,
         "parts": len(baseline_engine.scan("part")),
+        "pairs": PAIRS,
+        "writer_slowdowns": [p[0] for p in pairs],
         "baseline_writer_seconds": baseline_seconds,
         "interleaved": interleaved,
         "writer_slowdown": ratio,
-        "reader_stable": interleaved["reader_stable"],
-        "chains_truncated": (
-            interleaved["versions_collected"] > 0
-            and interleaved["versions_live_after_release"] == 0
+        "reader_stable": all(p[2]["reader_stable"] for p in pairs),
+        "chains_truncated": all(
+            p[2]["versions_collected"] > 0 and p[2]["versions_live_after_release"] == 0
+            for p in pairs
         ),
     }
 
@@ -167,7 +188,8 @@ def test_perf5_unpinned_writers_record_no_versions():
 def test_perf5_writer_throughput_with_reader():
     """Writers stay within the ~1.3× envelope while a reader is pinned.
 
-    The pytest bound is looser than the report's 1.3× claim: CI boxes jitter,
+    The gate is the median ratio over :data:`PAIRS` alternating pairs.  The
+    pytest bound is looser than the report's 1.3× claim: CI boxes jitter,
     and the standalone run (more rounds) is the authoritative measurement.
     """
     comparison = compare(rounds=6, depth=3, fan_out=2, read_every=3)
@@ -197,7 +219,8 @@ def main(argv: "List[str] | None" = None) -> int:
     print(f"  baseline writers:    {comparison['baseline_writer_seconds']:.3f}s")
     print(
         f"  writers with reader: {interleaved['writer_seconds']:.3f}s "
-        f"({comparison['writer_slowdown']:.2f}x), reader runs: {interleaved['reader_runs']}"
+        f"({comparison['writer_slowdown']:.2f}x, median of {PAIRS} pairs), "
+        f"reader runs: {interleaved['reader_runs']}"
     )
     print(
         f"  reader stable: {comparison['reader_stable']}, "

@@ -46,7 +46,7 @@ from repro.storage.engine import PrimaEngine
 from repro.storage.wal import DurabilityConfig
 
 #: One client request batch: a full recursive explosion, a selective closure,
-#: and a grouped aggregate with a DISTINCT set-merge — all pure-Python CPU.
+#: and a grouped aggregate with COUNT(DISTINCT …) — all pure-Python CPU.
 STATEMENTS = [
     "SELECT ALL FROM RECURSIVE part [composition] DOWN;",
     "SELECT ALL FROM RECURSIVE part [composition] DOWN WHERE part.level = 0;",

@@ -264,20 +264,11 @@ LOCKS: Tuple[LockSpec, ...] = (
 )
 
 _BY_NAME: Dict[str, LockSpec] = {spec.name: spec for spec in LOCKS}
-_BY_ATTRIBUTE: Dict[str, Tuple[LockSpec, ...]] = {}
-for _spec in LOCKS:
-    _BY_ATTRIBUTE.setdefault(_spec.attribute, ())
-    _BY_ATTRIBUTE[_spec.attribute] = _BY_ATTRIBUTE[_spec.attribute] + (_spec,)
 
 
 def lock_by_name(name: str) -> Optional[LockSpec]:
     """The registered lock called *name* (``Owner.attribute``), or ``None``."""
     return _BY_NAME.get(name)
-
-
-def locks_by_attribute(attribute: str) -> Tuple[LockSpec, ...]:
-    """Every registered lock whose attribute name is *attribute*."""
-    return _BY_ATTRIBUTE.get(attribute, ())
 
 
 def lock_for(owner: str, attribute: str) -> Optional[LockSpec]:

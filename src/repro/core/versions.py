@@ -570,11 +570,6 @@ class VersioningState:
             )
             return min(candidates) if candidates else None
 
-    @property
-    def commit_log_length(self) -> int:
-        with self.lock:
-            return len(self._commit_log)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"VersioningState(generation={self.generation}, pins={self.pins_active}, "

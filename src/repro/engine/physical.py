@@ -29,7 +29,6 @@ benchmarks compare across plan variants.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -358,9 +357,6 @@ class RecursiveScan(PhysicalOperator):
         self.name = name
         self.description = description
         self.formula = formula
-        #: Optional ``(index, count)`` root partition — a worker executing
-        #: one slice of a fanned-out scan expands only its own roots.
-        self.partition: Optional[Tuple[int, int]] = None
 
     def describe(self, ctx: ExecutionContext) -> MoleculeTypeDescription:
         return MoleculeTypeDescription([self.description.atom_type_name], [])
@@ -368,8 +364,6 @@ class RecursiveScan(PhysicalOperator):
     def execute(self, ctx: ExecutionContext) -> Iterator[Molecule]:
         base_description = self.describe(ctx)
         for root_atom in ctx.database.atyp(self.description.atom_type_name):
-            if not partition_member(root_atom.identifier, self.partition):
-                continue
             molecule = expand_recursive(ctx.database, self.description, root_atom)
             molecule.description = base_description
             ctx.counters.molecules_derived += 1
@@ -411,9 +405,6 @@ class IntervalScan(PhysicalOperator):
         self.name = name
         self.description = description
         self.formula = formula
-        #: Optional ``(index, count)`` root partition — a worker executing
-        #: one slice of a fanned-out scan expands only its own roots.
-        self.partition: Optional[Tuple[int, int]] = None
 
     def describe(self, ctx: ExecutionContext) -> MoleculeTypeDescription:
         return MoleculeTypeDescription([self.description.atom_type_name], [])
@@ -426,8 +417,6 @@ class IntervalScan(PhysicalOperator):
         # may fold a write into the shared encoding between two of them.
         generation = ctx.snapshot.generation if ctx.snapshot is not None else None
         for root_atom in self._root_atoms(ctx, store, index, generation):
-            if not partition_member(root_atom.identifier, self.partition):
-                continue
             molecule = None
             if index is not None:
                 molecule = self._materialize(ctx, store, index, root_atom, generation)
@@ -686,20 +675,6 @@ def _canonical_key(values: Tuple) -> Tuple:
     return tuple((value is None, str(value)) for value in values)
 
 
-def partition_member(identifier: str, partition: "Optional[Tuple[int, int]]") -> bool:
-    """Whether *identifier* belongs to partition ``(index, count)``.
-
-    Membership hashes the identifier with :func:`zlib.crc32`, not the builtin
-    ``hash`` — the builtin is salted per process, and partitioned execution
-    splits one scan across worker *processes* whose partitions must tile the
-    occurrence exactly (every root in exactly one partition).
-    """
-    if partition is None:
-        return True
-    index, count = partition
-    return zlib.crc32(identifier.encode("utf-8")) % count == index
-
-
 def _distinct_key(value: object) -> object:
     """The set member recorded for one DISTINCT value.
 
@@ -826,36 +801,6 @@ def finalize_groups(
     return rows
 
 
-def merge_group_accumulators(
-    specs,
-    groups: "Dict[Tuple, _GroupAccumulator]",
-    partial: "Dict[Tuple, _GroupAccumulator]",
-) -> None:
-    """Merge one partition's partial groups into *groups* (in place).
-
-    The inverse of splitting a fold across disjoint root partitions: counts
-    add, identifier/value sets (components, DISTINCT) union, and per-atom
-    value maps merge with first-writer-wins ``setdefault`` — exactly what a
-    single fold over the union of the partitions would have produced,
-    because partitions never share a root atom.  Finalizing the merged
-    groups through :func:`finalize_groups` therefore yields byte-identical
-    rows to the serial fold.
-    """
-    for key, accumulator in partial.items():
-        into = groups.get(key)
-        if into is None:
-            groups[key] = accumulator
-            continue
-        into.count += accumulator.count
-        for index, spec in enumerate(specs):
-            if spec.component is not None or spec.distinct:
-                into.targets[index] |= accumulator.targets[index]
-            elif spec.attribute is not None:
-                target = into.targets[index]
-                for identifier, value in accumulator.targets[index].items():
-                    target.setdefault(identifier, value)
-
-
 def aggregate_columns(group_by: Tuple[AttributeRef, ...], specs) -> Tuple[str, ...]:
     """Result column names: the group keys first, then the aggregates."""
     keys = tuple(
@@ -977,10 +922,6 @@ class ColumnarAggregate(AggregationOperator):
         self.aggregates = tuple(aggregates)
         self.root_filter = root_filter
         self.hop = hop
-        #: Optional ``(index, count)`` root partition — a worker folding one
-        #: slice of a fanned-out Γ accumulates only its own root atoms; the
-        #: partial groups are merged via :func:`merge_group_accumulators`.
-        self.partition: Optional[Tuple[int, int]] = None
 
     def describe(self, ctx: ExecutionContext) -> MoleculeTypeDescription:
         return resolve_description(
@@ -1001,17 +942,6 @@ class ColumnarAggregate(AggregationOperator):
         return conjuncts
 
     def rows(self, ctx: ExecutionContext) -> List[Tuple]:
-        groups = self.partial_groups(ctx)
-        ctx.counters.groups_aggregated += len(groups)
-        return finalize_groups(self.group_by, self.aggregates, groups)
-
-    def partial_groups(self, ctx: ExecutionContext) -> "Dict[Tuple, _GroupAccumulator]":
-        """The (possibly partition-restricted) accumulated groups, unfinalized.
-
-        Partitioned workers return these raw states for the primary to merge
-        through :func:`merge_group_accumulators` before one shared
-        :func:`finalize_groups` pass.
-        """
         store = getattr(ctx, "accelerators", None)
         projection = (
             store.projection_for(self.atom_type_name, ctx) if store is not None else None
@@ -1023,7 +953,9 @@ class ColumnarAggregate(AggregationOperator):
             if store is not None:
                 store.count_fallback()
             roots = self._occurrence_roots(ctx)
-        return self._fold(ctx, *roots)
+        groups = self._fold(ctx, *roots)
+        ctx.counters.groups_aggregated += len(groups)
+        return finalize_groups(self.group_by, self.aggregates, groups)
 
     def _projected_roots(self, ctx: ExecutionContext, projection, conjuncts: List[Comparison]):
         """``(identifiers, column, rows)``: the projection's identifier array,
@@ -1045,10 +977,6 @@ class ColumnarAggregate(AggregationOperator):
             ]
         else:
             rows = range(total)
-        if self.partition is not None:
-            rows = [
-                row for row in rows if partition_member(identifiers[row], self.partition)
-            ]
         return identifiers, projection.column, rows
 
     def _occurrence_roots(self, ctx: ExecutionContext):
@@ -1056,8 +984,6 @@ class ColumnarAggregate(AggregationOperator):
         qualifying root atoms, filtered atom by atom, as transient columns."""
         atoms: List[Atom] = []
         for atom in ctx.database.atyp(self.atom_type_name):
-            if not partition_member(atom.identifier, self.partition):
-                continue
             ctx.counters.atoms_touched += 1
             if self.root_filter is not None:
                 ctx.counters.restrictions_evaluated += 1

@@ -17,9 +17,9 @@ over a pipe — this module is that transport plus the process lifecycle.
   full reload — or the plan is refused (a worker cannot rewind; the router
   falls back to primary-side snapshot execution).
 
-* **Execution.**  ``execute`` runs the shipped plan against the hosted
-  follower's engine, and only when the plan's pin *equals* the follower's
-  applied generation.
+* **Execution.**  ``execute`` runs the shipped plan whole against the
+  hosted follower's engine, and only when the plan's pin *equals* the
+  follower's applied generation.
 
 * **Crash transparency.**  A worker that dies mid-dispatch (``kill -9``
   included) is detected on the pipe, respawned (reseeded from the on-disk
@@ -50,7 +50,6 @@ COUNTERS = (
     "restarts",
     "refusals",
     "fallbacks",
-    "partitioned",
 )
 
 
@@ -68,14 +67,8 @@ class WorkerRefused(Exception):
 def _execute_job(follower, job: Dict[str, object]):
     """Execute one shipped plan on the hosted follower's engine; returns the payload."""
     from repro.engine.executor import compile_plan
-    from repro.engine.physical import (
-        AggregationOperator,
-        ColumnarAggregate,
-        IntervalScan,
-        RecursiveScan,
-    )
+    from repro.engine.physical import AggregationOperator
     from repro.storage.shipping import (
-        encode_group_states,
         encode_molecule_result,
         encode_row_result,
         plan_from_json,
@@ -91,21 +84,8 @@ def _execute_job(follower, job: Dict[str, object]):
     plan = plan_from_json(job["plan"])
     executor = follower.engine.interpreter().executor
     operator = compile_plan(plan)
-    partition = job.get("partition")
-    if partition is not None:
-        if not isinstance(operator, (RecursiveScan, IntervalScan, ColumnarAggregate)):
-            raise WorkerRefused(
-                f"operator {type(operator).__name__} does not support partitioned execution"
-            )
-        operator.partition = (int(partition[0]), int(partition[1]))
     ctx = executor.context()
-    if isinstance(operator, ColumnarAggregate) and job.get("mode") == "groups":
-        groups = operator.partial_groups(ctx)
-        payload: Dict[str, object] = {
-            "kind": "groups",
-            "groups": encode_group_states(operator.aggregates, groups),
-        }
-    elif isinstance(operator, AggregationOperator):
+    if isinstance(operator, AggregationOperator):
         payload = encode_row_result(operator.columns(), operator.rows(ctx))
     else:
         payload = encode_molecule_result(operator.execute(ctx))

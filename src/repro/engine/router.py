@@ -12,12 +12,12 @@ below hide: pin and feed cut in one versioning-lock section; every target
 serve this pin); each statement is **classified** once (only queries and set
 operations are routable, and a plan is built only for targets that are sent
 one); the routable ones **fan out** round-robin over the prepared targets,
-one thread each — or, a single recursive or columnar-aggregate plan over
-plan-shipping targets, one partition each; whatever is left unserved **falls
-back** to the primary at the same pin (DML and transaction statements raise
-there, as in thread mode); the targets' counts, kept in a dict of their own
-while they run on fan-out threads, are **tallied** into the shared counters
-on the calling thread; the pin is released.  Classification goes through
+one thread each, and every statement runs whole on one target; whatever is
+left unserved **falls back** to the primary at the same pin (DML and
+transaction statements raise there, as in thread mode); the targets' counts,
+kept in a dict of their own while they run on fan-out threads, are
+**tallied** into the shared counters on the calling thread; the pin is
+released.  Classification goes through
 the primary interpreter's statement cache
 (:meth:`MQLInterpreter.read_plan`), so a template the batch repeats is
 parsed and planned once.
@@ -30,20 +30,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.engine.logical import (
-    AggregatePlan,
-    ColumnarAggregatePlan,
-    IntervalScanPlan,
-    RecursivePlan,
-)
 from repro.engine.procpool import COUNTERS as POOL_COUNTERS
 from repro.engine.procpool import ProcessPool
 from repro.exceptions import StorageError
 from repro.storage.replication import HUB_COUNTERS, CommitFeed, ReplicationError, ReplicationHub
-from repro.storage.shipping import ShippedQueryResult, merge_partitions, plan_to_json
-
-#: Plans a set of plan-shipping targets can execute as disjoint partitions.
-PARTITIONABLE = (RecursivePlan, IntervalScanPlan, ColumnarAggregatePlan)
+from repro.storage.shipping import ShippedQueryResult, plan_to_json
 
 
 class Routed(NamedTuple):
@@ -51,8 +42,7 @@ class Routed(NamedTuple):
 
     index: int
     statement: str
-    #: The optimized plan and the job built from it — plan-shipping targets only.
-    plan: Optional[object]
+    #: The job built from the optimized plan — plan-shipping targets only.
     job: Optional[Dict[str, object]]
 
 
@@ -150,17 +140,8 @@ class ReadRouter:
             results: List[Optional[object]] = [None] * len(statements)
             if ready:
                 routable = self._classify(statements, ready[0].ships_plans, pin_gen)
-                if (
-                    len(ready) >= 2
-                    and len(statements) == len(routable) == 1
-                    and isinstance(routable[0].plan, PARTITIONABLE)
-                ):
-                    results[0] = self._partitioned(routable[0], ready)
-                    if results[0] is not None:
-                        counters["partitioned"] += 1
-                else:
-                    for index, result in self._fan_out(routable, ready).items():
-                        results[index] = result
+                for index, result in self._fan_out(routable, ready).items():
+                    results[index] = result
             for index, result in enumerate(results):
                 if result is None:
                     counters["fallbacks"] += 1
@@ -177,25 +158,18 @@ class ReadRouter:
         interpreter = self._engine.interpreter()
         routable: List[Routed] = []
         for index, statement in enumerate(statements):
-            plan = job = None
+            job = None
             try:
                 choice = interpreter.read_plan(statement)
                 if choice is None:
                     continue
                 if ships_plans:
-                    plan = choice.best
-                    aggregate = isinstance(plan, (AggregatePlan, ColumnarAggregatePlan))
-                    job = {
-                        "plan": plan_to_json(plan),
-                        "pin": pin_gen,
-                        "mode": "rows" if aggregate else "molecules",
-                        "partition": None,
-                    }
+                    job = {"plan": plan_to_json(choice.best), "pin": pin_gen}
             except Exception:
                 # Unparseable, untranslatable or unshippable (ShippingError):
                 # the primary runs it and raises the proper MQL error.
                 continue
-            routable.append(Routed(index, statement, plan, job))
+            routable.append(Routed(index, statement, job))
         return routable
 
     @staticmethod
@@ -209,26 +183,6 @@ class ReadRouter:
                 for part in fanout.map(lambda pair: pair[0].serve(pair[1]), pairs):
                     served.update(part)
         return served
-
-    @staticmethod
-    def _partitioned(routed: Routed, ready: List[object]) -> Optional[object]:
-        """One statement, one disjoint partition per target; ``None`` when a
-        refused or crashed partition poisons the merge."""
-        count = len(ready)
-        job = dict(routed.job)
-        if isinstance(routed.plan, ColumnarAggregatePlan):
-            job["mode"] = "groups"
-        with ThreadPoolExecutor(max_workers=count) as fanout:
-            futures = [
-                fanout.submit(slot.execute, [(0, dict(job, partition=[part, count]))])
-                for part, slot in enumerate(ready)
-            ]
-            replies = [future.result()[1][0] for future in futures]
-        if any(reply[0] != "result" for reply in replies):
-            return None
-        return merge_partitions(
-            routed.statement, routed.plan, [reply[1] for reply in replies]
-        )
 
 
 #: ``maintenance_report()``'s fan-out keys, all 0 while an engine has no
@@ -283,8 +237,8 @@ class Replicas:
         refusals, crashes) runs on the primary at the same pinned
         generation.  Results keep statement order and render byte-identical
         ``to_dicts()`` content.  ``mode="process"`` ships compiled plans to
-        *workers* worker processes (:meth:`pool`), off-GIL, and partitions
-        a single recursive or columnar-aggregate statement over all of them.
+        *workers* worker processes (:meth:`pool`), off-GIL; each statement
+        runs whole on one of them.
         ``mode="replica"`` sends statement text to the hub's followers; one
         lagging at most *max_lag* generations serves at its own applied
         generation, so with the default 0 every follower answers exactly at

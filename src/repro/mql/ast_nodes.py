@@ -122,13 +122,6 @@ class StructurePath:
 
     elements: Tuple[Union[StructureNode, StructureBranch], ...]
 
-    def root_atom_type(self) -> str:
-        """The first atom-type node of the path (its root)."""
-        for element in self.elements:
-            if isinstance(element, StructureNode):
-                return element.atom_type
-        raise ValueError("structure path has no atom-type node")
-
 
 @dataclass(frozen=True)
 class RecursiveStructure:

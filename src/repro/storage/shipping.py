@@ -8,10 +8,7 @@ and WAL tail.  Everything that crosses the pipe goes through this module:
   columnar variants) with its predicate trees, descriptions and aggregate
   specs;
 * **results** — molecule result sets (as their canonical
-  ``to_nested_dict()`` renderings) and aggregate row sets;
-* **partial aggregation states** — per-group accumulator states a
-  partitioned Γ worker returns for the primary to merge through
-  :func:`repro.engine.physical.merge_group_accumulators`.
+  ``to_nested_dict()`` renderings) and aggregate row sets.
 
 Determinism is a contract, not an accident: every payload serializes via
 ``json.dumps(sort_keys=True, separators=(",", ":"))`` on top of the WAL's
@@ -30,7 +27,7 @@ Write plans are refused for the same reason workers are read-only replicas.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.molecule import MoleculeTypeDescription
 from repro.core.predicates import (
@@ -303,57 +300,6 @@ def plan_from_json(payload: str) -> PlanNode:
     return decode_plan(json.loads(payload))
 
 
-# ---------------------------------------------------- aggregation state wire
-
-
-def encode_group_states(specs, groups) -> List[List[object]]:
-    """Encode partitioned Γ accumulator states (``{key: _GroupAccumulator}``).
-
-    Group keys sort canonically so the wire form is order-independent;
-    set-valued targets (components, DISTINCT) ride the WAL codec's sorted
-    ``__set__`` rendering, value maps become sorted ``[identifier, value]``
-    pairs.
-    """
-    entries: List[List[object]] = []
-    for key, accumulator in groups.items():
-        targets: List[object] = []
-        for spec, target in zip(specs, accumulator.targets):
-            if spec.component is not None or spec.distinct:
-                targets.append(encode_value(set(target)))
-            elif spec.attribute is not None:
-                targets.append(
-                    [
-                        [identifier, encode_value(value)]
-                        for identifier, value in sorted(target.items())
-                    ]
-                )
-            else:
-                targets.append(None)
-        entries.append([[encode_value(value) for value in key], accumulator.count, targets])
-    entries.sort(key=lambda entry: json.dumps(entry[0], sort_keys=True, default=str))
-    return entries
-
-
-def decode_group_states(specs, entries: Iterable[List[object]]):
-    """Decode :func:`encode_group_states` payloads back into accumulators."""
-    from repro.engine.physical import _GroupAccumulator
-
-    groups = {}
-    for key_payload, count, targets in entries:
-        key = tuple(decode_value(value) for value in key_payload)
-        accumulator = _GroupAccumulator(specs)
-        accumulator.count = count
-        for index, (spec, target) in enumerate(zip(specs, targets)):
-            if spec.component is not None or spec.distinct:
-                accumulator.targets[index] = set(decode_value(target))
-            elif spec.attribute is not None:
-                accumulator.targets[index] = {
-                    identifier: decode_value(value) for identifier, value in target
-                }
-        groups[key] = accumulator
-    return groups
-
-
 # ------------------------------------------------------------------- results
 
 
@@ -394,22 +340,15 @@ class ShippedQueryResult:
         columns: Optional[Tuple[str, ...]] = None,
         rows: Optional[Tuple[Tuple, ...]] = None,
         counters: Optional[Dict[str, int]] = None,
-        dispatch: str = "process",
     ) -> None:
         self.statement = statement
         self._dicts = dicts
         self.columns = columns
         self.rows = rows
         self.counters = dict(counters or {})
-        #: How the router executed this statement: ``"process"`` (shipped),
-        #: ``"process-partitioned"`` (fanned out) — fallbacks return the
-        #: primary's own ``QueryResult`` instead of this class.
-        self.dispatch = dispatch
 
     @classmethod
-    def from_payload(
-        cls, statement: str, payload: Dict[str, object], dispatch: str = "process"
-    ) -> "ShippedQueryResult":
+    def from_payload(cls, statement: str, payload: Dict[str, object]) -> "ShippedQueryResult":
         counters = payload.get("counters")
         if payload["kind"] == "rows":
             return cls(
@@ -420,13 +359,11 @@ class ShippedQueryResult:
                     for row in payload["rows"]
                 ),
                 counters=counters,
-                dispatch=dispatch,
             )
         return cls(
             statement,
             dicts=[decode_value(entry) for entry in payload["dicts"]],
             counters=counters,
-            dispatch=dispatch,
         )
 
     def to_dicts(self) -> List[dict]:
@@ -446,49 +383,4 @@ class ShippedQueryResult:
         shape = (
             f"{len(self.rows)} rows" if self.rows is not None else f"{len(self)} molecules"
         )
-        return f"ShippedQueryResult({self.statement!r}, {shape}, {self.dispatch})"
-
-
-def merge_partitions(
-    statement: str, plan: PlanNode, payloads: List[Dict[str, object]]
-) -> ShippedQueryResult:
-    """Merge the worker payloads of one plan executed as disjoint partitions.
-
-    A partitioned Γ returns accumulator states, merged group by group and
-    finalized once; every other partitioned plan returns molecules, whose
-    union is put in the canonical rendering order — partitions interleave
-    arbitrarily, so the merged result must not depend on worker scheduling.
-    """
-    from repro.engine.physical import (
-        aggregate_columns,
-        finalize_groups,
-        merge_group_accumulators,
-    )
-
-    counters: Dict[str, int] = {}
-    for payload in payloads:
-        for key, value in payload.get("counters", {}).items():
-            counters[key] = counters.get(key, 0) + value
-    if isinstance(plan, ColumnarAggregatePlan):
-        specs = plan.aggregates
-        merged: Dict = {}
-        for payload in payloads:
-            merge_group_accumulators(
-                specs, merged, decode_group_states(specs, payload["groups"])
-            )
-        return ShippedQueryResult(
-            statement,
-            columns=aggregate_columns(plan.group_by, specs),
-            rows=tuple(
-                tuple(row) for row in finalize_groups(plan.group_by, specs, merged)
-            ),
-            counters=counters,
-            dispatch="process-partitioned",
-        )
-    dicts = [
-        decode_value(entry) for payload in payloads for entry in payload["dicts"]
-    ]
-    dicts.sort(key=lambda entry: json.dumps(entry, sort_keys=True, default=str))
-    return ShippedQueryResult(
-        statement, dicts=dicts, counters=counters, dispatch="process-partitioned"
-    )
+        return f"ShippedQueryResult({self.statement!r}, {shape})"

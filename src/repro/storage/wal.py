@@ -66,7 +66,6 @@ _EVENT_TAGS: Dict[str, str] = {
     LINK_CONNECTED: "lc",
     LINK_DISCONNECTED: "ld",
 }
-_TAG_KINDS: Dict[str, str] = {tag: kind for kind, tag in _EVENT_TAGS.items()}
 
 
 class WalError(StorageError):
@@ -215,15 +214,6 @@ def encode_event(event: ChangeEvent) -> Dict[str, object]:
         record["f"] = first
         record["s"] = second
     return record
-
-
-def event_kind(record: Dict[str, object]) -> str:
-    """The :mod:`repro.core.events` kind of a serialized event record."""
-    tag = record.get("e")
-    kind = _TAG_KINDS.get(tag)  # type: ignore[arg-type]
-    if kind is None:
-        raise WalError(f"unknown event tag {tag!r}")
-    return kind
 
 
 # --------------------------------------------------------------- log writing

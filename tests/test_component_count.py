@@ -16,8 +16,8 @@ identifiers shared between the root and the component type, a root filter,
 graphs (``p`` and ``c`` share identifiers) and interleaved writes in which
 every answer equals the row Γ's (``reference.row``: a plain interpreter over
 the engine's database, at the same state) — at the head, on pins taken before
-later writes, inside ``BEGIN WORK``, on a follower and over process
-partitions; the plan codec; the statement cache; the shapes that keep the row
+later writes, inside ``BEGIN WORK``, on a follower and on a process-pool
+worker; the plan codec; the statement cache; the shapes that keep the row
 Γ; endpoint types settled on every write path and in recovery; and the row
 walk telling a link's sides apart by type.
 
@@ -478,7 +478,7 @@ def test_the_sweep_reaches_every_case():
     )
 
 
-# ------------------------------------------------- followers and partitions
+# ---------------------------------------------------- followers and workers
 
 
 @pytest.fixture(scope="module")
@@ -510,20 +510,18 @@ def check_replicas(replicated, sequence) -> None:
         assert follower.query(statement).rows == expected, statement
         (shipped,) = engine.parallel_query([statement], mode="process")
         assert shipped.rows == expected, statement
-        if isinstance(route(engine, statement), ColumnarAggregatePlan):
-            assert shipped.dispatch == "process-partitioned", statement
 
 
 @sweep_settings
 @given(sequence=st.lists(replica_steps, min_size=1, max_size=10))
-def test_follower_and_partitions_give_the_row_answer(replicated, sequence):
+def test_follower_and_workers_give_the_row_answer(replicated, sequence):
     check_replicas(replicated, sequence)
 
 
 @pytest.mark.slow
 @settings(sweep_settings, max_examples=500)
 @given(sequence=st.lists(replica_steps, min_size=1, max_size=16))
-def test_follower_and_partitions_give_the_row_answer_full(replicated, sequence):
+def test_follower_and_workers_give_the_row_answer_full(replicated, sequence):
     check_replicas(replicated, sequence)
 
 

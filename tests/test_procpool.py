@@ -12,9 +12,9 @@ execution at the same pinned generation.
 Covers: the route contract, once, parametrized over both routes (parity,
 statement order, unroutable statements fall back, DML raises, an older pin is
 refused and falls back, no replica available falls back, counters move);
-fingerprint parity for the two partitioned shapes (per-root recursive
-closures, per-partition columnar Γ folds with a ``COUNT(DISTINCT …)``
-set-merge), transparent restart after ``kill -9`` of a worker mid-sequence,
+a single heavy statement (a recursive closure, a columnar Γ with
+``COUNT(DISTINCT …)``) runs whole on one worker of a two-worker pool,
+transparent restart after ``kill -9`` of a worker mid-sequence,
 a respawn or a pool construction that fails, incremental catch-up after
 write bursts and after checkpoint truncation, shipping-codec round-trip
 determinism, and a hypothesis sweep of interleaved DML.
@@ -280,24 +280,24 @@ class TestRouteContract:
 
 
 class TestProcessModeParity:
-    def test_partitioned_recursive_closure(self, shared_engine):
-        serial = shared_engine.query(RECURSIVE_ALL)
-        (proc,) = shared_engine.parallel_query([RECURSIVE_ALL], mode="process")
+    @pytest.mark.parametrize(
+        "statement", [RECURSIVE_ALL, GROUPED_DISTINCT], ids=["closure", "distinct"]
+    )
+    def test_one_statement_runs_on_one_worker(self, shared_engine, statement):
+        """A batch of one statement is shipped once, to one of the two
+        workers, and the primary merges nothing."""
+        serial = shared_engine.query(statement)
+        pool = shared_engine.process_pool()
+        assert pool.size == 2
+        shipped = pool.counters["plans_shipped"]
+        (proc,) = shared_engine.parallel_query([statement], mode="process")
         assert isinstance(proc, ShippedQueryResult)
-        assert proc.dispatch == "process-partitioned"
         assert fingerprint(proc) == fingerprint(serial)
-
-    def test_partitioned_distinct_merge(self, shared_engine):
-        """COUNT(DISTINCT …) merges value *sets* across partitioned Γ folds —
-        a count-merge would overcount values present in several partitions."""
-        serial = shared_engine.query(GROUPED_DISTINCT)
-        (proc,) = shared_engine.parallel_query([GROUPED_DISTINCT], mode="process")
-        assert proc.dispatch == "process-partitioned"
-        assert fingerprint(proc) == fingerprint(serial)
-        assert shared_engine.process_pool().counters["partitioned"] >= 1
+        assert pool.counters["plans_shipped"] == shipped + 1
 
     def test_followers_are_not_partitioned(self, shared_engine):
-        """Partitioned execution stays a worker-slot capability."""
+        """A follower answers in process: the primary gets its own
+        ``QueryResult``, never a shipped one."""
         (routed,) = shared_engine.parallel_query([RECURSIVE_ALL], mode="replica")
         assert not isinstance(routed, ShippedQueryResult)
         assert fingerprint(routed) == fingerprint(shared_engine.query(RECURSIVE_ALL))

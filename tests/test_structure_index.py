@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
-from repro.engine.executor import compile_plan
 from repro.exceptions import StorageError, UnknownNameError
 from repro.storage.engine import PrimaEngine
 from repro.storage.index import GridIndex
@@ -371,21 +370,6 @@ class TestRootEnumerationCounters:
             self.assert_answer_sized(follower.query(SELECTIVE))
         finally:
             engine.close()
-
-    def test_root_partitions(self):
-        engine = build_engine()
-        engine.query(RECURSIVE_ALL)
-        executor = engine.interpreter().executor
-        roots, derived, restricted = [], 0, 0
-        for slot in range(2):
-            operator = compile_plan(engine.plan(SELECTIVE).best)
-            operator.partition = (slot, 2)
-            ctx = executor.context()
-            roots += [m.root_atom.identifier for m in operator.execute(ctx)]
-            derived += ctx.counters.molecules_derived
-            restricted += ctx.counters.restrictions_evaluated
-        assert sorted(roots) == ["p0", "p1", "p3", "p6", "p7", "p8"]
-        assert derived == restricted == 6
 
     def test_unselective_conjunct_visits_all_roots(self):
         """No equality conjunct on the recursion type: nothing to enumerate
