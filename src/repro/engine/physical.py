@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.atom import Atom
@@ -38,6 +40,7 @@ from repro.core.derivation import StructureWalk, resolve_description, resolve_di
 from repro.core.graph import DirectedLink
 from repro.core.molecule import Molecule, MoleculeType, MoleculeTypeDescription
 from repro.core.predicates import (
+    _OPERATORS,
     AttributeRef,
     Comparison,
     Formula,
@@ -46,6 +49,7 @@ from repro.core.predicates import (
     split_conjunction,
 )
 from repro.core.recursion import RecursiveDescription, RecursiveMolecule, expand_recursive
+from repro.core.values import distinct_key, group_rows, renders_alike
 from repro.engine.logical import (
     canonical_structure,
     columnar_description,
@@ -671,55 +675,124 @@ class Intersection(_BinarySetOperator):
 
 
 def _canonical_key(values: Tuple) -> Tuple:
-    """Total order over group-key tuples: NULLs last, then textual order."""
-    return tuple((value is None, str(value)) for value in values)
+    """Total order over rendered group keys: NULLs last, then textual order
+    (type names break ties between equal texts such as ``1`` and ``'1'``)."""
+    return tuple((value is None, str(value), type(value).__name__) for value in values)
 
 
-def _distinct_key(value: object) -> object:
-    """The set member recorded for one DISTINCT value.
+def _textual(value: object) -> Tuple[str, str]:
+    """The order that picks among values ``==``-equal but rendered apart."""
+    return (type(value).__name__, str(value))
 
-    Hashable values stand for themselves (``==``-equal values collapse, the
-    usual SQL reading of DISTINCT); unhashable values fall back to a
-    canonical ``(type name, repr)`` tag so a list- or dict-valued attribute
-    still counts deterministically instead of raising.
-    """
-    try:
-        hash(value)
-    except TypeError:
-        return ("__unhashable__", type(value).__name__, repr(value))
-    return value
+
+def _first_rendered(kept: object, seen: object) -> object:
+    """Of two ``==``-equal key values, the first in :func:`_textual` order."""
+    if type(kept) is type(seen) and type(kept) in (str, int):
+        return kept
+    return min(kept, seen, key=_textual)
+
+
+def _rendered(values: List[object]) -> object:
+    """What a group renders for its ``==``-equal key *values*: the first in
+    :func:`_textual` order, whatever order a fold met them in."""
+    if renders_alike(values, values[0]):
+        return values[0]
+    return min(values, key=_textual)
 
 
 def _robust_extreme(values: List[object], pick) -> object:
-    """MIN/MAX tolerant of mixed value types (falls back to a textual order).
+    """MIN/MAX over *values*, NULLs skipped, tolerant of mixed value types
+    (falls back to a textual order).
 
     ``==``-equal extremes can carry distinct renderings (``-0.0`` vs ``0.0``,
     ``1`` vs ``1.0``) and which one a fold meets first depends on scan order,
     so ties are re-picked textually — the row and columnar paths then return
     the same bytes no matter how they ordered the values.
     """
-    textual = lambda v: (type(v).__name__, str(v))  # noqa: E731
     try:
-        result = pick(values)
+        result = pick(values)  # raises on a NULL beside other values
+    except (TypeError, ValueError):
+        values = [value for value in values if value is not None]
+        if not values:
+            return None
+        try:
+            result = pick(values)
+        except TypeError:
+            return pick(values, key=_textual)
+    if values.count(result) < 2 or renders_alike(values, result):
+        return result
+    return pick((value for value in values if value == result), key=_textual)
+
+
+def _sum(values: List[object]) -> Tuple[object, int]:
+    """``(SUM, count)`` over the non-NULL *values*; the sum is ``None`` for
+    non-numeric values.
+
+    :func:`math.fsum` keeps float sums order-independent (byte parity
+    between row and columnar folds); all-int sums stay exact.  The plain
+    ``sum`` tried first decides which: it raises on a NULL, and its total
+    is a float exactly when a float took part.
+    """
+    try:
+        total = sum(values)
+        if type(total) is int:
+            return total, len(values)
+        if type(total) is float:
+            return math.fsum(values), len(values)
     except TypeError:
-        return pick(values, key=textual)
-    ties = [value for value in values if value == result]
-    return pick(ties, key=textual) if len(ties) > 1 else result
+        pass
+    values = [value for value in values if value is not None]
+    try:
+        if any(isinstance(value, float) for value in values):
+            return math.fsum(values), len(values)
+        return sum(values), len(values)
+    except TypeError:
+        return None, len(values)  # non-numeric values — NULL, on both paths
+
+
+def _distinct_values(values: Iterable[object]) -> Set[object]:
+    """The distinct keys of the non-NULL *values* (a DISTINCT target)."""
+    values = list(values)
+    try:
+        seen = set(values)  # hashable values are their own distinct keys
+    except TypeError:
+        seen = set(map(distinct_key, values))
+    seen.discard(None)
+    return seen
+
+
+def _satisfying(rows: "Iterable[int]", values: List[object], op: str, rhs: object) -> List[int]:
+    """The *rows* whose value in *values* satisfies ``_compare(op, value,
+    rhs)``: one pass through the comparison operator, or row by row through
+    ``_compare`` when a value's type refuses it."""
+    if rhs is not None:
+        try:
+            if op not in ("=", "==", "!=", "<>"):
+                # A NULL fails every ordering comparison.
+                rows = list(compress(rows, map(is_not, map(values.__getitem__, rows), repeat(None))))
+            return list(compress(rows, map(_OPERATORS[op], map(values.__getitem__, rows), repeat(rhs))))
+        except TypeError:
+            pass
+    return [row for row in rows if _compare(op, values[row], rhs)]
 
 
 class _GroupAccumulator:
-    """Running state of one group: molecule count plus one target per spec.
+    """Running state of one group: its rendered key, the molecule count and
+    one target per spec.
 
-    Attribute targets are ``{atom identifier: value}`` maps — an atom shared
-    by several molecules of the group contributes exactly once; component
-    targets are identifier sets (distinct component atoms); DISTINCT targets
-    are sets of observed values (see :func:`_distinct_key`); ``COUNT(*)``
-    needs only the molecule counter.
+    Attribute targets are ``{atom identifier: value}`` maps on the row fold
+    (an atom shared by several molecules of the group contributes exactly
+    once) and plain value lists on the columnar fold (every row is a distinct
+    root); component targets are identifier sets (distinct component atoms);
+    DISTINCT targets are sets of observed values (see
+    :func:`~repro.core.values.distinct_key`); ``COUNT(*)`` needs only the
+    molecule counter.
     """
 
-    __slots__ = ("count", "targets")
+    __slots__ = ("key", "count", "targets")
 
-    def __init__(self, specs) -> None:
+    def __init__(self, specs, key: Tuple = ()) -> None:
+        self.key = key
         self.count = 0
         self.targets: List[object] = [
             set()
@@ -741,7 +814,7 @@ class _GroupAccumulator:
                 for atom in atoms_of_type(spec.attribute.atom_type):
                     value = atom.get(spec.attribute.attribute)
                     if value is not None:
-                        target.add(_distinct_key(value))
+                        target.add(distinct_key(value))
             elif spec.attribute is not None:
                 for atom in atoms_of_type(spec.attribute.atom_type):
                     target.setdefault(atom.identifier, atom.get(spec.attribute.attribute))
@@ -751,48 +824,41 @@ class _GroupAccumulator:
             return len(target)
         if spec.attribute is None:
             return self.count  # COUNT(*)
-        values = [value for value in target.values() if value is not None]
+        values = list(target.values()) if isinstance(target, dict) else target
         if spec.func == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if spec.func in ("SUM", "AVG"):
-            try:
-                # math.fsum keeps float sums order-independent (byte parity
-                # between row and columnar folds); all-int sums stay exact.
-                total = (
-                    math.fsum(values)
-                    if any(isinstance(v, float) for v in values)
-                    else sum(values)
-                )
-            except TypeError:
-                return None  # non-numeric values — NULL, on both paths
-            return total if spec.func == "SUM" else total / len(values)
+            return len(values) - values.count(None)
         if spec.func == "MIN":
             return _robust_extreme(values, min)
-        return _robust_extreme(values, max)
+        if spec.func == "MAX":
+            return _robust_extreme(values, max)
+        total, count = _sum(values)
+        if not count or total is None:
+            return None
+        return total if spec.func == "SUM" else total / count
 
 
 def finalize_groups(
     group_by: Tuple[AttributeRef, ...],
     specs,
-    groups: "Dict[Tuple, _GroupAccumulator]",
+    groups: "Dict[object, _GroupAccumulator]",
 ) -> List[Tuple]:
     """Turn accumulated groups into canonically ordered result rows.
 
     Shared by every Γ operator — the row and columnar folds both
     finalize through this one function, which is what makes their outputs
-    byte-identical.  A global aggregate (no GROUP BY) over empty input yields
-    its one row with zero counts and NULL value aggregates; a grouped
-    aggregate over empty input yields no rows.
+    byte-identical.  *groups* maps each group's
+    :func:`~repro.core.values.distinct_key` tuple to its accumulator, which
+    carries the key as rendered.  A global aggregate (no GROUP BY) over empty
+    input yields its one row with zero counts and NULL value aggregates; a
+    grouped aggregate over empty input yields no rows.
     """
-    if not group_by and not groups:
-        groups = {(): _GroupAccumulator(specs)}
+    accumulators = list(groups.values())
+    if not group_by and not accumulators:
+        accumulators = [_GroupAccumulator(specs)]
     rows: List[Tuple] = []
-    for key in sorted(groups, key=_canonical_key):
-        accumulator = groups[key]
+    for accumulator in sorted(accumulators, key=lambda acc: _canonical_key(acc.key)):
         rows.append(
-            key
+            accumulator.key
             + tuple(
                 accumulator.finalize(spec, target)
                 for spec, target in zip(specs, accumulator.targets)
@@ -876,10 +942,17 @@ class HashAggregate(AggregationOperator):
 
     def rows(self, ctx: ExecutionContext) -> List[Tuple]:
         groups: Dict[Tuple, _GroupAccumulator] = {}
-        for key, atoms_of_type in self._keyed_inputs(ctx):
-            accumulator = groups.get(key)
+        for shown, atoms_of_type in self._keyed_inputs(ctx):
+            try:
+                key = shown
+                accumulator = groups.get(key)
+            except TypeError:
+                key = tuple(map(distinct_key, shown))
+                accumulator = groups.get(key)
             if accumulator is None:
-                accumulator = groups[key] = _GroupAccumulator(self.aggregates)
+                accumulator = groups[key] = _GroupAccumulator(self.aggregates, shown)
+            else:
+                accumulator.key = tuple(map(_first_rendered, accumulator.key, shown))
             accumulator.fold_components(self.aggregates, atoms_of_type)
         ctx.counters.groups_aggregated += len(groups)
         return finalize_groups(self.group_by, self.aggregates, groups)
@@ -889,14 +962,18 @@ class ColumnarAggregate(AggregationOperator):
     """Γ over the columnar projection of the root type, and over one hop.
 
     The group keys and root targets are read straight out of per-type
-    attribute arrays; the optional root filter (a conjunction of simple
-    comparisons, guaranteed by the optimizer rule) is evaluated column-wise
-    with the exact :func:`~repro.core.predicates._compare` semantics of the
-    row path.  With a *hop* ``(link type, component type)`` the component
-    counts come from one pass over the link type's occurrence: every link
-    adds its component endpoint to the group of its root endpoint — the side
-    chosen by endpoint type, never by identifier, because identifiers are
-    unique only within a type.  No molecule is derived.
+    attribute arrays and their value postings: a single-key GROUP BY takes
+    its groups from the key's postings, an equality conjunct of the optional
+    root filter (a conjunction of simple comparisons, guaranteed by the
+    optimizer rule) its rows, and every other conjunct is evaluated
+    column-wise with the exact :func:`~repro.core.predicates._compare`
+    semantics of the row path.  A group key renders as its members' first
+    value in textual order, as on the row path.  With a *hop* ``(link type,
+    component type)`` the component counts come from one pass over the link
+    type's occurrence: every link adds its component endpoint to the group
+    of its root endpoint — the side chosen by endpoint type, never by
+    identifier, because identifiers are unique only within a type.  No
+    molecule is derived.
 
     When the context's accelerator store refuses to serve the executing
     snapshot (stale arrays, private transaction writes) the qualifying root
@@ -948,7 +1025,7 @@ class ColumnarAggregate(AggregationOperator):
         )
         conjuncts = self._filter_conjuncts()
         if projection is not None and conjuncts is not None:
-            roots = self._projected_roots(ctx, projection, conjuncts)
+            roots = self._projected_roots(ctx, store, projection, conjuncts)
         else:
             if store is not None:
                 store.count_fallback()
@@ -957,31 +1034,47 @@ class ColumnarAggregate(AggregationOperator):
         ctx.counters.groups_aggregated += len(groups)
         return finalize_groups(self.group_by, self.aggregates, groups)
 
-    def _projected_roots(self, ctx: ExecutionContext, projection, conjuncts: List[Comparison]):
-        """``(identifiers, column, rows)``: the projection's identifier array,
-        its column accessor and the qualifying row numbers."""
+    def _projected_roots(
+        self, ctx: ExecutionContext, store, projection, conjuncts: List[Comparison]
+    ):
+        """``(identifiers, column, partitions, mixed)`` read from the
+        projection: its identifier array, its column accessor, the
+        qualifying rows by group key, and per group key the posting keys
+        whose values may render apart.
+
+        An equality conjunct is seeded from its attribute's posting; every
+        other conjunct runs as one pass over the rows left.  A single-key
+        GROUP BY without a filter takes its partitions straight from the
+        postings; any other grouping partitions the qualifying rows."""
         identifiers = projection.identifiers
-        total = len(identifiers)
-        ctx.counters.columnar_rows_scanned += total
-        filter_columns = [
-            (projection.column(c.lhs.attribute), c.op, c.rhs) for c in conjuncts
-        ]
-        if filter_columns:
-            rows: "range | List[int]" = [
-                row
-                for row in range(total)
-                if all(
-                    _compare(op, column[row], rhs)
-                    for column, op, rhs in filter_columns
-                )
-            ]
+        ctx.counters.columnar_rows_scanned += len(identifiers)
+        column = projection.column
+        rows: "Iterable[int]" = range(len(identifiers))
+        seed = next(
+            (
+                c
+                for c in conjuncts
+                if c.op in ("=", "==") and distinct_key(c.rhs) is c.rhs
+            ),
+            None,
+        )
+        if seed is not None:
+            buckets, _ = store.postings(projection, seed.lhs.attribute)
+            rows = buckets.get(seed.rhs, ())
+        for conjunct in conjuncts:
+            if conjunct is not seed:
+                rows = _satisfying(rows, column(conjunct.lhs.attribute), conjunct.op, conjunct.rhs)
+        postings = [store.postings(projection, ref.attribute) for ref in self.group_by]
+        if len(postings) == 1 and not conjuncts:
+            partitions = {(key,): bucket for key, bucket in postings[0][0].items()}
         else:
-            rows = range(total)
-        return identifiers, projection.column, rows
+            partitions = self._partition(column, rows)
+        return identifiers, column, partitions, [mixed for _, mixed in postings]
 
     def _occurrence_roots(self, ctx: ExecutionContext):
         """:meth:`_projected_roots` read from the (pinned) occurrence: the
-        qualifying root atoms, filtered atom by atom, as transient columns."""
+        qualifying root atoms, filtered atom by atom, as transient columns
+        (no postings: every group key is rendered from all its values)."""
         atoms: List[Atom] = []
         for atom in ctx.database.atyp(self.atom_type_name):
             ctx.counters.atoms_touched += 1
@@ -998,58 +1091,55 @@ class ColumnarAggregate(AggregationOperator):
                 values = columns[attribute] = [atom.get(attribute) for atom in atoms]
             return values
 
-        return [atom.identifier for atom in atoms], column, range(len(atoms))
+        partitions = self._partition(column, range(len(atoms)))
+        return [atom.identifier for atom in atoms], column, partitions, [None] * len(self.group_by)
+
+    def _partition(self, column, rows: "Iterable[int]") -> Dict[Tuple, "Iterable[int]"]:
+        """*rows* by the :func:`~repro.core.values.distinct_key` tuple of
+        their group-key values — the one per-row loop left."""
+        if not self.group_by:
+            rows = list(rows)
+            return {(): rows} if rows else {}
+        key_columns = [column(ref.attribute) for ref in self.group_by]
+        try:
+            # Hashable values are their own distinct keys.
+            return group_rows(rows, zip(*(map(values.__getitem__, rows) for values in key_columns)))
+        except TypeError:
+            keys = (map(distinct_key, map(values.__getitem__, rows)) for values in key_columns)
+            return group_rows(rows, zip(*keys))
 
     def _fold(
-        self, ctx: ExecutionContext, identifiers: List[str], column, rows
+        self,
+        ctx: ExecutionContext,
+        identifiers: List[str],
+        column,
+        partitions: Dict[Tuple, "Iterable[int]"],
+        mixed: List[Optional[Set[object]]],
     ) -> Dict[Tuple, _GroupAccumulator]:
-        # Partition the qualifying rows by group key — the only per-row loop;
-        # everything after runs column-wise over each partition's index list.
+        # Every row is one distinct root atom, so a group's targets are its
+        # rows' values, gathered column-wise; counts of the hop's component
+        # are left to the link pass.
         key_columns = [column(ref.attribute) for ref in self.group_by]
-        partitions: Dict[Tuple, List[int]] = {}
-        if len(key_columns) == 1:
-            values = key_columns[0]
-            for row in rows:
-                key = (values[row],)
-                bucket = partitions.get(key)
-                if bucket is None:
-                    bucket = partitions[key] = []
-                bucket.append(row)
-        elif key_columns:
-            for row in rows:
-                key = tuple(values[row] for values in key_columns)
-                bucket = partitions.get(key)
-                if bucket is None:
-                    bucket = partitions[key] = []
-                bucket.append(row)
-        else:
-            bucket = list(rows)
-            if bucket:
-                partitions[()] = bucket
-        # Every row is one distinct root atom, so the bulk fills below land
-        # exactly where a per-molecule fold's setdefault/add would.  Counts
-        # of the hop's component are left to the link pass.
         partner = self.hop[1] if self.hop is not None else None
         groups: Dict[Tuple, _GroupAccumulator] = {}
-        for key, bucket in partitions.items():
-            accumulator = groups[key] = _GroupAccumulator(self.aggregates)
-            accumulator.count = len(bucket)
+        for key, rows in partitions.items():
+            shown = tuple(
+                values[next(iter(rows))]
+                if apart is not None and part not in apart
+                else _rendered(list(map(values.__getitem__, rows)))
+                for values, part, apart in zip(key_columns, key, mixed)
+            )
+            accumulator = groups[key] = _GroupAccumulator(self.aggregates, shown)
+            accumulator.count = len(rows)
             for index, spec in enumerate(self.aggregates):
                 if spec.component is not None:
                     if spec.component != partner:
-                        accumulator.targets[index] = {identifiers[row] for row in bucket}
-                elif spec.distinct:
-                    values = column(spec.attribute.attribute)
-                    accumulator.targets[index] = {
-                        _distinct_key(values[row])
-                        for row in bucket
-                        if values[row] is not None
-                    }
+                        accumulator.targets[index] = set(map(identifiers.__getitem__, rows))
                 elif spec.attribute is not None:
-                    values = column(spec.attribute.attribute)
-                    accumulator.targets[index] = {
-                        identifiers[row]: values[row] for row in bucket
-                    }
+                    values = map(column(spec.attribute.attribute).__getitem__, rows)
+                    accumulator.targets[index] = (
+                        _distinct_values(values) if spec.distinct else list(values)
+                    )
         if self.hop is not None:
             self._fold_links(ctx, identifiers, partitions, groups)
         return groups
@@ -1058,7 +1148,7 @@ class ColumnarAggregate(AggregationOperator):
         self,
         ctx: ExecutionContext,
         identifiers: List[str],
-        partitions: Dict[Tuple, List[int]],
+        partitions: Dict[Tuple, "Iterable[int]"],
         groups: Dict[Tuple, _GroupAccumulator],
     ) -> None:
         """One pass over the hop's link type: each link whose root endpoint
@@ -1078,10 +1168,9 @@ class ColumnarAggregate(AggregationOperator):
         if not counted:
             return
         members: Dict[str, Set[str]] = {}
-        for key, bucket in partitions.items():
+        for key, rows in partitions.items():
             target = groups[key].targets[counted[0]]
-            for row in bucket:
-                members[identifiers[row]] = target
+            members.update(zip(map(identifiers.__getitem__, rows), repeat(target)))
         member = members.get
         # A head context reads the live occurrence: one copy, which no
         # writer can interrupt half-way; a pinned view yields its links.

@@ -13,7 +13,8 @@ kinds of such structure here:
   ``(atom type, link type, direction)`` (``CREATE STRUCTURE INDEX``), which
   answers recursive closures by interval range scans;
 * a :class:`~repro.storage.columnar.ColumnarProjection` per atom type,
-  created on first use, which answers aggregate scans from attribute arrays.
+  created on first use, which answers aggregate scans from attribute arrays
+  and value postings (:meth:`AcceleratorStore.postings`).
 
 All are built lazily, maintained from the engine's change-event stream by
 one fold (:meth:`AcceleratorStore.apply_event`), stamped with the engine's
@@ -64,7 +65,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Seq
 from repro.analysis.runtime import make_rlock
 from repro.core.events import ChangeEvent
 from repro.exceptions import StorageError
-from repro.storage.columnar import ColumnarProjection
+from repro.storage.columnar import ColumnarProjection, Postings
 from repro.storage.index import GridIndex, HashIndex
 from repro.storage.structure_index import StructureIndex, StructureKey, structure_key
 
@@ -179,6 +180,13 @@ class AcceleratorStore:
         if not ctx.database.has_atom_type(bare):
             return None
         return self._admit(self._projections, bare, ctx, ColumnarProjection)
+
+    def postings(self, projection: ColumnarProjection, attribute: str) -> Postings:
+        """``projection.postings(attribute)`` under the store lock: a head
+        projection's postings are built from the live arrays, which a fold
+        changes only under this lock (a pinned copy is the reader's own)."""
+        with self._lock:
+            return projection.postings(attribute)
 
     def _admit(self, entries: dict, key, ctx, kind):
         """The one admission rule (module docstring): what *ctx* may read of

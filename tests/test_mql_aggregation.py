@@ -144,6 +144,159 @@ class TestEdgeCases:
         assert engine.maintenance_report()["columnar_fallbacks"] >= 1
 
 
+class TestUnhashableGroupKeys:
+    """``GROUP BY`` over an ``any`` attribute holding lists groups by
+    :func:`~repro.core.values.distinct_key`, as DISTINCT does, and renders
+    each group's own value."""
+
+    STATEMENT = "SELECT COUNT(*), SUM(p.v) FROM p GROUP BY p.k;"
+
+    def build(self) -> PrimaEngine:
+        reset_surrogate_counter()
+        engine = PrimaEngine()
+        engine.create_atom_type("p", {"k": "any", "v": "integer"})
+        for index, key in enumerate(([1], [1], "a", [1, 2], None)):
+            engine.store_atom("p", identifier=f"p{index}", k=key, v=index)
+        return engine
+
+    def test_columnar_and_row_paths_group_lists(self):
+        engine = self.build()
+        # Canonical row order: by text ("[1, 2]" < "[1]" < "a"), NULL last.
+        expected = [([1, 2], 1, 3), ([1], 2, 1), ("a", 1, 2), (None, 1, 4)]
+        assert [tuple(r) for r in engine.query(self.STATEMENT).rows] == expected
+        assert [tuple(r) for r in row(engine, self.STATEMENT).rows] == expected
+
+    def test_filtered_and_multi_key_groupings(self):
+        engine = self.build()
+        for statement in (
+            "SELECT COUNT(*) FROM p WHERE p.v < 4 GROUP BY p.k;",
+            "SELECT COUNT(*) FROM p GROUP BY p.k, p.v;",
+        ):
+            assert fingerprint(engine.query(statement)) == fingerprint(row(engine, statement))
+
+
+class TestValuePostings:
+    """The projection's value postings, kept by the writer's fold."""
+
+    AGGREGATE = "SELECT COUNT(*), SUM(t.v) FROM t GROUP BY t.g;"
+
+    def build(self, groups="aabba") -> PrimaEngine:
+        reset_surrogate_counter()
+        engine = PrimaEngine()
+        engine.create_atom_type("t", {"g": "any", "v": "integer"})
+        for index, group in enumerate(groups):
+            engine.store_atom("t", identifier=f"t{index}", g=group, v=index)
+        engine.query(self.AGGREGATE)  # builds the projection and its postings of g
+        return engine
+
+    @staticmethod
+    def projection(engine: PrimaEngine):
+        return engine._accelerators._projections["t"]
+
+    @staticmethod
+    def rebuilt(projection, attribute: str = "g"):
+        """The postings built from scratch over the projection's arrays."""
+        copy = projection.for_pin()
+        copy._postings = {}
+        return copy.postings(attribute)
+
+    def check(self, engine: PrimaEngine) -> dict:
+        """The kept postings equal a rebuild (the kept mixed keys may be
+        more: they are only cleared with an emptied posting); the answer
+        equals the row Γ."""
+        assert fingerprint(engine.query(self.AGGREGATE)) == fingerprint(
+            row(engine, self.AGGREGATE)
+        )
+        projection = self.projection(engine)
+        buckets, mixed = projection.postings("g")
+        fresh, fresh_mixed = self.rebuilt(projection)
+        assert buckets == fresh
+        assert fresh_mixed <= mixed
+        return buckets
+
+    def test_built_on_first_grouping(self):
+        engine = self.build()
+        buckets = self.check(engine)
+        assert buckets == {"a": {0, 1, 4}, "b": {2, 3}}
+
+    def test_insert_posts_the_new_row(self):
+        engine = self.build()
+        engine.store_atom("t", identifier="t9", g="c", v=9)
+        engine.store_atom("t", identifier="t10", g="a", v=10)
+        buckets = self.check(engine)
+        assert buckets["c"] == {5}
+        assert 6 in buckets["a"]
+
+    def test_modify_that_changes_group_moves_the_row(self):
+        engine = self.build()
+        engine.store_atom("t", identifier="t2", g="a", v=2)
+        engine.store_atom("t", identifier="t3", g="c", v=3)
+        buckets = self.check(engine)
+        assert "b" not in buckets  # the emptied posting is gone
+        assert buckets["a"] == {0, 1, 2, 4}
+        assert buckets["c"] == {3}
+
+    def test_modify_that_keeps_the_group_keeps_the_posting(self):
+        engine = self.build()
+        before = {key: set(rows) for key, rows in self.projection(engine).postings("g")[0].items()}
+        engine.store_atom("t", identifier="t1", g="a", v=100)
+        assert self.check(engine) == before
+
+    def test_delete_moves_the_last_row_across_postings(self):
+        engine = self.build("abbb")
+        engine.delete_atom("t", "t0")  # row 0 ("a") takes the last row ("b", row 3)
+        projection = self.projection(engine)
+        assert projection.identifiers[0] == "t3"
+        buckets = self.check(engine)
+        assert buckets == {"b": {0, 1, 2}}
+
+    def test_equal_values_rendered_apart_render_alike_after_writes(self):
+        engine = self.build((1, True, 1.0, -0.0, 0.0))
+        buckets, mixed = self.projection(engine).postings("g")
+        assert set(buckets) == {1, 0.0} and mixed == {1, 0.0}
+        self.check(engine)
+        engine.delete_atom("t", "t1")  # the True row
+        engine.delete_atom("t", "t3")  # the -0.0 row
+        rows = [tuple(r) for r in engine.query(self.AGGREGATE).rows]
+        assert rows == [(0.0, 1, 4), (1.0, 2, 2)]
+        self.check(engine)
+
+    def test_value_mutated_in_place_drops_the_postings_not_the_write(self):
+        """A stored list is the caller's object: mutating it re-keys the
+        value under the posting that holds its row.  The next fold misses
+        the key, drops the postings and still applies the write."""
+        engine = self.build("ab")
+        value = [1]
+        engine.store_atom("t", identifier="t9", g=value, v=9)
+        engine.query(self.AGGREGATE)
+        value.append(2)
+        engine.delete_atom("t", "t9")
+        assert self.projection(engine)._postings == {}
+        assert self.check(engine) == {"a": {0}, "b": {1}}
+
+    def test_stale_projection_is_rebuilt_with_fresh_postings(self):
+        engine = self.build()
+        projection = self.projection(engine)
+        projection._mark_stale()
+        builds = projection.builds
+        engine.store_atom("t", identifier="t0", g="b", v=0)  # not folded: stale
+        assert projection.postings("g")[0]["a"] == {0, 1, 4}
+        assert self.check(engine) == {"a": {1, 4}, "b": {0, 2, 3}}
+        assert projection.builds == builds + 1
+
+    def test_pinned_copy_is_not_reached_by_a_later_fold(self):
+        engine = self.build()
+        with engine.snapshot_at() as pin:
+            pinned = pin.query(self.AGGREGATE)
+            copy = self.projection(engine).for_pin()
+            before = {key: set(rows) for key, rows in copy.postings("g")[0].items()}
+            engine.store_atom("t", identifier="t0", g="c", v=0)
+            engine.delete_atom("t", "t2")
+            assert copy.postings("g")[0] == before
+            assert fingerprint(pin.query(self.AGGREGATE)) == fingerprint(pinned)
+        assert self.check(engine) == {"a": {1, 2}, "b": {3}, "c": {0}}
+
+
 class TestParity:
     def queries(self):
         return (
@@ -279,3 +432,67 @@ def test_random_dml_keeps_columnar_row_parity(workload):
         assert fingerprint(pin.query(GROUPED)) == fingerprint(
             row(engine, GROUPED, at=pin.snapshot)
         )
+
+
+KEYS = (-0.0, 0.0, 1, 1.0, True, None, "a")
+
+
+@st.composite
+def keyed_workloads(draw):
+    """Writes over a 12-slot space whose group keys are ``==``-equal values
+    rendered apart (``-0.0``/``0.0``, ``1``/``1.0``/``True``), NULL and a
+    string; deletes empty groups."""
+    return draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["store", "store", "delete"]),
+                st.integers(min_value=0, max_value=11),
+                st.sampled_from(KEYS),
+                st.integers(min_value=-3, max_value=3),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+
+
+@pytest.mark.slow
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(workload=keyed_workloads())
+def test_postings_keep_columnar_row_parity_over_equal_keys(workload):
+    """Γ from the postings (single-key, seeded by an equality, filtered and
+    multi-key) renders every group as the row Γ does, after every write."""
+    reset_surrogate_counter()
+    engine = PrimaEngine()
+    engine.create_atom_type("p", {"k": "any", "j": "any", "v": "integer"})
+    statements = (
+        "SELECT COUNT(*), SUM(p.v), MIN(p.k) FROM p GROUP BY p.k;",
+        "SELECT COUNT(*), MAX(p.v) FROM p WHERE p.k = 1 GROUP BY p.j;",
+        "SELECT COUNT(*) FROM p WHERE p.k = 0 AND p.v > 0;",
+        "SELECT COUNT(*), SUM(p.v) FROM p WHERE p.v >= 0 GROUP BY p.k;",
+        "SELECT COUNT(*) FROM p GROUP BY p.k, p.j;",
+    )
+    live = set()
+    for op, slot, key, value in workload:
+        identifier = f"p{slot}"
+        if op == "delete":
+            if identifier not in live:
+                continue
+            live.discard(identifier)
+            engine.delete_atom("p", identifier)
+        else:
+            live.add(identifier)
+            engine.store_atom(
+                "p", identifier=identifier, k=key, j=KEYS[slot % len(KEYS)], v=value
+            )
+        for statement in statements:
+            assert fingerprint(engine.query(statement)) == fingerprint(
+                row(engine, statement)
+            ), (op, slot, key, statement)
+    with engine.snapshot_at() as pin:
+        for statement in statements:
+            assert fingerprint(pin.query(statement)) == fingerprint(
+                row(engine, statement, at=pin.snapshot)
+            ), statement

@@ -42,6 +42,8 @@ from repro.manipulation.transactions import Transaction
 from repro.storage import PrimaEngine, WriteAheadLog, read_wal
 from repro.storage.wal import FSYNC_BATCH
 
+import reference
+
 #: Stress multiplier: CI's stress job runs e.g. ``REPRO_STRESS=10``.
 STRESS = max(1, int(os.environ.get("REPRO_STRESS", "1")))
 
@@ -516,6 +518,53 @@ class TestColumnarFoldRace:
         assert [tuple(row) for row in engine.query(aggregate).rows] == [
             (g, n, n) for g, n in sorted(counts.items())
         ]
+
+
+    def test_head_postings_build_races_the_writer_fold(self):
+        """A head reader builds value postings from the live arrays while a
+        writer folds inserts, group changes and deletes into them.  The build
+        and every fold hold the store lock, so whichever comes first, the
+        postings end equal to a rebuild from the arrays, and the head
+        aggregate equals the row Γ."""
+        engine = PrimaEngine("postingbox")
+        engine.create_atom_type("t", {"g": "string", "v": "integer"})
+        rows = 4_000
+        for index in range(rows):
+            engine.store_atom("t", identifier=f"t{index}", g="xyz"[index % 3], v=index % 7)
+        aggregate = "SELECT t.g, COUNT(*), SUM(t.v) FROM t GROUP BY t.g;"
+        engine.query(aggregate)  # builds the projection
+        store = engine._accelerators
+        projection = store._projections["t"]
+        victims = iter(range(rows))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for round_ in range(4 * STRESS):
+                with store._lock:
+                    projection._postings = {}  # the next use builds them again
+
+                def reader() -> None:
+                    for attribute in ("g", "v"):
+                        store.postings(projection, attribute)
+
+                def writer() -> None:
+                    for step in range(20):
+                        victim = next(victims)
+                        engine.store_atom("t", identifier=f"t{victim}", g="w", v=step)
+                        engine.store_atom("t", identifier=f"n{round_}_{step}", g="xyz"[step % 3], v=1)
+                        engine.delete_atom("t", f"t{next(victims)}")
+
+                run_threads([reader, writer])
+                with store._lock:
+                    for attribute in ("g", "v"):
+                        buckets, mixed = projection.postings(attribute)
+                        copy = projection.for_pin()
+                        copy._postings = {}
+                        assert (buckets, mixed) == copy.postings(attribute)
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.query(aggregate).rows == reference.row(engine, aggregate).rows
+        assert engine.maintenance_report()["columnar_gap_events"] == 0
 
 
 # ----------------------------------------------------------- WAL append race
