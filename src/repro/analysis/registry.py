@@ -117,8 +117,9 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=10,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="basic-interface writes (store_atom / connect / delete_atom), "
-        "type DDL, fence() and checkpoint() serialize against each other",
+        guards="basic-interface writes (store_atom / connect / delete_atom, "
+        "each one auto-commit Transaction run inside it), type DDL, fence() "
+        "and checkpoint() serialize against each other",
     ),
     LockSpec(
         name="PrimaEngine._cache_lock",

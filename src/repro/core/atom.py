@@ -13,6 +13,7 @@ representable without foreign keys.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from contextlib import contextmanager
 from repro.analysis.runtime import make_rlock
@@ -30,6 +31,16 @@ from repro.core.versions import ABSENT, VersionChain, VersioningState
 from repro.exceptions import DuplicateNameError, IntegrityError, SchemaError
 
 _atom_counter = itertools.count(1)
+
+#: Value types a caller can change in place after handing them over.
+_MUTABLE = (list, dict, set, bytearray)
+
+
+def _owned(row: Tuple[object, ...]) -> Tuple[object, ...]:
+    """*row* with a deep copy of each :data:`_MUTABLE` value: the caller
+    keeps the object it passed, and changing it later must not change the
+    stored atom."""
+    return tuple([copy.deepcopy(v) if isinstance(v, _MUTABLE) else v for v in row])
 
 
 def _next_surrogate(type_name: str) -> str:
@@ -393,14 +404,17 @@ class AtomType:
         """Convenience wrapper: create and add an atom from keyword values."""
         return self.add(values, identifier=identifier)
 
-    def replace(self, atom: Atom) -> Atom:
+    def replace(self, atom: "Atom | Mapping[str, object]", identifier: Optional[str] = None) -> Atom:
         """Replace an existing atom's values in place, preserving its identity.
 
-        The occurrence position is kept (no remove/re-add churn) and a single
-        ``atom_modified`` event is emitted, which is what lets subscribers
-        maintain derived structures without touching the atom's links.
+        *atom* may be an :class:`Atom` or, as for :meth:`add`, a mapping of
+        attribute values stored under *identifier*.  The occurrence position
+        is kept (no remove/re-add churn) and a single ``atom_modified`` event
+        is emitted, which is what lets subscribers maintain derived
+        structures without touching the atom's links.
         """
-        identifier = atom.identifier
+        if isinstance(atom, Atom):
+            identifier = atom.identifier
         with self._lock:
             previous = self._atoms.get(identifier)
             if previous is None:
@@ -424,12 +438,14 @@ class AtomType:
 
         An atom of this type already in that form, which validation keeps
         as it is, is stored itself — atoms never change, so occurrences
-        (the source and the engine of a bulk load) share it.
+        (the source and the engine of a bulk load) share it, and so does an
+        atom whose row is already in definition order.  A row validated
+        from values holds its own copy of them (:func:`_owned`).
         """
         description = self._description
         positions = description.positions
         if not isinstance(atom, Atom):
-            row = description.validate_row(atom)
+            row = _owned(description.validate_row(atom))
         elif atom._positions == positions:  # already a row in definition order
             row = description.revalidate_row(atom._values)
             if (
@@ -439,7 +455,7 @@ class AtomType:
             ):
                 return atom
         else:
-            row = description.validate_row(atom.values)
+            row = _owned(description.validate_row(atom.values))
         return Atom._stored(self._name, identifier, row, positions)
 
     def remove(self, atom: "Atom | str") -> Atom:

@@ -536,15 +536,6 @@ class LinkType:
             generation = self._version_mutation(link, ABSENT, PRESENT, disconnect_head)
             self._emit(LINK_DISCONNECTED, link, generation=generation)
 
-    def remove_atom(self, atom: "Atom | str") -> int:
-        """Remove every link incident to *atom* (see :meth:`links_of`);
-        return the count removed."""
-        with self._lock:
-            links = self.links_of(atom)
-            for link in links:
-                self.remove(link)
-            return len(links)
-
     def links_of(self, atom: "Atom | str") -> FrozenSet[Link]:
         """Return all links incident to *atom*.
 

@@ -283,10 +283,6 @@ class VersioningState:
         buffers events per writer until that writer commits)."""
         return getattr(self._local, "writer", None)
 
-    @current_writer.setter
-    def current_writer(self, writer: Optional[object]) -> None:
-        self._local.writer = writer
-
     def begin_tracking(
         self, writer: object, own: "Optional[Set[int]]" = None
     ) -> Tuple[object, Optional[List[int]], Optional[object]]:

@@ -171,7 +171,11 @@ class DeleteMoleculesOp(WriteOperator):
             summary.molecules_affected += 1
             component_union.update(map(_atom_key, molecule.atoms))
             for stored in self._removable(ctx, molecule, removed):
-                self._delete_atom(ctx, txn, stored, summary)
+                # Through the transaction, so every removal carries a
+                # conflict key (first committer wins) besides its undo action.
+                summary.links_removed += txn.delete_atom(stored.type_name, stored.identifier)
+                summary.atoms_removed += 1
+                ctx.counters.atoms_touched += 1
                 removed.add(_atom_key(stored))
         summary.atoms_kept = len(component_union) - summary.atoms_removed
         description = self.source.describe(ctx)
@@ -194,36 +198,17 @@ class DeleteMoleculesOp(WriteOperator):
                 continue
             if self.cascade or _atom_key(atom) == root or not any(
                 link.other(atom.identifier) not in component_ids
-                for _link_type, link in _incident_links(ctx, stored)
+                for link_type in ctx.database.link_types_of(stored.type_name)
+                for link in link_type.links_of(stored)
             ):
                 removable.append(stored)
         return removable
-
-    def _delete_atom(
-        self, ctx: ExecutionContext, txn: "Transaction", stored: Atom, summary: WriteSummary
-    ) -> None:
-        # Each removal goes through the transaction so it carries a conflict
-        # key (first-committer-wins detection) besides its undo action.
-        for link_type, link in list(_incident_links(ctx, stored)):
-            txn.disconnect(link_type.name, link)
-            summary.links_removed += 1
-        txn.remove_atom_only(ctx.database.atyp(stored.type_name), stored)
-        summary.atoms_removed += 1
-        ctx.counters.atoms_touched += 1
 
 
 def _atom_key(atom: Atom) -> Tuple[str, str]:
     """An atom's identity: its (undecorated) type and its identifier —
     identifiers are unique only within a type."""
     return atom.type_name.split("@", 1)[0], atom.identifier
-
-
-def _incident_links(ctx: ExecutionContext, stored: Atom):
-    """``(link type, link)`` for every link of the stored atom *stored*: the
-    link types connecting its type, at the endpoint of its type."""
-    for link_type in ctx.database.link_types_of(stored.type_name):
-        for link in link_type.links_of(stored):
-            yield link_type, link
 
 
 class ModifyAtomsOp(WriteOperator):

@@ -38,7 +38,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.core.atom import Atom, AtomType
+from repro.core.atom import Atom
 from repro.core.database import Database
 from repro.core.link import Link, LinkType
 from repro.core.versions import Snapshot, WriteKey, atom_key, link_key
@@ -367,20 +367,25 @@ class Transaction:
         self.log.record(lambda: atom_type.remove(atom.identifier))
         return atom
 
-    def delete_atom(self, atom_type_name: str, identifier: str) -> Atom:
-        """Delete an atom (and its links), recording re-insertion as the undo action."""
+    def delete_atom(self, atom_type_name: str, identifier: str) -> int:
+        """Delete an atom and its incident links, recording their
+        re-insertion as the undo action; returns the links removed.
+
+        Every key is claimed before the first mutation — the atom's first,
+        so a concurrent delete of it is a conflict — and a conflict leaves
+        no partial effects.  The links go first, then the atom.
+        """
         self._require_active()
         atom_type = self.database.atyp(atom_type_name)
+        self._claim(atom_key(atom_type.name, identifier))
         atom = atom_type.get(identifier)
         if atom is None:
             raise TransactionError(f"no atom {identifier!r} in {atom_type_name!r}")
-        incident: List[Tuple[LinkType, Link]] = []
-        for link_type in self.database.link_types_of(atom_type_name):
-            for link in link_type.links_of(atom):
-                incident.append((link_type, link))
-        # Claim every key before the first mutation: a conflict must abort
-        # the operation without partial effects.
-        self._claim(atom_key(atom_type.name, identifier))
+        incident: List[Tuple[LinkType, Link]] = [
+            (link_type, link)
+            for link_type in self.database.link_types_of(atom_type_name)
+            for link in link_type.links_of(atom)
+        ]
         for link_type, link in incident:
             self._claim(link_key(link_type.name, link.identifiers))
         with self._tracked():
@@ -394,7 +399,7 @@ class Transaction:
                 link_type.add(link)
 
         self.log.record(undo)
-        return atom
+        return len(incident)
 
     def connect(self, link_type_name: str, first: "Atom | str", second: "Atom | str") -> Link:
         """Insert a link, recording its removal as the undo action.
@@ -436,11 +441,7 @@ class Transaction:
         return link
 
     def disconnect(self, link_type_name: str, link: Link) -> None:
-        """Remove one link, recording its re-connection as the undo action.
-
-        Used by the delete write operator so every individual link removal
-        carries its own conflict key and undo entry.
-        """
+        """Remove one link, recording its re-connection as the undo action."""
         self._require_active()
         link_type = self.database.ltyp(link_type_name)
         if link not in link_type:
@@ -449,18 +450,6 @@ class Transaction:
         with self._tracked():
             link_type.remove(link)
         self.log.record(lambda lt=link_type, lk=link: lt.add(lk))
-
-    def remove_atom_only(self, atom_type: AtomType, stored: Atom) -> None:
-        """Remove *stored* from its occurrence (links must already be gone).
-
-        The low-level primitive of the delete write operator: claims the
-        conflict key, removes and records re-insertion as the undo action.
-        """
-        self._require_active()
-        self._claim(atom_key(atom_type.name, stored.identifier))
-        with self._tracked():
-            atom_type.remove(stored.identifier)
-        self.log.record(lambda at=atom_type, a=stored: at.add(a))
 
     def modify_atom(self, atom_type_name: str, identifier: str, **updates) -> Atom:
         """Modify an atom's values in place, recording restoration of the old atom."""
@@ -471,12 +460,13 @@ class Transaction:
     ) -> Atom:
         """Keyword-collision-free variant of :meth:`modify_atom`.
 
-        The replacement preserves the atom's identity (links stay valid) and
-        raises :class:`ManipulationError` when an update violates the
-        attribute domain — in which case nothing has been changed.  The write
-        operators pass user-supplied attribute mappings through here, where
-        an attribute named ``identifier`` cannot clash with the parameters of
-        the ``**updates`` convenience form.
+        *updates* are merged over the atom's values and the result replaces
+        it (:meth:`replace_atom_values`).  An update that violates the
+        attribute domain raises :class:`ManipulationError` before any key is
+        claimed, and nothing has been changed.  The write operators pass
+        user-supplied attribute mappings through here, where an attribute
+        named ``identifier`` cannot clash with the parameters of the
+        ``**updates`` convenience form.
         """
         self._require_active()
         atom_type = self.database.atyp(atom_type_name)
@@ -491,8 +481,28 @@ class Transaction:
             raise ManipulationError(
                 f"invalid update for atom {identifier!r}: {exc}"
             ) from exc
+        return self.replace_atom_values(atom_type_name, identifier, validated)
+
+    def replace_atom_values(
+        self, atom_type_name: str, identifier: str, values: Mapping[str, object]
+    ) -> Atom:
+        """Replace an atom's values whole, preserving its identity (links
+        stay valid), recording restoration of the old atom as the undo
+        action.
+
+        The one replace primitive (``PrimaEngine.store_atom`` of a stored
+        identifier and :meth:`modify_atom_values` both call it).  Attributes
+        missing from *values* become ``None``.  The atom type validates
+        *values* before anything changes: a value outside its domain raises
+        :class:`~repro.exceptions.DomainError`, an unknown attribute
+        :class:`~repro.exceptions.AttributeError_`, an absent atom
+        :class:`~repro.exceptions.IntegrityError`.
+        """
+        self._require_active()
+        atom_type = self.database.atyp(atom_type_name)
+        old = atom_type.get(identifier)
         self._claim(atom_key(atom_type.name, identifier))
         with self._tracked():
-            new_atom = atom_type.replace(Atom(atom_type_name, validated, identifier=identifier))
+            new_atom = atom_type.replace(values, identifier=identifier)
         self.log.record(lambda: atom_type.replace(old))
         return new_atom

@@ -33,7 +33,7 @@ import collections
 from repro.analysis.runtime import make_lock, make_rlock
 from repro.analysis.runtime import checker_report as runtime_lock_report
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.atom import Atom, AtomType
 from repro.core.database import Database
@@ -43,6 +43,7 @@ from repro.core.molecule import MoleculeType, MoleculeTypeDescription
 from repro.core.molecule_algebra import molecule_type_definition
 from repro.core.versions import Snapshot
 from repro.exceptions import StorageError
+from repro.manipulation.transactions import Transaction
 from repro.storage.recovery import REPORT_KEYS as DURABILITY_KEYS
 from repro.storage.recovery import Durability, RecoveryResult
 from repro.storage.accelerators import AcceleratorStore
@@ -76,8 +77,8 @@ class PrimaEngine:
         self._database.subscribe(self._on_change)
         self._database.enable_versioning()
         self._interpreter: Optional["MQLInterpreter"] = None
-        #: Serializes basic-interface writes (store_atom/connect/delete_atom),
-        #: DDL and checkpoints against each other.
+        #: Serializes basic-interface writes (store_atom/connect/delete_atom,
+        #: each one auto-commit transaction), DDL, fence and checkpoints.
         self._write_lock = make_rlock("PrimaEngine._write_lock")
         #: Guards lazy construction/teardown of the interpreter and of the
         #: read fan-out (the replica owner and its process pool).
@@ -211,12 +212,12 @@ class PrimaEngine:
     # --------------------------------------------- atom-oriented interface
 
     def store_atom(self, atom_type_name: str, identifier: Optional[str] = None, **values) -> Atom:
-        """Insert (or replace) an atom — basic-component write operation."""
-        with self._operation():
+        """Insert (or replace whole) an atom — basic-component write operation."""
+        with self._transaction() as txn:
             atom_type = self._database.atyp(atom_type_name)
             if identifier is None or atom_type.get(identifier) is None:
-                return atom_type.add(values, identifier=identifier)
-            return atom_type.replace(Atom(atom_type_name, values, identifier=identifier))
+                return txn.insert_atom_values(atom_type_name, values, identifier=identifier)
+            return txn.replace_atom_values(atom_type_name, identifier, values)
 
     def get_atom(self, atom_type_name: str, identifier: str) -> Optional[Atom]:
         """Point lookup — basic-component read operation."""
@@ -259,9 +260,8 @@ class PrimaEngine:
         Endpoints may come either way round: each is typed by the atom type
         that stores it (:meth:`~repro.core.database.Database.typed_link`).
         """
-        with self._operation():
-            link = self._database.typed_link(link_type_name, first, second)
-            return self._database.ltyp(link_type_name).add(link)
+        with self._transaction() as txn:
+            return txn.connect(link_type_name, first, second)
 
     def neighbours(self, link_type_name: str, identifier: str) -> Tuple[str, ...]:
         """Adjacent atom identifiers through one link type."""
@@ -271,40 +271,22 @@ class PrimaEngine:
 
     def delete_atom(self, atom_type_name: str, identifier: str) -> int:
         """Delete an atom and all its incident links; returns the links removed."""
-        with self._operation():
-            atom_type = self._database.atyp(atom_type_name)
-            atom = atom_type.get(identifier)
-            if atom is None:
+        with self._transaction() as txn:
+            if self._database.atyp(atom_type_name).get(identifier) is None:
                 raise StorageError(f"no atom {identifier!r} in atom type {atom_type_name!r}")
-            removed = 0
-            for link_type in self._database.link_types_of(atom_type_name):
-                removed += link_type.remove_atom(atom)
-            atom_type.remove(identifier)
-            return removed
+            return txn.delete_atom(atom_type_name, identifier)
 
     @contextmanager
-    def _operation(self):
-        """One basic-interface write: its change events are one commit record.
-
-        Serialized on the write lock, so the mutation and its WAL record are
-        one atomic operation even when threads auto-commit concurrently.
-        The engine is the versioning state's (thread-local) writer for the
-        block, so a durable engine buffers its events as a transaction's,
-        and the transaction hooks end it: one record on success, none on
-        failure.
-        """
-        state = self._database.versioning
+    def _transaction(self) -> "Iterator[Transaction]":
+        """One basic-interface write: an auto-commit :class:`Transaction` —
+        one WAL record and one commit tick; it raises
+        :class:`~repro.exceptions.TransactionConflictError` against an open
+        transaction holding one of its keys.  On the write lock, so basic
+        writers never conflict with each other."""
         with self._write_lock:
             self._require_unfenced()
-            token = state.begin_tracking(self)
-            try:
-                yield
-            except BaseException:
-                state.notify_transaction_finished(self, committed=False)
-                raise
-            finally:
-                state.end_tracking(token)
-            state.notify_transaction_finished(self, committed=True)
+            with Transaction(self._database) as txn:
+                yield txn
 
     # --------------------------------------------- molecule-processing layer
 
@@ -475,13 +457,13 @@ class PrimaEngine:
     def fence(self) -> None:
         """Refuse every future write — the promotion protocol's first step.
 
-        Takes the write lock (draining in-flight basic-interface writers)
-        and the versioning engine lock (draining racing committers) before
-        flipping the flag, so after :meth:`fence` returns no record can
-        ever reach the WAL again: basic-interface writes and DDL raise
-        :class:`StorageError`, new transactions refuse to begin, and
-        in-flight transactions abort at their commit point.  Reads (and
-        :meth:`checkpoint`) keep working.  Idempotent.
+        Takes the write lock (draining in-flight basic-interface writes,
+        each one transaction) and the versioning engine lock (draining
+        racing committers) before flipping the flag, so after :meth:`fence`
+        returns no record can ever reach the WAL again: basic-interface
+        writes and DDL raise :class:`StorageError`, new transactions refuse
+        to begin, and in-flight transactions abort at their commit point.
+        Reads (and :meth:`checkpoint`) keep working.  Idempotent.
         """
         state = self._database.versioning
         with self._write_lock, state.lock:

@@ -525,11 +525,11 @@ class Durability:
     Construction recovers the directory into *engine* (:func:`recover`),
     then opens the write-ahead log for appending and starts logging — in
     that order, so nothing replayed is ever logged again.  From then on it
-    buffers the engine's change events per writer — a transaction, or one
-    basic-interface operation — and appends them as one checksummed commit
-    record when the writer commits, atomically with the MVCC commit-log
-    entry (the versioning state's transaction hook), or drops them when it
-    rolls back; an event outside any writer commits on its own.  DDL is
+    buffers the engine's change events per transaction (a basic-interface
+    write is one too) and appends them as one checksummed commit record
+    when the transaction commits, atomically with the MVCC commit-log entry
+    (the versioning state's transaction hook), or drops them when it rolls
+    back; an event outside any transaction commits on its own.  DDL is
     logged as it happens (:meth:`log_ddl`, replayed by
     :func:`apply_ddl_record`).  :meth:`checkpoint` writes an image and
     truncates the log.

@@ -48,7 +48,7 @@ import collections
 import os
 from repro.analysis.runtime import make_lock, make_rlock
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage.recovery import RecoveryResult, apply_checkpoint, replay_records
@@ -290,13 +290,20 @@ class FollowerEngine:
         #: Place on the primary's commit feed (hub transport only), taken
         #: before seeding so the seed covers everything below it.  Owned by
         #: the hub — it only advances when the hub ships.
-        self._cursor = hub.feed.subscribe() if hub is not None else None
+        self._cursor = None
+        if hub is not None:
+            start, self._cursor = hub.head(hub.feed.subscribe)
         try:
             self._seed()
         except BaseException:
             if hub is not None:
                 hub.feed.unsubscribe(self._cursor)
             raise
+        if hub is not None:
+            # Start at the primary's clock at the cursor: the seed holds
+            # every commit below it, and a commit ticks past its record's
+            # stamp.
+            self.apply_records((), start)
 
     @property
     def applied_seq(self) -> int:
@@ -548,14 +555,15 @@ class ReplicationHub:
         *pin_generation* is the fast-forward target and the refusal bound of
         :meth:`CommitFeed.take` — a refusal raises :class:`ReplicationError`
         and ships nothing.  When *pin_generation* is ``None`` the caller
-        wants the head: the follower ends at the newest record in the slice,
-        because the write-ahead ordering (bytes durable, then snapshot
-        published) means the feed can momentarily run ahead of the primary's
-        published generation — such records are decided commits, not a
-        future.
+        wants the head: the follower ends at the primary's clock, read with
+        the default cut (:meth:`head`), and no record's generation refuses
+        the slice — every record up to the cut is a decided commit.
         """
-        if cut is None:
-            cut = self.feed.position()
+        target = pin_generation
+        if target is None or cut is None:
+            head, position = self.head()
+            target = head if target is None else target
+            cut = position if cut is None else cut
         with follower._lock:
             try:
                 records = self.feed.take(
@@ -564,10 +572,7 @@ class ReplicationHub:
             except ReplicationError:
                 self.counters["refusals"] += 1
                 raise
-            follower.apply_records(
-                records,
-                self._engine.generation if pin_generation is None else pin_generation,
-            )
+            follower.apply_records(records, target)
             self.feed.advance(follower._cursor, cut)
         self.counters["ships"] += 1
         self.counters["records_shipped"] += len(records)
@@ -582,12 +587,20 @@ class ReplicationHub:
             shipped += self.ship(follower, pin_generation, cut)
         return shipped
 
-    def max_lag(self) -> int:
-        """The largest follower lag behind the primary head, in generations.
+    def head(self, position: Optional[Callable[[], Any]] = None) -> Tuple[int, Any]:
+        """The primary's version clock and *position()* (default: the feed
+        position), read in one critical section of its versioning lock, as
+        a pin reads them: every commit at or below the clock is below the
+        position.  The clock, not the engine's generation (the newest
+        change event), is what pins, routed reads and commits tick."""
+        state = self._engine.to_database().versioning
+        with state.lock:
+            return state.generation, (position or self.feed.position)()
 
-        Lock-free: reads an atomic snapshot of the follower list.
-        """
-        head = self._engine.generation
+    def max_lag(self) -> int:
+        """The largest follower lag behind the primary's clock, in
+        generations (reads an atomic snapshot of the follower list)."""
+        head = self.head()[0]
         followers = tuple(self._followers)
         return max(
             (head - follower.applied_generation for follower in followers),
@@ -607,7 +620,7 @@ class ReplicationHub:
             #    feed position below is the final one.
             self._engine.fence()
             # 2. Final cut at the fenced head; 3. ship the remaining slice.
-            self.ship(follower, self._engine.generation, self.feed.position())
+            self.ship(follower, *self.head())
             self.counters["promotions"] += 1
         # 4. Detach — the promoted engine leaves the feed.
         self.detach(follower)

@@ -259,8 +259,10 @@ class TestLinkType:
         link_type.connect("a1", "b2")
         link_type.remove(link)
         assert len(link_type) == 1
-        removed = link_type.remove_atom("a1")
-        assert removed == 1
+        removed = link_type.links_of("a1")
+        for link in removed:
+            link_type.remove(link)
+        assert len(removed) == 1
         assert len(link_type) == 0
 
     def test_one_to_one_cardinality_enforced(self):

@@ -262,14 +262,14 @@ class TestValuePostings:
         self.check(engine)
 
     def test_value_mutated_in_place_drops_the_postings_not_the_write(self):
-        """A stored list is the caller's object: mutating it re-keys the
-        value under the posting that holds its row.  The next fold misses
-        the key, drops the postings and still applies the write."""
+        """A stored list a read hands out is the stored object: mutating it
+        re-keys the value under the posting that holds its row.  The next
+        fold misses the key, drops the postings and still applies the
+        write."""
         engine = self.build("ab")
-        value = [1]
-        engine.store_atom("t", identifier="t9", g=value, v=9)
+        engine.store_atom("t", identifier="t9", g=[1], v=9)
         engine.query(self.AGGREGATE)
-        value.append(2)
+        engine.get_atom("t", "t9")["g"].append(2)
         engine.delete_atom("t", "t9")
         assert self.projection(engine)._postings == {}
         assert self.check(engine) == {"a": {0}, "b": {1}}

@@ -341,6 +341,97 @@ class TestWriterWriterConflicts:
 # ------------------------------------------------------------ MQL sessions
 
 
+def basic_engine(directory=None) -> PrimaEngine:
+    """One state linked to one area, written through the basic interface
+    (durable when *directory* is given)."""
+    engine = PrimaEngine.open(directory, fsync="off") if directory else PrimaEngine("basic")
+    engine.create_atom_type("state", {"name": "string", "hectare": "integer"})
+    engine.create_atom_type("area", {"area_id": "string"})
+    engine.create_link_type("state-area", "state", "area")
+    engine.store_atom("state", identifier="s1", name="alpha", hectare=100)
+    engine.store_atom("area", identifier="a1", area_id="a1")
+    engine.connect("state-area", "s1", "a1")
+    return engine
+
+
+class TestBasicInterfaceTransactions:
+    """``store_atom``/``connect``/``delete_atom`` each commit as one
+    auto-commit transaction: they claim keys, log a commit and are never
+    seen half done."""
+
+    def test_rollback_cannot_erase_a_committed_basic_write(self, tmp_path):
+        engine = basic_engine(tmp_path / "dir")
+        follower = engine.create_follower()
+        txn = Transaction(engine.to_database())
+        txn.begin()
+        txn.modify_atom("state", "s1", hectare=5)
+        with pytest.raises(TransactionConflictError):
+            engine.store_atom("state", identifier="s1", name="alpha", hectare=999)
+        txn.rollback()
+        engine.replication_hub().ship(follower)
+        memory = engine.get_atom("state", "s1")["hectare"]
+        replica = follower.engine.get_atom("state", "s1")["hectare"]
+        engine.close()
+        reopened = PrimaEngine.open(tmp_path / "dir")
+        assert memory == replica == reopened.get_atom("state", "s1")["hectare"] == 100
+        reopened.close()
+
+    def test_open_transaction_wins_over_a_later_basic_write(self):
+        engine = basic_engine()
+        txn = Transaction(engine.to_database())
+        txn.begin()
+        txn.modify_atom("state", "s1", hectare=111)
+        with pytest.raises(TransactionConflictError):
+            engine.store_atom("state", identifier="s1", name="alpha", hectare=999)
+        with pytest.raises(TransactionConflictError):
+            engine.delete_atom("state", "s1")
+        txn.commit()
+        assert engine.get_atom("state", "s1")["hectare"] == 111
+        assert engine.neighbours("state-area", "s1") == ("a1",)
+
+    def test_committed_basic_write_wins_over_an_older_transaction(self):
+        engine = basic_engine()
+        txn = Transaction(engine.to_database())
+        txn.begin()  # begins before the basic write commits
+        engine.store_atom("state", identifier="s1", name="alpha", hectare=999)
+        with pytest.raises(TransactionConflictError):
+            txn.modify_atom("state", "s1", hectare=111)
+        txn.rollback()
+        assert engine.get_atom("state", "s1")["hectare"] == 999
+
+    def test_a_basic_write_ticks_per_mutation_and_once_to_commit(self):
+        engine = basic_engine()
+        state = engine.to_database().versioning
+        before = state.generation
+        engine.store_atom("state", identifier="s1", name="alpha", hectare=1)
+        engine.store_atom("state", identifier="s1", name="alpha", hectare=2)
+        assert state.generation == before + 4  # a mutation and a commit each
+        assert engine.generation == state.generation - 1
+
+    def test_pin_taken_inside_delete_atom_sees_the_pre_state(self, monkeypatch):
+        """A pin taken after ``delete_atom`` removed the links and before it
+        removes the atom sees neither removal, for the pin's whole life."""
+        from repro.core.atom import AtomType
+
+        engine = basic_engine()
+        remove = AtomType.remove
+        handles = []
+
+        def spy(atom_type, atom):
+            if atom_type.name == "state":
+                handles.append(engine.snapshot_at())
+            return remove(atom_type, atom)
+
+        monkeypatch.setattr(AtomType, "remove", spy)
+        assert engine.delete_atom("state", "s1") == 1
+        (handle,) = handles
+        view = handle.database_view()
+        assert view.atyp("state").get("s1")["hectare"] == 100
+        assert view.ltyp("state-area").partners_of("s1") == frozenset({"a1"})
+        assert engine.get_atom("state", "s1") is None
+        handle.release()
+
+
 class TestMQLTransactions:
     def test_begin_work_pins_repeatable_reads(self):
         engine = small_engine()

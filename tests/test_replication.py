@@ -104,6 +104,11 @@ def burst(engine, start, stop, grp="burst"):
         )
 
 
+def clock(engine) -> int:
+    """The primary's version clock — pins, routed reads and commits tick it."""
+    return engine.to_database().versioning.generation
+
+
 def commit_blob(generation, identifier="tz0", grp="torn"):
     """Raw bytes of one WAL commit record, exactly as ``append`` writes them."""
     payload = {
@@ -356,10 +361,11 @@ class TestHubCatchUp:
         follower = fresh_engine.create_follower()
         hub = fresh_engine.replication_hub()
         burst(fresh_engine, 100, 150)
-        assert follower.lag(fresh_engine.generation) == 50
+        # Each basic write ticks the clock twice: its insert and its commit.
+        assert follower.lag(clock(fresh_engine)) == 100
         shipped = hub.ship(follower)
         assert shipped == 50
-        assert follower.lag(fresh_engine.generation) == 0
+        assert follower.lag(clock(fresh_engine)) == 0
         for statement in STATEMENTS:
             assert fingerprint(follower.query(statement)) == fingerprint(
                 fresh_engine.query(statement)
@@ -451,9 +457,31 @@ class TestPromotion:
         expected = [fingerprint(fresh_engine.query(s)) for s in STATEMENTS]
         promoted = follower.promote()
         assert fresh_engine.fenced
-        assert promoted.generation == fresh_engine.generation
+        assert promoted.generation == clock(fresh_engine)
         for statement, want in zip(STATEMENTS, expected):
             assert fingerprint(promoted.query(statement)) == want
+
+    def test_promotion_after_a_replica_read(self, fresh_engine):
+        """A replica read fast-forwards the follower to the pinned clock,
+        which a commit ticks past the newest logged stamp: the promotion's
+        final ship must not take that for a rewind."""
+        follower = fresh_engine.create_follower()
+        fresh_engine.query("INSERT item VALUES {name: 'tx0', grp: 'tx', val: 1.0, qty: 1};")
+        fresh_engine.parallel_query([COUNT_ITEMS], mode="replica")
+        expected = fingerprint(fresh_engine.query(COUNT_ITEMS))
+        promoted = follower.promote()
+        assert promoted.generation == clock(fresh_engine)
+        assert fingerprint(promoted.query(COUNT_ITEMS)) == expected
+        promoted.store_atom("item", identifier="new0", name="new0", grp="new",
+                            val=1.0, qty=1)
+
+    def test_replication_lag_is_never_negative_after_a_replica_read(self, fresh_engine):
+        fresh_engine.create_follower()
+        assert fresh_engine.maintenance_report()["replication_lag"] == 0
+        fresh_engine.query("INSERT item VALUES {name: 'tx0', grp: 'tx', val: 1.0, qty: 1};")
+        assert fresh_engine.maintenance_report()["replication_lag"] == 2
+        fresh_engine.parallel_query([COUNT_ITEMS], mode="replica")
+        assert fresh_engine.maintenance_report()["replication_lag"] == 0
 
     def test_fenced_primary_refuses_writes(self, fresh_engine):
         follower = fresh_engine.create_follower()
@@ -553,7 +581,7 @@ class TestReplicaRouter:
                 # the consistent state at its own generation, not the head.
                 assert fingerprint(stale) == fingerprint(pinned.query(COUNT_ITEMS))
                 assert fingerprint(stale) != fingerprint(engine.query(COUNT_ITEMS))
-                assert follower.lag(engine.generation) == 10
+                assert follower.lag(clock(engine)) == 20
         finally:
             engine.close()
 

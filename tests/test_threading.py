@@ -246,6 +246,91 @@ class TestWriterRaces:
             assert engine.get_atom("state", f"st{slot}").get("hectare") == 7000 + slot
 
 
+class TestBasicWriterRaces:
+    def test_basic_writers_against_a_session_on_shared_keys(self, tmp_path):
+        """Each round a session transaction writes two states and waits
+        while two basic-interface writers write one of them, another state
+        and a link, then it writes the state they wrote and commits or rolls
+        back; pinned readers re-read their pins throughout.  The basic
+        writes on the session's key conflict, the session's late write
+        loses to theirs, and the head, the reopened directory and a
+        caught-up follower end in one state."""
+        directory = tmp_path / "dir"
+        engine = PrimaEngine.open(directory, fsync="off")
+        engine.create_atom_type(
+            "state", {"name": "string", "code": "string", "hectare": "integer"}
+        )
+        engine.create_atom_type("area", {"area_id": "string"})
+        engine.create_link_type("state-area", "state", "area")
+        for index in range(4):
+            engine.store_atom("state", identifier=f"st{index}", name=f"State{index}",
+                              code=f"S{index}", hectare=100 + index)
+            engine.store_atom("area", identifier=f"ar{index}", area_id=f"a{index}")
+            engine.connect("state-area", f"st{index}", f"ar{index}")
+        engine.checkpoint()
+        engine.query(READ)  # warm the interpreter
+        follower = engine.create_follower()
+        rounds = 8 * STRESS
+        opened = threading.Barrier(3, timeout=60)
+        written = threading.Barrier(3, timeout=60)
+        conflicts: List[str] = []
+
+        def basic_writer(slot: int) -> None:
+            for index in range(rounds):
+                held, free = f"st{index % 4}", f"st{(index + 2) % 4}"
+                opened.wait()
+                try:
+                    engine.store_atom("state", identifier=held, name="Basic",
+                                      code=held, hectare=slot)
+                except TransactionConflictError:
+                    conflicts.append("basic")
+                engine.store_atom("state", identifier=free, name=f"Basic{slot}",
+                                  code=free, hectare=1000 * slot + index)
+                mine = f"w{slot}-{index}"
+                engine.store_atom("area", identifier=mine, area_id=mine)
+                engine.connect("state-area", held, mine)
+                if slot:
+                    engine.delete_atom("area", mine)
+                written.wait()
+
+        def session() -> None:
+            for index in range(rounds):
+                txn = Transaction(engine.to_database(), pin_snapshot=True)
+                txn.begin()
+                txn.modify_atom("state", f"st{index % 4}", hectare=-index)
+                txn.modify_atom("state", f"st{(index + 1) % 4}", name="Session")
+                opened.wait()
+                written.wait()
+                try:
+                    txn.modify_atom("state", f"st{(index + 2) % 4}", name="Late")
+                except TransactionConflictError:
+                    conflicts.append("session")
+                if index % 2:
+                    txn.rollback()
+                else:
+                    txn.commit()
+
+        def reader() -> None:
+            for _ in range(rounds):
+                with engine.snapshot_at() as handle:
+                    first = fingerprint(handle.query(READ))
+                    assert fingerprint(handle.query(READ)) == first
+
+        run_threads(
+            [lambda s=slot: basic_writer(s) for slot in range(2)]
+            + [session]
+            + [reader] * 2
+        )
+        assert sorted(conflicts) == ["basic"] * (2 * rounds) + ["session"] * rounds
+        head = fingerprint(engine.query(READ))
+        engine.replication_hub().ship(follower)
+        assert fingerprint(follower.query(READ)) == head
+        engine.close()
+        reopened = PrimaEngine.open(directory)
+        assert fingerprint(reopened.query(READ)) == head
+        reopened.close()
+
+
 # --------------------------------------------------------- parallel readers
 
 
