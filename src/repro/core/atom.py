@@ -257,9 +257,11 @@ class AtomType:
     ) -> Optional[int]:
         """Stamp one head mutation; chain-record and apply it atomically.
 
-        *swap* is the head mutation itself.  Tick, recording decision,
-        chain record and head swap run in **one critical section of the
-        registry lock** (nested inside the head lock — the defined order):
+        *swap* is the head mutation itself; outside a writer block the
+        tick refuses it (:meth:`VersioningState.mutation_tick`).  Tick,
+        recording decision, chain record and head swap run in **one
+        critical section of the registry lock** (nested inside the head
+        lock — the defined order):
         :meth:`VersioningState.pin` takes the same lock, so a concurrent
         pin lands either wholly before the unit (recording is then on and
         the pre-state is chained) or wholly after it (the new head *is* the
@@ -272,7 +274,7 @@ class AtomType:
             swap()
             return None
         with state.lock:
-            generation = state.mutation_generation = state.tick()
+            generation = state.mutation_tick()
             if state.recording:
                 chain = self._versions.get(identifier)
                 if chain is None:

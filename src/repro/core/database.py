@@ -211,20 +211,43 @@ class Database:
 
     def add_atom_type(self, atom_type: AtomType) -> AtomType:
         """Register an existing atom type; its name must be fresh."""
-        if atom_type.name in self._atom_types:
-            raise DuplicateNameError(f"atom type {atom_type.name!r} already defined")
-        if atom_type.name in self._link_types:
-            raise DuplicateNameError(
-                f"name {atom_type.name!r} already used by a link type"
-            )
+        self._require_plain()
+        return self._register(atom_type)
+
+    def _register(self, new_type: "AtomType | LinkType") -> "AtomType | LinkType":
+        """Register an atom or link type, checked as :meth:`add_atom_type`
+        and :meth:`add_link_type` check it but on a versioned database too:
+        the catalog path of the engine that owns one (its DDL, bulk loads
+        and replay go through ``PrimaEngine._add_type``)."""
+        name = new_type.name
+        if name in self:
+            kind = "an atom type" if name in self._atom_types else "a link type"
+            raise DuplicateNameError(f"name {name!r} already used by {kind}")
         # Copy-on-write: a storage engine registers types in its live
         # database while other threads iterate the registry (GC, planning).
-        self._atom_types = {**self._atom_types, atom_type.name: atom_type}
+        if isinstance(new_type, AtomType):
+            self._atom_types = {**self._atom_types, name: new_type}
+        else:
+            for type_name in new_type.atom_type_names:
+                if type_name not in self._atom_types:
+                    raise UnknownNameError(
+                        f"link type {name!r} references unknown atom type {type_name!r}"
+                    )
+            self._link_types = {**self._link_types, name: new_type}
         for listener in self._listeners:
-            atom_type.events.subscribe(listener)
+            new_type.events.subscribe(listener)
         if self._versioning is not None:
-            atom_type.attach_versioning(self._versioning)
-        return atom_type
+            new_type.attach_versioning(self._versioning)
+        return new_type
+
+    def _require_plain(self) -> None:
+        """Refuse a catalog change on a versioned database (every public
+        one): its engine changes the catalog through logged DDL."""
+        if self._versioning is not None:
+            raise SchemaError(
+                f"database {self.name!r} is versioned: its catalog changes only "
+                "through its engine's DDL (create_atom_type/create_link_type)"
+            )
 
     def atyp(self, name: "str | Iterable[str]") -> "AtomType | Tuple[AtomType, ...]":
         """The ``atyp`` function of Definition 1 (extended to name sets).
@@ -245,6 +268,7 @@ class Database:
 
     def drop_atom_type(self, name: str) -> None:
         """Remove an atom type and every link type that references it."""
+        self._require_plain()
         if name not in self._atom_types:
             raise UnknownNameError(f"unknown atom type: {name!r}")
         del self._atom_types[name]
@@ -283,21 +307,8 @@ class Database:
 
     def add_link_type(self, link_type: LinkType) -> LinkType:
         """Register an existing link type; both endpoint atom types must exist."""
-        if link_type.name in self._link_types:
-            raise DuplicateNameError(f"link type {link_type.name!r} already defined")
-        if link_type.name in self._atom_types:
-            raise DuplicateNameError(f"name {link_type.name!r} already used by an atom type")
-        for type_name in link_type.atom_type_names:
-            if type_name not in self._atom_types:
-                raise UnknownNameError(
-                    f"link type {link_type.name!r} references unknown atom type {type_name!r}"
-                )
-        self._link_types = {**self._link_types, link_type.name: link_type}
-        for listener in self._listeners:
-            link_type.events.subscribe(listener)
-        if self._versioning is not None:
-            link_type.attach_versioning(self._versioning)
-        return link_type
+        self._require_plain()
+        return self._register(link_type)
 
     def ltyp(self, name: "str | Iterable") -> "LinkType | Tuple[LinkType, ...]":
         """The ``ltyp`` function: map a link-type name (or directed use) to its link type."""
@@ -314,6 +325,7 @@ class Database:
 
     def drop_link_type(self, name: str) -> None:
         """Remove a link type from the database."""
+        self._require_plain()
         if name not in self._link_types:
             raise UnknownNameError(f"unknown link type: {name!r}")
         del self._link_types[name]

@@ -51,17 +51,21 @@ registry and every conflict check, so pins, commits and conflict validation
 are race-proof across threads.  Snapshot *reads* stay lock-free: resolved
 version chains are append-only (truncation swaps in a fresh list, never
 mutates one a reader may hold), and :class:`Snapshot` visibility is computed
-over immutable ints.  Writer attribution (``current_writer`` and the
-generation sink behind :meth:`begin_tracking`/:meth:`end_tracking`) is
-thread-local, so concurrent writers on different threads never steal each
+over immutable ints.  Writer attribution (:meth:`VersioningState.writing`)
+is thread-local, so concurrent writers on different threads never steal each
 other's generations or change events.  See DESIGN.md "Threading model" for
 the full lock order.
+
+**One write surface.**  :meth:`VersioningState.mutation_tick` refuses every
+mutation of a versioned database made outside a writer block — a
+:class:`~repro.manipulation.transactions.Transaction`'s or replay's.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import contextmanager
 
 from repro.analysis.runtime import make_rlock
 from typing import (
@@ -77,7 +81,7 @@ from typing import (
     Tuple,
 )
 
-from repro.exceptions import StorageError, TransactionConflictError
+from repro.exceptions import StorageError, TransactionConflictError, TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.atom import Atom, AtomType
@@ -240,7 +244,7 @@ class VersioningState:
         self.generation = start_generation
         #: Generation of the newest occurrence mutation.  Commits tick the
         #: clock past it (:meth:`record_commit`) and replay fast-forwards the
-        #: clock without mutating; the types set it beside their tick.
+        #: clock without mutating; :meth:`mutation_tick` sets it.
         self.mutation_generation = start_generation
         #: Refcounted pins per generation (readers + session transactions).
         self._pins: Dict[int, int] = {}  # guarded-by: VersioningState.lock
@@ -253,12 +257,12 @@ class VersioningState:
         self._commit_log: List[Tuple[int, FrozenSet[WriteKey]]] = []  # guarded-by: VersioningState.lock
         #: Transactions currently between ``begin`` and ``commit``/``rollback``.
         self.active_transactions: "Set[object]" = set()
-        #: ``True`` once the engine owning this state has been fenced by a
-        #: replica promotion: transactions refuse to begin *and* to commit
-        #: (an in-flight transaction aborts at its commit point), so no
-        #: write can ever follow the promoted follower's final catch-up
-        #: slice.  Set under :attr:`lock` by ``PrimaEngine.fence()``.
-        self.fenced = False
+        #: ``None``, or why the owning engine refuses writes: it was fenced by
+        #: a replica promotion (``PrimaEngine.fence()``, under :attr:`lock`),
+        #: or it is a follower not yet promoted.  Transactions refuse to
+        #: begin *and* to commit (an in-flight one aborts at its commit
+        #: point), so no write follows the final catch-up slice.
+        self.fenced: Optional[str] = None
         #: Cumulative number of version entries dropped by garbage collection.
         self.versions_collected = 0
         #: Callbacks ``(transaction, committed)`` fired when a transaction
@@ -267,59 +271,37 @@ class VersioningState:
         #: and at rollback/conflict abort with ``committed=False`` (the WAL
         #: discards the buffered events — redo-only logging).
         self.transaction_hooks: "List[Callable[[object, bool], None]]" = []
-        #: Per-thread writer attribution: which transaction is inside a
-        #: tracked mutation block on *this* thread, and the sink collecting
-        #: the generations the thread ticks there.  Thread-local because two
-        #: writer threads must never attribute each other's mutations.
+        #: Per-thread writer attribution (:meth:`writing`): two writer
+        #: threads must never attribute each other's mutations.
         self._local = threading.local()
 
     @property
     def current_writer(self) -> Optional[object]:
-        """The transaction inside a tracked mutation block on this thread.
+        """The writer inside a :meth:`writing` block on this thread.
 
-        Set by :meth:`begin_tracking` (driven by
-        :meth:`Transaction._tracked`).  Listeners use it to attribute a
-        change event to the transaction that produced it (the engine's WAL
-        buffers events per writer until that writer commits)."""
+        Listeners use it to attribute a change event to the writer that
+        produced it (the engine's WAL buffers events per writer until that
+        writer commits)."""
         return getattr(self._local, "writer", None)
 
-    def begin_tracking(
-        self, writer: object, own: "Optional[Set[int]]" = None
-    ) -> Tuple[object, Optional[List[int]], Optional[object]]:
-        """Attribute this thread's mutations to *writer*; returns a token.
+    @contextmanager
+    def writing(self, writer: object, own: "Optional[Set[int]]" = None) -> Iterator[None]:
+        """Attribute this thread's mutations to *writer* inside the block —
+        the only place a versioned database may be mutated
+        (:meth:`mutation_tick`).
 
-        Every :meth:`tick` on this thread is additionally collected into a
-        fresh sink until :meth:`end_tracking` is called with the token —
-        the exact write-generation set of the block, immune to generations
-        ticked concurrently by other threads.  With *own* (the writer's
-        live write-generation set) each tick joins the set *inside* the
-        clock's critical section: a snapshot built between a mutation and
-        the block's exit already sees the generation in ``own`` and
-        excludes it — no dirty-read window."""
+        With *own* (a transaction's live write-generation set) each tick
+        joins the set *inside* the clock's critical section: a snapshot
+        built between a mutation and the block's exit already sees the
+        generation in ``own`` and excludes it — no dirty-read window.
+        Blocks nest; the enclosing attribution returns on exit."""
         local = self._local
-        token = (
-            getattr(local, "writer", None),
-            getattr(local, "ticks", None),
-            getattr(local, "own", None),
-        )
-        local.writer = writer
-        local.ticks = []
-        local.own = own
-        return token
-
-    def end_tracking(
-        self, token: Tuple[object, Optional[List[int]], Optional[object]]
-    ) -> List[int]:
-        """Stop tracking; returns the generations this thread ticked.
-
-        Nested blocks roll their ticks up into the enclosing sink so an
-        outer tracked block still observes everything."""
-        local = self._local
-        ticks = list(getattr(local, "ticks", None) or ())
-        local.writer, local.ticks, local.own = token
-        if token[1] is not None:
-            token[1].extend(ticks)
-        return ticks
+        saved = (getattr(local, "writer", None), getattr(local, "own", None))
+        local.writer, local.own = writer, own
+        try:
+            yield
+        finally:
+            local.writer, local.own = saved
 
     def notify_transaction_finished(self, txn: object, committed: bool) -> None:
         """Fire every transaction hook (commit: right after the log append)."""
@@ -329,23 +311,34 @@ class VersioningState:
     # ------------------------------------------------------------------ clock
 
     def tick(self) -> int:
-        """Advance and return the generation clock (one tick per mutation).
+        """Advance and return the generation clock.
 
-        Inside a tracked block the fresh generation joins the writer's
-        ``own`` set while the lock is still held — :meth:`make_snapshot`
-        (also under the lock) therefore always sees a complete ``own`` set
-        and can exclude every in-flight uncommitted write.
+        Inside a :meth:`writing` block the fresh generation joins the
+        writer's ``own`` set while the lock is still held —
+        :meth:`make_snapshot` (also under the lock) therefore always sees a
+        complete ``own`` set and can exclude every in-flight uncommitted
+        write.
         """
-        local = self._local
         with self.lock:
             self.generation += 1
             generation = self.generation
-            own = getattr(local, "own", None)
+            own = getattr(self._local, "own", None)
             if own is not None:
                 own.add(generation)
-        sink = getattr(local, "ticks", None)
-        if sink is not None:
-            sink.append(generation)
+        return generation
+
+    # requires: VersioningState.lock
+    def mutation_tick(self) -> int:
+        """Tick for one occurrence mutation, before the types'
+        ``_version_mutation`` applies it; raises :class:`TransactionError`
+        outside a :meth:`writing` block, so nothing mutates a versioned
+        database unclaimed, unlogged or behind a follower's primary."""
+        if getattr(self._local, "writer", None) is None:
+            raise TransactionError(
+                "a versioned database changes only inside a Transaction; "
+                "write through Transaction, MQL DML or the engine's interface"
+            )
+        self.mutation_generation = generation = self.tick()
         return generation
 
     @property

@@ -187,12 +187,13 @@ class DeleteMoleculesOp(WriteOperator):
         molecule: Molecule,
         already_removed: Set[Tuple[str, str]],
     ) -> List[Atom]:
-        """The stored atoms of *molecule* to delete: all of them under
-        *cascade*, else the root and every atom linked only inside it."""
+        """The stored atoms of *molecule* to delete, in (type, identifier)
+        order — the log's bytes must not hang on set order: all of them
+        under *cascade*, else the root and every atom linked only inside it."""
         component_ids = set(molecule.atom_identifiers)
         root = _atom_key(molecule.root_atom)
         removable: List[Atom] = []
-        for atom in molecule.atoms:
+        for atom in sorted(molecule.atoms, key=_atom_key):
             stored = self._atom_type_of(ctx, atom.type_name).get(atom.identifier)
             if stored is None or _atom_key(stored) in already_removed:
                 continue
@@ -238,7 +239,7 @@ class ModifyAtomsOp(WriteOperator):
                 continue
             affected.append(molecule)
             summary.molecules_affected += 1
-            for atom in targets:
+            for atom in sorted(targets, key=_atom_key):  # the log must not hang on set order
                 if atom.identifier in modified:
                     continue
                 self._modify_atom(ctx, txn, atom)

@@ -35,7 +35,8 @@ head locks, and writer attribution is thread-local — see DESIGN.md
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import nullcontext
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.atom import Atom
@@ -145,12 +146,9 @@ class Transaction:
         self._state = state
         if state is not None:
             with state.lock:
-                if getattr(state, "fenced", False):
+                if state.fenced is not None:
                     self._active = False
-                    raise TransactionError(
-                        "engine is fenced (a follower was promoted); "
-                        "writes must go to the promoted engine"
-                    )
+                    raise TransactionError(state.fenced)
                 self.start_generation = state.generation
                 state.active_transactions.add(self)
                 if self._pin_snapshot:
@@ -183,7 +181,7 @@ class Transaction:
             conflicting = None
             fenced = False
             with state.lock:
-                if not self._commit_logged and getattr(state, "fenced", False):
+                if not self._commit_logged and state.fenced is not None:
                     # The engine was fenced by a replica promotion after this
                     # transaction began: its writes must not reach the commit
                     # log (the promoted follower already took the final feed
@@ -206,20 +204,14 @@ class Transaction:
                     # MVCC commit-log entry.  On failure the transaction
                     # stays active and commit() is retryable.
                     state.notify_transaction_finished(self, committed=True)
+            if fenced or conflicting is not None:
+                self.rollback()
             if fenced:
-                with self._tracked():
-                    self.log.undo_all()
-                self._finish()
-                state.notify_transaction_finished(self, committed=False)
                 raise TransactionError(
                     "engine was fenced (a follower was promoted) before this "
                     "transaction committed; all changes were rolled back"
                 )
             if conflicting is not None:
-                with self._tracked():
-                    self.log.undo_all()
-                self._finish()
-                state.notify_transaction_finished(self, committed=False)
                 raise TransactionConflictError(
                     f"{conflicting!r} was committed by a concurrent transaction "
                     "after this one began (first committer wins)"
@@ -311,32 +303,23 @@ class Transaction:
             with self._state.lock:
                 self.write_keys.add(key)
 
-    @contextmanager
     def _tracked(self):
-        """Collect the generations ticked inside the block into ``own``.
+        """Make the block's mutations this transaction's writes.
 
-        While the block runs, the versioning state's (thread-local)
-        ``current_writer`` names this transaction so event listeners (the
-        engine's WAL buffer) can attribute every emitted change event to its
-        writer.  Undo blocks run tracked too: their compensating events join
-        the same buffer, which a rollback then discards wholesale.
-
-        The generations are captured through the state's per-thread tick
-        sink — exact, even while other threads tick the shared clock — and
-        each one joins ``own`` *inside* :meth:`VersioningState.tick`'s
-        critical section, so a snapshot built mid-block (which iterates
-        ``own_generations`` under the same lock) already excludes every
-        in-flight write: there is no window for a dirty read.
+        Inside it the versioning state's (thread-local) ``current_writer``
+        names this transaction — the gate every versioned mutation passes,
+        and how event listeners (the engine's WAL buffer) attribute each
+        change event to its writer.  Undo blocks run tracked too: their
+        compensating events join the same buffer, which a rollback then
+        discards wholesale.  Each generation ticked inside joins ``own``
+        within :meth:`VersioningState.tick`'s critical section, so a
+        snapshot built mid-block (which iterates ``own_generations`` under
+        the same lock) already excludes every in-flight write: there is no
+        window for a dirty read.
         """
-        state = self._state
-        if state is None:
-            yield
-            return
-        token = state.begin_tracking(self, own=self._own_generations)
-        try:
-            yield
-        finally:
-            state.end_tracking(token)
+        if self._state is None:
+            return nullcontext()
+        return self._state.writing(self, own=self._own_generations)
 
     # ------------------------------------------------------------ operations
 
@@ -373,7 +356,8 @@ class Transaction:
 
         Every key is claimed before the first mutation — the atom's first,
         so a concurrent delete of it is a conflict — and a conflict leaves
-        no partial effects.  The links go first, then the atom.
+        no partial effects.  The links go first, each type's in endpoint
+        order (the log's bytes must not hang on set order), then the atom.
         """
         self._require_active()
         atom_type = self.database.atyp(atom_type_name)
@@ -384,7 +368,7 @@ class Transaction:
         incident: List[Tuple[LinkType, Link]] = [
             (link_type, link)
             for link_type in self.database.link_types_of(atom_type_name)
-            for link in link_type.links_of(atom)
+            for link in sorted(link_type.links_of(atom), key=attrgetter("given_order"))
         ]
         for link_type, link in incident:
             self._claim(link_key(link_type.name, link.identifiers))

@@ -14,7 +14,8 @@ The engine mirrors the architecture the paper reports for the PRIMA prototype:
 of atoms and links: the versioned :class:`~repro.core.database.Database` the
 engine creates at construction, which :meth:`PrimaEngine.to_database`
 returns for the engine's life.  Its version clock, pins and commit log are
-the engine's MVCC state.  The engine folds each of its change events into
+the engine's MVCC state.  It changes only through a ``Transaction``, the
+engine's DDL or replay.  The engine folds each of its change events into
 the derived access paths — the accelerator store and the planner
 statistics — and advances :attr:`PrimaEngine.generation`; DDL drops only
 the interpreter.  A link type's occurrence already is the incidence
@@ -58,10 +59,11 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
 class PrimaEngine:
     """A two-layer storage engine for MAD databases.
 
-    Every write — basic interface, MQL DML, the manipulation API on
-    :meth:`to_database` — lands in the engine's one database and is folded
-    into the accelerator store (equality indexes, structure indexes,
-    columnar projections) and the planner statistics in place.
+    Every write is a :class:`~repro.manipulation.transactions.Transaction`
+    — basic interface, MQL DML, the manipulation API — or DDL.  It lands in
+    the engine's one database and is folded into the accelerator store
+    (equality indexes, structure indexes, columnar projections) and the
+    planner statistics in place.
 
     *durability* (a :class:`~repro.storage.wal.DurabilityConfig`) makes the
     engine persistent: construction recovers the directory, and every DDL
@@ -72,7 +74,7 @@ class PrimaEngine:
     def __init__(self, name: str = "prima", durability: Optional[DurabilityConfig] = None) -> None:
         self.name = name
         #: The engine's one copy of the state.  Its versioning state carries
-        #: the MVCC clock, the pins, the commit log and the fence flag.
+        #: the MVCC clock, the pins, the commit log and the fence.
         self._database = Database(name)
         self._database.subscribe(self._on_change)
         self._database.enable_versioning()
@@ -118,6 +120,7 @@ class PrimaEngine:
 
     def create_atom_type(self, name: str, description) -> AtomType:
         """Create an atom type; returns the database's :class:`AtomType`."""
+        self._require_unfenced()
         atom_type = self._add_type(AtomType(name, description))
         self._log_ddl("atom_type", atom_type)
         return atom_type
@@ -131,6 +134,7 @@ class PrimaEngine:
     ) -> LinkType:
         """Create a link type; returns the database's :class:`LinkType`,
         which enforces *cardinality* on every later :meth:`connect`."""
+        self._require_unfenced()
         link_type = self._add_type(LinkType(name, first_type, second_type, cardinality=cardinality))
         self._log_ddl("link_type", link_type)
         return link_type
@@ -142,7 +146,8 @@ class PrimaEngine:
         (:meth:`from_database`, a checkpoint image): the occurrence was
         validated once when the type was built and enters without a
         per-atom change event, before any derived structure exists.  A bulk
-        load is not logged: a checkpoint persists it.  Refused while any
+        load is not logged: a checkpoint persists it.  Replay registers here,
+        past a follower's fence (the public DDL checks it).  Refused while any
         transaction is active (as :meth:`checkpoint` is): dropping the
         interpreter would orphan a ``BEGIN WORK`` session it owns.  The
         check and the registration share one critical section of the
@@ -150,7 +155,6 @@ class PrimaEngine:
         """
         name = new_type.name
         with self._write_lock, self._cache_lock:
-            self._require_unfenced()
             if name in self._database:
                 raise StorageError(f"type name {name!r} already in use")
             state = self._database.versioning
@@ -160,10 +164,7 @@ class PrimaEngine:
                         "cannot create a type while transactions are active; "
                         "COMMIT WORK or ROLLBACK WORK first"
                     )
-                if isinstance(new_type, AtomType):
-                    self._database.add_atom_type(new_type)
-                else:
-                    self._database.add_link_type(new_type)
+                self._database._register(new_type)
             self._invalidate()
         return new_type
 
@@ -293,9 +294,10 @@ class PrimaEngine:
     def to_database(self) -> Database:
         """The engine's :class:`Database` — the same object for its whole life.
 
-        It is the state itself, not an export: mutations applied to it
-        directly (MQL DML, the manipulation API) are the engine's writes,
-        logged, versioned and folded exactly like basic-interface ones.
+        It is the state itself, not an export, kept for reading: its raw
+        mutators and catalog methods raise.  Write through a ``Transaction``
+        over it (MQL DML and the manipulation API run one), the basic
+        interface or the DDL here: each is logged, versioned and folded.
         """
         return self._database
 
@@ -459,7 +461,7 @@ class PrimaEngine:
 
         Takes the write lock (draining in-flight basic-interface writes,
         each one transaction) and the versioning engine lock (draining
-        racing committers) before flipping the flag, so after :meth:`fence`
+        racing committers) before setting the fence, so after :meth:`fence`
         returns no record can ever reach the WAL again: basic-interface
         writes and DDL raise :class:`StorageError`, new transactions refuse
         to begin, and in-flight transactions abort at their commit point.
@@ -467,18 +469,18 @@ class PrimaEngine:
         """
         state = self._database.versioning
         with self._write_lock, state.lock:
-            state.fenced = True
+            state.fenced = "engine is fenced (a follower was promoted); write to the promoted engine"
 
     @property
     def fenced(self) -> bool:
-        """``True`` once a follower promotion fenced this engine."""
-        return self._database.versioning.fenced
+        """``True`` while this engine refuses writes: a follower promotion
+        fenced it, or it is a follower's engine not yet promoted."""
+        return self._database.versioning.fenced is not None
 
     def _require_unfenced(self) -> None:
-        if self.fenced:
-            raise StorageError(
-                "engine is fenced (a follower was promoted); writes must go to the promoted engine"
-            )
+        reason = self._database.versioning.fenced
+        if reason is not None:
+            raise StorageError(reason)
 
     def collect_versions(self) -> Dict[str, object]:
         """Run version-chain garbage collection; returns the GC statistics."""

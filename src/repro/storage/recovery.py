@@ -307,10 +307,10 @@ def apply_checkpoint(engine: "PrimaEngine", config: DurabilityConfig) -> Optiona
     returns the highest surrogate ordinal seen, or ``None`` without an image.
 
     Every type is built whole and then registered — one validation pass, no
-    per-atom change event, no log record — and the engine resumes at the
-    image's generation.  An entry of the wrong shape (a missing key, a pair
-    of one element, a generation that is no integer) raises
-    :class:`WalError` naming the file.
+    per-atom change event, no log record, no public DDL (a follower's fence
+    refuses that) — and the engine resumes at the image's generation.  An
+    entry of the wrong shape (a missing key, a pair of one element, a
+    generation that is no integer) raises :class:`WalError` naming the file.
     """
     image = load_checkpoint(config)
     if image is None:
@@ -332,7 +332,7 @@ def apply_checkpoint(engine: "PrimaEngine", config: DurabilityConfig) -> Optiona
                 )
             )
             for attribute in entry.get("indexes", ()):
-                engine.create_index(name, attribute)
+                engine._accelerators.declare_index(name, attribute)
         database = engine.to_database()
         for entry in image.get("link_types", ()):
             link_type = LinkType(
@@ -345,7 +345,7 @@ def apply_checkpoint(engine: "PrimaEngine", config: DurabilityConfig) -> Optiona
                 link_type.add(_placed(database, link_type, first, second))
             engine._add_type(link_type)
         for atom_type, link_type, direction in image.get("structure_indexes", ()):
-            engine.create_structure_index(atom_type, link_type, direction)
+            engine._accelerators.register(atom_type, link_type, direction)
         engine._advance_generation(int(image.get("generation", 0)))
     except (KeyError, TypeError, ValueError) as error:
         raise WalError(
@@ -355,7 +355,8 @@ def apply_checkpoint(engine: "PrimaEngine", config: DurabilityConfig) -> Optiona
 
 
 def apply_ddl_record(engine: "PrimaEngine", record: Dict[str, object]) -> None:
-    """Replay one DDL record (atom type / link type / index creation).
+    """Replay one DDL record (atom type / link type / index creation),
+    registered as :func:`apply_checkpoint` registers.
 
     Replay is create-if-absent: after a crash *between* the checkpoint image
     write and the WAL truncate, the next recovery loads an image that
@@ -366,21 +367,17 @@ def apply_ddl_record(engine: "PrimaEngine", record: Dict[str, object]) -> None:
     database = engine.to_database()
     if op == "atom_type":
         if not database.has_atom_type(record["name"]):
-            engine.create_atom_type(record["name"], restore_attributes(record["attributes"]))
+            engine._add_type(AtomType(record["name"], restore_attributes(record["attributes"])))
     elif op == "link_type":
         if not database.has_link_type(record["name"]):
-            engine.create_link_type(
-                record["name"],
-                record["first"],
-                record["second"],
-                cardinality=Cardinality(
-                    record.get("cardinality", Cardinality.MANY_TO_MANY.value)
-                ),
+            cardinality = Cardinality(record.get("cardinality", Cardinality.MANY_TO_MANY.value))
+            engine._add_type(
+                LinkType(record["name"], record["first"], record["second"], cardinality=cardinality)
             )
     elif op == "index":
-        engine.create_index(record["type"], record["attribute"])
+        engine._accelerators.declare_index(record["type"], record["attribute"])
     elif op == "structure_index":
-        engine.create_structure_index(
+        engine._accelerators.register(
             record["type"], record["link"], record.get("direction", "down")
         )
     else:
@@ -451,22 +448,26 @@ def replay_records(
     the highest surrogate ordinal the events introduced.
 
     The one replay routine of recovery, replica seeding and follower
-    catch-up — always the primitives above, always idempotent.
+    catch-up — always the primitives above, always idempotent — and the one
+    writer besides transactions: it runs in a writer block named
+    ``"replay"``.  No log listens — recovery runs before
+    :class:`Durability` subscribes, and a follower has none.
     """
     highest = 0
-    for record in records:
-        kind = record.get("r")
-        if kind == "ddl":
-            apply_ddl_record(engine, record)
-            result.ddl_replayed += 1
-        elif kind == "commit":
-            for event in record.get("events", ()):
-                highest = max(highest, apply_event_record(engine, event))
-                result.events_replayed += 1
-            result.generation = max(result.generation, int(record.get("gen", 0)))
-        else:
-            raise WalError(f"unknown WAL record kind {kind!r}")
-        result.records_replayed += 1
+    with engine.to_database().versioning.writing("replay"):
+        for record in records:
+            kind = record.get("r")
+            if kind == "ddl":
+                apply_ddl_record(engine, record)
+                result.ddl_replayed += 1
+            elif kind == "commit":
+                for event in record.get("events", ()):
+                    highest = max(highest, apply_event_record(engine, event))
+                    result.events_replayed += 1
+                result.generation = max(result.generation, int(record.get("gen", 0)))
+            else:
+                raise WalError(f"unknown WAL record kind {kind!r}")
+            result.records_replayed += 1
     return highest
 
 
@@ -525,11 +526,11 @@ class Durability:
     Construction recovers the directory into *engine* (:func:`recover`),
     then opens the write-ahead log for appending and starts logging — in
     that order, so nothing replayed is ever logged again.  From then on it
-    buffers the engine's change events per transaction (a basic-interface
-    write is one too) and appends them as one checksummed commit record
-    when the transaction commits, atomically with the MVCC commit-log entry
-    (the versioning state's transaction hook), or drops them when it rolls
-    back; an event outside any transaction commits on its own.  DDL is
+    buffers the engine's change events per transaction — every one comes
+    from a transaction, the only writer of a live versioned database — and
+    appends them as one checksummed commit record when the transaction
+    commits, atomically with the MVCC commit-log entry (the versioning
+    state's transaction hook), or drops them when it rolls back.  DDL is
     logged as it happens (:meth:`log_ddl`, replayed by
     :func:`apply_ddl_record`).  :meth:`checkpoint` writes an image and
     truncates the log.
@@ -552,16 +553,11 @@ class Durability:
         database.subscribe(self.capture)
 
     def capture(self, event: ChangeEvent) -> None:
-        """Route one change event: buffered under this thread's writer, or
-        committed at once when no writer is tracking (a direct database
-        mutation outside any transaction).  Writer attribution is
+        """Buffer one change event under this thread's writer: the
+        transaction the versioning gate let mutate.  Writer attribution is
         thread-local, so concurrent writers never share a record."""
         writer = self._state.current_writer
-        record = encode_event(event)
-        if writer is not None:
-            self._pending.setdefault(id(writer), []).append(record)
-        else:
-            self.wal.commit_events([record])
+        self._pending.setdefault(id(writer), []).append(encode_event(event))
 
     def finish(self, writer: object, committed: bool) -> None:
         """Transaction hook: log the writer's buffered events on commit,

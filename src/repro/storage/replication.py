@@ -234,6 +234,7 @@ def seed_engine(directory, name: str = "prima-replica") -> SeedResult:
     ever written: no WAL is opened for appending and a torn tail is skipped
     (``read_wal`` already stops at the last valid record) instead of
     truncated — against a live primary the tail is an in-flight append.
+    The engine is fenced in *name* until :meth:`FollowerEngine.promote`.
     """
     from repro.core.atom import ensure_surrogate_counter
     from repro.storage.engine import PrimaEngine
@@ -242,6 +243,7 @@ def seed_engine(directory, name: str = "prima-replica") -> SeedResult:
     config = DurabilityConfig(directory)
     stamp = checkpoint_stamp(config.checkpoint_path)
     engine = PrimaEngine(name=name)
+    engine.to_database().versioning.fenced = f"follower {name!r} is read-only until promote()"
     highest = apply_checkpoint(engine, config) or 0
     replayed = RecoveryResult(generation=engine.generation)
     scan = read_wal(config.wal_path)
@@ -432,7 +434,8 @@ class FollowerEngine:
 
     @property
     def engine(self):
-        """The backing :class:`PrimaEngine` (read-only until promotion)."""
+        """The backing :class:`PrimaEngine`: until :meth:`promote` every write
+        and DDL on it raises, in the follower's name; only replay changes it."""
         return self._engine
 
     @property
@@ -452,7 +455,8 @@ class FollowerEngine:
 
         File-tailing followers (no hub) drain one final :meth:`poll` and
         convert; fencing an out-of-process primary is the caller's job (the
-        usual promotion trigger is that primary being gone).
+        usual promotion trigger is that primary being gone).  Either way
+        the follower's own fence goes last: its engine takes writes.
         """
         if self._hub is not None:
             self._hub.promote(self)
@@ -464,6 +468,7 @@ class FollowerEngine:
             self._require_live()
             self._promoted = True
             engine = self._engine
+            engine.to_database().versioning.fenced = None
         return engine
 
     def close(self) -> None:

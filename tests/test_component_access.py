@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.atom import reset_surrogate_counter
 from repro.engine.physical import MAX_ENUMERATION_CANDIDATES
+from repro.manipulation.transactions import Transaction
 from repro.storage.engine import PrimaEngine
 from repro.storage.wal import DurabilityConfig
 
@@ -292,9 +293,10 @@ class TestSeededReadsSeeWrites:
         engine.connect("cd", "c2", "d0")
         head, _ = assert_same_everywhere(engine, LEAF)
         assert roots_of(head) == ["a0", "a2", "a4", "a8"]
-        bd = engine.to_database().ltyp("bd")
-        (link,) = bd.links_of("b4")
-        bd.remove(link)
+        database = engine.to_database()
+        (link,) = database.ltyp("bd").links_of("b4")
+        with Transaction(database) as txn:
+            txn.disconnect("bd", link)
         head, _ = assert_same_everywhere(engine, LEAF)
         assert roots_of(head) == ["a0", "a2", "a8"]
         assert head.counters.molecules_derived == 3

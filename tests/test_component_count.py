@@ -640,8 +640,7 @@ class TestIdentifiersEitherWayRound:
     def test_validate_checks_each_endpoint_in_its_own_type(self):
         """A link type typing bare identifiers by position (it has no
         database to look in) can put ``p:lone`` under ``c``: not in DB*."""
-        engine = build_literal()
-        database = engine.to_database()
+        database = build_literal().to_database().copy()
         database.ltyp("cp").connect(*AGAINST_THE_DEFINITION)
         assert not database.is_valid()
 

@@ -16,6 +16,7 @@ from repro.core.database import Database
 from repro.core.versions import ABSENT, Snapshot, VersionChain
 from repro.datasets.geography import build_geography
 from repro.exceptions import (
+    SchemaError,
     StorageError,
     TransactionConflictError,
     TransactionError,
@@ -252,7 +253,8 @@ class TestWriterWriterConflicts:
 
     def test_disjoint_write_sets_both_commit(self):
         db = versioned_db()
-        db.insert_atom("state", identifier="s2", name="beta", hectare=200)
+        with Transaction(db) as seed:
+            seed.insert_atom("state", identifier="s2", name="beta", hectare=200)
         t1 = Transaction(db)
         t2 = Transaction(db)
         t1.begin()
@@ -266,7 +268,8 @@ class TestWriterWriterConflicts:
 
     def test_delete_conflicts_with_concurrent_link_writer(self):
         db = versioned_db()
-        db.insert_atom("area", identifier="a2", area_id="a2")
+        with Transaction(db) as seed:
+            seed.insert_atom("area", identifier="a2", area_id="a2")
         t1 = Transaction(db)
         t2 = Transaction(db)
         t1.begin()
@@ -430,6 +433,111 @@ class TestBasicInterfaceTransactions:
         assert view.ltyp("state-area").partners_of("s1") == frozenset({"a1"})
         assert engine.get_atom("state", "s1") is None
         handle.release()
+
+
+class TestOneWriteSurface:
+    """A versioned database changes only inside a writer block — a
+    Transaction's or replay's — and its catalog only through its engine's
+    DDL; a plain database keeps its raw mutators."""
+
+    @staticmethod
+    def raw_writes(db):
+        """``(error, write)`` for the raw mutators and catalog methods."""
+        states, links = db.atyp("state"), db.ltyp("state-area")
+        return [
+            (TransactionError, lambda: states.replace({"name": "a", "hectare": 9}, identifier="s1")),
+            (TransactionError, lambda: states.add({"name": "b", "hectare": 1}, identifier="s9")),
+            (TransactionError, lambda: states.insert(identifier="s8", name="c", hectare=1)),
+            (TransactionError, lambda: states.remove("s1")),
+            (TransactionError, lambda: db.insert_atom("area", identifier="a9", area_id="a9")),
+            (TransactionError, lambda: db.connect("state-area", "s1", "a1x")),
+            (TransactionError, lambda: links.remove(links.link("s1", "a1"))),
+            (TransactionError, lambda: links.redo_connect("s1", "a1x")),
+            (SchemaError, lambda: db.define_atom_type("z", {"k": "integer"})),
+            (SchemaError, lambda: db.define_link_type("zz", "state", "state")),
+            (SchemaError, lambda: db.drop_link_type("state-area")),
+            (SchemaError, lambda: db.drop_atom_type("area")),
+        ]
+
+    def test_a_raw_write_is_refused_before_anything_changes(self):
+        db = versioned_db()
+        with Transaction(db) as txn:
+            txn.insert_atom("area", identifier="a1x", area_id="a1x")
+        events = []
+        db.subscribe(events.append)
+        state = db.versioning
+        before = (state.generation, state.mutation_generation)
+        for error, write in self.raw_writes(db):
+            with pytest.raises(error):
+                write()
+        assert events == []
+        assert (state.generation, state.mutation_generation) == before
+        assert db.atom_type_names == ("state", "area")
+        assert db.link_type_names == ("state-area",)
+        assert db.atyp("state").get("s1")["hectare"] == 100
+        assert db.ltyp("state-area").partners_of("s1") == frozenset({"a1"})
+
+    def test_a_plain_database_keeps_its_mutators(self):
+        db = Database("plain")
+        db.define_atom_type("state", {"name": "string", "hectare": "integer"})
+        db.define_atom_type("area", {"area_id": "string"})
+        db.define_link_type("state-area", "state", "area")
+        db.insert_atom("state", identifier="s1", name="alpha", hectare=100)
+        db.insert_atom("area", identifier="a1", area_id="a1")
+        db.insert_atom("area", identifier="a1x", area_id="a1x")
+        db.connect("state-area", "s1", "a1")
+        for _error, write in self.raw_writes(db):
+            write()
+        assert db.versioning is None
+        assert db.atom_type_names == ("state", "z")
+        assert db.link_type_names == ("zz",)
+        assert db.atyp("state").get("s1") is None
+        assert db.atyp("state").get("s9")["name"] == "b"
+
+    def test_a_standalone_interpreter_gates_its_database_from_begin_work(self):
+        db = Database("standalone")
+        db.define_atom_type("state", {"name": "string", "hectare": "integer"})
+        db.insert_atom("state", identifier="s1", name="alpha", hectare=100)
+        interpreter = MQLInterpreter(db)
+        interpreter.execute("BEGIN WORK;")
+        interpreter.execute("MODIFY state FROM state SET hectare = 7 WHERE state.name = 'alpha';")
+        interpreter.execute("COMMIT WORK;")
+        with pytest.raises(TransactionError):
+            db.insert_atom("state", identifier="s2", name="beta", hectare=2)
+        with pytest.raises(SchemaError):
+            db.define_atom_type("late", {"k": "integer"})
+        # DML and transactions still write it.
+        interpreter.execute("INSERT state VALUES {name: 'gamma', hectare: 3};")
+        with Transaction(db) as txn:
+            txn.insert_atom("state", identifier="s2", name="beta", hectare=2)
+        assert sorted(atom["hectare"] for atom in db.atyp("state")) == [2, 3, 7]
+
+    def test_writer_blocks_nest_and_stay_on_their_thread(self):
+        import threading
+
+        db = versioned_db()
+        state = db.versioning
+        own = set()
+        refused = []
+
+        def raw_insert():
+            try:
+                db.insert_atom("area", identifier="t9", area_id="t9")
+            except TransactionError as error:
+                refused.append(error)
+
+        assert state.current_writer is None
+        with state.writing("outer"):
+            with state.writing("inner", own=own):
+                assert state.current_writer == "inner"
+                db.insert_atom("area", identifier="a2", area_id="a2")
+                other = threading.Thread(target=raw_insert)
+                other.start()
+                other.join()
+            assert state.current_writer == "outer"
+        assert state.current_writer is None
+        assert own == {state.mutation_generation}
+        assert len(refused) == 1 and db.atyp("area").get("t9") is None
 
 
 class TestMQLTransactions:

@@ -32,7 +32,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.atom import reset_surrogate_counter
+from repro.core.atom import AtomType, reset_surrogate_counter
+from repro.core.link import LinkType
+from repro.exceptions import SchemaError, TransactionError
+from repro.manipulation.transactions import Transaction
 from repro.storage import DurabilityConfig, PrimaEngine, WriteAheadLog, read_wal
 from repro.storage.wal import FSYNC_ALWAYS
 
@@ -1247,3 +1250,144 @@ def test_checkpoint_memory_grows_by_a_sorted_list_not_by_the_image(tmp_path, mon
             tracemalloc.stop()
     (small, small_peak), (large, large_peak) = sorted(peaks.items())
     assert (large_peak - small_peak) / (large - small) <= 50, peaks
+
+
+# ----------------------------------------------------- one write surface
+
+
+def build_surface_engine(directory) -> PrimaEngine:
+    """A durable engine holding ``s1`` (hectare 1) linked to ``t1`` of type ``t``."""
+    reset_surrogate_counter()
+    engine = PrimaEngine("surface", durability=DurabilityConfig(directory, fsync=FSYNC_ALWAYS))
+    engine.create_atom_type("s", {"hectare": "integer"})
+    engine.create_atom_type("t", {"k": "string"})
+    engine.create_link_type("st", "s", "t")
+    engine.store_atom("s", identifier="s1", hectare=1)
+    engine.store_atom("t", identifier="t1", k="a")
+    engine.connect("st", "s1", "t1")
+    return engine
+
+
+def assert_memory_equals_directory(engine: PrimaEngine, directory) -> None:
+    expected = store_state(engine)
+    engine.close()
+    reopened = PrimaEngine.open(directory)
+    try:
+        assert store_state(reopened) == expected
+    finally:
+        reopened.close()
+
+
+def test_a_raw_replace_during_a_transaction_is_refused(tmp_path):
+    """A raw replace on the engine's database would be neither claimed nor
+    logged: the transaction's rollback then restored memory while the log
+    kept the raw value."""
+    engine = build_surface_engine(tmp_path / "db")
+    database = engine.to_database()
+    txn = Transaction(database)
+    txn.begin()
+    txn.modify_atom("s", "s1", hectare=2)
+    with pytest.raises(TransactionError):
+        database.atyp("s").replace({"hectare": 999}, identifier="s1")
+    txn.rollback()
+    assert engine.get_atom("s", "s1")["hectare"] == 1
+    assert_memory_equals_directory(engine, tmp_path / "db")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda db: db.define_atom_type("z", {"k": "integer"}),
+        lambda db: db.add_atom_type(AtomType("z", {"k": "integer"})),
+        lambda db: db.define_link_type("tt", "t", "t"),
+        lambda db: db.add_link_type(LinkType("tt", "t", "t")),
+        lambda db: db.drop_atom_type("t"),
+        lambda db: db.drop_link_type("st"),
+    ],
+    ids=["define_atom_type", "add_atom_type", "define_link_type", "add_link_type",
+         "drop_atom_type", "drop_link_type"],
+)
+def test_a_catalog_change_on_the_engines_database_is_refused(tmp_path, change):
+    """Catalog changes past the engine's DDL wrote no DDL record: a new type's
+    commits later named a type the reopened directory did not know, and a
+    dropped type came back on reopen."""
+    engine = build_surface_engine(tmp_path / "db")
+    with pytest.raises(SchemaError):
+        change(engine.to_database())
+    assert engine.to_database().atom_type_names == ("s", "t")
+    assert engine.to_database().link_type_names == ("st",)
+    engine.create_atom_type("z", {"k": "integer"})  # the logged way
+    engine.store_atom("z", identifier="z1", k=1)
+    assert len(engine.query("SELECT ALL FROM z;")) == 1
+    assert_memory_equals_directory(engine, tmp_path / "db")
+
+
+def test_raw_mutators_on_a_durable_engine_log_nothing(tmp_path):
+    engine = build_surface_engine(tmp_path / "db")
+    database = engine.to_database()
+    records = engine.wal.lifetime_records
+    for write in (
+        lambda: database.insert_atom("s", identifier="s2", hectare=2),
+        lambda: database.atyp("s").remove("s1"),
+        lambda: database.connect("st", "s1", "t1x"),
+        lambda: database.ltyp("st").remove(database.ltyp("st").link("s1", "t1")),
+    ):
+        with pytest.raises(TransactionError):
+            write()
+    assert engine.wal.lifetime_records == records
+    assert_memory_equals_directory(engine, tmp_path / "db")
+
+
+WAL_BYTES_SCRIPT = """
+import sys
+from pathlib import Path
+
+from repro.datasets.bill_of_materials import build_bill_of_materials
+from repro.datasets.geography import load_geography
+from repro.storage import DurabilityConfig, PrimaEngine
+
+directory = Path(sys.argv[1])
+bom = PrimaEngine.from_database(
+    build_bill_of_materials(depth=4, fan_out=3, share_every=3),
+    durability=DurabilityConfig(directory / "bom"),
+)
+for number in (2, 3, 5, 6, 8, 13, 14):
+    bom.delete_atom("part", f"P{number:05d}")
+bom.close()
+geo = PrimaEngine.from_database(load_geography(), durability=DurabilityConfig(directory / "geo"))
+geo.query("DELETE FROM area WHERE area.area_id = 'a3';")
+geo.query("DELETE CASCADE FROM area - edge WHERE area.area_id = 'a7';")
+geo.query("MODIFY point FROM area - edge - point SET x = 1.5 WHERE area.area_id = 'a2';")
+geo.close()
+"""
+
+
+def test_durable_files_do_not_depend_on_the_hash_seed(tmp_path):
+    """Deletes and modifies log their links and atoms in a fixed order: the
+    same workload under two ``PYTHONHASHSEED``s writes the same bytes."""
+    import subprocess
+    import sys
+
+    script = tmp_path / "workload.py"
+    script.write_text(WAL_BYTES_SCRIPT, encoding="utf-8")
+    source = str(Path(__file__).resolve().parent.parent / "src")
+    files = []
+    for seed in ("1", "2"):
+        directory = tmp_path / f"seed{seed}"
+        environment = dict(os.environ, PYTHONHASHSEED=seed)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (source, environment.get("PYTHONPATH")))
+        )
+        subprocess.run([sys.executable, str(script), str(directory)], env=environment, check=True)
+        files.append(
+            {
+                path.relative_to(directory).as_posix(): path.read_bytes()
+                for path in sorted(directory.glob("*/*"))
+            }
+        )
+    assert sorted(files[0]) == [
+        "bom/checkpoint.json", "bom/wal.log", "geo/checkpoint.json", "geo/wal.log"
+    ]
+    assert all(len(read_wal(tmp_path / "seed1" / name / "wal.log").records) > 1
+               for name in ("bom", "geo"))
+    assert files[0] == files[1]

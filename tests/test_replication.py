@@ -33,7 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.atom import reset_surrogate_counter
-from repro.exceptions import StorageError, TransactionError
+from repro.exceptions import SchemaError, StorageError, TransactionError
 from repro.manipulation.transactions import Transaction
 from repro.storage.engine import PrimaEngine
 from repro.storage.replication import (
@@ -554,6 +554,80 @@ class TestPromotion:
         )
         # No hub: fencing the (possibly remote) primary is the caller's job.
         assert not fresh_engine.fenced
+
+
+def follower_writes(engine):
+    """``(error, write)`` for every way a follower's engine could be written
+    besides replay; the fence refuses the first group in the follower's
+    name, the versioned database's own gates the raw ones."""
+    database = engine.to_database()
+    return [
+        (StorageError, lambda: engine.store_atom(
+            "item", identifier="i1", name="n1", grp="odd", val=7.0, qty=1)),
+        (StorageError, lambda: engine.connect("composition", "p0", "p9")),
+        (StorageError, lambda: engine.delete_atom("item", "i0")),
+        (TransactionError, lambda: engine.query(
+            "MODIFY item FROM item SET val = 8.0 WHERE item.name = 'n1';")),
+        (TransactionError, lambda: Transaction(database).begin()),
+        (StorageError, lambda: engine.create_atom_type("z", {"k": "integer"})),
+        (StorageError, lambda: engine.create_link_type("zz", "part", "item")),
+        (StorageError, lambda: engine.create_index("item", "grp")),
+        (StorageError, lambda: engine.create_structure_index("part", "composition")),
+    ], [
+        (TransactionError, lambda: database.atyp("item").replace(
+            {"name": "n1", "grp": "odd", "val": 9.0, "qty": 1}, identifier="i1")),
+        (TransactionError, lambda: database.insert_atom(
+            "item", identifier="raw", name="raw", grp="raw", val=0.0, qty=0)),
+        (TransactionError, lambda: database.connect("composition", "p0", "p9")),
+        (TransactionError, lambda: database.ltyp("composition").remove(
+            database.ltyp("composition").link("p0", "p1"))),
+        (SchemaError, lambda: database.define_atom_type("z", {"k": "integer"})),
+        (SchemaError, lambda: database.drop_atom_type("item")),
+    ]
+
+
+class TestFollowerRefusesWrites:
+    """Until promote(), a follower changes only by replaying its primary's
+    records: a write of its own would diverge it from the primary for good
+    (and promote() would hand the divergence out)."""
+
+    @pytest.mark.parametrize("transport", ["hub", "poll"])
+    def test_a_follower_refuses_every_write_and_keeps_its_primarys_state(
+        self, fresh_engine, transport
+    ):
+        if transport == "hub":
+            follower = fresh_engine.create_follower("f-under-test")
+            catch_up = fresh_engine.replication_hub().catch_up_all
+        else:
+            follower = FollowerEngine(fresh_engine.durability.directory, name="f-under-test")
+            catch_up = follower.poll
+        engine = follower.engine
+        generation = engine.generation
+        fenced, raw = follower_writes(engine)
+        for error, write in fenced:
+            with pytest.raises(error, match="follower 'f-under-test'"):
+                write()
+        for error, write in raw:
+            with pytest.raises(error):
+                write()
+        assert engine.generation == generation
+        assert engine.fenced
+        # The primary's next write ships, and still nothing diverges.
+        fresh_engine.query("MODIFY item FROM item SET val = 3.5 WHERE item.name = 'n1';")
+        fresh_engine.create_atom_type("late", {"a": "string"})
+        fresh_engine.create_index("item", "qty")
+        catch_up()
+        for statement in STATEMENTS:
+            assert fingerprint(follower.query(statement)) == fingerprint(
+                fresh_engine.query(statement)
+            )
+        assert engine.to_database().has_atom_type("late")
+        # Promotion lifts the follower's fence: the engine takes writes.
+        promoted = follower.promote()
+        assert not promoted.fenced
+        promoted.store_atom("item", identifier="i1", name="n1", grp="odd", val=7.0, qty=1)
+        promoted.create_atom_type("z", {"k": "integer"})
+        assert promoted.get_atom("item", "i1")["val"] == 7.0
 
 
 class TestReplicaRouter:

@@ -722,8 +722,9 @@ class TestIncidenceTraversal:
         at_pin = set(head.incident("t0_1"))
         with engine.snapshot_at() as handle:
             removed = head.link("t0_1", "t2_2")
-            head.remove(removed)
-            added = head.add(head.link("t0_1", "t2_4"))
+            with Transaction(engine.to_database()) as txn:
+                txn.disconnect("l02", removed)
+                added = txn.connect("l02", "t0_1", "t2_4")
             context = engine.interpreter().executor.context(snapshot=handle.snapshot)
             view = context.database.ltyp("l02")
             assert view.incident("t0_1") == view.links_of("t0_1") == at_pin
@@ -736,13 +737,13 @@ class TestIncidenceTraversal:
         database = engine.to_database()
         with engine.snapshot_at() as handle:
             at_pin = self.expected(model)
-            l02, l24 = database.ltyp("l02"), database.ltyp("l24")
-            l02.add(l02.link("t0_0", "t2_3"))
-            model["l02"].add(("t0_0", "t2_3"))
-            l02.remove(l02.link("t0_1", "t2_2"))
-            model["l02"].discard(("t0_1", "t2_2"))
-            l24.add(l24.link("t2_4", "t4_4"))
-            model["l24"].add(("t2_4", "t4_4"))
+            with Transaction(database) as txn:
+                txn.connect("l02", "t0_0", "t2_3")
+                model["l02"].add(("t0_0", "t2_3"))
+                txn.disconnect("l02", database.ltyp("l02").link("t0_1", "t2_2"))
+                model["l02"].discard(("t0_1", "t2_2"))
+                txn.connect("l24", "t2_4", "t4_4")
+                model["l24"].add(("t2_4", "t4_4"))
             engine.delete_atom("t2", "t2_3")
             model["atoms"]["t2"].discard("t2_3")
             model["l02"] = {(p, c) for p, c in model["l02"] if c != "t2_3"}
